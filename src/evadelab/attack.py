@@ -1,16 +1,30 @@
 """Sparse feature-addition evasion.
 
-The gradient attack runs two projected-descent passes that share one
-best-feasible-iterate tracker.  The first iterates on the projected binary
-point itself, re-evaluating the gradient after every accepted flip; the
-second descends a box-clipped real-relaxed shadow whose accumulated gradient
-pressure lets weakly-graded coordinates cross the binarization threshold.
-Each step applies the composite projection (clip into the box, binarize at
-0.5, keep the epsilon largest moves), so every iterate is feasible, and the
-best-scoring feasible point ever seen is returned because the stopping rule
-can halt past the optimum.  For linear models an exact greedy oracle exists:
-additions are independent, so adding absent features in ascending weight
-order is optimal.
+The gradient attack (Biggio et al., ECML-PKDD 2013) runs two projected-descent
+passes that share one best-feasible-iterate tracker.  The binary pass
+iterates on the projected binary point itself, re-evaluating the gradient
+after every accepted flip; the shadow pass descends a box-clipped
+real-relaxed iterate whose accumulated gradient pressure lets weakly-graded
+coordinates cross the binarization threshold.  Each step applies the
+composite projection (clip into the box, binarize at 0.5, keep the epsilon
+top-ranked changes), so every scored point is feasible, and the best-scoring
+feasible point ever seen is returned because the stopping rule can halt past
+the optimum.
+
+One engine, ``_pgd_core``, attacks a whole list of budgets at once.  The
+shadow iterate never reads the budget (its step, its stopping test and its
+active set depend only on the box), so its trajectory is computed once per
+sample and each iterate is projected onto every budget.  The projections are
+nested: rank the iterate's changes by |v - x0|, largest first, ties to the
+lower index, and the budget-e point is x0 plus the first e changes.  For an
+RBF model the nested points are scored incrementally: points and support
+vectors are 0/1, so ||x - s_i||^2 is a small integer and flipping x_j moves it
+by exactly +-(1 - 2 s_ij); integer sums are exact in any order, so the scores
+equal those of the materialised points bit for bit.  The binary pass stays
+per budget, because its iterate is that budget's projection.
+
+For linear models an exact greedy oracle exists: additions are independent,
+so adding absent features in ascending weight order is optimal.
 """
 
 from __future__ import annotations
@@ -21,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurespace import SparseBinaryVector
-from .models import LinearModel, TrainedModel, score
+from .models import KernelModel, LinearModel, TrainedModel, score
 
 NOT_EVADABLE: float = math.inf
 
@@ -90,14 +104,26 @@ class SecurityCurve:
         return float(np.mean(self.detection_rates))
 
 
+def _check_feasible(X0b: np.ndarray, points: np.ndarray, budgets,
+                    addition_only: bool) -> None:
+    """Raise unless every points[r, k] is within budgets[k] changes of X0b[r]
+    (and, in addition-only mode, keeps every feature X0b[r] has)."""
+    changes = (points != X0b[:, None, :]).sum(axis=2)
+    if np.any(changes > np.asarray(budgets)[None, :]):
+        raise RuntimeError("attack returned a point over its change budget")
+    if addition_only and np.any(X0b[:, None, :] & ~points):
+        raise RuntimeError("addition-only attack removed a present feature")
+
+
 def _check_result(result: AttackResult, x: SparseBinaryVector,
                   cfg: AttackConfig) -> AttackResult:
-    # Feasibility is asserted on every result handed back to a caller.
-    assert len(result.added_indices) <= cfg.epsilon
-    if cfg.addition_only:
-        assert set(x.indices).issubset(result.adversarial.indices)
-        assert set(result.adversarial.indices) - set(x.indices) == set(
-            result.added_indices)
+    """Feasibility of a result handed back to a caller; raises if broken."""
+    _check_feasible(x.to_dense().astype(bool)[None],
+                    result.adversarial.to_dense().astype(bool)[None, None],
+                    [cfg.epsilon], cfg.addition_only)
+    if (set(result.adversarial.indices) - set(x.indices)
+            != set(result.added_indices)):
+        raise RuntimeError("added_indices do not match the adversarial point")
     return result
 
 
@@ -121,24 +147,47 @@ def project(x_cont: np.ndarray, x_orig: SparseBinaryVector,
                               x_orig.dim)
 
 
+def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
+    """Rank each clipped row's changes by |V - X0|, largest first.
+
+    Ties go to the lower feature index.  Returns (order, counts): the first
+    counts[r] entries of order[r] are row r's changed features in rank order.
+    Only the changed entries are sorted, so the cost follows the number of
+    changes rather than the dimension.
+    """
+    rows, cols = np.nonzero((V >= 0.5) != X0b)
+    counts = np.bincount(rows, minlength=V.shape[0])
+    # lexsort is stable and np.nonzero lists columns in ascending order, so
+    # equal moves keep the lower index first.
+    key = np.lexsort((-np.abs(V[rows, cols] - X0b[rows, cols]), rows))
+    rows, cols = rows[key], cols[key]
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    order = np.zeros((V.shape[0], counts.max(initial=0)), dtype=np.intp)
+    order[rows, rank] = cols
+    return order, counts
+
+
+def _prefix_projection(X0b: np.ndarray, order: np.ndarray, counts: np.ndarray,
+                       epsilon) -> np.ndarray:
+    """X0b with the first min(epsilon, count) ranked changes of each row
+    applied; epsilon may be one budget or one per row."""
+    taken = np.arange(order.shape[1]) < np.minimum(counts, epsilon)[:, None]
+    rows, pos = np.nonzero(taken)
+    cols = order[rows, pos]
+    out = X0b.copy()
+    out[rows, cols] = ~X0b[rows, cols]
+    return out
+
+
 def _project_clipped_batch(V: np.ndarray, X0b: np.ndarray,
                            epsilon: int) -> np.ndarray:
     """Binarize already-clipped rows and enforce the change budget rowwise."""
     XB = V >= 0.5
-    changed = XB != X0b
-    counts = changed.sum(axis=1)
-    over = counts > epsilon
-    if not over.any():
-        return XB
-    D = np.where(changed, np.abs(V - X0b), -1.0)
-    kth = -np.partition(-D, epsilon - 1, axis=1)[:, epsilon - 1]
-    greater = D > kth[:, None]
-    equal = (D == kth[:, None]) & changed
-    quota = epsilon - greater.sum(axis=1)
-    keep_equal = equal & (np.cumsum(equal, axis=1) <= quota[:, None])
-    keep = greater | keep_equal
-    capped = np.where(keep, XB, X0b)
-    return np.where(over[:, None], capped, XB)
+    over = np.flatnonzero((XB != X0b).sum(axis=1) > epsilon)
+    if over.size:
+        order, counts = _ranked_changes(V[over], X0b[over])
+        XB[over] = _prefix_projection(X0b[over], order, counts, epsilon)
+    return XB
 
 
 def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
@@ -154,90 +203,118 @@ def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
     return np.where(gmax > 0.0, scale / np.maximum(gmax, 1e-300), 0.0)
 
 
-def _descent_pass(model: TrainedModel, X0b: np.ndarray, cfg: AttackConfig,
-                  threshold: float, mode: str, best_scores: np.ndarray,
+def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
+                  start, budgets, mode: str, cfg: AttackConfig,
+                  threshold: float, best_scores: np.ndarray,
                   best_points: np.ndarray, stop_on_evasion: bool,
                   traces) -> np.ndarray:
     """One batched descent pass; updates best_scores / best_points in place.
 
-    mode "binary" re-evaluates the gradient at the projected binary iterate
-    each step (the iterate hops between feasible points, with enough step to
-    flip at least one coordinate).  mode "shadow" descends a box-clipped real
-    relaxation that accumulates gradient pressure, so weakly-graded
-    coordinates can still cross the binarization threshold over time.
+    best_* hold one column per budget.  mode "binary" (one budget) steps from
+    the budget's projected binary point each iteration, so the iterate hops
+    between feasible points with enough step to flip at least one
+    coordinate.  mode "shadow" descends a box-clipped real relaxation that
+    accumulates gradient pressure, so weakly-graded coordinates can still
+    cross the binarization threshold; its trajectory never reads the budget,
+    so each iterate is projected onto every budget.  One fused kernel call
+    per iteration evaluates the new iterate and gives the gradient that the
+    still-active rows step with next.  A row leaves the pass when its
+    objective converges or, with stop_on_evasion, once every budget evaded.
     """
-    B, d = X0b.shape
-    X0 = X0b.astype(np.float64)
-    lb = X0 if cfg.addition_only else np.zeros_like(X0)
-    cur = X0.copy()
-    prev_obj = model.decision_batch(cur)
-    active = prev_obj >= threshold  # already-benign samples are left alone
+    scores0, grad0 = start
+    cur = X0b.astype(np.float64)
+    prev_obj = scores0.copy()
+    active = scores0 >= threshold  # already-benign samples are left alone
     if stop_on_evasion:
-        active &= ~(best_scores < threshold)
-    iterations = np.zeros(B, dtype=np.int64)
+        active &= ~(best_scores < threshold).all(axis=1)
+    rows = np.flatnonzero(active)
+    g = grad0[rows]
+    nested = mode == "shadow" and isinstance(model, KernelModel)
+    if nested and rows.size:
+        sq0 = model._sq_distances(cur)
+    budget_arr = np.asarray(budgets)
     eta_scale = 0.5005 if mode == "binary" else 0.1
-
+    iterations = np.zeros(len(X0b), dtype=np.int64)
     for it in range(1, cfg.max_iters + 1):
-        rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        _, g = model.decision_and_gradient_batch(cur[rows])
         if cfg.eta is None:
             eta = _movable_eta(g, cur[rows], lb[rows], eta_scale)
         else:
             eta = np.full(rows.size, cfg.eta)
         stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
-        binary = _project_clipped_batch(stepped, X0b[rows], cfg.epsilon)
-        bin_scores = model.decision_batch(binary.astype(np.float64))
-        improved = bin_scores < best_scores[rows]
-        upd = rows[improved]
-        best_scores[upd] = bin_scores[improved]
-        best_points[upd] = binary[improved]
-
+        X0r = X0b[rows]
         if mode == "binary":
-            cur[rows] = binary.astype(np.float64)
-            obj = bin_scores
+            binary = _project_clipped_batch(stepped, X0r, budgets[0])
+            cur[rows] = binary
+            obj, g = model.decision_and_gradient_batch(cur[rows])
+            improved = obj < best_scores[rows, 0]
+            upd = rows[improved]
+            best_scores[upd, 0] = obj[improved]
+            best_points[upd, 0] = binary[improved]
         else:
+            order, counts = _ranked_changes(stepped, X0r)
+            if nested:
+                bin_scores = model._prefix_flip_decisions(
+                    sq0[rows], scores0[rows], X0r, order, counts, budgets)
+            else:
+                bin_scores = np.stack([model.decision_batch(
+                    _prefix_projection(X0r, order, counts, eps).astype(
+                        np.float64)) for eps in budgets], axis=1)
+            ri, ci = np.nonzero(bin_scores < best_scores[rows])
+            if ri.size:
+                best_scores[rows[ri], ci] = bin_scores[ri, ci]
+                best_points[rows[ri], ci] = _prefix_projection(
+                    X0r[ri], order[ri], counts[ri], budget_arr[ci])
             cur[rows] = stepped
-            obj = model.decision_batch(stepped)
-        converged = np.abs(obj - prev_obj[rows]) <= cfg.tol
+            obj, g = model.decision_and_gradient_batch(stepped)
+
+        done = np.abs(obj - prev_obj[rows]) <= cfg.tol
         prev_obj[rows] = obj
         iterations[rows] = it
-        done = converged
         if stop_on_evasion:
-            done = done | (best_scores[rows] < threshold)
-        active[rows[done]] = False
+            done |= (best_scores[rows] < threshold).all(axis=1)
         if traces is not None:
             for r in rows:
-                traces[r].append(float(best_scores[r]))
+                traces[r].append(float(best_scores[r, 0]))
+        rows, g = rows[~done], g[~done]
     return iterations
 
 
-def _pgd_core(model: TrainedModel, X0b: np.ndarray, cfg: AttackConfig,
-              threshold: float, stop_on_evasion: bool = False,
-              record_trace: bool = False):
-    """Shared batched attack: a binary-iterate pass then a shadow pass.
+def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
+              cfg: AttackConfig, threshold: float,
+              stop_on_evasion: bool = False, record_trace: bool = False):
+    """The batched attack at every budget of an ascending list.
 
-    Both passes share the best-feasible-iterate bookkeeping, so the returned
-    point is the best either scheme ever visited.  On a linear model with the
-    adaptive step, the binary pass already flips absent features in exact
-    descending-weight order (the gradient is constant), which is the optimal
-    addition schedule, so the shadow pass is skipped.
+    For each budget a binary pass, then one shadow pass shared by all
+    budgets; both feed the same best-feasible-iterate bookkeeping, so each
+    (row, budget) pair returns the best point either scheme visited for it.
+    On a linear model with the adaptive step, the binary pass already flips
+    absent features in exact descending-weight order (the gradient is
+    constant), which is the optimal addition schedule, so the shadow pass is
+    skipped.  Returns (n, k) scores, (n, k, d) points, (n, k) evasion flags,
+    (n, k) iteration counts and, with record_trace (one budget only), the
+    best score of each row after every iteration.
     """
-    scores0 = model.decision_batch(X0b.astype(np.float64))
-    best_scores = scores0.copy()
-    best_points = X0b.copy()
-    traces = [[float(s)] for s in best_scores] if record_trace else None
+    lb = X0b.astype(np.float64) if cfg.addition_only else np.zeros(X0b.shape)
+    start = model.decision_and_gradient_batch(X0b.astype(np.float64))
+    k = len(budgets)
+    best_scores = np.repeat(start[0][:, None], k, axis=1)
+    best_points = np.repeat(X0b[:, None, :], k, axis=1)
+    traces = [[float(s)] for s in start[0]] if record_trace else None
 
-    iterations = _descent_pass(model, X0b, cfg, threshold, "binary",
-                               best_scores, best_points, stop_on_evasion,
-                               traces)
-    if not (isinstance(model, LinearModel) and cfg.eta is None):
-        iterations = iterations + _descent_pass(
-            model, X0b, cfg, threshold, "shadow", best_scores, best_points,
+    iterations = np.zeros((len(X0b), k), dtype=np.int64)
+    for col, eps in enumerate(budgets):
+        iterations[:, col] = _descent_pass(
+            model, X0b, lb, start, [eps], "binary", cfg, threshold,
+            best_scores[:, col:col + 1], best_points[:, col:col + 1],
             stop_on_evasion, traces)
-    evaded = best_scores < threshold
-    return best_scores, best_points, evaded, iterations, traces
+    if not (isinstance(model, LinearModel) and cfg.eta is None):
+        iterations += _descent_pass(
+            model, X0b, lb, start, budgets, "shadow", cfg, threshold,
+            best_scores, best_points, stop_on_evasion, traces)[:, None]
+    _check_feasible(X0b, best_points, budgets, cfg.addition_only)
+    return best_scores, best_points, best_scores < threshold, iterations, traces
 
 
 def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
@@ -282,11 +359,10 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
     for eps in range(1, eps_max + 1):
         if pending.size == 0:
             break
-        _, _, evaded, _, _ = _pgd_core(model, X0b[pending],
-                                       base.with_epsilon(eps), threshold,
-                                       stop_on_evasion=True)
-        out[pending[evaded]] = eps
-        pending = pending[~evaded]
+        _, _, evaded, _, _ = _pgd_core(model, X0b[pending], [eps], base,
+                                       threshold, stop_on_evasion=True)
+        out[pending[evaded[:, 0]]] = eps
+        pending = pending[~evaded[:, 0]]
     return out
 
 
@@ -296,13 +372,13 @@ def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, cfg: AttackConfig,
     if x.dim != model.d:
         raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
     X0b = x.to_dense().astype(bool)[None]
-    best_scores, best_points, evaded, iterations, traces = _pgd_core(
-        model, X0b, cfg, threshold, record_trace=True)
+    _, best_points, evaded, iterations, traces = _pgd_core(
+        model, X0b, [cfg.epsilon], cfg, threshold, record_trace=True)
     adv = SparseBinaryVector(
-        tuple(int(i) for i in np.flatnonzero(best_points[0])), x.dim)
+        tuple(int(i) for i in np.flatnonzero(best_points[0, 0])), x.dim)
     added = tuple(sorted(set(adv.indices) - set(x.indices)))
-    result = AttackResult(adv, added, tuple(traces[0]), bool(evaded[0]),
-                          int(iterations[0]))
+    result = AttackResult(adv, added, tuple(traces[0]), bool(evaded[0, 0]),
+                          int(iterations[0, 0]))
     return _check_result(result, x, cfg)
 
 
@@ -367,9 +443,9 @@ def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
     base = cfg if cfg is not None else AttackConfig(1)
     X0b = x.to_dense().astype(bool)[None]
     for eps in range(1, eps_max + 1):
-        _, _, evaded, _, _ = _pgd_core(
-            model, X0b, base.with_epsilon(eps), threshold, stop_on_evasion=True)
-        if evaded[0]:
+        _, _, evaded, _, _ = _pgd_core(model, X0b, [eps], base, threshold,
+                                       stop_on_evasion=True)
+        if evaded[0, 0]:
             return eps
     return NOT_EVADABLE
 
@@ -452,14 +528,13 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
             out[:, col] = np.where(attackable, res, scores0)
         return out
 
-    base = cfg if cfg is not None else AttackConfig(1)
-    for col, eps in enumerate(eps_grid):
-        if eps == 0:
-            out[:, col] = scores0
-            continue
+    budgets = sorted({e for e in eps_grid if e > 0})
+    if budgets:
         best_scores, _, _, _, _ = _pgd_core(
-            model, X0b, base.with_epsilon(eps), threshold)
-        out[:, col] = best_scores
+            model, X0b, budgets, cfg if cfg is not None else AttackConfig(1),
+            threshold)
+    for col, eps in enumerate(eps_grid):
+        out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out
 
 

@@ -18,11 +18,12 @@ import numpy as np
 
 from . import evenness as evenness_mod
 from . import models, pipeline, stats
-from .attack import AttackConfig, NOT_EVADABLE, attack_scores_over_grid, epsilon_min
+from .attack import AttackConfig, attack_scores_over_grid
+# Re-exported: studybench's traced run wraps cli.epsilon_min.
+from .attack import epsilon_min  # noqa: F401
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients, top_features)
 from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
-from .models import LinearModel
 from .pipeline import PRESETS, ClassifierSpec, ExperimentConfig, run_experiment
 
 
@@ -95,22 +96,32 @@ def cmd_attack(args) -> int:
     threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.epsilon_grid) if args.epsilon_grid else [args.epsilon]
     eps_max = args.eps_max or max(grid)
+    if eps_max < 1:
+        raise ValueError("eps_max must be >= 1")
 
-    rows_out = []
     malware_rows = [i for i, y in enumerate(ds.labels) if y == 1]
     samples = [ds.samples[i] for i in malware_rows]
     cfg = AttackConfig(1, eta=args.eta, max_iters=args.max_iters)
-    scores = attack_scores_over_grid(model, samples, grid, threshold, cfg,
+    # One attack over the grid and every budget up to eps_max: the attack at
+    # budget e evades exactly when its score is below the threshold, so
+    # eps_min is the first such budget.
+    budgets = sorted(set(grid) | set(range(1, eps_max + 1)))
+    scores = attack_scores_over_grid(model, samples, budgets, threshold, cfg,
                                      args.method)
     clean = model.decision_batch(np.stack([x.to_dense() for x in samples]))
-    emin_method = args.method
-    if emin_method == "auto":
-        emin_method = "greedy" if isinstance(model, LinearModel) else "pgd"
+    searched = [col for col, eps in enumerate(budgets) if 1 <= eps <= eps_max]
+    hits = scores[:, searched] < threshold
+    grid_cols = [budgets.index(eps) for eps in grid]
+
+    rows_out = []
     for row, sid in enumerate(malware_rows):
-        emin = epsilon_min(model, samples[row], eps_max, emin_method, cfg,
-                           threshold)
-        emin_txt = "NOT_EVADABLE" if emin == NOT_EVADABLE else int(emin)
-        for col, eps in enumerate(grid):
+        if clean[row] < threshold:
+            emin_txt = 0
+        elif hits[row].any():
+            emin_txt = budgets[searched[int(np.argmax(hits[row]))]]
+        else:
+            emin_txt = "NOT_EVADABLE"
+        for eps, col in zip(grid, grid_cols):
             after = float(scores[row, col])
             rows_out.append([sid, eps, float(clean[row]), after,
                              int(after < threshold), emin_txt])

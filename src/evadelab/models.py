@@ -75,8 +75,12 @@ class KernelModel:
         object.__setattr__(self, "dual_coeffs", coeffs)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "gamma", float(self.gamma))
+        if coeffs.ndim != 1:
+            raise ValueError("dual_coeffs must be a 1-d vector")
         if len(self.support_vectors) != coeffs.shape[0]:
             raise ValueError("support_vectors and dual_coeffs lengths differ")
+        if not np.all(np.isfinite(coeffs)) or not math.isfinite(self.bias):
+            raise ValueError("model parameters must be finite")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be finite and positive")
         if not self.support_vectors:
@@ -97,12 +101,57 @@ class KernelModel:
     def _sv_sqnorms(self) -> np.ndarray:
         return (self._sv_matrix * self._sv_matrix).sum(axis=1)
 
-    def _kernel_weights(self, points: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _flip_deltas(self) -> np.ndarray:
+        # Row j: the change of ||x - s_i||^2 when x_j goes from 0 to 1.
+        return np.ascontiguousarray((1.0 - 2.0 * self._sv_matrix).T)
+
+    def _sq_distances(self, points: np.ndarray) -> np.ndarray:
         sq = ((points * points).sum(axis=1)[:, None]
               + self._sv_sqnorms[None, :]
               - 2.0 * points @ self._sv_matrix.T)
         np.maximum(sq, 0.0, out=sq)
+        return sq
+
+    def _weights_from_sq(self, sq: np.ndarray) -> np.ndarray:
         return np.exp(-self.gamma * sq) * self.dual_coeffs[None, :]
+
+    def _kernel_weights(self, points: np.ndarray) -> np.ndarray:
+        return self._weights_from_sq(self._sq_distances(points))
+
+    def _prefix_flip_decisions(self, sq0: np.ndarray, scores0: np.ndarray,
+                               X0b: np.ndarray, order: np.ndarray,
+                               counts: np.ndarray, budgets) -> np.ndarray:
+        """Decision values at X0 plus its first min(e, count) ranked flips.
+
+        ``sq0`` and ``scores0`` are the squared distances and decisions of
+        the 0/1 rows ``X0b``; ``order[r, :counts[r]]`` lists row r's flips
+        in rank order; ``budgets`` ascend.  Returns (rows, len(budgets)).
+        With 0/1 points and support vectors every squared distance is a
+        small integer and flipping x_j moves it by exactly +-(1 - 2 s_ij),
+        so the running sums are exact in any order and each value equals
+        ``decision_batch`` on the materialised point bit for bit.  Memory
+        stays O(rows x n_sv) whatever the number of budgets.
+        """
+        sq = sq0.copy()
+        score = scores0.copy()
+        out = np.empty((sq.shape[0], len(budgets)))
+        done = 0
+        for col, eps in enumerate(budgets):
+            moved = np.flatnonzero(counts > done)
+            for pos in range(done, eps):
+                live = np.flatnonzero(counts > pos)
+                if live.size == 0:
+                    break
+                j = order[live, pos]
+                sign = np.where(X0b[live, j], -1.0, 1.0)
+                sq[live] += sign[:, None] * self._flip_deltas[j]
+            if moved.size:
+                score[moved] = (self._weights_from_sq(sq[moved]).sum(axis=1)
+                                + self.bias)
+            out[:, col] = score
+            done = eps
+        return out
 
     def decision_batch(self, points: np.ndarray) -> np.ndarray:
         return self._kernel_weights(points).sum(axis=1) + self.bias

@@ -3,9 +3,12 @@ import json
 
 import pytest
 
+from evadelab.attack import NOT_EVADABLE, AttackConfig, epsilon_min
 from evadelab.cli import main
 from evadelab.featurespace import (SyntheticConfig, generate_synthetic,
-                                   save_dataset, split)
+                                   load_dataset, save_dataset, split)
+from evadelab.models import (TrainConfig, load_model, save_model,
+                             train_linear, train_rbf_svm)
 
 SYNTH = dict(d=60, n_benign=200, n_malware=200, n_strong=10,
              strong_rate_gap=0.6, weak_rate_gap=0.05, base_density=0.08,
@@ -80,6 +83,53 @@ class TestAttack:
                    "--out", str(out)])
         assert rc == 0
         assert {rec["eps"] for rec in read_csv(out)} == {"3"}
+
+
+class TestAttackEpsMin:
+    """eps_min read off the grid agrees with the scalar search."""
+
+    @pytest.fixture(scope="class")
+    def evadable(self, tmp_path_factory):
+        # A small RBF cell where attacks do evade at budgets 1..6.
+        root = tmp_path_factory.mktemp("evadable")
+        cfg = SyntheticConfig(d=12, n_benign=150, n_malware=150, n_strong=4,
+                              strong_rate_gap=0.5, weak_rate_gap=0.15,
+                              base_density=0.1, seed=41)
+        train, test = split(generate_synthetic(cfg), 0.6, 0)
+        save_dataset(test, root / "test.txt")
+        save_model(train_rbf_svm(train, 10.0, 0.2,
+                                 TrainConfig(epochs=20, seed=0)),
+                   root / "rbf.json")
+        save_model(train_linear(train, TrainConfig("hinge", 1.0, epochs=8,
+                                                   seed=0)),
+                   root / "linear.json")
+        return root
+
+    @pytest.mark.parametrize("method,model_file", [("pgd", "rbf.json"),
+                                                   ("greedy", "linear.json")])
+    def test_matches_scalar_epsilon_min(self, evadable, capsys, method,
+                                        model_file):
+        out = evadable / f"attack_{method}.csv"
+        rc = main(["attack", "--model", str(evadable / model_file),
+                   "--data", str(evadable / "test.txt"),
+                   "--epsilon-grid", "2,5", "--eps-max", "6", "--fpr", "0.05",
+                   "--method", method, "--max-iters", "80", "--out", str(out)])
+        assert rc == 0
+        threshold = json.loads(
+            capsys.readouterr().out.strip().splitlines()[-1])["threshold"]
+        model = load_model(evadable / model_file)
+        ds = load_dataset(evadable / "test.txt", d_hint=model.d)
+        rows = read_csv(out)
+        assert [int(r["eps"]) for r in rows[:2]] == [2, 5]
+        by_sample = {int(r["sample_id"]): r["eps_min"] for r in rows}
+        seen = set()
+        for sid, text in by_sample.items():
+            want = epsilon_min(model, ds.samples[sid], 6, method,
+                               AttackConfig(1, max_iters=80), threshold)
+            want_text = "NOT_EVADABLE" if want == NOT_EVADABLE else str(want)
+            assert text == want_text
+            seen.add(text)
+        assert {"0", "1", "6"} <= seen  # both ends of the search
 
 
 class TestExplain:

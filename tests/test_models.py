@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -330,3 +331,51 @@ class TestPersistence:
         path.write_text('{"format_version": 1, "kind": "linear", "d": 3}')
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("field,value", [("dual_coeffs", float("nan")),
+                                             ("dual_coeffs", float("inf")),
+                                             ("bias", float("nan")),
+                                             ("bias", float("-inf"))])
+    def test_non_finite_kernel_file_rejected(self, tmp_path, field, value):
+        rng = np.random.default_rng(2)
+        path = tmp_path / "rbf.json"
+        save_model(random_kernel_model(rng, 8, 3), path)
+        doc = json.loads(path.read_text())
+        if field == "bias":
+            doc["bias"] = value
+        else:
+            doc["dual_coeffs"][1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+class TestKernelModel:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, bad):
+        svs = (vec([0], 3), vec([1, 2], 3))
+        with pytest.raises(ValueError, match="finite"):
+            KernelModel(svs, np.array([1.0, bad]), 0.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            KernelModel(svs, np.array([1.0, -1.0]), bad, 0.5)
+
+    def test_prefix_flip_decisions_equal_materialised_points(self):
+        rng = np.random.default_rng(4)
+        d, n = 15, 40
+        m = random_kernel_model(rng, d, 30, gamma=0.3)
+        X0b = rng.random((n, d)) < 0.3
+        order = np.argsort(rng.random((n, d)), axis=1)
+        counts = rng.integers(0, d + 1, size=n)
+        budgets = [1, 2, 3, 5, 8, 15]
+        X0 = X0b.astype(np.float64)
+        got = m._prefix_flip_decisions(m._sq_distances(X0),
+                                       m.decision_batch(X0), X0b, order,
+                                       counts, budgets)
+        for col, eps in enumerate(budgets):
+            taken = np.arange(d) < np.minimum(counts, eps)[:, None]
+            points = X0b.copy()
+            for r in range(n):
+                cols = order[r][taken[r]]
+                points[r, cols] = ~points[r, cols]
+            want = m.decision_batch(points.astype(np.float64))
+            assert np.array_equal(got[:, col], want)
