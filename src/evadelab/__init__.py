@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .featurespace import (FeatureSpace, LabeledDataset, SparseBinaryVector,
                            SyntheticConfig, generate_synthetic, load_dataset,
                            save_dataset, split)
-from .models import (KernelModel, LinearModel, Prediction, TrainConfig, auc,
+from .models import (KernelModel, LinearModel, TrainConfig, auc,
                      detection_rate_at_fpr, input_gradient, load_model,
                      roc_curve, save_model, score, train_linear, train_rbf_svm,
                      train_secsvm)
@@ -17,11 +17,11 @@ from .attack import (NOT_EVADABLE, AttackConfig, AttackResult, SecurityCurve,
 from .explain import (RelevanceVector, attribution_gradient,
                       attribution_gradient_input,
                       attribution_integrated_gradients)
-from .evenness import (EvennessReport, UndefinedEvennessError, average_evenness,
+from .evenness import (EvennessReport, UndefinedEvennessError,
                        cumulative_ratio, evenness_e1, evenness_e2,
                        evenness_report)
-from .robustness import (RobustnessScore, adversarial_loss, aggregate_robustness,
-                         per_eps_robustness, robustness_from_scores)
+from .robustness import (RobustnessScore, adversarial_loss,
+                         robustness_from_scores)
 from .stats import (CorrelationReport, correlation_suite, kendall, pearson,
                     spearman)
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,

@@ -25,6 +25,12 @@ per budget, because its iterate is that budget's projection.
 
 For linear models an exact greedy oracle exists: additions are independent,
 so adding absent features in ascending weight order is optimal.
+
+Every attack product is read off the one (n, grid) score matrix of
+``attack_scores_over_grid``: the security curve (``SecurityCurve.from_scores``),
+the robustness score and ``eps_min``.  The attack at budget e evades exactly
+when its grid score is below the threshold, so ``eps_min`` is the first such
+budget of an attack over 0..eps_max; no pass stops early on evasion.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .featurespace import SparseBinaryVector
 from .models import KernelModel, LinearModel, TrainedModel, score
 
 NOT_EVADABLE: float = math.inf
+ATTACK_METHODS = ("auto", "pgd", "greedy")
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,13 @@ class SecurityCurve:
         for r in self.detection_rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError("detection rates must lie in [0, 1]")
+
+    @classmethod
+    def from_scores(cls, scores: np.ndarray, eps_grid, threshold: float,
+                    fpr: float = float("nan")) -> "SecurityCurve":
+        """The curve of an (n, len(eps_grid)) post-attack score matrix."""
+        rates = tuple(float(np.mean(col >= threshold)) for col in scores.T)
+        return cls(tuple(int(e) for e in eps_grid), rates, fpr, scores.shape[0])
 
     def area(self) -> float:
         """Mean detection rate over the grid (higher = harder to evade)."""
@@ -206,8 +220,7 @@ def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
 def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
                   start, budgets, mode: str, cfg: AttackConfig,
                   threshold: float, best_scores: np.ndarray,
-                  best_points: np.ndarray, stop_on_evasion: bool,
-                  traces) -> np.ndarray:
+                  best_points: np.ndarray, traces) -> np.ndarray:
     """One batched descent pass; updates best_scores / best_points in place.
 
     best_* hold one column per budget.  mode "binary" (one budget) steps from
@@ -219,15 +232,13 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
     so each iterate is projected onto every budget.  One fused kernel call
     per iteration evaluates the new iterate and gives the gradient that the
     still-active rows step with next.  A row leaves the pass when its
-    objective converges or, with stop_on_evasion, once every budget evaded.
+    objective converges.
     """
     scores0, grad0 = start
     cur = X0b.astype(np.float64)
     prev_obj = scores0.copy()
-    active = scores0 >= threshold  # already-benign samples are left alone
-    if stop_on_evasion:
-        active &= ~(best_scores < threshold).all(axis=1)
-    rows = np.flatnonzero(active)
+    # already-benign samples are left alone
+    rows = np.flatnonzero(scores0 >= threshold)
     g = grad0[rows]
     nested = mode == "shadow" and isinstance(model, KernelModel)
     if nested and rows.size:
@@ -272,8 +283,6 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
         done = np.abs(obj - prev_obj[rows]) <= cfg.tol
         prev_obj[rows] = obj
         iterations[rows] = it
-        if stop_on_evasion:
-            done |= (best_scores[rows] < threshold).all(axis=1)
         if traces is not None:
             for r in rows:
                 traces[r].append(float(best_scores[r, 0]))
@@ -282,8 +291,7 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
 
 
 def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
-              cfg: AttackConfig, threshold: float,
-              stop_on_evasion: bool = False, record_trace: bool = False):
+              cfg: AttackConfig, threshold: float, record_trace: bool = False):
     """The batched attack at every budget of an ascending list.
 
     For each budget a binary pass, then one shadow pass shared by all
@@ -307,63 +315,46 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
     for col, eps in enumerate(budgets):
         iterations[:, col] = _descent_pass(
             model, X0b, lb, start, [eps], "binary", cfg, threshold,
-            best_scores[:, col:col + 1], best_points[:, col:col + 1],
-            stop_on_evasion, traces)
+            best_scores[:, col:col + 1], best_points[:, col:col + 1], traces)
     if not (isinstance(model, LinearModel) and cfg.eta is None):
         iterations += _descent_pass(
             model, X0b, lb, start, budgets, "shadow", cfg, threshold,
-            best_scores, best_points, stop_on_evasion, traces)[:, None]
+            best_scores, best_points, traces)[:, None]
     _check_feasible(X0b, best_points, budgets, cfg.addition_only)
     return best_scores, best_points, best_scores < threshold, iterations, traces
+
+
+def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
+                          threshold: float, eps_max: int) -> np.ndarray:
+    """eps_min of each row of an (n, len(budgets)) post-attack score matrix.
+
+    0 where the clean score is already below the threshold, else the first
+    budget in 1..eps_max (all of which budgets must hold) whose score is
+    below it, else NOT_EVADABLE.
+    """
+    cols = [budgets.index(eps) for eps in range(1, eps_max + 1)]
+    hits = scores[:, cols] < threshold
+    out = np.where(hits.any(axis=1), np.argmax(hits, axis=1) + 1, NOT_EVADABLE)
+    out[clean < threshold] = 0
+    return out
 
 
 def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
                       method: str = "greedy", cfg: AttackConfig | None = None,
                       threshold: float = 0.0) -> np.ndarray:
-    """epsilon_min for many samples at once; NOT_EVADABLE where none works.
+    """Smallest addition budget in [1, eps_max] that evades, per sample.
 
-    The descent search walks the budgets in ascending order and drops samples
-    as soon as they evade, so the cost is dominated by the unresolved ones.
+    Samples already scored below the threshold get 0, and NOT_EVADABLE marks
+    those no budget up to eps_max evades.  One attack over budgets
+    0..eps_max gives every value; column 0 is the clean score.
     """
-    samples = list(samples)
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
-    d = model.d
-    X0b = np.zeros((len(samples), d), dtype=bool)
-    for row, x in enumerate(samples):
-        if x.dim != d:
-            raise ValueError("sample dimensionality does not match the model")
-        if x.indices:
-            X0b[row, list(x.indices)] = True
-    scores0 = model.decision_batch(X0b.astype(np.float64))
-    out = np.full(len(samples), NOT_EVADABLE)
-    out[scores0 < threshold] = 0
-
-    if method == "greedy":
-        if not isinstance(model, LinearModel):
-            raise TypeError("greedy attack requires a linear model")
-        _, _, path_scores, path_counts = _greedy_addition_paths(
-            model, X0b, scores0)
-        if path_scores.shape[1] == 0:
-            return out
-        for row in np.flatnonzero(out != 0):
-            hit = np.flatnonzero(path_scores[row] < threshold)
-            if hit.size and path_counts[row, hit[0]] <= eps_max:
-                out[row] = path_counts[row, hit[0]]
-        return out
-    if method != "pgd":
-        raise ValueError(f"unknown attack method {method!r}")
-
-    base = cfg if cfg is not None else AttackConfig(1)
-    pending = np.flatnonzero(out != 0)
-    for eps in range(1, eps_max + 1):
-        if pending.size == 0:
-            break
-        _, _, evaded, _, _ = _pgd_core(model, X0b[pending], [eps], base,
-                                       threshold, stop_on_evasion=True)
-        out[pending[evaded[:, 0]]] = eps
-        pending = pending[~evaded[:, 0]]
-    return out
+    budgets = list(range(eps_max + 1))
+    scores = attack_scores_over_grid(model, samples, budgets, threshold, cfg,
+                                     method)
+    return _first_evading_budget(scores, budgets, scores[:, 0], threshold,
+                                 eps_max)
 
 
 def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, cfg: AttackConfig,
@@ -427,27 +418,9 @@ def greedy_linear_evasion(model: LinearModel, x: SparseBinaryVector,
 def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
                 method: str = "greedy", cfg: AttackConfig | None = None,
                 threshold: float = 0.0) -> float:
-    """Smallest addition budget in [1, eps_max] that evades; NOT_EVADABLE if none.
-
-    Samples already scored below the threshold get 0 by convention.
-    """
-    if eps_max < 1:
-        raise ValueError("eps_max must be >= 1")
-    if score(model, x) < threshold:
-        return 0
-    if method == "greedy":
-        result = greedy_linear_evasion(model, x, eps_max, threshold)
-        return len(result.added_indices) if result.evaded else NOT_EVADABLE
-    if method != "pgd":
-        raise ValueError(f"unknown attack method {method!r}")
-    base = cfg if cfg is not None else AttackConfig(1)
-    X0b = x.to_dense().astype(bool)[None]
-    for eps in range(1, eps_max + 1):
-        _, _, evaded, _, _ = _pgd_core(model, X0b, [eps], base, threshold,
-                                       stop_on_evasion=True)
-        if evaded[0, 0]:
-            return eps
-    return NOT_EVADABLE
+    """epsilon_min_batch of one sample: an int, or NOT_EVADABLE."""
+    value = epsilon_min_batch(model, [x], eps_max, method, cfg, threshold)[0]
+    return NOT_EVADABLE if value == NOT_EVADABLE else int(value)
 
 
 def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
@@ -464,8 +437,7 @@ def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
     absent = ~X0b[:, order]
     contrib = np.where(absent, w[order][None, :], 0.0)
     path_scores = scores0[:, None] + np.cumsum(contrib, axis=1)
-    path_counts = np.cumsum(absent, axis=1)
-    return order, absent, path_scores, path_counts
+    return path_scores, np.cumsum(absent, axis=1)
 
 
 def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
@@ -483,6 +455,9 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     eps_grid = [int(e) for e in eps_grid]
     if any(e < 0 for e in eps_grid):
         raise ValueError("budgets must be non-negative")
+    if method not in ATTACK_METHODS:
+        raise ValueError(f"unknown attack method {method!r}; expected one of "
+                         f"{ATTACK_METHODS}")
     if method == "auto":
         method = "greedy" if isinstance(model, LinearModel) else "pgd"
     if method == "greedy" and not isinstance(model, LinearModel):
@@ -500,12 +475,10 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
     out = np.empty((len(samples), len(eps_grid)))
     if method == "greedy":
-        _, _, path_scores, path_counts = _greedy_addition_paths(
-            model, X0b, scores0)
+        path_scores, path_counts = _greedy_addition_paths(model, X0b, scores0)
         n, k = path_scores.shape
         if k == 0:
-            for col, eps in enumerate(eps_grid):
-                out[:, col] = scores0
+            out[:] = scores0[:, None]
             return out
         rows = np.arange(n)
         attackable = scores0 >= threshold
@@ -544,8 +517,6 @@ def security_evaluation(model: TrainedModel, malware_samples, eps_grid,
                         fpr: float = float("nan")) -> SecurityCurve:
     """Detection rate at the fixed threshold after attacking at each budget."""
     eps_grid = [int(e) for e in eps_grid]
-    scores = attack_scores_over_grid(model, malware_samples, eps_grid,
-                                     threshold, cfg, method)
-    rates = tuple(float(np.mean(scores[:, c] >= threshold))
-                  for c in range(len(eps_grid)))
-    return SecurityCurve(tuple(eps_grid), rates, fpr, scores.shape[0])
+    return SecurityCurve.from_scores(attack_scores_over_grid(
+        model, malware_samples, eps_grid, threshold, cfg, method),
+        eps_grid, threshold, fpr)

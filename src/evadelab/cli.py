@@ -18,13 +18,15 @@ import numpy as np
 
 from . import evenness as evenness_mod
 from . import models, pipeline, stats
-from .attack import AttackConfig, attack_scores_over_grid
+from .attack import (ATTACK_METHODS, NOT_EVADABLE, AttackConfig,
+                     _first_evading_budget, attack_scores_over_grid)
 # Re-exported: studybench's traced run wraps cli.epsilon_min.
 from .attack import epsilon_min  # noqa: F401
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients, top_features)
 from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
-from .pipeline import PRESETS, ClassifierSpec, ExperimentConfig, run_experiment
+from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
+                       run_experiment)
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -40,16 +42,6 @@ def _load_data(args) -> "LabeledDataset":
         with open(args.synthetic, "r", encoding="utf-8") as fh:
             return generate_synthetic(SyntheticConfig(**json.load(fh)))
     return load_dataset(args.data, d_hint=getattr(args, "d_hint", None))
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else
-                             (repr(float(v)) if isinstance(v, float) else str(v))
-                             for v in row])
 
 
 def _threshold_for(model, ds, args) -> float:
@@ -102,31 +94,25 @@ def cmd_attack(args) -> int:
     malware_rows = [i for i, y in enumerate(ds.labels) if y == 1]
     samples = [ds.samples[i] for i in malware_rows]
     cfg = AttackConfig(1, eta=args.eta, max_iters=args.max_iters)
-    # One attack over the grid and every budget up to eps_max: the attack at
-    # budget e evades exactly when its score is below the threshold, so
-    # eps_min is the first such budget.
-    budgets = sorted(set(grid) | set(range(1, eps_max + 1)))
+    # One attack over the grid and budgets 0..eps_max gives the grid scores,
+    # the clean scores (budget 0, the first column) and eps_min.
+    budgets = sorted(set(grid) | set(range(eps_max + 1)))
     scores = attack_scores_over_grid(model, samples, budgets, threshold, cfg,
                                      args.method)
-    clean = model.decision_batch(np.stack([x.to_dense() for x in samples]))
-    searched = [col for col, eps in enumerate(budgets) if 1 <= eps <= eps_max]
-    hits = scores[:, searched] < threshold
+    clean = scores[:, 0]
+    eps_min = _first_evading_budget(scores, budgets, clean, threshold, eps_max)
     grid_cols = [budgets.index(eps) for eps in grid]
 
     rows_out = []
     for row, sid in enumerate(malware_rows):
-        if clean[row] < threshold:
-            emin_txt = 0
-        elif hits[row].any():
-            emin_txt = budgets[searched[int(np.argmax(hits[row]))]]
-        else:
-            emin_txt = "NOT_EVADABLE"
+        emin_txt = ("NOT_EVADABLE" if eps_min[row] == NOT_EVADABLE
+                    else int(eps_min[row]))
         for eps, col in zip(grid, grid_cols):
             after = float(scores[row, col])
             rows_out.append([sid, eps, float(clean[row]), after,
                              int(after < threshold), emin_txt])
-    _write_rows(args.out, ["sample_id", "eps", "score_before", "score_after",
-                           "evaded", "eps_min"], rows_out)
+    _write_csv(args.out, ["sample_id", "eps", "score_before", "score_after",
+                          "evaded", "eps_min"], rows_out)
     print(json.dumps({"out": str(args.out), "threshold": threshold,
                       "n_samples": len(samples), "grid": grid}))
     return 0
@@ -154,7 +140,7 @@ def cmd_explain(args) -> int:
             report = [{"feature": i, "relevance": v, "percent": pct}
                       for i, v, pct in top_features(r, args.top)]
             print(json.dumps({"sample_id": sid, "top": report}))
-    _write_rows(args.out, ["sample_id", "feature", "relevance"], rows_out)
+    _write_csv(args.out, ["sample_id", "feature", "relevance"], rows_out)
     return 0
 
 
@@ -188,7 +174,7 @@ def cmd_evenness(args) -> int:
                          sum(e1s) / len(e1s) if e1s else None,
                          sum(e2s) / len(e2s) if e2s else None,
                          max(len(e1s), len(e2s))])
-    _write_rows(args.out, ["sample_id", "e1", "e2", "defined"], rows_out)
+    _write_csv(args.out, ["sample_id", "e1", "e2", "defined"], rows_out)
     return 0
 
 
@@ -204,12 +190,12 @@ def cmd_robustness(args) -> int:
     scores = attack_scores_over_grid(model, samples, grid, threshold, cfg,
                                      args.method)
     result = robustness_from_scores(scores, grid, args.loss)
-    _write_rows(args.out, ["eps", "robustness"],
-                [[eps, result.per_eps[eps]] for eps in result.eps_grid])
+    _write_csv(args.out, ["eps", "robustness"],
+               [[eps, result.per_eps[eps]] for eps in result.eps_grid])
     per_sample_path = Path(args.out).with_name(
         Path(args.out).stem + "_per_sample.csv")
-    _write_rows(per_sample_path, ["sample_id", "robustness"],
-                [[i, float(v)] for i, v in enumerate(result.per_sample)])
+    _write_csv(per_sample_path, ["sample_id", "robustness"],
+               [[i, float(v)] for i, v in enumerate(result.per_sample)])
     print(json.dumps({"aggregate": result.aggregate, "loss": result.loss,
                       "threshold": threshold,
                       "per_sample_out": str(per_sample_path)}))
@@ -240,8 +226,8 @@ def cmd_correlate(args) -> int:
                                                seed=args.seed)
         rows_out.append([name, rpt.coefficient, p_value, rpt.n,
                          int(rpt.degenerate)])
-    _write_rows(args.out, ["method", "coefficient", "p_value", "n",
-                           "degenerate"], rows_out)
+    _write_csv(args.out, ["method", "coefficient", "p_value", "n",
+                          "degenerate"], rows_out)
     return 0
 
 
@@ -296,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fpr", type=float, default=0.01)
     p.add_argument("--threshold", type=float, default=None,
                    help="use a fixed threshold instead of --fpr")
-    p.add_argument("--method", default="auto", choices=["auto", "pgd", "greedy"])
+    p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)
@@ -327,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loss", default="hinge", choices=["hinge", "logistic"])
     p.add_argument("--fpr", type=float, default=0.01)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--method", default="auto", choices=["auto", "pgd", "greedy"])
+    p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)

@@ -3,6 +3,8 @@
 Both metrics see only absolute values, so they are invariant to sign flips,
 rescaling, and permutation.  A vector whose top-m window is entirely zero has
 no defined evenness; such samples are excluded from averages and counted.
+``evenness_report`` is the one path from a batch of attributions to the
+per-sample metrics and their averages.
 """
 
 from __future__ import annotations
@@ -82,26 +84,6 @@ class EvennessReport:
     averaged_e1: float
     averaged_e2: float
     n_undefined: int
-
-
-def average_evenness(relevances, metric: str, m: int) -> float:
-    """Arithmetic mean of a per-sample metric, skipping undefined samples."""
-    if metric == "e1":
-        fn = evenness_e1
-    elif metric == "e2":
-        fn = evenness_e2
-    else:
-        raise ValueError(f"metric must be 'e1' or 'e2', got {metric!r}")
-    values = []
-    for r in relevances:
-        try:
-            values.append(fn(r, m))
-        except UndefinedEvennessError:
-            continue
-    if not values:
-        raise UndefinedEvennessError(
-            "every sample has an undefined evenness; nothing to average")
-    return math.fsum(values) / len(values)
 
 
 def evenness_report(relevances, m: int, method: str = "") -> EvennessReport:

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-VALID_SET_TAGS = frozenset(f"S{i}" for i in range(1, 9))
-
 
 class DatasetFormatError(ValueError):
     """A sparse dataset file could not be parsed; carries the offending line number."""
@@ -21,30 +19,14 @@ class DatasetFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class FeatureDescriptor:
-    name: str
-    set_tag: str
-
-    def __post_init__(self):
-        if self.set_tag not in VALID_SET_TAGS:
-            raise ValueError(f"unknown feature set tag {self.set_tag!r}")
-
-
-@dataclass(frozen=True)
 class FeatureSpace:
-    """Dimensionality of the binary input space, with optional per-feature descriptors."""
+    """Dimensionality of the binary input space."""
 
     dimension: int
-    descriptors: tuple[FeatureDescriptor, ...] | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.descriptors is not None and len(self.descriptors) != self.dimension:
-            raise ValueError(
-                f"descriptor list has length {len(self.descriptors)}, "
-                f"expected {self.dimension}"
-            )
 
 
 @dataclass(frozen=True)

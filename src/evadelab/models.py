@@ -194,16 +194,6 @@ def input_gradient(model: TrainedModel, x: SparseBinaryVector) -> np.ndarray:
     return model.gradient_batch(x.to_dense()[None])[0]
 
 
-@dataclass(frozen=True)
-class Prediction:
-    score: float
-    label: int
-
-    @classmethod
-    def from_score(cls, value: float, threshold: float = 0.0) -> "Prediction":
-        return cls(float(value), 1 if value >= threshold else -1)
-
-
 @dataclass
 class TrainConfig:
     """Shared SGD settings.

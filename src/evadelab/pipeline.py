@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig, SecurityCurve, attack_scores_over_grid
+from .attack import (ATTACK_METHODS, AttackConfig, SecurityCurve,
+                     attack_scores_over_grid)
 from .evenness import EvennessReport, evenness_report
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
@@ -110,6 +111,9 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in ATTRIBUTION_METHODS:
                 raise ValueError(f"unknown attribution method {m!r}")
+        if self.attack_method not in ATTACK_METHODS:
+            raise ValueError(f"unknown attack method {self.attack_method!r}; "
+                             f"expected one of {ATTACK_METHODS}")
         names = [spec.name for spec in self.classifiers]
         if len(set(names)) != len(names):
             raise ValueError("classifier names must be unique")
@@ -270,9 +274,8 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
                         max_iters=cfg.attack_max_iters)
     cell.adv_scores = attack_scores_over_grid(
         model, samples, cfg.eps_grid, cell.threshold, acfg, cfg.attack_method)
-    rates = tuple(float(np.mean(cell.adv_scores[:, c] >= cell.threshold))
-                  for c in range(len(cfg.eps_grid)))
-    cell.curve = SecurityCurve(cfg.eps_grid, rates, cfg.fpr, len(samples))
+    cell.curve = SecurityCurve.from_scores(cell.adv_scores, cfg.eps_grid,
+                                           cell.threshold, cfg.fpr)
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
@@ -283,17 +286,11 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
         rels = [_attribution(method, model, x, cfg.ig_p) for x in samples]
         cell.evenness[method] = evenness_report(rels, cfg.evenness_m, method)
         for metric in EVENNESS_METRICS:
-            per_sample = (cell.evenness[method].per_sample_e1 if metric == "e1"
-                          else cell.evenness[method].per_sample_e2)
-            pairs = [(e, r) for e, r in zip(per_sample, cell.robust.per_sample)
-                     if e is not None]
-            if len(pairs) >= 3:
-                xs = [p[0] for p in pairs]
-                ys = [p[1] for p in pairs]
-                reports = correlation_suite(xs, ys)
-            else:
-                reports = []
-            for rpt in reports:
+            pairs = _evenness_robustness_pairs(cell, method, metric)
+            if len(pairs) < 3:
+                continue
+            _, xs, ys = zip(*pairs)
+            for rpt in correlation_suite(xs, ys):
                 cell.correlations.append(
                     {"attribution": method, "metric": metric, "report": rpt})
 
@@ -306,6 +303,17 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
             cell.benign_evenness[method] = evenness_report(
                 rels, cfg.evenness_m, method)
     return cell
+
+
+def _evenness_robustness_pairs(cell: ClassifierCell, method: str,
+                               metric: str) -> list[tuple[int, float, float]]:
+    """(row, evenness, robustness) of each attacked sample of a cell whose
+    evenness is defined."""
+    rpt = cell.evenness[method]
+    per_sample = rpt.per_sample_e1 if metric == "e1" else rpt.per_sample_e2
+    return [(row, e, float(r)) for row, (e, r)
+            in enumerate(zip(per_sample, cell.robust.per_sample))
+            if e is not None]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -347,18 +355,12 @@ def _pool_correlations(cfg: ExperimentConfig,
             continue
         for method in cfg.methods:
             for metric in EVENNESS_METRICS:
-                xs: list[float] = []
-                ys: list[float] = []
-                for cell in ok:
-                    rpt = cell.evenness[method]
-                    per_sample = (rpt.per_sample_e1 if metric == "e1"
-                                  else rpt.per_sample_e2)
-                    for e, r in zip(per_sample, cell.robust.per_sample):
-                        if e is not None:
-                            xs.append(e)
-                            ys.append(float(r))
-                if len(xs) < 3:
+                pairs = [p for cell in ok
+                         for p in _evenness_robustness_pairs(cell, method,
+                                                             metric)]
+                if len(pairs) < 3:
                     continue
+                _, xs, ys = zip(*pairs)
                 for rpt in correlation_suite(xs, ys):
                     pooled.append({"classifier": spec.name,
                                    "attribution": method,
@@ -375,7 +377,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """The one CSV writer: None as empty, floats by repr, the rest by str."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -547,15 +551,10 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
     if y == "robustness":
         rows = []
         for cell in cells:
-            rpt = cell.evenness[attribution]
-            per_sample = (rpt.per_sample_e1 if metric == "e1"
-                          else rpt.per_sample_e2)
-            for row, sid in enumerate(cell.sample_ids):
-                e = per_sample[row]
-                if e is None:
-                    continue
-                rows.append([cell.spec.name, cell.rep, sid, e,
-                             float(cell.robust.per_sample[row])])
+            for row, e, r in _evenness_robustness_pairs(cell, attribution,
+                                                        metric):
+                rows.append([cell.spec.name, cell.rep, cell.sample_ids[row],
+                             e, r])
         if subsample is not None and len(rows) > subsample:
             rng = np.random.default_rng(subsample_seed)
             picked = sorted(int(i) for i in
@@ -585,7 +584,7 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
         raise ValueError("y must be 'robustness' or 'detection_rate'")
 
     if out_path is not None:
-        _write_csv(Path(out_path), header, rows)
+        _write_csv(out_path, header, rows)
     return rows
 
 

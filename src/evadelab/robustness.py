@@ -2,7 +2,10 @@
 
 The per-budget value lives in (0, 1]; it is 1 exactly when every adversarial
 sample still meets its margin.  The headline number averages the per-budget
-values over an explicit integer grid of addition budgets.
+values over an explicit integer grid of addition budgets.  Everything is
+computed from the (n, grid) post-attack score matrix of
+``attack.attack_scores_over_grid``; attacked samples are malware, so every
+margin is the score itself (label +1).
 """
 
 from __future__ import annotations
@@ -11,10 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .attack import AttackConfig, attack_scores_over_grid
-from .featurespace import LabeledDataset
-from .models import TrainedModel
 
 ROBUSTNESS_LOSSES = ("hinge", "logistic")
 
@@ -31,23 +30,13 @@ def adversarial_loss(y: int, score: float, loss: str = "hinge") -> float:
     raise ValueError(f"unknown loss {loss!r}; expected one of {ROBUSTNESS_LOSSES}")
 
 
-def _loss_matrix(labels: np.ndarray, scores: np.ndarray, loss: str) -> np.ndarray:
-    margins = labels[:, None] * scores if scores.ndim == 2 else labels * scores
+def _loss_matrix(scores: np.ndarray, loss: str) -> np.ndarray:
+    """Elementwise loss of +1-labelled scores."""
     if loss == "hinge":
-        return np.maximum(0.0, 1.0 - margins)
+        return np.maximum(0.0, 1.0 - scores)
     if loss == "logistic":
-        return np.logaddexp(0.0, -margins)
+        return np.logaddexp(0.0, -scores)
     raise ValueError(f"unknown loss {loss!r}; expected one of {ROBUSTNESS_LOSSES}")
-
-
-def per_eps_robustness(model: TrainedModel, adv_set: LabeledDataset,
-                       loss: str = "hinge") -> float:
-    """Mean of exp(-loss) over an already-attacked sample set."""
-    if adv_set.n == 0:
-        raise ValueError("adversarial set is empty")
-    scores = model.decision_batch(adv_set.to_dense_matrix())
-    losses = _loss_matrix(adv_set.labels_array(), scores, loss)
-    return math.fsum(np.exp(-losses)) / adv_set.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,23 +71,9 @@ def robustness_from_scores(adv_scores: np.ndarray, eps_grid,
         raise ValueError("score matrix must be (n_samples, len(eps_grid))")
     if scores.shape[0] == 0:
         raise ValueError("adversarial set is empty")
-    labels = np.ones(scores.shape[0])
-    expneg = np.exp(-_loss_matrix(labels, scores, loss))
+    expneg = np.exp(-_loss_matrix(scores, loss))
     per_eps = {eps: math.fsum(expneg[:, col]) / expneg.shape[0]
                for col, eps in enumerate(eps_grid)}
     aggregate = math.fsum(per_eps.values()) / len(eps_grid)
     per_sample = expneg.mean(axis=1)
     return RobustnessScore(per_eps, aggregate, loss, eps_grid, per_sample)
-
-
-def aggregate_robustness(model: TrainedModel, malware_samples, eps_grid,
-                         cfg: AttackConfig | None = None, loss: str = "hinge",
-                         threshold: float = 0.0,
-                         method: str = "auto") -> RobustnessScore:
-    """Attack every sample at each budget and average exp(-loss)."""
-    eps_grid = tuple(int(e) for e in eps_grid)
-    if not eps_grid:
-        raise ValueError("eps_grid must be non-empty")
-    scores = attack_scores_over_grid(model, malware_samples, eps_grid,
-                                     threshold, cfg, method)
-    return robustness_from_scores(scores, eps_grid, loss)

@@ -223,6 +223,43 @@ class TestEpsilonMin:
                 m, x, 10, "pgd", AttackConfig(1, max_iters=80))
 
 
+class TestEpsMinOracle:
+    """eps_min against the first budget whose single attack evades."""
+
+    @pytest.mark.parametrize("kind,method", [("rbf", "pgd"), ("linear", "pgd"),
+                                             ("linear", "greedy")])
+    def test_matches_first_evading_single_budget_attack(self, kind, method):
+        model, malware, threshold = d12_cell(kind)
+        cfg = AttackConfig(1, max_iters=80)
+        want = []
+        for x in malware:
+            if score(model, x) < threshold:
+                want.append(0)
+                continue
+            for eps in range(1, 7):
+                if method == "pgd":
+                    res = pgd_evasion(model, x, cfg.with_epsilon(eps),
+                                      threshold)
+                else:
+                    res = greedy_linear_evasion(model, x, eps, threshold)
+                if res.evaded:
+                    want.append(eps)
+                    break
+            else:
+                want.append(NOT_EVADABLE)
+        got = epsilon_min_batch(model, malware, 6, method, cfg, threshold)
+        assert np.array_equal(got, want)
+        assert {0, 1, 6} <= set(want)  # both ends of the search
+
+    def test_unknown_method_rejected(self):
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="unknown attack method"):
+            attack_scores_over_grid(m, [vec([1], 2)], [1], 0.0,
+                                    method="bogus")
+        with pytest.raises(ValueError, match="unknown attack method"):
+            epsilon_min_batch(m, [vec([1], 2)], 2, "bogus")
+
+
 class TestSecurityEvaluation:
     def _trained(self):
         cfg = SyntheticConfig(d=60, n_benign=300, n_malware=300, n_strong=10,
@@ -262,6 +299,13 @@ class TestSecurityEvaluation:
         model, _, _, threshold = self._trained()
         with pytest.raises(ValueError):
             security_evaluation(model, [], [1], threshold)
+
+    def test_curve_from_scores(self):
+        scores = np.array([[1.0, -1.0], [2.0, 0.5], [0.6, 0.6]])
+        curve = SecurityCurve.from_scores(scores, [2, 5], 0.6, 0.01)
+        assert curve.epsilons == (2, 5)
+        assert curve.detection_rates == (1.0, 1 / 3)
+        assert curve.fpr == 0.01 and curve.n_samples == 3
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -376,12 +420,16 @@ def criterion8_rbf_cell():
     return model, malware, threshold
 
 
-def d12_rbf_cell():
+def d12_cell(kind="rbf"):
+    """A small cell where attacks evade at budgets 0..6."""
     cfg = SyntheticConfig(d=12, n_benign=150, n_malware=150, n_strong=4,
                           strong_rate_gap=0.5, weak_rate_gap=0.15,
                           base_density=0.1, seed=41)
     train, test = split(generate_synthetic(cfg), 0.6, 0)
-    model = train_rbf_svm(train, 10.0, 0.2, TrainConfig(epochs=20, seed=0))
+    if kind == "rbf":
+        model = train_rbf_svm(train, 10.0, 0.2, TrainConfig(epochs=20, seed=0))
+    else:
+        model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
     _, threshold = detection_rate_at_fpr(model, test, 0.05)
     malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
     return model, malware, threshold
@@ -396,7 +444,7 @@ class TestGridEngine:
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
 
     def test_grid_columns_equal_single_budget_attacks(self):
-        model, malware, threshold = d12_rbf_cell()
+        model, malware, threshold = d12_cell()
         cfg = AttackConfig(1, max_iters=80)
         grid = [0, 1, 2, 3, 5, 8]
         scores = attack_scores_over_grid(model, malware[:20], grid, threshold,
@@ -409,7 +457,7 @@ class TestGridEngine:
                 assert scores[row, col] == res.score_after
 
     def test_grid_order_and_repeats_do_not_change_scores(self):
-        model, malware, threshold = d12_rbf_cell()
+        model, malware, threshold = d12_cell()
         cfg = AttackConfig(1, max_iters=80)
         a = attack_scores_over_grid(model, malware[:15], [1, 4, 6], threshold,
                                     cfg, "pgd")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from evadelab.evenness import (UndefinedEvennessError, average_evenness,
-                               cumulative_ratio, evenness_e1, evenness_e2,
-                               evenness_report)
+from evadelab.evenness import (UndefinedEvennessError, cumulative_ratio,
+                               evenness_e1, evenness_e2, evenness_report)
 from evadelab.explain import RelevanceVector
 
 
@@ -119,11 +118,11 @@ class TestInvariances:
 class TestAverages:
     def test_identical_vectors(self):
         vecs = [np.array([2.0, 1.0, 1.0, 0.0])] * 3
-        assert average_evenness(vecs, "e1", 4) == pytest.approx(0.5)
+        assert evenness_report(vecs, 4).averaged_e1 == pytest.approx(0.5)
 
     def test_mean_of_extremes(self):
         vecs = [np.ones(4), np.array([5.0, 0, 0, 0])]
-        assert average_evenness(vecs, "e1", 4) == pytest.approx(0.5)
+        assert evenness_report(vecs, 4).averaged_e1 == pytest.approx(0.5)
 
     def test_undefined_excluded_and_counted(self):
         vecs = [np.ones(4), np.zeros(4)]
@@ -134,11 +133,7 @@ class TestAverages:
 
     def test_all_undefined_raises(self):
         with pytest.raises(UndefinedEvennessError):
-            average_evenness([np.zeros(3)], "e1", 3)
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            average_evenness([np.ones(3)], "gini", 3)
+            evenness_report([np.zeros(3)], 3)
 
     def test_matches_independent_recomputation(self):
         # scripted mean with plain python floats as the oracle
@@ -156,4 +151,5 @@ class TestAverages:
                 cums.append(run / total)
             expected.append(2.0 / (m - 1) * (m - sum(cums)))
         oracle = math.fsum(expected) / len(expected)
-        assert average_evenness(vecs, "e1", m) == pytest.approx(oracle, abs=1e-12)
+        assert evenness_report(vecs, m).averaged_e1 == pytest.approx(
+            oracle, abs=1e-12)

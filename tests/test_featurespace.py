@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from evadelab.featurespace import (DatasetFormatError, FeatureDescriptor,
-                                   FeatureSpace, LabeledDataset,
-                                   SparseBinaryVector, SyntheticConfig,
-                                   generate_synthetic, load_dataset,
-                                   save_dataset, split)
+from evadelab.featurespace import (DatasetFormatError, FeatureSpace,
+                                   LabeledDataset, SparseBinaryVector,
+                                   SyntheticConfig, generate_synthetic,
+                                   load_dataset, save_dataset, split)
 from evadelab.models import TrainConfig, auc, detection_rate_at_fpr, roc_curve, train_linear
 
 
@@ -44,14 +43,10 @@ class TestSparseBinaryVector:
 
 
 class TestFeatureSpace:
-    def test_descriptor_length_checked(self):
+    def test_dimension_validated(self):
         with pytest.raises(ValueError):
-            FeatureSpace(2, (FeatureDescriptor("a", "S1"),))
-
-    def test_set_tags_validated(self):
-        with pytest.raises(ValueError):
-            FeatureDescriptor("a", "S9")
-        FeatureDescriptor("a", "S8")
+            FeatureSpace(0)
+        assert FeatureSpace(1).dimension == 1
 
 
 class TestLoadDataset:

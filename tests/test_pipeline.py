@@ -7,6 +7,7 @@ import pytest
 from evadelab.featurespace import SyntheticConfig, generate_synthetic
 from evadelab.pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
                                emit_scatter_data, grid_cv, run_experiment)
+from evadelab.stats import correlation_suite
 
 SMALL_SYNTH = SyntheticConfig(d=80, n_benign=260, n_malware=260, n_strong=16,
                               strong_rate_gap=0.5, weak_rate_gap=0.03,
@@ -157,6 +158,33 @@ class TestScatter:
             assert 0.0 <= row[3] <= 1.0  # evenness
             assert 0.0 < row[4] <= 1.0   # robustness
 
+    def test_each_sample_keeps_its_own_values(self, small_report):
+        # the samples CSV is written row by row, independently of the
+        # evenness/robustness pairing that scatter and correlations share
+        report, out = small_report
+        samples = {}
+        for cell in report.cells:
+            path = out / f"rep{cell.rep}" / f"samples_{cell.spec.slug}.csv"
+            with open(path, newline="", encoding="utf-8") as fh:
+                samples[cell.spec.name, cell.rep] = {
+                    int(r["sample_id"]): r for r in csv.DictReader(fh)}
+        rows = emit_scatter_data(report, "gradient_input", "e1", "robustness")
+        for name, rep, sid, e, r in rows:
+            rec = samples[name, rep][sid]
+            assert (repr(e), repr(r)) == (rec["e1_gradient_input"],
+                                          rec["robustness"])
+        for cell in report.cells:
+            defined = [(float(r["e1_gradient_input"]), float(r["robustness"]))
+                       for r in samples[cell.spec.name, cell.rep].values()
+                       if r["e1_gradient_input"]]
+            want = correlation_suite(*zip(*defined))
+            for entries in (cell.correlations, [
+                    e for e in report.pooled_correlations
+                    if e["classifier"] == cell.spec.name]):
+                assert [e["report"] for e in entries
+                        if e["attribution"] == "gradient_input"
+                        and e["metric"] == "e1"] == want
+
     def test_subsample(self, small_report):
         report, _ = small_report
         rows = emit_scatter_data(report, "gradient_input", "e2", "robustness",
@@ -217,6 +245,8 @@ class TestConfigParsing:
             small_config(methods=("saliency",))
         with pytest.raises(ValueError):
             small_config(classifiers=(PRESETS["svm"], PRESETS["svm"]))
+        with pytest.raises(ValueError, match="unknown attack method"):
+            small_config(attack_method="bogus")
 
 
 class TestGridCV:

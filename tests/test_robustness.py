@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from evadelab.featurespace import (FeatureSpace, LabeledDataset,
-                                   SparseBinaryVector, SyntheticConfig,
+from evadelab.attack import attack_scores_over_grid
+from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
                                    generate_synthetic, split)
 from evadelab.models import (LinearModel, TrainConfig, detection_rate_at_fpr,
                              train_linear, train_secsvm)
 from evadelab.robustness import (RobustnessScore, adversarial_loss,
-                                 aggregate_robustness, per_eps_robustness,
                                  robustness_from_scores)
 
 
 def vec(indices, d):
     return SparseBinaryVector.from_indices(indices, d)
+
+
+def attacked_robustness(model, samples, eps_grid, threshold, method="auto"):
+    """Robustness of samples attacked at every budget of the grid."""
+    scores = attack_scores_over_grid(model, samples, eps_grid, threshold,
+                                     method=method)
+    return robustness_from_scores(scores, eps_grid, "hinge")
 
 
 class TestAdversarialLoss:
@@ -34,27 +40,23 @@ class TestAdversarialLoss:
 
 
 class TestPerEpsRobustness:
+    """Per-budget values of hand-made one-budget score matrices."""
+
     def test_all_at_margin(self):
-        m = LinearModel(np.array([2.0]), 0.0)
-        ds = LabeledDataset(FeatureSpace(1), (vec([0], 1), vec([0], 1)), (1, 1))
-        assert per_eps_robustness(m, ds, "hinge") == pytest.approx(1.0)
+        r = robustness_from_scores(np.array([[2.0], [2.0]]), [1], "hinge")
+        assert r.per_eps[1] == pytest.approx(1.0)
 
     def test_single_sample_loss_two(self):
-        m = LinearModel(np.array([-1.0]), 0.0)
-        ds = LabeledDataset(FeatureSpace(1), (vec([0], 1),), (1,))
-        assert per_eps_robustness(m, ds, "hinge") == pytest.approx(math.exp(-2))
+        r = robustness_from_scores(np.array([[-1.0]]), [1], "hinge")
+        assert r.per_eps[1] == pytest.approx(math.exp(-2))
 
     def test_two_sample_mean(self):
-        m = LinearModel(np.array([1.0, -1.0]), 0.0)
-        ds = LabeledDataset(FeatureSpace(2), (vec([0], 2), vec([1], 2)), (1, 1))
-        assert per_eps_robustness(m, ds, "hinge") == pytest.approx(
-            (1.0 + math.exp(-2)) / 2)
+        r = robustness_from_scores(np.array([[1.0], [-1.0]]), [1], "hinge")
+        assert r.per_eps[1] == pytest.approx((1.0 + math.exp(-2)) / 2)
 
     def test_empty_set_rejected(self):
-        m = LinearModel(np.array([1.0]), 0.0)
-        ds = LabeledDataset(FeatureSpace(1), (), ())
-        with pytest.raises(ValueError):
-            per_eps_robustness(m, ds, "hinge")
+        with pytest.raises(ValueError, match="empty"):
+            robustness_from_scores(np.empty((0, 1)), [1], "hinge")
 
 
 class TestRobustnessFromScores:
@@ -80,8 +82,7 @@ class TestAggregateRobustness:
     def test_unattackable_model_scores_one(self):
         m = LinearModel(np.array([2.0, 3.0]), 0.0)
         samples = [vec([0], 2), vec([1], 2), vec([0, 1], 2)]
-        r = aggregate_robustness(m, samples, range(1, 11), loss="hinge",
-                                 threshold=0.0, method="greedy")
+        r = attacked_robustness(m, samples, range(1, 11), 0.0, "greedy")
         assert r.aggregate == pytest.approx(1.0)
 
     def test_greedy_per_eps_non_increasing(self):
@@ -92,8 +93,8 @@ class TestAggregateRobustness:
         model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
         malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:80]
-        r = aggregate_robustness(model, malware, range(1, 16), loss="hinge",
-                                 threshold=threshold, method="greedy")
+        r = attacked_robustness(model, malware, range(1, 16), threshold,
+                                "greedy")
         values = [r.per_eps[e] for e in r.eps_grid]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -108,19 +109,16 @@ class TestAggregateRobustness:
         malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:120]
         _, t1 = detection_rate_at_fpr(svm, test, 0.01)
         _, t2 = detection_rate_at_fpr(sec, test, 0.01)
-        r1 = aggregate_robustness(svm, malware, range(1, 51), loss="hinge",
-                                  threshold=t1, method="greedy")
-        r2 = aggregate_robustness(sec, malware, range(1, 51), loss="hinge",
-                                  threshold=t2, method="greedy")
+        r1 = attacked_robustness(svm, malware, range(1, 51), t1, "greedy")
+        r2 = attacked_robustness(sec, malware, range(1, 51), t2, "greedy")
         assert r2.aggregate > r1.aggregate
 
     def test_unevadable_sample_with_margin_scores_one(self):
         m = LinearModel(np.array([1.5, 2.0]), 0.0)
-        r = aggregate_robustness(m, [vec([0, 1], 2)], [1, 2], loss="hinge",
-                                 threshold=0.0, method="greedy")
+        r = attacked_robustness(m, [vec([0, 1], 2)], [1, 2], 0.0, "greedy")
         assert r.per_sample[0] == pytest.approx(1.0)
 
     def test_empty_grid_rejected(self):
         m = LinearModel(np.array([1.0]), 0.0)
-        with pytest.raises(ValueError):
-            aggregate_robustness(m, [vec([0], 1)], [], loss="hinge")
+        with pytest.raises(ValueError, match="eps_grid"):
+            attacked_robustness(m, [vec([0], 1)], [], 0.0)
