@@ -6,10 +6,11 @@ iterates on the projected binary point itself, re-evaluating the gradient
 after every accepted flip; the shadow pass descends a box-clipped
 real-relaxed iterate whose accumulated gradient pressure lets weakly-graded
 coordinates cross the binarization threshold.  Each step applies the
-composite projection (clip into the box, binarize at 0.5, keep the epsilon
-top-ranked changes), so every scored point is feasible, and the best-scoring
-feasible point ever seen is returned because the stopping rule can halt past
-the optimum.
+composite projection (clip into the box [x0, 1], binarize at 0.5, keep the
+epsilon top-ranked changes), so every scored point is feasible, and the
+best-scoring feasible point ever seen is returned because the stopping rule
+can halt past the optimum.  The attack only ever adds features: the box keeps
+every feature the sample has, so the app keeps its malicious function.
 
 One engine, ``_pgd_core``, attacks a whole list of budgets at once.  The
 shadow iterate never reads the budget (its step, its stopping test and its
@@ -24,7 +25,10 @@ equal those of the materialised points bit for bit.  The binary pass stays
 per budget, because its iterate is that budget's projection.
 
 For linear models an exact greedy oracle exists: additions are independent,
-so adding absent features in ascending weight order is optimal.
+so adding absent features in ascending weight order is optimal.  It stops
+adding once the threshold is crossed, so a budget's greedy score is the path
+score at the first crossing or at the last step the budget affords, whichever
+comes first.
 
 Every attack product is read off the one (n, grid) score matrix of
 ``attack_scores_over_grid``: the security curve (``SecurityCurve.from_scores``),
@@ -49,22 +53,18 @@ ATTACK_METHODS = ("auto", "pgd", "greedy")
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Budget and descent settings.
+    """Descent settings of the gradient attack; budgets are call arguments.
 
     eta=None picks an adaptive step each iteration, normalized by the largest
     gradient component that can still move: big enough to flip the steepest
     coordinate on the binary-iterate pass, 0.1 of that on the shadow pass.
     """
 
-    epsilon: int
     eta: float | None = None
     tol: float = 1e-6
     max_iters: int = 1000
-    addition_only: bool = True
 
     def __post_init__(self):
-        if self.epsilon < 1:
-            raise ValueError("epsilon must be >= 1")
         if self.eta is not None and self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.tol <= 0:
@@ -72,9 +72,10 @@ class AttackConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
-    def with_epsilon(self, epsilon: int) -> "AttackConfig":
-        return AttackConfig(epsilon, self.eta, self.tol, self.max_iters,
-                            self.addition_only)
+
+def _check_budget(epsilon: int) -> None:
+    if epsilon < 1:
+        raise ValueError("epsilon must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,23 @@ class SecurityCurve:
         return float(np.mean(self.detection_rates))
 
 
-def _check_feasible(X0b: np.ndarray, points: np.ndarray, budgets,
-                    addition_only: bool) -> None:
+def _check_feasible(X0b: np.ndarray, points: np.ndarray, budgets) -> None:
     """Raise unless every points[r, k] is within budgets[k] changes of X0b[r]
-    (and, in addition-only mode, keeps every feature X0b[r] has)."""
+    and keeps every feature X0b[r] has."""
     changes = (points != X0b[:, None, :]).sum(axis=2)
     if np.any(changes > np.asarray(budgets)[None, :]):
         raise RuntimeError("attack returned a point over its change budget")
-    if addition_only and np.any(X0b[:, None, :] & ~points):
+    if np.any(X0b[:, None, :] & ~points):
         raise RuntimeError("addition-only attack removed a present feature")
 
 
 def _check_result(result: AttackResult, x: SparseBinaryVector,
-                  cfg: AttackConfig) -> AttackResult:
+                  epsilon: int) -> AttackResult:
     """Feasibility of a result handed back to a caller; raises if broken."""
+    _check_budget(epsilon)
     _check_feasible(x.to_dense().astype(bool)[None],
                     result.adversarial.to_dense().astype(bool)[None, None],
-                    [cfg.epsilon], cfg.addition_only)
+                    [epsilon])
     if (set(result.adversarial.indices) - set(x.indices)
             != set(result.added_indices)):
         raise RuntimeError("added_indices do not match the adversarial point")
@@ -142,21 +143,20 @@ def _check_result(result: AttackResult, x: SparseBinaryVector,
 
 
 def project(x_cont: np.ndarray, x_orig: SparseBinaryVector,
-            cfg: AttackConfig) -> SparseBinaryVector:
+            epsilon: int) -> SparseBinaryVector:
     """Composite projection of a real vector onto the attack's feasible set.
 
-    Clips into the box ([x_orig, 1] in addition-only mode), binarizes at 0.5,
-    then reverts all but the epsilon largest |x_cont - x_orig| changes (ties
-    broken toward the lower feature index).
+    Clips into the box [x_orig, 1], binarizes at 0.5, then reverts all but
+    the epsilon largest |x_cont - x_orig| changes (ties broken toward the
+    lower feature index).
     """
+    _check_budget(epsilon)
     v = np.asarray(x_cont, dtype=np.float64)
     if v.shape != (x_orig.dim,):
         raise ValueError(f"vector shape {v.shape} does not match d={x_orig.dim}")
     x0 = x_orig.to_dense()
-    lb = x0 if cfg.addition_only else np.zeros_like(x0)
-    v = np.clip(v, lb, 1.0)
-    x0b = x0.astype(bool)
-    binary = _project_clipped_batch(v[None], x0b[None], cfg.epsilon)[0]
+    v = np.clip(v, x0, 1.0)
+    binary = _project_clipped_batch(v[None], x0.astype(bool)[None], epsilon)[0]
     return SparseBinaryVector(tuple(int(i) for i in np.flatnonzero(binary)),
                               x_orig.dim)
 
@@ -291,7 +291,8 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
 
 
 def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
-              cfg: AttackConfig, threshold: float, record_trace: bool = False):
+              cfg: AttackConfig | None, threshold: float,
+              record_trace: bool = False):
     """The batched attack at every budget of an ascending list.
 
     For each budget a binary pass, then one shadow pass shared by all
@@ -300,12 +301,13 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
     On a linear model with the adaptive step, the binary pass already flips
     absent features in exact descending-weight order (the gradient is
     constant), which is the optimal addition schedule, so the shadow pass is
-    skipped.  Returns (n, k) scores, (n, k, d) points, (n, k) evasion flags,
-    (n, k) iteration counts and, with record_trace (one budget only), the
-    best score of each row after every iteration.
+    skipped.  Returns (n, k) scores, (n, k, d) points, (n, k) iteration
+    counts and, with record_trace (one budget only), the best score of each
+    row after every iteration.
     """
-    lb = X0b.astype(np.float64) if cfg.addition_only else np.zeros(X0b.shape)
-    start = model.decision_and_gradient_batch(X0b.astype(np.float64))
+    cfg = cfg if cfg is not None else AttackConfig()
+    lb = X0b.astype(np.float64)
+    start = model.decision_and_gradient_batch(lb)
     k = len(budgets)
     best_scores = np.repeat(start[0][:, None], k, axis=1)
     best_points = np.repeat(X0b[:, None, :], k, axis=1)
@@ -320,8 +322,8 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
         iterations += _descent_pass(
             model, X0b, lb, start, budgets, "shadow", cfg, threshold,
             best_scores, best_points, traces)[:, None]
-    _check_feasible(X0b, best_points, budgets, cfg.addition_only)
-    return best_scores, best_points, best_scores < threshold, iterations, traces
+    _check_feasible(X0b, best_points, budgets)
+    return best_scores, best_points, iterations, traces
 
 
 def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
@@ -340,7 +342,7 @@ def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
 
 
 def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
-                      method: str = "greedy", cfg: AttackConfig | None = None,
+                      method: str = "auto", cfg: AttackConfig | None = None,
                       threshold: float = 0.0) -> np.ndarray:
     """Smallest addition budget in [1, eps_max] that evades, per sample.
 
@@ -357,20 +359,24 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
                                  eps_max)
 
 
-def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, cfg: AttackConfig,
+def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, epsilon: int,
+                cfg: AttackConfig | None = None,
                 threshold: float = 0.0) -> AttackResult:
-    """Gradient-descent evasion of one sample under the addition budget."""
+    """Gradient-descent evasion of one sample adding at most epsilon
+    features."""
+    _check_budget(epsilon)
     if x.dim != model.d:
         raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
     X0b = x.to_dense().astype(bool)[None]
-    _, best_points, evaded, iterations, traces = _pgd_core(
-        model, X0b, [cfg.epsilon], cfg, threshold, record_trace=True)
+    best_scores, best_points, iterations, traces = _pgd_core(
+        model, X0b, [epsilon], cfg, threshold, record_trace=True)
     adv = SparseBinaryVector(
         tuple(int(i) for i in np.flatnonzero(best_points[0, 0])), x.dim)
     added = tuple(sorted(set(adv.indices) - set(x.indices)))
-    result = AttackResult(adv, added, tuple(traces[0]), bool(evaded[0, 0]),
+    result = AttackResult(adv, added, tuple(traces[0]),
+                          bool(best_scores[0, 0] < threshold),
                           int(iterations[0, 0]))
-    return _check_result(result, x, cfg)
+    return _check_result(result, x, epsilon)
 
 
 def greedy_linear_evasion(model: LinearModel, x: SparseBinaryVector,
@@ -385,13 +391,12 @@ def greedy_linear_evasion(model: LinearModel, x: SparseBinaryVector,
         raise TypeError("greedy_linear_evasion requires a linear model")
     if x.dim != model.d:
         raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
-    if epsilon < 1:
-        raise ValueError("epsilon must be >= 1")
+    _check_budget(epsilon)
     s = score(model, x)
     trace = [s]
     if s < threshold:
         result = AttackResult(x, (), tuple(trace), True, 0)
-        return _check_result(result, x, AttackConfig(epsilon))
+        return _check_result(result, x, epsilon)
 
     w = model.weights
     present = np.zeros(model.d, dtype=bool)
@@ -412,11 +417,11 @@ def greedy_linear_evasion(model: LinearModel, x: SparseBinaryVector,
     adv = SparseBinaryVector.from_indices(list(x.indices) + added, x.dim)
     result = AttackResult(adv, tuple(sorted(added)), tuple(trace), evaded,
                           len(added))
-    return _check_result(result, x, AttackConfig(epsilon))
+    return _check_result(result, x, epsilon)
 
 
 def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
-                method: str = "greedy", cfg: AttackConfig | None = None,
+                method: str = "auto", cfg: AttackConfig | None = None,
                 threshold: float = 0.0) -> float:
     """epsilon_min_batch of one sample: an int, or NOT_EVADABLE."""
     value = epsilon_min_batch(model, [x], eps_max, method, cfg, threshold)[0]
@@ -427,17 +432,21 @@ def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
                            scores0: np.ndarray):
     """Per-sample cumulative greedy scores over the shared candidate ordering.
 
-    Returns (path_scores, path_counts): entry j holds the score and number of
-    additions after considering the j-th most negative weight, restricted to
-    features absent from each sample.
+    Returns (path_scores, path_counts): column 0 is the clean point (its
+    score, 0 additions) and column j the score and number of additions after
+    considering the j-th most negative weight, restricted to features absent
+    from each sample.
     """
     w = model.weights
     order = np.flatnonzero(w < 0.0)
     order = order[np.argsort(w[order], kind="stable")]
     absent = ~X0b[:, order]
     contrib = np.where(absent, w[order][None, :], 0.0)
-    path_scores = scores0[:, None] + np.cumsum(contrib, axis=1)
-    return path_scores, np.cumsum(absent, axis=1)
+    path_scores = np.hstack([scores0[:, None],
+                             scores0[:, None] + np.cumsum(contrib, axis=1)])
+    path_counts = np.hstack([np.zeros((len(X0b), 1), dtype=np.int64),
+                             np.cumsum(absent, axis=1)])
+    return path_scores, path_counts
 
 
 def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
@@ -447,7 +456,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
     A grid entry of 0 means no perturbation.  Greedy keeps its early-stop
     semantics (it quits adding once the threshold is crossed); the descent
-    attack minimizes within the budget.
+    attack minimizes within the budget.  cfg holds the descent settings.
     """
     samples = list(samples)
     if not samples:
@@ -475,37 +484,23 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
     out = np.empty((len(samples), len(eps_grid)))
     if method == "greedy":
+        # Each budget stops at the first crossing or at the last step whose
+        # addition count fits, whichever comes first; an already-benign row
+        # crosses at its clean point (step 0).
         path_scores, path_counts = _greedy_addition_paths(model, X0b, scores0)
-        n, k = path_scores.shape
-        if k == 0:
-            out[:] = scores0[:, None]
-            return out
-        rows = np.arange(n)
-        attackable = scores0 >= threshold
         crossing = path_scores < threshold
-        any_cross = crossing.any(axis=1)
-        first_cross = np.where(any_cross, np.argmax(crossing, axis=1), 0)
-        cross_scores = path_scores[rows, first_cross]
-        cross_counts = np.where(any_cross, path_counts[rows, first_cross],
-                                np.inf)
+        first_cross = np.where(crossing.any(axis=1),
+                               np.argmax(crossing, axis=1),
+                               path_scores.shape[1] - 1)
+        rows = np.arange(len(samples))
         for col, eps in enumerate(eps_grid):
-            if eps == 0:
-                out[:, col] = scores0
-                continue
             last = np.sum(path_counts <= eps, axis=1) - 1
-            budget_scores = np.where(last >= 0,
-                                     path_scores[rows, np.maximum(last, 0)],
-                                     scores0)
-            use_cross = any_cross & (cross_counts <= eps)
-            res = np.where(use_cross, cross_scores, budget_scores)
-            out[:, col] = np.where(attackable, res, scores0)
+            out[:, col] = path_scores[rows, np.minimum(first_cross, last)]
         return out
 
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores, _, _, _, _ = _pgd_core(
-            model, X0b, budgets, cfg if cfg is not None else AttackConfig(1),
-            threshold)
+        best_scores, _, _, _ = _pgd_core(model, X0b, budgets, cfg, threshold)
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out

@@ -22,8 +22,7 @@ from .attack import (ATTACK_METHODS, NOT_EVADABLE, AttackConfig,
                      _first_evading_budget, attack_scores_over_grid)
 # Re-exported: studybench's traced run wraps cli.epsilon_min.
 from .attack import epsilon_min  # noqa: F401
-from .explain import (attribution_gradient, attribution_gradient_input,
-                      attribution_integrated_gradients, top_features)
+from .explain import top_features
 from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
                        run_experiment)
@@ -93,7 +92,7 @@ def cmd_attack(args) -> int:
 
     malware_rows = [i for i, y in enumerate(ds.labels) if y == 1]
     samples = [ds.samples[i] for i in malware_rows]
-    cfg = AttackConfig(1, eta=args.eta, max_iters=args.max_iters)
+    cfg = AttackConfig(eta=args.eta, max_iters=args.max_iters)
     # One attack over the grid and budgets 0..eps_max gives the grid scores,
     # the clean scores (budget 0, the first column) and eps_min.
     budgets = sorted(set(grid) | set(range(eps_max + 1)))
@@ -123,12 +122,7 @@ def cmd_explain(args) -> int:
     ds = load_dataset(args.data, d_hint=model.d)
     rows_out = []
     for sid, x in enumerate(ds.samples):
-        if args.method == "gradient":
-            r = attribution_gradient(model, x)
-        elif args.method == "gradient_input":
-            r = attribution_gradient_input(model, x)
-        else:
-            r = attribution_integrated_gradients(model, x, p=args.p)
+        r = pipeline._attribution(args.method, model, x, args.p)
         nz = np.flatnonzero(r.values)
         if nz.size == 0:
             # keep all-zero samples visible: sentinel feature -1
@@ -153,28 +147,25 @@ def cmd_evenness(args) -> int:
             if int(rec["feature"]) >= 0:
                 by_sample[rec["sample_id"]].append(float(rec["relevance"]))
 
-    want_e1 = args.metric in ("e1", "both")
-    want_e2 = args.metric in ("e2", "both")
-    rows_out = []
-    e1s, e2s = [], []
-    for sid, values in by_sample.items():
-        arr = np.asarray(values) if values else np.zeros(1)
-        try:
-            e1 = evenness_mod.evenness_e1(arr, args.m) if want_e1 else None
-            e2 = evenness_mod.evenness_e2(arr, args.m) if want_e2 else None
-            if e1 is not None:
-                e1s.append(e1)
-            if e2 is not None:
-                e2s.append(e2)
-            rows_out.append([sid, e1, e2, 1])
-        except evenness_mod.UndefinedEvennessError:
-            rows_out.append([sid, None, None, 0])
-    if e1s or e2s:
-        rows_out.append(["average",
-                         sum(e1s) / len(e1s) if e1s else None,
-                         sum(e2s) / len(e2s) if e2s else None,
-                         max(len(e1s), len(e2s))])
-    _write_csv(args.out, ["sample_id", "e1", "e2", "defined"], rows_out)
+    header = ["sample_id", "e1", "e2", "defined"]
+    try:
+        report = evenness_mod.evenness_report(
+            [np.asarray(v) if v else np.zeros(1) for v in by_sample.values()],
+            args.m)
+    except evenness_mod.UndefinedEvennessError:
+        # no sample has a defined evenness: their rows, and no footer
+        _write_csv(args.out, header, [[sid, None, None, 0] for sid in by_sample])
+        return 0
+    keep_e1 = args.metric in ("e1", "both")
+    keep_e2 = args.metric in ("e2", "both")
+    rows_out = [[sid, e1 if keep_e1 else None, e2 if keep_e2 else None,
+                 int(e1 is not None)]
+                for sid, e1, e2 in zip(by_sample, report.per_sample_e1,
+                                       report.per_sample_e2)]
+    rows_out.append(["average", report.averaged_e1 if keep_e1 else None,
+                     report.averaged_e2 if keep_e2 else None,
+                     len(by_sample) - report.n_undefined])
+    _write_csv(args.out, header, rows_out)
     return 0
 
 
@@ -186,7 +177,7 @@ def cmd_robustness(args) -> int:
     threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.eps_grid)
     samples = [x for x, y in zip(ds.samples, ds.labels) if y == 1]
-    cfg = AttackConfig(1, eta=args.eta, max_iters=args.max_iters)
+    cfg = AttackConfig(eta=args.eta, max_iters=args.max_iters)
     scores = attack_scores_over_grid(model, samples, grid, threshold, cfg,
                                      args.method)
     result = robustness_from_scores(scores, grid, args.loss)

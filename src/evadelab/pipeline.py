@@ -207,7 +207,9 @@ class ClassifierCell:
     curve: SecurityCurve | None = None
     robust: RobustnessScore | None = None
     evenness: dict[str, EvennessReport] = field(default_factory=dict)
-    benign_evenness: dict[str, EvennessReport] = field(default_factory=dict)
+    # per method: the attacked malware's report, or with
+    # evenness_include_benign one over those samples plus benign test rows
+    summary_evenness: dict[str, EvennessReport] = field(default_factory=dict)
     correlations: list[dict] = field(default_factory=list)
 
 
@@ -270,21 +272,30 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.sample_ids = _choose_rows(malware_rows, cfg.n_attack_samples, rng)
     samples = [test_ds.samples[i] for i in cell.sample_ids]
 
-    acfg = AttackConfig(1, eta=cfg.attack_eta, tol=cfg.attack_tol,
+    acfg = AttackConfig(eta=cfg.attack_eta, tol=cfg.attack_tol,
                         max_iters=cfg.attack_max_iters)
-    cell.adv_scores = attack_scores_over_grid(
-        model, samples, cfg.eps_grid, cell.threshold, acfg, cfg.attack_method)
+    # budget 0 is the clean score, so one attack gives both
+    scores = attack_scores_over_grid(model, samples, (0, *cfg.eps_grid),
+                                     cell.threshold, acfg, cfg.attack_method)
+    cell.clean_scores, cell.adv_scores = scores[:, 0], scores[:, 1:]
     cell.curve = SecurityCurve.from_scores(cell.adv_scores, cfg.eps_grid,
                                            cell.threshold, cfg.fpr)
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
-    dense = np.stack([x.to_dense() for x in samples])
-    cell.clean_scores = model.decision_batch(dense)
-
+    benign = []
+    if cfg.evenness_include_benign:
+        benign_rows = [i for i, y in enumerate(test_ds.labels) if y == -1]
+        benign_rows = _choose_rows(benign_rows, cfg.n_attack_samples, rng)
+        benign = [test_ds.samples[i] for i in benign_rows]
     for method in cfg.methods:
         rels = [_attribution(method, model, x, cfg.ig_p) for x in samples]
         cell.evenness[method] = evenness_report(rels, cfg.evenness_m, method)
+        cell.summary_evenness[method] = cell.evenness[method]
+        if benign:
+            rels += [_attribution(method, model, x, cfg.ig_p) for x in benign]
+            cell.summary_evenness[method] = evenness_report(
+                rels, cfg.evenness_m, method)
         for metric in EVENNESS_METRICS:
             pairs = _evenness_robustness_pairs(cell, method, metric)
             if len(pairs) < 3:
@@ -293,15 +304,6 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
             for rpt in correlation_suite(xs, ys):
                 cell.correlations.append(
                     {"attribution": method, "metric": metric, "report": rpt})
-
-    if cfg.evenness_include_benign:
-        benign_rows = [i for i, y in enumerate(test_ds.labels) if y == -1]
-        benign_rows = _choose_rows(benign_rows, cfg.n_attack_samples, rng)
-        benign = [test_ds.samples[i] for i in benign_rows]
-        for method in cfg.methods:
-            rels = [_attribution(method, model, x, cfg.ig_p) for x in benign]
-            cell.benign_evenness[method] = evenness_report(
-                rels, cfg.evenness_m, method)
     return cell
 
 
@@ -448,8 +450,8 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                    cell.dr_clean, cell.threshold, cell.robust.aggregate,
                    mean_dr_attack]
         for method in cfg.methods:
-            e1, e2 = _averaged_evenness(cfg, cell, method)
-            summary += [e1, e2]
+            rpt = cell.summary_evenness[method]
+            summary += [rpt.averaged_e1, rpt.averaged_e2]
         summary_rows.append(summary)
 
     header = ["rep", "classifier", "status", "auc", "dr_clean", "threshold",
@@ -517,18 +519,6 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
         fh.write("\n")
 
 
-def _averaged_evenness(cfg: ExperimentConfig, cell: ClassifierCell,
-                       method: str) -> tuple[float | None, float | None]:
-    reports = [cell.evenness[method]]
-    if cfg.evenness_include_benign and method in cell.benign_evenness:
-        reports.append(cell.benign_evenness[method])
-    e1 = [v for rpt in reports for v in rpt.per_sample_e1 if v is not None]
-    e2 = [v for rpt in reports for v in rpt.per_sample_e2 if v is not None]
-    if not e1:
-        return None, None
-    return math.fsum(e1) / len(e1), math.fsum(e2) / len(e2)
-
-
 def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
                       y: str = "robustness", out_path: str | Path | None = None,
                       subsample: int | None = None,
@@ -571,11 +561,10 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
             evens = []
             drs = []
             for cell in matching:
-                e1, e2 = _averaged_evenness(report.config, cell, attribution)
-                evens.append(e1 if metric == "e1" else e2)
+                rpt = cell.summary_evenness[attribution]
+                evens.append(rpt.averaged_e1 if metric == "e1"
+                             else rpt.averaged_e2)
                 drs.append(float(np.mean(cell.curve.detection_rates)))
-            if any(e is None for e in evens):
-                continue
             rows.append([spec.name, math.fsum(evens) / len(evens),
                          math.fsum(drs) / len(drs)])
         header = ["classifier", f"avg_evenness_{metric}",

@@ -185,7 +185,7 @@ def test_criterion_05_attack_oracle_equivalence_at_scale():
         greedy = epsilon_min_batch(model, malware, 50, "greedy",
                                    threshold=threshold)
         pgd = epsilon_min_batch(model, malware, 50, "pgd",
-                                AttackConfig(1, max_iters=200),
+                                AttackConfig(max_iters=200),
                                 threshold=threshold)
         agree = float(np.mean(pgd == greedy))
         never_below = bool(np.all(pgd >= greedy))
@@ -203,7 +203,7 @@ def test_criterion_06_small_instance_brute_force():
     assert len(cases) == 50
     hits = 0
     for model, x in cases:
-        res = pgd_evasion(model, x, AttackConfig(2, max_iters=500),
+        res = pgd_evasion(model, x, 2, AttackConfig(max_iters=500),
                           threshold=-np.inf)
         absent = [i for i in range(x.dim) if i not in x.indices]
         best = score(model, x)

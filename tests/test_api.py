@@ -1,0 +1,38 @@
+"""The public API, pinned: growing it shows up as a diff of this file."""
+
+import dataclasses
+import types
+
+import evadelab
+from evadelab.attack import AttackConfig
+
+EXPORTED = {
+    "AttackConfig", "AttackResult", "ClassifierSpec", "CorrelationReport",
+    "EvennessReport", "ExperimentConfig", "ExperimentReport", "FeatureSpace",
+    "KernelModel", "LabeledDataset", "LinearModel", "NOT_EVADABLE", "PRESETS",
+    "RelevanceVector", "RobustnessScore", "SecurityCurve",
+    "SparseBinaryVector", "SyntheticConfig", "TrainConfig",
+    "UndefinedEvennessError", "adversarial_loss", "attack_scores_over_grid",
+    "attribution_gradient", "attribution_gradient_input",
+    "attribution_integrated_gradients", "auc", "correlation_suite",
+    "cumulative_ratio", "detection_rate_at_fpr", "emit_scatter_data",
+    "epsilon_min", "epsilon_min_batch", "evenness_e1", "evenness_e2",
+    "evenness_report", "generate_synthetic", "greedy_linear_evasion",
+    "grid_cv", "input_gradient", "kendall", "load_dataset", "load_model",
+    "pearson", "pgd_evasion", "project", "robustness_from_scores",
+    "roc_curve", "run_experiment", "save_dataset", "save_model", "score",
+    "security_evaluation", "spearman", "split", "train_linear",
+    "train_rbf_svm", "train_secsvm",
+}
+
+
+def test_exported_names():
+    names = {name for name, value in vars(evadelab).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert names == EXPORTED
+
+
+def test_attack_config_holds_descent_settings_only():
+    fields = [f.name for f in dataclasses.fields(AttackConfig)]
+    assert fields == ["eta", "tol", "max_iters"]

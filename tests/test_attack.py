@@ -34,55 +34,57 @@ def brute_force_best(model, x, eps):
 class TestAttackConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
-            AttackConfig(0)
+            AttackConfig(max_iters=0)
         with pytest.raises(ValueError):
-            AttackConfig(1, eta=-0.1)
+            AttackConfig(eta=-0.1)
         with pytest.raises(ValueError):
-            AttackConfig(1, tol=0.0)
+            AttackConfig(tol=0.0)
 
-    def test_with_epsilon(self):
-        cfg = AttackConfig(3, eta=0.2, max_iters=50)
-        other = cfg.with_epsilon(7)
-        assert other.epsilon == 7 and other.eta == 0.2 and other.max_iters == 50
+    def test_budget_below_one_rejected(self):
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="epsilon must be >= 1"):
+            pgd_evasion(m, vec([1], 2), 0)
+        with pytest.raises(ValueError, match="epsilon must be >= 1"):
+            project(np.array([0.9, 1.0]), vec([1], 2), 0)
 
 
 class TestProject:
     def test_three_stage_trace(self):
         x = vec([2], 3)
-        out = project(np.array([0.9, 0.2, 1.0]), x, AttackConfig(1))
+        out = project(np.array([0.9, 0.2, 1.0]), x, 1)
         assert out.indices == (0, 2)
 
     def test_fixed_point(self):
         x = vec([1, 3], 5)
-        out = project(x.to_dense(), x, AttackConfig(2))
+        out = project(x.to_dense(), x, 2)
         assert out.indices == x.indices
 
     def test_addition_only_restores_original(self):
         x = vec([0], 3)
-        out = project(np.array([0.0, 0.0, 0.0]), x, AttackConfig(2))
+        out = project(np.array([0.0, 0.0, 0.0]), x, 2)
         assert 0 in out.indices
 
     def test_budget_enforced_with_index_ties(self):
         x = vec([], 4)
         # all four coordinates equally attractive; lowest indices win
-        out = project(np.array([0.8, 0.8, 0.8, 0.8]), x, AttackConfig(2))
+        out = project(np.array([0.8, 0.8, 0.8, 0.8]), x, 2)
         assert out.indices == (0, 1)
 
     def test_largest_moves_kept(self):
         x = vec([], 4)
-        out = project(np.array([0.6, 0.9, 0.55, 0.95]), x, AttackConfig(2))
+        out = project(np.array([0.6, 0.9, 0.55, 0.95]), x, 2)
         assert out.indices == (1, 3)
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
-            project(np.zeros(3), vec([0], 4), AttackConfig(1))
+            project(np.zeros(3), vec([0], 4), 1)
 
 
 class TestPgdEvasion:
     def test_linear_single_addition(self):
         m = LinearModel(np.array([-3.0, 1.0, 0.5]), 0.0)
         x = vec([2], 3)
-        res = pgd_evasion(m, x, AttackConfig(1, max_iters=50))
+        res = pgd_evasion(m, x, 1, AttackConfig(max_iters=50))
         assert res.evaded
         assert res.adversarial.indices == (0, 2)
         assert res.score_after == pytest.approx(-2.5)
@@ -90,14 +92,14 @@ class TestPgdEvasion:
     def test_all_positive_weights_unattackable(self):
         m = LinearModel(np.array([0.5, 1.0, 2.0]), 0.0)
         x = vec([1], 3)
-        res = pgd_evasion(m, x, AttackConfig(2, max_iters=50))
+        res = pgd_evasion(m, x, 2, AttackConfig(max_iters=50))
         assert not res.evaded
         assert res.adversarial.indices == x.indices
 
     def test_already_benign_returned_unchanged(self):
         m = LinearModel(np.array([-1.0, 1.0]), 0.0)
         x = vec([0], 2)
-        res = pgd_evasion(m, x, AttackConfig(1), threshold=0.0)
+        res = pgd_evasion(m, x, 1, threshold=0.0)
         assert res.evaded and res.iterations == 0
         assert res.adversarial.indices == x.indices
 
@@ -107,7 +109,7 @@ class TestPgdEvasion:
                     for _ in range(6))
         m = KernelModel(svs, rng.normal(size=6), 0.1, 0.4)
         x = vec([0, 4, 7], 10)
-        res = pgd_evasion(m, x, AttackConfig(3, max_iters=100),
+        res = pgd_evasion(m, x, 3, AttackConfig(max_iters=100),
                           threshold=-np.inf)
         trace = res.score_trace
         assert all(a >= b for a, b in zip(trace, trace[1:]))
@@ -121,7 +123,7 @@ class TestPgdEvasion:
             m = KernelModel(svs, rng.normal(size=4), 0.0, 0.5)
             x = vec(np.flatnonzero(rng.random(d) < 0.4), d)
             eps = int(rng.integers(1, 4))
-            res = pgd_evasion(m, x, AttackConfig(eps, max_iters=60),
+            res = pgd_evasion(m, x, eps, AttackConfig(max_iters=60),
                               threshold=-np.inf)
             assert len(res.added_indices) <= eps
             assert set(x.indices).issubset(res.adversarial.indices)
@@ -138,7 +140,7 @@ class TestPgdEvasion:
             mal = [s for s, y in zip(ds.samples, ds.labels)
                    if y == 1 and score(m, s) >= 0]
             for x in mal[:5]:
-                res = pgd_evasion(m, x, AttackConfig(2, max_iters=300),
+                res = pgd_evasion(m, x, 2, AttackConfig(max_iters=300),
                                   threshold=-np.inf)
                 if res.score_after <= brute_force_best(m, x, 2) + 1e-9:
                     hits += 1
@@ -202,12 +204,13 @@ class TestEpsilonMin:
     def test_not_evadable(self):
         m = LinearModel(np.array([1.0, 2.0]), 0.5)
         assert epsilon_min(m, vec([], 2), 5, "greedy") == NOT_EVADABLE
-        assert epsilon_min(m, vec([], 2), 5, "pgd", AttackConfig(1)) == NOT_EVADABLE
+        assert (epsilon_min(m, vec([], 2), 5, "pgd", AttackConfig())
+                == NOT_EVADABLE)
 
     def test_pgd_matches_greedy_on_linear(self):
         m = LinearModel(np.array([-1.0, -1.0, -0.2]), 1.5)
         g = epsilon_min(m, vec([], 3), 5, "greedy")
-        p = epsilon_min(m, vec([], 3), 5, "pgd", AttackConfig(1, max_iters=50))
+        p = epsilon_min(m, vec([], 3), 5, "pgd", AttackConfig(max_iters=50))
         assert p == g == 2
 
     def test_batch_agrees_with_scalar(self):
@@ -216,11 +219,12 @@ class TestEpsilonMin:
         m = LinearModel(rng.normal(size=d) * 0.5, 1.0)
         xs = [vec(np.flatnonzero(rng.random(d) < 0.3), d) for _ in range(15)]
         batch_g = epsilon_min_batch(m, xs, 10, "greedy")
-        batch_p = epsilon_min_batch(m, xs, 10, "pgd", AttackConfig(1, max_iters=80))
+        batch_p = epsilon_min_batch(m, xs, 10, "pgd",
+                                    AttackConfig(max_iters=80))
         for i, x in enumerate(xs):
             assert batch_g[i] == epsilon_min(m, x, 10, "greedy")
             assert batch_p[i] == epsilon_min(
-                m, x, 10, "pgd", AttackConfig(1, max_iters=80))
+                m, x, 10, "pgd", AttackConfig(max_iters=80))
 
 
 class TestEpsMinOracle:
@@ -230,7 +234,7 @@ class TestEpsMinOracle:
                                              ("linear", "greedy")])
     def test_matches_first_evading_single_budget_attack(self, kind, method):
         model, malware, threshold = d12_cell(kind)
-        cfg = AttackConfig(1, max_iters=80)
+        cfg = AttackConfig(max_iters=80)
         want = []
         for x in malware:
             if score(model, x) < threshold:
@@ -238,7 +242,7 @@ class TestEpsMinOracle:
                 continue
             for eps in range(1, 7):
                 if method == "pgd":
-                    res = pgd_evasion(model, x, cfg.with_epsilon(eps),
+                    res = pgd_evasion(model, x, eps, cfg,
                                       threshold)
                 else:
                     res = greedy_linear_evasion(model, x, eps, threshold)
@@ -250,6 +254,16 @@ class TestEpsMinOracle:
         got = epsilon_min_batch(model, malware, 6, method, cfg, threshold)
         assert np.array_equal(got, want)
         assert {0, 1, 6} <= set(want)  # both ends of the search
+
+    def test_default_method_is_auto(self):
+        model, malware, threshold = d12_cell("rbf")
+        cfg = AttackConfig(max_iters=80)
+        got = epsilon_min_batch(model, malware, 6, cfg=cfg,
+                                threshold=threshold)
+        want = epsilon_min_batch(model, malware, 6, "pgd", cfg, threshold)
+        assert np.array_equal(got, want)
+        assert (epsilon_min(model, malware[0], 6, cfg=cfg, threshold=threshold)
+                == epsilon_min(model, malware[0], 6, "pgd", cfg, threshold))
 
     def test_unknown_method_rejected(self):
         m = LinearModel(np.array([-1.0, 1.0]), 0.5)
@@ -314,6 +328,63 @@ class TestSecurityEvaluation:
             SecurityCurve((1,), (1.5,), 0.01, 10)
 
 
+# Greedy grid scores recorded before the greedy branch became one rule.
+# Model: weights w below, bias 3.0 (features 2 and 6 tie at -1.3).  Rows:
+# no features; the two most negative present (leading present features);
+# feature 0 present; already benign; crosses only at 5 additions; every
+# negative weight but feature 0 present.  Budgets 0..9 exceed d = 8.
+GREEDY_W = (-0.7, 0.4, -1.3, -0.2, 0.9, -0.5, -1.3, 0.1)
+GREEDY_ROWS = ([], [2, 6, 1, 4], [0, 4], [2, 6, 0], [1, 4],
+               [1, 2, 3, 4, 5, 6, 7])
+GOLDEN_GREEDY_AT_HALF = (  # threshold 0.5, budgets 0..9
+    (3.0, 1.7) + (0.3999999999999999,) * 8,
+    (1.6999999999999997, 0.9999999999999998) + (0.4999999999999998,) * 8,
+    (3.2, 1.9000000000000001, 0.6000000000000001)
+    + (0.10000000000000009,) * 7,
+    (-0.2999999999999998,) * 10,
+    (4.3, 3.0, 1.6999999999999997, 1.0, 0.5) + (0.2999999999999998,) * 5,
+    (1.0999999999999999,) + (0.3999999999999999,) * 9,
+)
+GOLDEN_GREEDY_NO_THRESHOLD = (  # threshold -inf, budgets 0, 1, 2, 3, 5, 9
+    (3.0, 1.7, 0.3999999999999999, -0.2999999999999998, -1.0, -1.0),
+    (1.6999999999999997, 0.9999999999999998, 0.4999999999999998,
+     0.2999999999999998, 0.2999999999999998, 0.2999999999999998),
+    (3.2, 1.9000000000000001, 0.6000000000000001, 0.10000000000000009,
+     -0.10000000000000009, -0.10000000000000009),
+    (-0.2999999999999998, -0.7999999999999998) + (-0.9999999999999998,) * 4,
+    (4.3, 3.0, 1.6999999999999997, 1.0, 0.2999999999999998,
+     0.2999999999999998),
+    (1.0999999999999999,) + (0.3999999999999999,) * 5,
+)
+
+
+class TestGreedyGrid:
+    def _case(self):
+        return (LinearModel(np.array(GREEDY_W), 3.0),
+                [vec(r, 8) for r in GREEDY_ROWS])
+
+    def test_golden_matrices(self):
+        m, xs = self._case()
+        got = attack_scores_over_grid(m, xs, range(10), 0.5, method="greedy")
+        assert np.array_equal(got, np.array(GOLDEN_GREEDY_AT_HALF))
+        got = attack_scores_over_grid(m, xs, [0, 1, 2, 3, 5, 9], -np.inf,
+                                      method="greedy")
+        assert np.array_equal(got, np.array(GOLDEN_GREEDY_NO_THRESHOLD))
+
+    def test_everything_benign_keeps_clean_scores(self):
+        m, xs = self._case()
+        got = attack_scores_over_grid(m, xs, [0, 1, 9], np.inf,
+                                      method="greedy")
+        clean = np.array(GOLDEN_GREEDY_AT_HALF)[:, :1]  # budget 0
+        assert np.array_equal(got, np.repeat(clean, 3, axis=1))
+
+    def test_no_negative_weight_keeps_clean_scores(self):
+        m = LinearModel(np.array([0.5, 1.0, 0.0]), 0.2)
+        got = attack_scores_over_grid(m, [vec([], 3), vec([1], 3)],
+                                      [0, 1, 3], 0.0, method="greedy")
+        assert np.array_equal(got, [[0.2] * 3, [1.2] * 3])
+
+
 class TestKernelCurveMonotonicity:
     def test_pgd_curve_non_increasing_within_jitter(self):
         cfg = SyntheticConfig(d=12, n_benign=150, n_malware=150, n_strong=4,
@@ -324,7 +395,7 @@ class TestKernelCurveMonotonicity:
         _, threshold = detection_rate_at_fpr(model, test, 0.05)
         malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
         curve = security_evaluation(model, malware, range(1, 9), threshold,
-                                    AttackConfig(1, max_iters=80), method="pgd")
+                                    AttackConfig(max_iters=80), method="pgd")
         rates = curve.detection_rates
         assert all(b <= a + 0.01 for a, b in zip(rates, rates[1:]))
 
@@ -340,7 +411,7 @@ class TestOracleEquivalence:
         malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:60]
         g = epsilon_min_batch(model, malware, 40, "greedy", threshold=threshold)
         p = epsilon_min_batch(model, malware, 40, "pgd",
-                              AttackConfig(1, max_iters=200), threshold=threshold)
+                              AttackConfig(max_iters=200), threshold=threshold)
         assert np.all(p >= g)
         assert np.mean(p == g) >= 0.95
 
@@ -440,12 +511,12 @@ class TestGridEngine:
         model, malware, threshold = criterion8_rbf_cell()
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
                                          threshold,
-                                         AttackConfig(1, max_iters=150), "pgd")
+                                         AttackConfig(max_iters=150), "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
 
     def test_grid_columns_equal_single_budget_attacks(self):
         model, malware, threshold = d12_cell()
-        cfg = AttackConfig(1, max_iters=80)
+        cfg = AttackConfig(max_iters=80)
         grid = [0, 1, 2, 3, 5, 8]
         scores = attack_scores_over_grid(model, malware[:20], grid, threshold,
                                          cfg, "pgd")
@@ -453,12 +524,12 @@ class TestGridEngine:
         for row, x in enumerate(malware[:20]):
             assert scores[row, 0] == score(model, x)
             for col, eps in enumerate(grid[1:], start=1):
-                res = pgd_evasion(model, x, cfg.with_epsilon(eps), threshold)
+                res = pgd_evasion(model, x, eps, cfg, threshold)
                 assert scores[row, col] == res.score_after
 
     def test_grid_order_and_repeats_do_not_change_scores(self):
         model, malware, threshold = d12_cell()
-        cfg = AttackConfig(1, max_iters=80)
+        cfg = AttackConfig(max_iters=80)
         a = attack_scores_over_grid(model, malware[:15], [1, 4, 6], threshold,
                                     cfg, "pgd")
         b = attack_scores_over_grid(model, malware[:15], [6, 1, 4, 1],
@@ -471,13 +542,13 @@ class TestGridEngine:
         d = 20
         m = LinearModel(rng.normal(size=d), 0.5)
         xs = [vec(np.flatnonzero(rng.random(d) < 0.3), d) for _ in range(12)]
-        cfg = AttackConfig(1, eta=0.05, max_iters=60)
+        cfg = AttackConfig(eta=0.05, max_iters=60)
         scores = attack_scores_over_grid(m, xs, [1, 2, 4], -np.inf, cfg, "pgd")
         for col, eps in enumerate((1, 2, 4)):
             alone = attack_scores_over_grid(m, xs, [eps], -np.inf, cfg, "pgd")
             assert np.array_equal(scores[:, col], alone[:, 0])
             for row, x in enumerate(xs):
-                res = pgd_evasion(m, x, cfg.with_epsilon(eps), -np.inf)
+                res = pgd_evasion(m, x, eps, cfg, -np.inf)
                 # a lone row's dot product may round differently
                 assert scores[row, col] == pytest.approx(res.score_after,
                                                          abs=1e-12)
@@ -494,23 +565,22 @@ class TestFeasibilityChecks:
         monkeypatch.setattr(attack_mod, "_project_clipped_batch", everything)
         with pytest.raises(RuntimeError, match="budget"):
             attack_scores_over_grid(m, [vec([2], 5)], [1, 2], -np.inf,
-                                    AttackConfig(1, max_iters=5), "pgd")
+                                    AttackConfig(max_iters=5), "pgd")
 
     def test_engine_rejects_removed_feature(self):
         X0b = np.array([[True, False, False]])
         points = np.array([[[False, True, False]]])
         with pytest.raises(RuntimeError, match="addition-only"):
-            attack_mod._check_feasible(X0b, points, [2], True)
-        attack_mod._check_feasible(X0b, points, [2], False)
+            attack_mod._check_feasible(X0b, points, [2])
 
     def test_check_result_raises(self):
         x = vec([0], 4)
         over = AttackResult(vec([0, 1, 2], 4), (1, 2), (1.0, 0.0), True, 1)
         with pytest.raises(RuntimeError, match="budget"):
-            attack_mod._check_result(over, x, AttackConfig(1))
+            attack_mod._check_result(over, x, 1)
         removed = AttackResult(vec([1], 4), (1,), (1.0, 0.0), True, 1)
         with pytest.raises(RuntimeError, match="addition-only"):
-            attack_mod._check_result(removed, x, AttackConfig(2))
+            attack_mod._check_result(removed, x, 2)
         mislabeled = AttackResult(vec([0, 1], 4), (2,), (1.0, 0.0), True, 1)
         with pytest.raises(RuntimeError, match="added_indices"):
-            attack_mod._check_result(mislabeled, x, AttackConfig(2))
+            attack_mod._check_result(mislabeled, x, 2)

@@ -5,10 +5,12 @@ import pytest
 
 from evadelab.attack import NOT_EVADABLE, AttackConfig, epsilon_min
 from evadelab.cli import main
+from evadelab.evenness import evenness_report
 from evadelab.featurespace import (SyntheticConfig, generate_synthetic,
                                    load_dataset, save_dataset, split)
 from evadelab.models import (TrainConfig, load_model, save_model,
                              train_linear, train_rbf_svm)
+from evadelab.pipeline import _attribution
 
 SYNTH = dict(d=60, n_benign=200, n_malware=200, n_strong=10,
              strong_rate_gap=0.6, weak_rate_gap=0.05, base_density=0.08,
@@ -125,7 +127,7 @@ class TestAttackEpsMin:
         seen = set()
         for sid, text in by_sample.items():
             want = epsilon_min(model, ds.samples[sid], 6, method,
-                               AttackConfig(1, max_iters=80), threshold)
+                               AttackConfig(max_iters=80), threshold)
             want_text = "NOT_EVADABLE" if want == NOT_EVADABLE else str(want)
             assert text == want_text
             seen.add(text)
@@ -172,6 +174,53 @@ class TestEvenness:
         defined = [r for r in rows[:-1] if r["defined"] == "1"]
         expected = sum(float(r["e1"]) for r in defined) / len(defined)
         assert float(rows[-1]["e1"]) == pytest.approx(expected)
+
+
+    @pytest.fixture(scope="class")
+    def ig_relevances(self, workdir):
+        rel = workdir / "rel_ig.csv"
+        assert main(["explain", "--model", str(workdir / "model.json"),
+                     "--data", str(workdir / "test.txt"),
+                     "--method", "integrated_gradients", "--p", "20",
+                     "--out", str(rel)]) == 0
+        return rel
+
+    def test_footer_equals_pipeline_report_average(self, workdir,
+                                                   ig_relevances):
+        rel = ig_relevances
+        out = workdir / "even_ig.csv"
+        assert main(["evenness", "--relevances", str(rel), "--m", "20",
+                     "--out", str(out)]) == 0
+        model = load_model(workdir / "model.json")
+        ds = load_dataset(workdir / "test.txt", d_hint=model.d)
+        report = evenness_report(
+            [_attribution("integrated_gradients", model, x, 20)
+             for x in ds.samples], 20)
+        footer = read_csv(out)[-1]
+        assert footer["sample_id"] == "average"
+        assert float(footer["e1"]) == report.averaged_e1
+        assert float(footer["e2"]) == report.averaged_e2
+        assert int(footer["defined"]) == ds.n - report.n_undefined
+
+    def test_metric_selects_one_column(self, workdir, ig_relevances):
+        rel = ig_relevances
+        out = workdir / "even_e2.csv"
+        assert main(["evenness", "--relevances", str(rel), "--metric", "e2",
+                     "--m", "20", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert all(r["e1"] == "" for r in rows)
+        assert all(r["e2"] != "" for r in rows if r["defined"] != "0")
+
+    def test_every_sample_undefined(self, tmp_path):
+        rel = tmp_path / "zeros.csv"
+        rel.write_text("sample_id,feature,relevance\n0,-1,0.0\n1,-1,0.0\n")
+        out = tmp_path / "even.csv"
+        assert main(["evenness", "--relevances", str(rel),
+                     "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r["sample_id"] for r in rows] == ["0", "1"]
+        assert all(r["defined"] == "0" and r["e1"] == r["e2"] == ""
+                   for r in rows)
 
 
 class TestRobustness:

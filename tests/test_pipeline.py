@@ -4,9 +4,13 @@ import math
 
 import pytest
 
-from evadelab.featurespace import SyntheticConfig, generate_synthetic
+import numpy as np
+
+from evadelab.evenness import UndefinedEvennessError, evenness_e1
+from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
-                               emit_scatter_data, grid_cv, run_experiment)
+                               _attribution, emit_scatter_data, grid_cv,
+                               run_experiment)
 from evadelab.stats import correlation_suite
 
 SMALL_SYNTH = SyntheticConfig(d=80, n_benign=260, n_malware=260, n_strong=16,
@@ -113,6 +117,48 @@ class TestRunExperiment:
                 recomputed = math.fsum(math.exp(-l) for l in losses) / len(losses)
                 assert cell.robust.per_eps[eps] == pytest.approx(
                     recomputed, abs=1e-12)
+
+    def test_clean_scores_are_the_model_scores(self, small_report):
+        report, _ = small_report
+        _, test = split(generate_synthetic(SMALL_SYNTH), 0.6, 3)
+        for cell in report.cells:
+            dense = np.stack([test.samples[i].to_dense()
+                              for i in cell.sample_ids])
+            assert np.array_equal(cell.clean_scores,
+                                  cell.model.decision_batch(dense))
+
+    def test_benign_evenness_pools_into_the_averages(self, tmp_path):
+        # n_attack_samples above the test split's size: every malware and
+        # every benign test row is used, whatever the sampling
+        cfg = small_config(classifiers=(PRESETS["svm"],),
+                           n_attack_samples=1000,
+                           evenness_include_benign=True)
+        report = run_experiment(cfg, out_dir=tmp_path)
+        cell = report.cells[0]
+        assert cell.status == "ok"
+        _, test = split(generate_synthetic(SMALL_SYNTH), 0.6, 3)
+        malware = [x for x, y in zip(test.samples, test.labels) if y == 1]
+        benign = [x for x, y in zip(test.samples, test.labels) if y == -1]
+        assert len(cell.sample_ids) == len(malware)
+        with open(tmp_path / "summary.csv") as fh:
+            summary = next(csv.DictReader(fh))
+        for method in cfg.methods:
+            values = []
+            for x in malware + benign:
+                try:
+                    values.append(evenness_e1(_attribution(
+                        method, cell.model, x, cfg.ig_p), cfg.evenness_m))
+                except UndefinedEvennessError:
+                    pass
+            want = math.fsum(values) / len(values)
+            assert float(summary[f"avg_e1_{method}"]) == want
+            scatter = emit_scatter_data(report, method, "e1",
+                                        "detection_rate")
+            assert scatter[0][1] == want
+            # the malware-only report still feeds the correlations
+            assert len(cell.evenness[method].per_sample_e1) == len(malware)
+        assert (cell.evenness["gradient_input"].averaged_e1
+                != float(summary["avg_e1_gradient_input"]))
 
     def test_manifest_carries_config_and_seeds(self, small_report):
         _, out = small_report
