@@ -119,13 +119,13 @@ class SecurityCurve:
         return float(np.mean(self.detection_rates))
 
 
-def _check_feasible(X0b: np.ndarray, points: np.ndarray, budgets) -> None:
-    """Raise unless every points[r, k] is within budgets[k] changes of X0b[r]
-    and keeps every feature X0b[r] has."""
-    changes = (points != X0b[:, None, :]).sum(axis=2)
-    if np.any(changes > np.asarray(budgets)[None, :]):
+def _check_feasible(X0b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    budgets) -> None:
+    """Raise unless the point that flips X0b at (rows, cols) adds features
+    only, at most budgets[r] (one budget or one per row) to row r."""
+    if np.any(np.bincount(rows, minlength=len(X0b)) > budgets):
         raise RuntimeError("attack returned a point over its change budget")
-    if np.any(X0b[:, None, :] & ~points):
+    if np.any(X0b[rows, cols]):
         raise RuntimeError("addition-only attack removed a present feature")
 
 
@@ -133,9 +133,9 @@ def _check_result(result: AttackResult, x: SparseBinaryVector,
                   epsilon: int) -> AttackResult:
     """Feasibility of a result handed back to a caller; raises if broken."""
     _check_budget(epsilon)
-    _check_feasible(x.to_dense().astype(bool)[None],
-                    result.adversarial.to_dense().astype(bool)[None, None],
-                    [epsilon])
+    x0 = x.to_dense().astype(bool)[None]
+    _check_feasible(x0, *np.nonzero(result.adversarial.to_dense() != x0),
+                    epsilon)
     if (set(result.adversarial.indices) - set(x.indices)
             != set(result.added_indices)):
         raise RuntimeError("added_indices do not match the adversarial point")
@@ -181,13 +181,19 @@ def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
     return order, counts
 
 
+def _prefix_changes(order: np.ndarray, counts: np.ndarray, epsilon):
+    """(rows, cols) of the first min(epsilon, count) ranked changes of each
+    row; epsilon may be one budget or one per row."""
+    taken = np.arange(order.shape[1]) < np.minimum(counts, epsilon)[:, None]
+    rows, pos = np.nonzero(taken)
+    return rows, order[rows, pos]
+
+
 def _prefix_projection(X0b: np.ndarray, order: np.ndarray, counts: np.ndarray,
                        epsilon) -> np.ndarray:
     """X0b with the first min(epsilon, count) ranked changes of each row
     applied; epsilon may be one budget or one per row."""
-    taken = np.arange(order.shape[1]) < np.minimum(counts, epsilon)[:, None]
-    rows, pos = np.nonzero(taken)
-    cols = order[rows, pos]
+    rows, cols = _prefix_changes(order, counts, epsilon)
     out = X0b.copy()
     out[rows, cols] = ~X0b[rows, cols]
     return out
@@ -220,8 +226,9 @@ def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
 def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
                   start, budgets, mode: str, cfg: AttackConfig,
                   threshold: float, best_scores: np.ndarray,
-                  best_points: np.ndarray, traces) -> np.ndarray:
-    """One batched descent pass; updates best_scores / best_points in place.
+                  best_points: np.ndarray | None, traces) -> np.ndarray:
+    """One batched descent pass; updates best_scores (and best_points, when
+    given) in place, checking each point's feasibility as it is recorded.
 
     best_* hold one column per budget.  mode "binary" (one budget) steps from
     the budget's projected binary point each iteration, so the iterate hops
@@ -261,8 +268,11 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             obj, g = model.decision_and_gradient_batch(cur[rows])
             improved = obj < best_scores[rows, 0]
             upd = rows[improved]
+            X0i, points = X0r[improved], binary[improved]
+            _check_feasible(X0i, *np.nonzero(points != X0i), budgets[0])
             best_scores[upd, 0] = obj[improved]
-            best_points[upd, 0] = binary[improved]
+            if best_points is not None:
+                best_points[upd, 0] = points
         else:
             order, counts = _ranked_changes(stepped, X0r)
             if nested:
@@ -274,9 +284,12 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
                         np.float64)) for eps in budgets], axis=1)
             ri, ci = np.nonzero(bin_scores < best_scores[rows])
             if ri.size:
+                _check_feasible(X0r[ri], *_prefix_changes(
+                    order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
                 best_scores[rows[ri], ci] = bin_scores[ri, ci]
-                best_points[rows[ri], ci] = _prefix_projection(
-                    X0r[ri], order[ri], counts[ri], budget_arr[ci])
+                if best_points is not None:
+                    best_points[rows[ri], ci] = _prefix_projection(
+                        X0r[ri], order[ri], counts[ri], budget_arr[ci])
             cur[rows] = stepped
             obj, g = model.decision_and_gradient_batch(stepped)
 
@@ -302,27 +315,29 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
     absent features in exact descending-weight order (the gradient is
     constant), which is the optimal addition schedule, so the shadow pass is
     skipped.  Returns (n, k) scores, (n, k, d) points, (n, k) iteration
-    counts and, with record_trace (one budget only), the best score of each
-    row after every iteration.
+    counts and each row's best score after every iteration.  Only
+    record_trace (one budget only) keeps the points and the traces; without
+    it both are None and no (n, k, d) array of points is held.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     lb = X0b.astype(np.float64)
     start = model.decision_and_gradient_batch(lb)
     k = len(budgets)
     best_scores = np.repeat(start[0][:, None], k, axis=1)
-    best_points = np.repeat(X0b[:, None, :], k, axis=1)
-    traces = [[float(s)] for s in start[0]] if record_trace else None
+    best_points, traces = None, None
+    if record_trace:
+        best_points = np.repeat(X0b[:, None, :], k, axis=1)
+        traces = [[float(s)] for s in start[0]]
 
     iterations = np.zeros((len(X0b), k), dtype=np.int64)
     for col, eps in enumerate(budgets):
         iterations[:, col] = _descent_pass(
             model, X0b, lb, start, [eps], "binary", cfg, threshold,
-            best_scores[:, col:col + 1], best_points[:, col:col + 1], traces)
+            best_scores[:, col:col + 1], best_points, traces)
     if not (isinstance(model, LinearModel) and cfg.eta is None):
         iterations += _descent_pass(
             model, X0b, lb, start, budgets, "shadow", cfg, threshold,
             best_scores, best_points, traces)[:, None]
-    _check_feasible(X0b, best_points, budgets)
     return best_scores, best_points, iterations, traces
 
 
@@ -500,7 +515,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores, _, _, _ = _pgd_core(model, X0b, budgets, cfg, threshold)
+        best_scores = _pgd_core(model, X0b, budgets, cfg, threshold)[0]
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out

@@ -427,6 +427,13 @@ def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
     return rate, threshold
 
 
+def _share_at_or_above(values: np.ndarray, thresholds: np.ndarray) -> list:
+    """Share of values >= each threshold: the count over the size, the same
+    correctly rounded division np.mean of the boolean mask performs."""
+    n = values.size
+    return ((n - np.searchsorted(np.sort(values), thresholds)) / n).tolist()
+
+
 def roc_curve(model: TrainedModel, ds: LabeledDataset) -> list[tuple[float, float]]:
     """(fpr, tpr) points from a sweep over the distinct scores; starts at (0,0)."""
     scores = _dataset_scores(model, ds)
@@ -435,11 +442,10 @@ def roc_curve(model: TrainedModel, ds: LabeledDataset) -> list[tuple[float, floa
     malware = scores[y == 1]
     if benign.size == 0 or malware.size == 0:
         raise ValueError("ROC needs both classes present")
+    thresholds = np.unique(scores)[::-1]
     points = [(0.0, 0.0)]
-    for t in np.unique(scores)[::-1]:
-        fpr = float(np.mean(benign >= t))
-        tpr = float(np.mean(malware >= t))
-        points.append((fpr, tpr))
+    points += zip(_share_at_or_above(benign, thresholds),
+                  _share_at_or_above(malware, thresholds))
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     return points

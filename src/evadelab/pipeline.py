@@ -371,23 +371,15 @@ def _pool_correlations(cfg: ExperimentConfig,
     return pooled
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(float(value))  # np.float64 repr carries a type prefix
-    return str(value)
-
-
 def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    """The one CSV writer: None as empty, floats by repr, the rest by str."""
+    """The one CSV writer.  csv.writer writes None as empty and every other
+    value by str, which for float and np.float64 is the shortest repr."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _correlation_rows(entries: list[dict], lead: list) -> list[list]:
@@ -420,12 +412,12 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
         _write_csv(rep_dir / f"security_curve_{slug}.csv",
                    ["eps", "detection_rate"], curve_rows)
 
-        adv_rows = []
-        for row, sid in enumerate(cell.sample_ids):
-            for col, eps in enumerate(cfg.eps_grid):
-                adv_rows.append([sid, eps, float(cell.adv_scores[row, col])])
         _write_csv(rep_dir / f"adv_scores_{slug}.csv",
-                   ["sample_id", "eps", "score_after"], adv_rows)
+                   ["sample_id", "eps", "score_after"],
+                   [[sid, eps, s]
+                    for sid, scores in zip(cell.sample_ids,
+                                           cell.adv_scores.tolist())
+                    for eps, s in zip(cfg.eps_grid, scores)])
 
         header = ["sample_id", "score_clean", "robustness"]
         for method in cfg.methods:

@@ -4,7 +4,16 @@ Pearson and Spearman significance uses the Student-t transform
 t = r * sqrt((n-2) / (1-r^2)); Kendall uses the tie-corrected normal
 approximation of the concordant-minus-discordant statistic.  Inputs with
 zero variance produce a degenerate report (undefined coefficient, no
-p-value) instead of NaNs.
+p-value) instead of NaNs; non-finite inputs are rejected.
+
+Ranks and pair counts come from sorts and counting sweeps in O(n) memory,
+not from n x n pair tables: tie groups are the runs of equal adjacent values
+of a sorted column, and the discordant pairs of Kendall's tau are the strict
+inversions of y in (x, y) order, counted by a bottom-up merge (Knight,
+"A Computer Method for Calculating Kendall's Tau with Ungrouped Data",
+JASA 1966) of log2(n) levels, each one vectorized sort and binary search,
+so O(n log n) per level at worst.  All counts are integers, so they equal
+the pairwise counts exactly.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ def _validated(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
         raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 3:
         raise ValueError("need at least 3 observations")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("inputs must be finite (no NaN or inf)")
     return x, y, x.shape[0]
 
 
@@ -82,19 +93,26 @@ def pearson(xs, ys) -> CorrelationReport:
     return CorrelationReport("pearson", r, _t_pvalue(r, n), n, False)
 
 
+def _run_sizes(breaks: np.ndarray, n: int) -> np.ndarray:
+    """Lengths of the runs of equal values of a sorted length-n array, in
+    order, from breaks[i] = (v[i + 1] != v[i]): the tie groups."""
+    return np.diff(np.flatnonzero(np.r_[True, breaks]), append=n)
+
+
+def _tied_pairs(sizes: np.ndarray) -> int:
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
 def midranks(values) -> np.ndarray:
     """1-based ranks with ties assigned the mean of their rank range."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.shape[0])
     sorted_v = v[order]
-    i = 0
-    while i < v.shape[0]:
-        j = i
-        while j + 1 < v.shape[0] and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    sizes = _run_sizes(sorted_v[1:] != sorted_v[:-1], v.shape[0])
+    end = np.cumsum(sizes) - 1
+    start = end - sizes + 1
+    ranks = np.empty(v.shape[0])
+    ranks[order] = np.repeat(0.5 * (start + end) + 1.0, sizes)
     return ranks
 
 
@@ -107,33 +125,64 @@ def spearman(xs, ys) -> CorrelationReport:
     return CorrelationReport("spearman", r, _t_pvalue(r, n), n, False)
 
 
+def _strict_inversions(r: np.ndarray) -> int:
+    """Pairs i < j with r[i] > r[j], for integer r in [0, n).
+
+    A bottom-up merge sort: at each level every right half of a block of
+    2w counts the elements of its left half that are greater, with one
+    searchsorted over the left halves keyed by block offset (they are sorted
+    from the level before), and one stable sort of the same keys merges the
+    halves.
+    """
+    n = r.shape[0]
+    a = r.astype(np.int64)
+    pos = np.arange(n)
+    total = 0
+    w = 1
+    while w < n:
+        block = pos // (2 * w)
+        right = (pos // w) % 2 == 1
+        keys = block * n + a
+        at_most = np.searchsorted(keys[~right], keys[right], side="right")
+        total += int((w * (block[right] + 1) - at_most).sum())
+        a = np.sort(keys, kind="stable") - block * n
+        w *= 2
+    return total
+
+
+def _kendall_counts(x: np.ndarray, y: np.ndarray):
+    """(concordant, discordant, tied, x tie groups, y tie groups) of
+    validated inputs; the groups are the _run_sizes of the sorted columns."""
+    n = x.shape[0]
+    order = np.lexsort((y, x))
+    xs, ys = x[order], y[order]
+    y_sorted = np.sort(y)
+    x_breaks = xs[1:] != xs[:-1]
+    x_groups = _run_sizes(x_breaks, n)
+    y_groups = _run_sizes(y_sorted[1:] != y_sorted[:-1], n)
+    tied = (_tied_pairs(x_groups) + _tied_pairs(y_groups)
+            - _tied_pairs(_run_sizes(x_breaks | (ys[1:] != ys[:-1]), n)))
+    # In (x, y) order a pair tied in x is never a strict y inversion, so the
+    # strict inversions of y are exactly the discordant pairs.
+    discordant = _strict_inversions(np.searchsorted(y_sorted, ys))
+    concordant = n * (n - 1) // 2 - tied - discordant
+    return concordant, discordant, tied, x_groups, y_groups
+
+
 def kendall_counts(xs, ys) -> tuple[int, int, int]:
     """(concordant, discordant, tied) pair counts; they sum to n(n-1)/2."""
-    x, y, n = _validated(xs, ys)
-    dx = np.sign(x[:, None] - x[None, :])
-    dy = np.sign(y[:, None] - y[None, :])
-    prod = dx * dy
-    upper = np.triu_indices(n, k=1)
-    vals = prod[upper]
-    concordant = int(np.sum(vals > 0))
-    discordant = int(np.sum(vals < 0))
-    tied = int(vals.shape[0] - concordant - discordant)
-    return concordant, discordant, tied
-
-
-def _tie_group_sizes(v: np.ndarray) -> np.ndarray:
-    _, counts = np.unique(v, return_counts=True)
-    return counts[counts > 1].astype(np.float64)
+    x, y, _ = _validated(xs, ys)
+    return _kendall_counts(x, y)[:3]
 
 
 def kendall(xs, ys) -> CorrelationReport:
     """Tie-corrected tau-b with a normal approximation for the p-value."""
     x, y, n = _validated(xs, ys)
-    concordant, discordant, _ = kendall_counts(x, y)
+    concordant, discordant, _, tx, ty = _kendall_counts(x, y)
     s = concordant - discordant
     n0 = n * (n - 1) / 2.0
-    tx = _tie_group_sizes(x)
-    ty = _tie_group_sizes(y)
+    tx = tx[tx > 1].astype(np.float64)
+    ty = ty[ty > 1].astype(np.float64)
     t_x = float((tx * (tx - 1) / 2.0).sum())
     t_y = float((ty * (ty - 1) / 2.0).sum())
     denom_x = n0 - t_x

@@ -1,7 +1,11 @@
 """The public API, pinned: growing it shows up as a diff of this file."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import evadelab
 from evadelab.attack import AttackConfig
@@ -36,3 +40,13 @@ def test_exported_names():
 def test_attack_config_holds_descent_settings_only():
     fields = [f.name for f in dataclasses.fields(AttackConfig)]
     assert fields == ["eta", "tol", "max_iters"]
+
+
+def test_import_leaves_scipy_stats_out():
+    # importing scipy.stats costs about 0.7 s and 44 MiB per process
+    src = str(Path(evadelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, evadelab; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

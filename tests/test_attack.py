@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,11 +568,24 @@ class TestFeasibilityChecks:
             attack_scores_over_grid(m, [vec([2], 5)], [1, 2], -np.inf,
                                     AttackConfig(max_iters=5), "pgd")
 
+    def test_shadow_pass_rejects_removed_feature(self, monkeypatch):
+        # the support vector is the empty point, so dropping feature 2 would
+        # lower the score; the forged ranking offers exactly that removal
+        m = KernelModel((vec([], 5),), np.array([-1.0]), 0.0, 0.5)
+
+        def removal(V, X0b):
+            return np.full((len(X0b), 1), 2), np.ones(len(X0b), dtype=int)
+
+        monkeypatch.setattr(attack_mod, "_ranked_changes", removal)
+        with pytest.raises(RuntimeError, match="addition-only"):
+            attack_scores_over_grid(m, [vec([2], 5)], [1, 2], -np.inf,
+                                    AttackConfig(max_iters=5), "pgd")
+
     def test_engine_rejects_removed_feature(self):
         X0b = np.array([[True, False, False]])
-        points = np.array([[[False, True, False]]])
+        point = np.array([[False, True, False]])
         with pytest.raises(RuntimeError, match="addition-only"):
-            attack_mod._check_feasible(X0b, points, [2])
+            attack_mod._check_feasible(X0b, *np.nonzero(point != X0b), 2)
 
     def test_check_result_raises(self):
         x = vec([0], 4)
@@ -584,3 +598,26 @@ class TestFeasibilityChecks:
         mislabeled = AttackResult(vec([0, 1], 4), (2,), (1.0, 0.0), True, 1)
         with pytest.raises(RuntimeError, match="added_indices"):
             attack_mod._check_result(mislabeled, x, 2)
+
+
+class TestEngineMemory:
+    def test_grid_keeps_no_points(self):
+        # criterion-5 svm: n=200, eps_max=50, d=2000.  An (n, k, d) array of
+        # best points peaked at 61 MiB here; the per-budget engine at 27 MiB.
+        cfg = SyntheticConfig(d=2000, n_benign=1000, n_malware=1000,
+                              n_strong=60, strong_rate_gap=0.5,
+                              weak_rate_gap=0.003, base_density=0.10,
+                              seed=2024)
+        train, test = split(generate_synthetic(cfg), 0.5, 0)
+        malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+        model = train_linear(train, TrainConfig("hinge", 0.1, epochs=10,
+                                                seed=1))
+        _, threshold = detection_rate_at_fpr(model, test, 0.01)
+        tracemalloc.start()
+        try:
+            epsilon_min_batch(model, malware[:200], 50, "pgd",
+                              AttackConfig(max_iters=200), threshold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 27 * 2 ** 20

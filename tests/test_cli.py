@@ -256,6 +256,19 @@ class TestCorrelate:
         assert [r["method"] for r in rows] == ["pearson", "spearman", "kendall"]
         assert all(float(r["coefficient"]) > 0.9 for r in rows)
 
+    def test_non_finite_value_fails_fast(self, workdir, tmp_path, capsys):
+        data = tmp_path / "xy_nan.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b"])
+            for i in range(10):
+                writer.writerow([i, "nan" if i == 4 else i])
+        rc = main(["correlate", "--data", str(data), "--x", "a", "--y", "b",
+                   "--out", str(tmp_path / "corr_nan.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "finite" in err["message"]
+
     def test_permutation_flag(self, workdir, tmp_path):
         data = tmp_path / "xy2.csv"
         with open(data, "w", newline="") as fh:

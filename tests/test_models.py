@@ -280,6 +280,26 @@ class TestRocCurve:
         a2 = auc(roc_curve(LinearModel(-w, 0.0), ds))
         assert a1 == pytest.approx(1.0 - a2, abs=1e-9)
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_equals_per_threshold_scan(self, tied):
+        rng = np.random.default_rng(5 + tied)
+        d = 300
+        w = rng.integers(-6, 7, size=d).astype(float) if tied \
+            else rng.normal(size=d)
+        labels = [1 if rng.random() < 0.4 else -1 for _ in range(d)]
+        ds = dataset([[i] for i in range(d)], labels, d)
+        y = np.asarray(labels)
+        benign, malware = w[y == -1], w[y == 1]
+        expected = [(0.0, 0.0)]
+        for t in np.unique(w)[::-1]:
+            expected.append((float(np.mean(benign >= t)),
+                             float(np.mean(malware >= t))))
+        if expected[-1] != (1.0, 1.0):
+            expected.append((1.0, 1.0))
+        points = roc_curve(LinearModel(w, 0.0), ds)
+        assert points == expected
+        assert all(type(v) is float for point in points for v in point)
+
     def test_tpr_monotone(self):
         rng = np.random.default_rng(4)
         d = 150

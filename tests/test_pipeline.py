@@ -9,8 +9,8 @@ import numpy as np
 from evadelab.evenness import UndefinedEvennessError, evenness_e1
 from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
-                               _attribution, emit_scatter_data, grid_cv,
-                               run_experiment)
+                               _attribution, _write_csv, emit_scatter_data,
+                               grid_cv, run_experiment)
 from evadelab.stats import correlation_suite
 
 SMALL_SYNTH = SyntheticConfig(d=80, n_benign=260, n_malware=260, n_strong=16,
@@ -191,6 +191,22 @@ class TestRunExperiment:
         assert files1 == files2
         for rel in files1:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+
+
+class TestCsvFormat:
+    def test_values_are_written_by_repr_and_str(self, tmp_path):
+        floats = [0.1 + 0.2, 1 / 3, -2.5e-7, 123456789.12345679, 1e16, 1e-05,
+                  0.0, -0.0]
+        row = [None, 7, np.int64(-3), True, False] + floats \
+            + [np.float64(v) for v in floats] + ["a,b"]
+        path = tmp_path / "sub" / "t.csv"
+        _write_csv(path, ["h1", "h2"], [row, []])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        expected = (["", "7", "-3", "True", "False"]
+                    + [repr(v) for v in floats] * 2 + ['"a,b"'])
+        assert lines == ["h1,h2", ",".join(expected), ""]
+        assert "1e+16" in expected and "1e-05" in expected
+        assert "0.30000000000000004" in expected
 
 
 class TestScatter:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -5,6 +7,41 @@ import scipy.stats
 from evadelab.stats import (CorrelationReport, correlation_suite, kendall,
                             kendall_counts, midranks, pearson,
                             permutation_pvalue, spearman)
+
+
+def pairwise_kendall_counts(xs, ys):
+    """Reference: (concordant, discordant, tied) from every pair's signs."""
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    vals = (dx * dy)[np.triu_indices(x.shape[0], k=1)]
+    concordant = int(np.sum(vals > 0))
+    discordant = int(np.sum(vals < 0))
+    return concordant, discordant, int(vals.shape[0] - concordant - discordant)
+
+
+def loop_midranks(values):
+    """Reference: midranks by walking the stably sorted values."""
+    v = np.asarray(values, dtype=np.float64)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.shape[0])
+    sorted_v = v[order]
+    i = 0
+    while i < v.shape[0]:
+        j = i
+        while j + 1 < v.shape[0] and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def tied_series(rng, n, tied):
+    """Integer-valued (many ties) or continuous values of length n."""
+    if tied:
+        return rng.integers(0, int(rng.integers(1, n + 2)), size=n).astype(float)
+    return rng.normal(size=n)
 
 
 class TestPearson:
@@ -73,6 +110,66 @@ class TestSpearman:
         ref = scipy.stats.spearmanr(x, y)
         assert ours.coefficient == pytest.approx(ref.statistic, abs=1e-12)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6)
+
+
+class TestSortedCounts:
+    """The sort-and-count paths against their pairwise and loop references."""
+
+    @pytest.mark.parametrize("x_tied,y_tied", [(True, False), (False, True),
+                                               (True, True), (False, False)])
+    def test_counts_equal_pairwise(self, x_tied, y_tied):
+        rng = np.random.default_rng(11)
+        for n in list(range(3, 40)) + [int(v) for v in rng.integers(40, 301, 25)]:
+            x = tied_series(rng, n, x_tied)
+            y = tied_series(rng, n, y_tied)
+            assert kendall_counts(x, y) == pairwise_kendall_counts(x, y)
+
+    def test_counts_of_sorted_reversed_and_constant_inputs(self):
+        x = np.arange(10.0)
+        assert kendall_counts(x, x) == pairwise_kendall_counts(x, x)
+        assert kendall_counts(x, -x) == pairwise_kendall_counts(x, -x)
+        assert kendall_counts(x, np.ones(10)) == (0, 0, 45)
+        assert kendall_counts(np.ones(10), np.ones(10)) == (0, 0, 45)
+
+    def test_midranks_equal_loop(self):
+        rng = np.random.default_rng(12)
+        for n in range(0, 301, 7):
+            for tied in (True, False):
+                v = tied_series(rng, n, tied)
+                assert np.array_equal(midranks(v), loop_midranks(v))
+
+    def test_kendall_matches_scipy_at_n_2000_with_ties(self):
+        rng = np.random.default_rng(13)
+        x = rng.integers(0, 60, size=2000).astype(float)
+        y = (x + rng.integers(0, 120, size=2000)).astype(float)
+        ours = kendall(x, y)
+        ref = scipy.stats.kendalltau(x, y, method="asymptotic")
+        assert ours.coefficient == pytest.approx(ref.statistic, abs=1e-12)
+        assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6)
+
+    def test_suite_memory_is_linear_at_n_5000(self):
+        # the pairwise count held three n x n arrays: 870 MiB at this size
+        rng = np.random.default_rng(14)
+        x = rng.integers(0, 50, size=5000).astype(float)
+        y = x + rng.normal(size=5000)
+        tracemalloc.start()
+        try:
+            correlation_suite(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("fn", [pearson, spearman, kendall, kendall_counts])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, fn, bad):
+        clean = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError, match="finite"):
+            fn([1.0, bad, 3.0, 4.0], clean)
+        with pytest.raises(ValueError, match="finite"):
+            fn(clean, [1.0, 2.0, bad, 4.0])
 
 
 class TestKendall:
