@@ -12,10 +12,8 @@ from .models import (KernelModel, LinearModel, TrainConfig, auc,
                      train_secsvm)
 from .attack import (NOT_EVADABLE, AttackConfig, AttackResult, SecurityCurve,
                      attack_scores_over_grid, epsilon_min, epsilon_min_batch,
-                     greedy_linear_evasion, pgd_evasion, project,
-                     security_evaluation)
-from .explain import (RelevanceVector, attribution_gradient,
-                      attribution_gradient_input,
+                     pgd_evasion, project, security_evaluation)
+from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
 from .evenness import (EvennessReport, UndefinedEvennessError,
                        cumulative_ratio, evenness_e1, evenness_e2,

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import SparseBinaryVector
-from .models import KernelModel, LinearModel, TrainedModel, score
+from .featurespace import SparseBinaryVector, _dense_rows
+from .models import KernelModel, LinearModel, TrainedModel
 
 NOT_EVADABLE: float = math.inf
 ATTACK_METHODS = ("auto", "pgd", "greedy")
@@ -394,47 +394,6 @@ def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, epsilon: int,
     return _check_result(result, x, epsilon)
 
 
-def greedy_linear_evasion(model: LinearModel, x: SparseBinaryVector,
-                          epsilon: int, threshold: float = 0.0) -> AttackResult:
-    """Exact feature-addition attack on a linear model.
-
-    Absent negative-weight features are added from most to least negative,
-    stopping as soon as the score drops below the threshold or the budget is
-    spent.
-    """
-    if not isinstance(model, LinearModel):
-        raise TypeError("greedy_linear_evasion requires a linear model")
-    if x.dim != model.d:
-        raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
-    _check_budget(epsilon)
-    s = score(model, x)
-    trace = [s]
-    if s < threshold:
-        result = AttackResult(x, (), tuple(trace), True, 0)
-        return _check_result(result, x, epsilon)
-
-    w = model.weights
-    present = np.zeros(model.d, dtype=bool)
-    if x.indices:
-        present[list(x.indices)] = True
-    candidates = np.flatnonzero(~present & (w < 0.0))
-    candidates = candidates[np.argsort(w[candidates], kind="stable")]
-
-    added: list[int] = []
-    evaded = False
-    for idx in candidates[:epsilon]:
-        added.append(int(idx))
-        s += float(w[idx])
-        trace.append(s)
-        if s < threshold:
-            evaded = True
-            break
-    adv = SparseBinaryVector.from_indices(list(x.indices) + added, x.dim)
-    result = AttackResult(adv, tuple(sorted(added)), tuple(trace), evaded,
-                          len(added))
-    return _check_result(result, x, epsilon)
-
-
 def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
                 method: str = "auto", cfg: AttackConfig | None = None,
                 threshold: float = 0.0) -> float:
@@ -487,14 +446,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     if method == "greedy" and not isinstance(model, LinearModel):
         raise TypeError("greedy attack requires a linear model")
 
-    d = model.d
-    for x in samples:
-        if x.dim != d:
-            raise ValueError("sample dimensionality does not match the model")
-    X0b = np.zeros((len(samples), d), dtype=bool)
-    for row, x in enumerate(samples):
-        if x.indices:
-            X0b[row, list(x.indices)] = True
+    X0b = _dense_rows(samples, model.d, bool)
     scores0 = model.decision_batch(X0b.astype(np.float64))
 
     out = np.empty((len(samples), len(eps_grid)))

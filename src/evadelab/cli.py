@@ -121,15 +121,15 @@ def cmd_explain(args) -> int:
     model = models.load_model(args.model)
     ds = load_dataset(args.data, d_hint=model.d)
     rows_out = []
-    for sid, x in enumerate(ds.samples):
-        r = pipeline._attribution(args.method, model, x, args.p)
-        nz = np.flatnonzero(r.values)
+    R = pipeline._attribution(args.method, model, ds.samples, args.p)
+    for sid, r in enumerate(R):
+        nz = np.flatnonzero(r)
         if nz.size == 0:
             # keep all-zero samples visible: sentinel feature -1
             rows_out.append([sid, -1, 0.0])
             continue
         for i in nz:
-            rows_out.append([sid, int(i), float(r.values[i])])
+            rows_out.append([sid, int(i), float(r[i])])
         if args.top:
             report = [{"feature": i, "relevance": v, "percent": pct}
                       for i, v, pct in top_features(r, args.top)]
@@ -148,10 +148,13 @@ def cmd_evenness(args) -> int:
                 by_sample[rec["sample_id"]].append(float(rec["relevance"]))
 
     header = ["sample_id", "e1", "e2", "defined"]
+    # zero-padded: a zero never enters a top-m window ahead of a non-zero
+    width = max(map(len, by_sample.values()), default=0)
+    R = np.zeros((len(by_sample), width))
+    for row, values in enumerate(by_sample.values()):
+        R[row, :len(values)] = values
     try:
-        report = evenness_mod.evenness_report(
-            [np.asarray(v) if v else np.zeros(1) for v in by_sample.values()],
-            args.m)
+        report = evenness_mod.evenness_report(R, args.m)
     except evenness_mod.UndefinedEvennessError:
         # no sample has a defined evenness: their rows, and no footer
         _write_csv(args.out, header, [[sid, None, None, 0] for sid in by_sample])

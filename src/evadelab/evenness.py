@@ -1,10 +1,13 @@
-"""Evenness metrics over the top-m attributions of a relevance vector.
+"""Evenness metrics over the top-m attributions of each row of a matrix.
 
 Both metrics see only absolute values, so they are invariant to sign flips,
-rescaling, and permutation.  A vector whose top-m window is entirely zero has
+rescaling, and permutation.  A row whose top-m window is entirely zero has
 no defined evenness; such samples are excluded from averages and counted.
-``evenness_report`` is the one path from a batch of attributions to the
-per-sample metrics and their averages.
+``_evenness`` is the one path: it sorts |R| once per row, keeps the m
+largest magnitudes (zero-padded when a row has fewer than m entries) and
+derives E1, E2 and the defined mask of every row from that window.
+``evenness_report`` builds the per-sample metrics and their averages from
+it, and the scalar functions are one-row wrappers.
 """
 
 from __future__ import annotations
@@ -14,44 +17,58 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .explain import RelevanceVector
-
 
 class UndefinedEvennessError(ValueError):
     """All-zero top-m attribution window; the metrics divide by zero there."""
 
 
-def _as_values(r) -> np.ndarray:
-    if isinstance(r, RelevanceVector):
-        return r.values
-    return np.asarray(r, dtype=np.float64)
-
-
-def _top_abs_desc(r, m: int) -> np.ndarray:
-    """|values| of the m largest-magnitude entries, descending.
-
-    Ties break toward the lower feature index; vectors shorter than m are
-    padded with zeros inside the window.
-    """
+def _top_window(R, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, m) window of each row's m largest |values|, descending and
+    zero-padded, and the mask of rows whose window is not all zero."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    a = np.abs(_as_values(r))
-    order = np.argsort(-a, kind="stable")
-    top = a[order[:m]]
-    if top.shape[0] < m:
-        top = np.concatenate([top, np.zeros(m - top.shape[0])])
-    if top[0] == 0.0:
+    R = np.asarray(R, dtype=np.float64)
+    if R.ndim != 2:
+        raise ValueError("attributions must be an (n, d) matrix")
+    if not np.isfinite(R).all():
+        raise ValueError("attributions must be finite")
+    k = min(m, R.shape[1])
+    window = np.zeros((R.shape[0], m))
+    window[:, :k] = np.sort(np.abs(R), axis=1)[:, ::-1][:, :k]
+    return window, window[:, 0] > 0.0
+
+
+def _evenness(R, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(E1, E2, defined) of every row; both metrics are NaN where undefined,
+    and E1 also at m = 1."""
+    window, defined = _top_window(R, m)
+    top = window[defined]
+    e1 = np.full(window.shape[0], np.nan)
+    e2 = np.full(window.shape[0], np.nan)
+    e2[defined] = top.sum(axis=1) / top[:, 0] / m
+    if m > 1:
+        cums = np.cumsum(top, axis=1)
+        e1[defined] = 2.0 / (m - 1.0) * (m - (cums / cums[:, -1:]).sum(axis=1))
+    return e1, e2, defined
+
+
+def _one_row(r, m: int) -> tuple[float, float]:
+    e1, e2, defined = _evenness(np.asarray(r, dtype=np.float64)[None], m)
+    if not defined[0]:
         raise UndefinedEvennessError(
             "evenness is undefined for an all-zero attribution window")
-    return top
+    return float(e1[0]), float(e2[0])
 
 
 def cumulative_ratio(r, k: int, m: int) -> float:
     """Share of the top-m absolute relevance mass held by the k largest."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
-    top = _top_abs_desc(r, m)
-    return float(top[:k].sum() / top.sum())
+    window, defined = _top_window(np.asarray(r, dtype=np.float64)[None], m)
+    if not defined[0]:
+        raise UndefinedEvennessError(
+            "evenness is undefined for an all-zero attribution window")
+    return float(window[0, :k].sum() / window[0].sum())
 
 
 def evenness_e1(r, m: int) -> float:
@@ -61,16 +78,12 @@ def evenness_e1(r, m: int) -> float:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    top = _top_abs_desc(r, m)
-    cums = np.cumsum(top)
-    f_sum = float((cums / cums[-1]).sum())
-    return 2.0 / (m - 1.0) * (m - f_sum)
+    return _one_row(r, m)[0]
 
 
 def evenness_e2(r, m: int) -> float:
     """(1/m) * l1/linf of the top-m window; ranges over [1/m, 1]."""
-    top = _top_abs_desc(r, m)
-    return float(top.sum() / top[0] / m)
+    return _one_row(r, m)[1]
 
 
 @dataclass(frozen=True)
@@ -86,27 +99,22 @@ class EvennessReport:
     n_undefined: int
 
 
-def evenness_report(relevances, m: int, method: str = "") -> EvennessReport:
-    """Both metrics for every sample plus their averages over defined samples."""
-    e1s: list[float | None] = []
-    e2s: list[float | None] = []
-    n_undefined = 0
-    for r in relevances:
-        try:
-            e1s.append(evenness_e1(r, m))
-            e2s.append(evenness_e2(r, m))
-        except UndefinedEvennessError:
-            e1s.append(None)
-            e2s.append(None)
-            n_undefined += 1
-    defined1 = [v for v in e1s if v is not None]
-    defined2 = [v for v in e2s if v is not None]
-    if not defined1:
+def evenness_report(R, m: int, method: str = "") -> EvennessReport:
+    """Both metrics for every row of the (n, d) attributions R plus their
+    averages over the defined rows."""
+    if m < 2:
+        raise ValueError("m must be >= 2")
+    e1, e2, defined = _evenness(R, m)
+    if not defined.any():
         raise UndefinedEvennessError(
             "every sample has an undefined evenness; nothing to average")
+    keep = defined.tolist()
+    n_defined = sum(keep)
     return EvennessReport(
-        tuple(e1s), tuple(e2s), m, method,
-        math.fsum(defined1) / len(defined1),
-        math.fsum(defined2) / len(defined2),
-        n_undefined,
+        tuple(v if ok else None for v, ok in zip(e1.tolist(), keep)),
+        tuple(v if ok else None for v, ok in zip(e2.tolist(), keep)),
+        m, method,
+        math.fsum(e1[defined].tolist()) / n_defined,
+        math.fsum(e2[defined].tolist()) / n_defined,
+        len(keep) - n_defined,
     )

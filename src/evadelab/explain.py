@@ -1,97 +1,82 @@
-"""Gradient-based feature attributions for one sample's malicious-class score."""
+"""Gradient-based feature attributions of the malicious-class score.
+
+Each method takes a batch of samples and returns one finite, writable (n, d)
+float64 matrix whose row i attributes f(x_i) to the features.  Gradient is
+one ``gradient_batch`` call on the sample matrix and Gradient*Input masks it
+by that matrix.  Integrated Gradients sums each row's path in chunks of
+points, so no array grows with n times p.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .featurespace import SparseBinaryVector
-from .models import TrainedModel, input_gradient
+from .featurespace import _dense_rows
+from .models import TrainedModel
+
+# Values per chunk of integrated-gradients path points: 4 MiB of float64.
+_IG_CHUNK_VALUES = 2 ** 19
 
 
-@dataclass(frozen=True, eq=False)
-class RelevanceVector:
-    """Per-feature contributions to f(x); positive means malicious-leaning."""
-
-    values: np.ndarray
-    method: str
-    sample: SparseBinaryVector | None = None
-    baseline: np.ndarray | None = None
-    p: int | None = None
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("relevance values must be a 1-d vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("relevance values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def d(self) -> int:
-        return int(self.values.shape[0])
+def _finite(R: np.ndarray) -> np.ndarray:
+    if not np.isfinite(R).all():
+        raise ValueError("attributions must be finite")
+    return R
 
 
-def attribution_gradient(model: TrainedModel,
-                         x: SparseBinaryVector) -> RelevanceVector:
-    """r = grad f(x)."""
-    return RelevanceVector(input_gradient(model, x), "gradient", sample=x)
+def attribution_gradient(model: TrainedModel, samples) -> np.ndarray:
+    """Row i is grad f(x_i)."""
+    # copied: a linear model's gradient is a read-only broadcast of its weights
+    return _finite(np.array(model.gradient_batch(_dense_rows(samples, model.d))))
 
 
-def attribution_gradient_input(model: TrainedModel,
-                               x: SparseBinaryVector) -> RelevanceVector:
-    """r_i = (grad f(x))_i * x_i, so absent features get exactly zero."""
-    grad = input_gradient(model, x)
-    return RelevanceVector(grad * x.to_dense(), "gradient_input", sample=x)
+def attribution_gradient_input(model: TrainedModel, samples) -> np.ndarray:
+    """Row i is grad f(x_i) * x_i, so absent features get exactly zero."""
+    X = _dense_rows(samples, model.d)
+    return _finite(model.gradient_batch(X) * X)
 
 
-def attribution_integrated_gradients(model: TrainedModel, x: SparseBinaryVector,
-                                     baseline=None, p: int = 100,
-                                     chunk: int = 8192) -> RelevanceVector:
-    """Right-endpoint path sum of gradients from the baseline to x.
+def attribution_integrated_gradients(model: TrainedModel, samples,
+                                     baseline=None, p: int = 100) -> np.ndarray:
+    """Right-endpoint path sum of gradients from the baseline to each x.
 
     r_i = (x_i - x'_i) * (1/p) * sum_{k=1..p} grad_i f(x' + (k/p)(x - x')),
-    with the all-zeros baseline by default.  Gradients are evaluated in
-    fixed-size chunks of path points, so the result is identical for any p
-    that fits in memory.
+    with the all-zeros baseline by default or one (d,) array x'.  Each row's
+    gradients are summed over chunks of max(1, 2**19 // d) path points, so
+    a row's result does not depend on the other rows.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if x.dim != model.d:
-        raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
-    if baseline is None:
-        base = np.zeros(x.dim)
-    elif isinstance(baseline, SparseBinaryVector):
-        if baseline.dim != x.dim:
-            raise ValueError("baseline dimensionality does not match the sample")
-        base = baseline.to_dense()
-    else:
-        base = np.asarray(baseline, dtype=np.float64)
-        if base.shape != (x.dim,):
-            raise ValueError("baseline dimensionality does not match the sample")
-
-    delta = x.to_dense() - base
-    grad_sum = np.zeros(x.dim)
-    for start in range(1, p + 1, chunk):
-        ks = np.arange(start, min(start + chunk, p + 1), dtype=np.float64)
-        points = base[None, :] + (ks / p)[:, None] * delta[None, :]
-        grad_sum += model.gradient_batch(points).sum(axis=0)
-    values = delta * grad_sum / p
-    return RelevanceVector(values, "integrated_gradients", sample=x,
-                           baseline=base, p=p)
+    X = _dense_rows(samples, model.d)
+    base = np.zeros(model.d) if baseline is None else np.asarray(
+        baseline, dtype=np.float64)
+    if base.shape != (model.d,):
+        raise ValueError("baseline dimensionality does not match the model")
+    chunk = max(1, _IG_CHUNK_VALUES // model.d)
+    R = np.empty_like(X)
+    for row, x in enumerate(X):
+        delta = x - base
+        grad_sum = np.zeros(model.d)
+        for start in range(1, p + 1, chunk):
+            ks = np.arange(start, min(start + chunk, p + 1), dtype=np.float64)
+            points = base[None, :] + (ks / p)[:, None] * delta[None, :]
+            grad_sum += model.gradient_batch(points).sum(axis=0)
+        R[row] = delta * grad_sum / p
+    return _finite(R)
 
 
-def relevance_percentages(r: RelevanceVector) -> np.ndarray:
-    """Signed share of total absolute relevance, in percent."""
-    total = np.abs(r.values).sum()
+def relevance_percentages(r: np.ndarray) -> np.ndarray:
+    """Signed share of one attribution row's total absolute relevance, in
+    percent."""
+    total = np.abs(r).sum()
     if total == 0.0:
-        return np.zeros_like(r.values)
-    return r.values / total * 100.0
+        return np.zeros_like(r)
+    return r / total * 100.0
 
 
-def top_features(r: RelevanceVector, k: int) -> list[tuple[int, float, float]]:
-    """The k most relevant features as (index, value, percent), by |value|."""
-    order = np.argsort(-np.abs(r.values), kind="stable")[:k]
+def top_features(r: np.ndarray, k: int) -> list[tuple[int, float, float]]:
+    """The k most relevant features of one attribution row as
+    (index, value, percent), by |value|."""
+    order = np.argsort(-np.abs(r), kind="stable")[:k]
     pct = relevance_percentages(r)
-    return [(int(i), float(r.values[i]), float(pct[i])) for i in order]
+    return [(int(i), float(r[i]), float(pct[i])) for i in order]

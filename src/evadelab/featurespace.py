@@ -69,6 +69,18 @@ class SparseBinaryVector:
         return len(self.indices)
 
 
+def _dense_rows(samples, d: int, dtype=np.float64) -> np.ndarray:
+    """The (n, d) 0/1 matrix of a sequence of d-dimensional samples."""
+    samples = list(samples)
+    out = np.zeros((len(samples), d), dtype=dtype)
+    for row, x in enumerate(samples):
+        if x.dim != d:
+            raise ValueError(f"sample dim {x.dim} does not match d={d}")
+        if x.indices:
+            out[row, list(x.indices)] = 1
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Samples plus labels in {-1,+1}, where +1 marks the malicious class."""
@@ -102,11 +114,7 @@ class LabeledDataset:
         return np.asarray(self.labels, dtype=np.float64)
 
     def to_dense_matrix(self, dtype=np.float64) -> np.ndarray:
-        out = np.zeros((self.n, self.d), dtype=dtype)
-        for row, x in enumerate(self.samples):
-            if x.indices:
-                out[row, list(x.indices)] = 1
-        return out
+        return _dense_rows(self.samples, self.d, dtype)
 
     def subset(self, row_indices) -> "LabeledDataset":
         rows = [int(i) for i in row_indices]

@@ -106,15 +106,22 @@ class KernelModel:
         # Row j: the change of ||x - s_i||^2 when x_j goes from 0 to 1.
         return np.ascontiguousarray((1.0 - 2.0 * self._sv_matrix).T)
 
+    # The batch methods update their temporaries in place: the same
+    # operations in the same order as the expressions they spell out, with
+    # fewer (points x n_sv) and (points x d) arrays allocated.
+
     def _sq_distances(self, points: np.ndarray) -> np.ndarray:
-        sq = ((points * points).sum(axis=1)[:, None]
-              + self._sv_sqnorms[None, :]
-              - 2.0 * points @ self._sv_matrix.T)
+        sq = (points * points).sum(axis=1)[:, None] + self._sv_sqnorms[None, :]
+        sq -= 2.0 * points @ self._sv_matrix.T
         np.maximum(sq, 0.0, out=sq)
         return sq
 
     def _weights_from_sq(self, sq: np.ndarray) -> np.ndarray:
-        return np.exp(-self.gamma * sq) * self.dual_coeffs[None, :]
+        """exp(-gamma sq) * c, leaving sq unchanged."""
+        w = np.multiply(sq, -self.gamma)
+        np.exp(w, out=w)
+        w *= self.dual_coeffs[None, :]
+        return w
 
     def _kernel_weights(self, points: np.ndarray) -> np.ndarray:
         return self._weights_from_sq(self._sq_distances(points))
@@ -156,16 +163,22 @@ class KernelModel:
     def decision_batch(self, points: np.ndarray) -> np.ndarray:
         return self._kernel_weights(points).sum(axis=1) + self.bias
 
+    def _gradient(self, points: np.ndarray, w: np.ndarray,
+                  totals: np.ndarray) -> np.ndarray:
+        """-2 gamma (x * sum_i w_i - w @ S) for each point."""
+        grad = points * totals[:, None]
+        grad -= w @ self._sv_matrix
+        grad *= -2.0 * self.gamma
+        return grad
+
     def gradient_batch(self, points: np.ndarray) -> np.ndarray:
         w = self._kernel_weights(points)
-        return -2.0 * self.gamma * (points * w.sum(axis=1)[:, None]
-                                    - w @ self._sv_matrix)
+        return self._gradient(points, w, w.sum(axis=1))
 
     def decision_and_gradient_batch(self, points):
         w = self._kernel_weights(points)
         totals = w.sum(axis=1)
-        grad = -2.0 * self.gamma * (points * totals[:, None] - w @ self._sv_matrix)
-        return totals + self.bias, grad
+        return totals + self.bias, self._gradient(points, w, totals)
 
 
 TrainedModel = LinearModel | KernelModel

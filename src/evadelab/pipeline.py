@@ -108,6 +108,12 @@ class ExperimentConfig:
             raise ValueError("give exactly one of dataset_path or synthetic")
         if any(e < 1 for e in self.eps_grid) or not self.eps_grid:
             raise ValueError("eps_grid must be non-empty positive integers")
+        if self.evenness_m < 2:
+            raise ValueError("evenness_m must be >= 2")
+        if self.ig_p < 1:
+            raise ValueError("ig_p must be >= 1")
+        if self.n_attack_samples < 1:
+            raise ValueError("n_attack_samples must be >= 1")
         for m in self.methods:
             if m not in ATTRIBUTION_METHODS:
                 raise ValueError(f"unknown attribution method {m!r}")
@@ -242,12 +248,16 @@ def _train_spec(spec: ClassifierSpec, train_ds: LabeledDataset,
     return train_linear(train_ds, cfg)
 
 
-def _attribution(method: str, model: TrainedModel, x, ig_p: int):
+def _attribution(method: str, model: TrainedModel, samples,
+                 ig_p: int) -> np.ndarray:
+    """The (n, d) attributions of one method.  The functions are looked up
+    as module globals at call time, so a wrapper installed on these names
+    (as studybench's traced run does) sees every call."""
     if method == "gradient":
-        return attribution_gradient(model, x)
+        return attribution_gradient(model, samples)
     if method == "gradient_input":
-        return attribution_gradient_input(model, x)
-    return attribution_integrated_gradients(model, x, p=ig_p)
+        return attribution_gradient_input(model, samples)
+    return attribution_integrated_gradients(model, samples, p=ig_p)
 
 
 def _choose_rows(rows: list[int], limit: int, rng: np.random.Generator) -> list[int]:
@@ -289,13 +299,13 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
         benign_rows = _choose_rows(benign_rows, cfg.n_attack_samples, rng)
         benign = [test_ds.samples[i] for i in benign_rows]
     for method in cfg.methods:
-        rels = [_attribution(method, model, x, cfg.ig_p) for x in samples]
-        cell.evenness[method] = evenness_report(rels, cfg.evenness_m, method)
+        R = _attribution(method, model, samples, cfg.ig_p)
+        cell.evenness[method] = evenness_report(R, cfg.evenness_m, method)
         cell.summary_evenness[method] = cell.evenness[method]
         if benign:
-            rels += [_attribution(method, model, x, cfg.ig_p) for x in benign]
+            R = np.vstack([R, _attribution(method, model, benign, cfg.ig_p)])
             cell.summary_evenness[method] = evenness_report(
-                rels, cfg.evenness_m, method)
+                R, cfg.evenness_m, method)
         for metric in EVENNESS_METRICS:
             pairs = _evenness_robustness_pairs(cell, method, metric)
             if len(pairs) < 3:

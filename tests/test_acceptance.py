@@ -65,10 +65,10 @@ def test_criterion_01_linear_ig_equals_gradient_input():
         d = int(rng.integers(5, 30))
         model = LinearModel(rng.normal(size=d), float(rng.normal()))
         x = vec(np.flatnonzero(rng.random(d) < 0.4), d)
-        gi = attribution_gradient_input(model, x)
+        gi = attribution_gradient_input(model, [x])
         for p in (1, 10, 100):
-            ig = attribution_integrated_gradients(model, x, p=p)
-            worst = max(worst, float(np.max(np.abs(gi.values - ig.values))))
+            ig = attribution_integrated_gradients(model, [x], p=p)
+            worst = max(worst, float(np.max(np.abs(gi - ig))))
     elapsed = time.perf_counter() - start
     _report("1 linear IG == Gradient*Input", worst < 1e-12 and elapsed < 1.0,
             f"max diff {worst:.2e}, {elapsed:.2f}s")
@@ -91,18 +91,17 @@ def test_criterion_02_ig_completeness_on_kernel_models():
         rng.shuffle(malware)
         for x in malware[:5]:
             n_cases += 1
-            r1k = attribution_integrated_gradients(model, x, p=1000)
-            r1m = attribution_integrated_gradients(model, x, p=10 ** 6,
-                                                   chunk=65536)
+            r1k = attribution_integrated_gradients(model, [x], p=1000)
+            r1m = attribution_integrated_gradients(model, [x], p=10 ** 6)
             f_x = score(model, x)
             f_0 = float(model.decision_batch(np.zeros(8)[None])[0])
             delta = f_x - f_0
             tol = max(1e-6, 1e-3 * abs(delta))
             worst_ratio = max(worst_ratio,
-                              abs(r1k.values.sum() - delta) / tol)
+                              abs(r1k.sum() - delta) / tol)
             # the p=1e6 reference sum must be far closer (error ~ 1/p)
-            worst_ref = max(worst_ref, abs(r1m.values.sum() - delta)
-                            / max(abs(r1k.values.sum() - delta), 1e-18))
+            worst_ref = max(worst_ref, abs(r1m.sum() - delta)
+                            / max(abs(r1k.sum() - delta), 1e-18))
     elapsed = time.perf_counter() - start
     _report("2 IG completeness at p=1000 (kernel)",
             n_cases == 50 and worst_ratio <= 1.0 and worst_ref < 0.05

@@ -14,14 +14,14 @@ EXPORTED = {
     "AttackConfig", "AttackResult", "ClassifierSpec", "CorrelationReport",
     "EvennessReport", "ExperimentConfig", "ExperimentReport", "FeatureSpace",
     "KernelModel", "LabeledDataset", "LinearModel", "NOT_EVADABLE", "PRESETS",
-    "RelevanceVector", "RobustnessScore", "SecurityCurve",
+    "RobustnessScore", "SecurityCurve",
     "SparseBinaryVector", "SyntheticConfig", "TrainConfig",
     "UndefinedEvennessError", "adversarial_loss", "attack_scores_over_grid",
     "attribution_gradient", "attribution_gradient_input",
     "attribution_integrated_gradients", "auc", "correlation_suite",
     "cumulative_ratio", "detection_rate_at_fpr", "emit_scatter_data",
     "epsilon_min", "epsilon_min_batch", "evenness_e1", "evenness_e2",
-    "evenness_report", "generate_synthetic", "greedy_linear_evasion",
+    "evenness_report", "generate_synthetic",
     "grid_cv", "input_gradient", "kendall", "load_dataset", "load_model",
     "pearson", "pgd_evasion", "project", "robustness_from_scores",
     "roc_curve", "run_experiment", "save_dataset", "save_model", "score",

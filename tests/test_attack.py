@@ -7,9 +7,8 @@ import pytest
 from evadelab import attack as attack_mod
 from evadelab.attack import (NOT_EVADABLE, AttackConfig, AttackResult,
                              SecurityCurve, attack_scores_over_grid,
-                             epsilon_min, epsilon_min_batch,
-                             greedy_linear_evasion, pgd_evasion, project,
-                             security_evaluation)
+                             epsilon_min, epsilon_min_batch, pgd_evasion,
+                             project, security_evaluation)
 from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
                                    generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
@@ -30,6 +29,43 @@ def brute_force_best(model, x, eps):
         for add in itertools.combinations(absent, k):
             best = min(best, score(model, vec(base | set(add), x.dim)))
     return best
+
+
+def greedy_linear_evasion(model, x, epsilon, threshold=0.0):
+    """Reference oracle: the exact feature-addition attack on a linear model.
+
+    Absent negative-weight features are added from most to least negative,
+    stopping as soon as the score drops below the threshold or the budget is
+    spent.  The greedy grid of attack_scores_over_grid must agree with it.
+    """
+    if not isinstance(model, LinearModel):
+        raise TypeError("greedy_linear_evasion requires a linear model")
+    attack_mod._check_budget(epsilon)
+    s = score(model, x)
+    trace = [s]
+    if s < threshold:
+        return attack_mod._check_result(
+            AttackResult(x, (), tuple(trace), True, 0), x, epsilon)
+
+    w = model.weights
+    present = np.zeros(model.d, dtype=bool)
+    present[list(x.indices)] = True
+    candidates = np.flatnonzero(~present & (w < 0.0))
+    candidates = candidates[np.argsort(w[candidates], kind="stable")]
+
+    added = []
+    evaded = False
+    for idx in candidates[:epsilon]:
+        added.append(int(idx))
+        s += float(w[idx])
+        trace.append(s)
+        if s < threshold:
+            evaded = True
+            break
+    adv = SparseBinaryVector.from_indices(list(x.indices) + added, x.dim)
+    result = AttackResult(adv, tuple(sorted(added)), tuple(trace), evaded,
+                          len(added))
+    return attack_mod._check_result(result, x, epsilon)
 
 
 class TestAttackConfig:

@@ -194,8 +194,7 @@ class TestEvenness:
         model = load_model(workdir / "model.json")
         ds = load_dataset(workdir / "test.txt", d_hint=model.d)
         report = evenness_report(
-            [_attribution("integrated_gradients", model, x, 20)
-             for x in ds.samples], 20)
+            _attribution("integrated_gradients", model, ds.samples, 20), 20)
         footer = read_csv(out)[-1]
         assert footer["sample_id"] == "average"
         assert float(footer["e1"]) == report.averaged_e1

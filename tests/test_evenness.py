@@ -5,7 +5,6 @@ import pytest
 
 from evadelab.evenness import (UndefinedEvennessError, cumulative_ratio,
                                evenness_e1, evenness_e2, evenness_report)
-from evadelab.explain import RelevanceVector
 
 
 class TestCumulativeRatio:
@@ -60,10 +59,6 @@ class TestEvennessValues:
         # fewer entries than m: zeros fill the window
         assert evenness_e2(np.array([3.0, 3.0]), 4) == pytest.approx(0.5)
 
-    def test_relevance_vector_accepted(self):
-        r = RelevanceVector(np.array([2.0, 1.0, 1.0, 0.0]), "gradient")
-        assert evenness_e1(r, 4) == pytest.approx(0.5)
-
 
 class TestInvariances:
     def _random_vectors(self, n=1000, d=12, seed=0):
@@ -113,6 +108,60 @@ class TestInvariances:
             moved[big] += shift
             moved[small] -= shift
             assert evenness_e1(moved, m) <= evenness_e1(v, m) + 1e-12
+
+
+def loop_evenness(r, m):
+    """Reference oracle: one vector's (E1, E2) from its own argsort, or
+    (None, None) when its top-m window is all zero."""
+    a = np.abs(np.asarray(r, dtype=np.float64))
+    top = a[np.argsort(-a, kind="stable")[:m]]
+    top = np.concatenate([top, np.zeros(m - top.shape[0])])
+    if top[0] == 0.0:
+        return None, None
+    cums = np.cumsum(top)
+    e1 = 2.0 / (m - 1.0) * (m - float((cums / cums[-1]).sum()))
+    return e1, float(top.sum() / top[0] / m)
+
+
+class TestMatrixReport:
+    """evenness_report over a matrix against the one-row functions."""
+
+    def _check_rows(self, R, m):
+        report = evenness_report(R, m)
+        assert len(report.per_sample_e1) == R.shape[0]
+        for row, r in enumerate(R):
+            try:
+                want = (evenness_e1(r, m), evenness_e2(r, m))
+            except UndefinedEvennessError:
+                want = (None, None)
+            got = (report.per_sample_e1[row], report.per_sample_e2[row])
+            assert got == want == loop_evenness(r, m)
+        return report
+
+    def test_rows_equal_scalar_metrics(self):
+        rng = np.random.default_rng(5)
+        for d, m in ((30, 12), (30, 30), (7, 12), (1, 2)):
+            R = rng.normal(size=(40, d))
+            R[rng.random(R.shape) < 0.3] = 0.0
+            R[3] = 0.0                       # an undefined row
+            R[4] = np.round(R[4])            # ties
+            report = self._check_rows(R, m)
+            assert report.n_undefined >= 1
+
+    def test_zero_padded_columns_change_nothing(self):
+        rng = np.random.default_rng(6)
+        R = rng.normal(size=(20, 9))
+        padded = np.hstack([R, np.zeros((20, 5))])
+        for m in (4, 9, 20):
+            assert evenness_report(R, m) == evenness_report(padded, m)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="m must be >= 2"):
+            evenness_report(np.ones((2, 3)), 1)
+        with pytest.raises(ValueError, match="finite"):
+            evenness_report(np.array([[1.0, np.nan]]), 2)
+        with pytest.raises(ValueError):
+            evenness_report(np.ones(3), 2)
 
 
 class TestAverages:

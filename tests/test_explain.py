@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from evadelab.explain import (RelevanceVector, attribution_gradient,
+from evadelab import explain
+from evadelab.explain import (attribution_gradient,
                               attribution_gradient_input,
                               attribution_integrated_gradients,
                               relevance_percentages, top_features)
-from evadelab.featurespace import SparseBinaryVector
-from evadelab.models import KernelModel, LinearModel, score
+from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
+                                   generate_synthetic)
+from evadelab.models import (KernelModel, LinearModel, TrainConfig, score,
+                             train_linear, train_rbf_svm)
 
 
 def vec(indices, d):
@@ -23,16 +26,15 @@ class TestGradient:
     def test_linear_constant_across_samples(self):
         w = np.array([1.0, -2.0, 3.0])
         m = LinearModel(w, 0.0)
-        r1 = attribution_gradient(m, vec([0], 3))
-        r2 = attribution_gradient(m, vec([1, 2], 3))
-        assert np.array_equal(r1.values, w)
-        assert np.array_equal(r1.values, r2.values)
+        r1, r2 = attribution_gradient(m, [vec([0], 3), vec([1, 2], 3)])
+        assert np.array_equal(r1, w)
+        assert np.array_equal(r1, r2)
 
     def test_kernel_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         m = random_kernel_model(rng, 6, 5, 0.6)
         x = vec([0, 3, 5], 6)
-        r = attribution_gradient(m, x)
+        r = attribution_gradient(m, [x])[0]
         h = 1e-4
         base = x.to_dense()
         for i in range(6):
@@ -42,28 +44,28 @@ class TestGradient:
             dn[i] -= h
             fd = (m.decision_batch(up[None])[0]
                   - m.decision_batch(dn[None])[0]) / (2 * h)
-            assert abs(r.values[i] - fd) / max(abs(fd), 1e-12) < 1e-5
+            assert abs(r[i] - fd) / max(abs(fd), 1e-12) < 1e-5
 
 
 class TestGradientInput:
     def test_masked_product(self):
         m = LinearModel(np.array([1.0, -2.0, 3.0]), 0.0)
-        r = attribution_gradient_input(m, vec([0, 1], 3))
-        assert np.array_equal(r.values, [1.0, -2.0, 0.0])
+        r = attribution_gradient_input(m, [vec([0, 1], 3)])
+        assert np.array_equal(r, [[1.0, -2.0, 0.0]])
 
     def test_empty_sample_all_zero(self):
         m = LinearModel(np.array([1.0, -2.0, 3.0]), 0.0)
-        r = attribution_gradient_input(m, vec([], 3))
-        assert np.array_equal(r.values, np.zeros(3))
+        r = attribution_gradient_input(m, [vec([], 3)])
+        assert np.array_equal(r, np.zeros((1, 3)))
 
     def test_support_containment_on_kernel(self):
         rng = np.random.default_rng(4)
         for _ in range(10):
             m = random_kernel_model(rng, 8, 4, 0.5)
             x = vec(np.flatnonzero(rng.random(8) < 0.4), 8)
-            r = attribution_gradient_input(m, x)
+            r = attribution_gradient_input(m, [x])[0]
             absent = [i for i in range(8) if i not in x.indices]
-            assert np.all(r.values[absent] == 0.0)
+            assert np.all(r[absent] == 0.0)
 
 
 class TestIntegratedGradients:
@@ -72,16 +74,17 @@ class TestIntegratedGradients:
         for p in (1, 10, 100):
             m = LinearModel(rng.normal(size=12), float(rng.normal()))
             x = vec(np.flatnonzero(rng.random(12) < 0.5), 12)
-            gi = attribution_gradient_input(m, x)
-            ig = attribution_integrated_gradients(m, x, p=p)
-            assert np.max(np.abs(gi.values - ig.values)) < 1e-12
+            gi = attribution_gradient_input(m, [x])
+            ig = attribution_integrated_gradients(m, [x], p=p)
+            assert np.max(np.abs(gi - ig)) < 1e-12
 
     def test_zero_path(self):
         rng = np.random.default_rng(6)
         m = random_kernel_model(rng, 5, 3, 0.4)
         x = vec([1, 3], 5)
-        r = attribution_integrated_gradients(m, x, baseline=x, p=50)
-        assert np.array_equal(r.values, np.zeros(5))
+        r = attribution_integrated_gradients(m, [x], baseline=x.to_dense(),
+                                             p=50)
+        assert np.array_equal(r, np.zeros((1, 5)))
 
     def test_completeness_on_trained_kernel(self):
         # a trained machine keeps f(x) - f(0) away from the cancellation
@@ -94,11 +97,11 @@ class TestIntegratedGradients:
         ds = generate_synthetic(cfg)
         m = train_rbf_svm(ds, 10.0, 0.1, TrainConfig(epochs=30, seed=0))
         malware = [s for s, y in zip(ds.samples, ds.labels) if y == 1]
-        for x in malware[:5]:
-            r = attribution_integrated_gradients(m, x, p=1000)
+        R = attribution_integrated_gradients(m, malware[:5], p=1000)
+        for x, r in zip(malware[:5], R):
             f_x = score(m, x)
             f_0 = float(m.decision_batch(np.zeros(10)[None])[0])
-            gap = abs(r.values.sum() - (f_x - f_0))
+            gap = abs(r.sum() - (f_x - f_0))
             assert gap <= max(1e-6, 1e-3 * abs(f_x - f_0))
 
     def test_cauchy_refinement(self):
@@ -106,44 +109,129 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(8)
         m = random_kernel_model(rng, 6, 4, 0.5)
         x = vec([0, 1, 4], 6)
-        r = {p: attribution_integrated_gradients(m, x, p=p).values
+        r = {p: attribution_integrated_gradients(m, [x], p=p)
              for p in (250, 500, 1000, 2000)}
         d1 = np.max(np.abs(r[500] - r[250]))
         d2 = np.max(np.abs(r[1000] - r[500]))
         d3 = np.max(np.abs(r[2000] - r[1000]))
         assert d2 < d1 and d3 < d2
 
-    def test_chunking_is_invisible(self):
+    def test_chunking_is_invisible(self, monkeypatch):
         rng = np.random.default_rng(9)
         m = random_kernel_model(rng, 5, 3, 0.3)
         x = vec([1, 2], 5)
-        a = attribution_integrated_gradients(m, x, p=300, chunk=7)
-        b = attribution_integrated_gradients(m, x, p=300, chunk=300)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+        monkeypatch.setattr(explain, "_IG_CHUNK_VALUES", 7 * 5)
+        a = attribution_integrated_gradients(m, [x], p=300)
+        monkeypatch.setattr(explain, "_IG_CHUNK_VALUES", 300 * 5)
+        b = attribution_integrated_gradients(m, [x], p=300)
+        assert np.max(np.abs(a - b)) < 1e-12
+
+    def test_one_chunk_of_points_per_gradient_call(self):
+        # 2**19 values per chunk: 4 points of d = 2**17, so no call holds
+        # more than 4 MiB of points whatever p is
+        class Recording:
+            d = 2 ** 17
+            rows = []
+
+            def gradient_batch(self, points):
+                self.rows.append(points.shape[0])
+                return np.zeros(points.shape)
+
+        model = Recording()
+        attribution_integrated_gradients(model, [vec([0], model.d)] * 2, p=10)
+        assert model.rows == [4, 4, 2] * 2
 
     def test_validation(self):
         m = LinearModel(np.ones(3), 0.0)
         with pytest.raises(ValueError):
-            attribution_integrated_gradients(m, vec([0], 3), p=0)
+            attribution_integrated_gradients(m, [vec([0], 3)], p=0)
         with pytest.raises(ValueError):
-            attribution_integrated_gradients(m, vec([0], 3),
+            attribution_integrated_gradients(m, [vec([0], 3)],
                                              baseline=np.zeros(4))
+        with pytest.raises(ValueError):
+            attribution_gradient(m, [vec([0], 3), vec([0], 4)])
 
 
 class TestReporting:
     def test_percentages_sum_to_100_in_magnitude(self):
-        r = RelevanceVector(np.array([2.0, -1.0, 1.0]), "gradient")
-        pct = relevance_percentages(r)
+        pct = relevance_percentages(np.array([2.0, -1.0, 1.0]))
         assert np.abs(pct).sum() == pytest.approx(100.0)
         assert pct[0] == pytest.approx(50.0)
         assert pct[1] == pytest.approx(-25.0)
 
     def test_top_features_ordering(self):
-        r = RelevanceVector(np.array([0.5, -3.0, 1.0, 0.0]), "gradient")
-        top = top_features(r, 2)
+        top = top_features(np.array([0.5, -3.0, 1.0, 0.0]), 2)
         assert [t[0] for t in top] == [1, 2]
         assert top[0][1] == -3.0
 
     def test_all_zero_percentages(self):
-        r = RelevanceVector(np.zeros(4), "gradient_input")
-        assert np.array_equal(relevance_percentages(r), np.zeros(4))
+        assert np.array_equal(relevance_percentages(np.zeros(4)), np.zeros(4))
+
+
+def reference_ig(model, x, p):
+    """One sample's zero-baseline path sum as one (p, d) gradient batch."""
+    delta = x.to_dense()
+    points = (np.arange(1, p + 1) / p)[:, None] * delta[None, :]
+    return delta * model.gradient_batch(points).sum(axis=0) / p
+
+
+class TestBatchedRows:
+    """Row i of one batched call against a one-sample call on x_i."""
+
+    @pytest.fixture(scope="class")
+    def cell(self):
+        cfg = SyntheticConfig(d=40, n_benign=60, n_malware=60, n_strong=6,
+                              strong_rate_gap=0.5, weak_rate_gap=0.1,
+                              base_density=0.2, seed=17)
+        ds = generate_synthetic(cfg)
+        linear = train_linear(ds, TrainConfig("hinge", 1.0, epochs=5, seed=0))
+        rbf = train_rbf_svm(ds, 10.0, 0.05, TrainConfig(epochs=5, seed=0))
+        samples = list(ds.samples[:50]) + [vec([], 40)]
+        return linear, rbf, samples
+
+    @pytest.mark.parametrize("method", [attribution_gradient,
+                                        attribution_gradient_input,
+                                        attribution_integrated_gradients])
+    def test_linear_rows_bitwise(self, cell, method):
+        linear, _, samples = cell
+        R = method(linear, samples)
+        assert R.shape == (len(samples), 40) and R.dtype == np.float64
+        for row, x in enumerate(samples):
+            assert np.array_equal(R[row], method(linear, [x])[0])
+
+    def test_ig_rows_bitwise_on_kernel(self, cell):
+        _, rbf, samples = cell
+        R = attribution_integrated_gradients(rbf, samples, p=100)
+        for row, x in enumerate(samples):
+            single = attribution_integrated_gradients(rbf, [x], p=100)[0]
+            assert np.array_equal(R[row], single)
+            assert np.array_equal(R[row], reference_ig(rbf, x, 100))
+
+    @pytest.mark.parametrize("method", [attribution_gradient,
+                                        attribution_gradient_input])
+    def test_kernel_rows_within_blas_rounding(self, cell, method):
+        # a batched BLAS product may round unlike the single-row one
+        _, rbf, samples = cell
+        R = method(rbf, samples)
+        single = np.vstack([method(rbf, [x]) for x in samples])
+        assert np.max(np.abs(R - single)) <= 1e-14
+
+    def test_matrices_are_writable(self, cell):
+        linear, rbf, samples = cell
+        for model in (linear, rbf):
+            for method in (attribution_gradient, attribution_gradient_input,
+                           attribution_integrated_gradients):
+                R = method(model, samples[:3])
+                R[0, 0] = 1.0
+
+    def test_non_finite_gradients_rejected(self):
+        class Broken:
+            d = 3
+
+            def gradient_batch(self, points):
+                return np.full(points.shape, np.nan)
+
+        for method in (attribution_gradient, attribution_gradient_input,
+                       attribution_integrated_gradients):
+            with pytest.raises(ValueError, match="finite"):
+                method(Broken(), [vec([0], 3)])

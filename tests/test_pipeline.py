@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from collections import Counter
 
 import pytest
 
 import numpy as np
 
+from evadelab import pipeline
 from evadelab.evenness import UndefinedEvennessError, evenness_e1
 from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
@@ -147,7 +149,8 @@ class TestRunExperiment:
             for x in malware + benign:
                 try:
                     values.append(evenness_e1(_attribution(
-                        method, cell.model, x, cfg.ig_p), cfg.evenness_m))
+                        method, cell.model, [x], cfg.ig_p)[0],
+                        cfg.evenness_m))
                 except UndefinedEvennessError:
                     pass
             want = math.fsum(values) / len(values)
@@ -159,6 +162,34 @@ class TestRunExperiment:
             assert len(cell.evenness[method].per_sample_e1) == len(malware)
         assert (cell.evenness["gradient_input"].averaged_e1
                 != float(summary["avg_e1_gradient_input"]))
+
+    @pytest.mark.parametrize("include_benign", [False, True])
+    def test_one_attribution_call_per_cell_and_method(self, monkeypatch,
+                                                      include_benign):
+        # the layer entry points are looked up as pipeline globals, so a
+        # wrapper installed there sees every call of a run
+        names = ("attribution_gradient", "attribution_gradient_input",
+                 "attribution_integrated_gradients", "evenness_report")
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(pipeline, name,
+                                counted(name, getattr(pipeline, name)))
+        report = run_experiment(small_config(
+            evenness_include_benign=include_benign))
+        cells = len(report.ok_cells())
+        assert cells == 2
+        per_cell = 2 if include_benign else 1
+        assert calls == {"attribution_gradient": cells * per_cell,
+                         "attribution_gradient_input": cells * per_cell,
+                         "attribution_integrated_gradients": cells * per_cell,
+                         "evenness_report": 3 * cells * per_cell}
 
     def test_manifest_carries_config_and_seeds(self, small_report):
         _, out = small_report
@@ -309,6 +340,13 @@ class TestConfigParsing:
             small_config(classifiers=(PRESETS["svm"], PRESETS["svm"]))
         with pytest.raises(ValueError, match="unknown attack method"):
             small_config(attack_method="bogus")
+
+    @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
+                                         {"n_attack_samples": 0}])
+    def test_study_settings_fail_fast(self, setting):
+        # each would otherwise fail every cell after training and attacking
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            small_config(**setting)
 
 
 class TestGridCV:
