@@ -7,12 +7,11 @@ from .featurespace import (FeatureSpace, LabeledDataset, SparseBinaryVector,
                            SyntheticConfig, generate_synthetic, load_dataset,
                            save_dataset, split)
 from .models import (KernelModel, LinearModel, TrainConfig, auc,
-                     detection_rate_at_fpr, input_gradient, load_model,
-                     roc_curve, save_model, score, train_linear, train_rbf_svm,
-                     train_secsvm)
-from .attack import (NOT_EVADABLE, AttackConfig, AttackResult, SecurityCurve,
+                     detection_rate_at_fpr, load_model, roc_curve, save_model,
+                     score, train_linear, train_rbf_svm, train_secsvm)
+from .attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
                      attack_scores_over_grid, epsilon_min, epsilon_min_batch,
-                     pgd_evasion, project, security_evaluation)
+                     project, security_evaluation)
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
 from .evenness import (EvennessReport, UndefinedEvennessError,

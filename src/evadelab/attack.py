@@ -1,16 +1,18 @@
 """Sparse feature-addition evasion.
 
 The gradient attack (Biggio et al., ECML-PKDD 2013) runs two projected-descent
-passes that share one best-feasible-iterate tracker.  The binary pass
-iterates on the projected binary point itself, re-evaluating the gradient
-after every accepted flip; the shadow pass descends a box-clipped
-real-relaxed iterate whose accumulated gradient pressure lets weakly-graded
-coordinates cross the binarization threshold.  Each step applies the
-composite projection (clip into the box [x0, 1], binarize at 0.5, keep the
-epsilon top-ranked changes), so every scored point is feasible, and the
-best-scoring feasible point ever seen is returned because the stopping rule
-can halt past the optimum.  The attack only ever adds features: the box keeps
-every feature the sample has, so the app keeps its malicious function.
+passes that lower one best-score matrix.  The binary pass iterates on the
+projected binary point itself, re-evaluating the gradient after every
+accepted flip; the shadow pass descends a box-clipped real-relaxed iterate
+whose accumulated gradient pressure lets weakly-graded coordinates cross the
+binarization threshold.  Each step applies the composite projection (clip
+into the box [x0, 1], binarize at 0.5, keep the epsilon top-ranked changes),
+so every scored point is feasible, and the best score of any feasible point
+seen is kept because the stopping rule can halt past the optimum.  Only
+scores are kept: no attack call returns adversarial points, and each point's
+budget and addition-only invariant is checked when its score is recorded.
+The attack only ever adds features: the box keeps every feature the sample
+has, so the app keeps its malicious function.
 
 One engine, ``_pgd_core``, attacks a whole list of budgets at once.  The
 shadow iterate never reads the budget (its step, its stopping test and its
@@ -22,7 +24,9 @@ RBF model the nested points are scored incrementally: points and support
 vectors are 0/1, so ||x - s_i||^2 is a small integer and flipping x_j moves it
 by exactly +-(1 - 2 s_ij); integer sums are exact in any order, so the scores
 equal those of the materialised points bit for bit.  The binary pass stays
-per budget, because its iterate is that budget's projection.
+per budget, because its iterate is that budget's projection.  A linear model
+gets no shadow pass: its gradient is constant, so the binary pass already
+adds features in the optimal order.
 
 For linear models an exact greedy oracle exists: additions are independent,
 so adding absent features in ascending weight order is optimal.  It stops
@@ -55,18 +59,15 @@ ATTACK_METHODS = ("auto", "pgd", "greedy")
 class AttackConfig:
     """Descent settings of the gradient attack; budgets are call arguments.
 
-    eta=None picks an adaptive step each iteration, normalized by the largest
-    gradient component that can still move: big enough to flip the steepest
+    Each iteration's step is adaptive, normalized by the largest gradient
+    component that can still move: big enough to flip the steepest
     coordinate on the binary-iterate pass, 0.1 of that on the shadow pass.
     """
 
-    eta: float | None = None
     tol: float = 1e-6
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0:
-            raise ValueError("eta must be positive")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 1:
@@ -76,19 +77,6 @@ class AttackConfig:
 def _check_budget(epsilon: int) -> None:
     if epsilon < 1:
         raise ValueError("epsilon must be >= 1")
-
-
-@dataclass(frozen=True)
-class AttackResult:
-    adversarial: SparseBinaryVector
-    added_indices: tuple[int, ...]
-    score_trace: tuple[float, ...]
-    evaded: bool
-    iterations: int
-
-    @property
-    def score_after(self) -> float:
-        return self.score_trace[-1]
 
 
 @dataclass(frozen=True)
@@ -127,19 +115,6 @@ def _check_feasible(X0b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         raise RuntimeError("attack returned a point over its change budget")
     if np.any(X0b[rows, cols]):
         raise RuntimeError("addition-only attack removed a present feature")
-
-
-def _check_result(result: AttackResult, x: SparseBinaryVector,
-                  epsilon: int) -> AttackResult:
-    """Feasibility of a result handed back to a caller; raises if broken."""
-    _check_budget(epsilon)
-    x0 = x.to_dense().astype(bool)[None]
-    _check_feasible(x0, *np.nonzero(result.adversarial.to_dense() != x0),
-                    epsilon)
-    if (set(result.adversarial.indices) - set(x.indices)
-            != set(result.added_indices)):
-        raise RuntimeError("added_indices do not match the adversarial point")
-    return result
 
 
 def project(x_cont: np.ndarray, x_orig: SparseBinaryVector,
@@ -225,20 +200,20 @@ def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
 
 def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
                   start, budgets, mode: str, cfg: AttackConfig,
-                  threshold: float, best_scores: np.ndarray,
-                  best_points: np.ndarray | None, traces) -> np.ndarray:
-    """One batched descent pass; updates best_scores (and best_points, when
-    given) in place, checking each point's feasibility as it is recorded.
+                  threshold: float, best_scores: np.ndarray) -> None:
+    """One batched descent pass; lowers best_scores in place, checking each
+    point's feasibility as its score is recorded.
 
-    best_* hold one column per budget.  mode "binary" (one budget) steps from
-    the budget's projected binary point each iteration, so the iterate hops
-    between feasible points with enough step to flip at least one
-    coordinate.  mode "shadow" descends a box-clipped real relaxation that
-    accumulates gradient pressure, so weakly-graded coordinates can still
-    cross the binarization threshold; its trajectory never reads the budget,
-    so each iterate is projected onto every budget.  One fused kernel call
-    per iteration evaluates the new iterate and gives the gradient that the
-    still-active rows step with next.  A row leaves the pass when its
+    best_scores holds one column per budget.  mode "binary" (one budget)
+    steps from the budget's projected binary point each iteration, so the
+    iterate hops between feasible points with enough step to flip at least
+    one coordinate.  mode "shadow" (kernel models) descends a box-clipped
+    real relaxation that accumulates gradient pressure, so weakly-graded
+    coordinates can still cross the binarization threshold; its trajectory
+    never reads the budget, so each iterate is projected onto every budget
+    and the nested projections are scored incrementally.  One fused kernel
+    call per iteration evaluates the new iterate and gives the gradient that
+    the still-active rows step with next.  A row leaves the pass when its
     objective converges.
     """
     scores0, grad0 = start
@@ -247,19 +222,14 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
     # already-benign samples are left alone
     rows = np.flatnonzero(scores0 >= threshold)
     g = grad0[rows]
-    nested = mode == "shadow" and isinstance(model, KernelModel)
-    if nested and rows.size:
+    if mode == "shadow" and rows.size:
         sq0 = model._sq_distances(cur)
     budget_arr = np.asarray(budgets)
     eta_scale = 0.5005 if mode == "binary" else 0.1
-    iterations = np.zeros(len(X0b), dtype=np.int64)
-    for it in range(1, cfg.max_iters + 1):
+    for _ in range(cfg.max_iters):
         if rows.size == 0:
             break
-        if cfg.eta is None:
-            eta = _movable_eta(g, cur[rows], lb[rows], eta_scale)
-        else:
-            eta = np.full(rows.size, cfg.eta)
+        eta = _movable_eta(g, cur[rows], lb[rows], eta_scale)
         stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
         X0r = X0b[rows]
         if mode == "binary":
@@ -267,78 +237,50 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             cur[rows] = binary
             obj, g = model.decision_and_gradient_batch(cur[rows])
             improved = obj < best_scores[rows, 0]
-            upd = rows[improved]
-            X0i, points = X0r[improved], binary[improved]
-            _check_feasible(X0i, *np.nonzero(points != X0i), budgets[0])
-            best_scores[upd, 0] = obj[improved]
-            if best_points is not None:
-                best_points[upd, 0] = points
+            X0i = X0r[improved]
+            _check_feasible(X0i, *np.nonzero(binary[improved] != X0i),
+                            budgets[0])
+            best_scores[rows[improved], 0] = obj[improved]
         else:
             order, counts = _ranked_changes(stepped, X0r)
-            if nested:
-                bin_scores = model._prefix_flip_decisions(
-                    sq0[rows], scores0[rows], X0r, order, counts, budgets)
-            else:
-                bin_scores = np.stack([model.decision_batch(
-                    _prefix_projection(X0r, order, counts, eps).astype(
-                        np.float64)) for eps in budgets], axis=1)
+            bin_scores = model._prefix_flip_decisions(
+                sq0[rows], scores0[rows], X0r, order, counts, budgets)
             ri, ci = np.nonzero(bin_scores < best_scores[rows])
             if ri.size:
                 _check_feasible(X0r[ri], *_prefix_changes(
                     order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
                 best_scores[rows[ri], ci] = bin_scores[ri, ci]
-                if best_points is not None:
-                    best_points[rows[ri], ci] = _prefix_projection(
-                        X0r[ri], order[ri], counts[ri], budget_arr[ci])
             cur[rows] = stepped
             obj, g = model.decision_and_gradient_batch(stepped)
 
         done = np.abs(obj - prev_obj[rows]) <= cfg.tol
         prev_obj[rows] = obj
-        iterations[rows] = it
-        if traces is not None:
-            for r in rows:
-                traces[r].append(float(best_scores[r, 0]))
         rows, g = rows[~done], g[~done]
-    return iterations
 
 
 def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
-              cfg: AttackConfig | None, threshold: float,
-              record_trace: bool = False):
-    """The batched attack at every budget of an ascending list.
+              cfg: AttackConfig | None, threshold: float) -> np.ndarray:
+    """(n, k) best scores of the batched attack at each budget of an
+    ascending list.
 
-    For each budget a binary pass, then one shadow pass shared by all
-    budgets; both feed the same best-feasible-iterate bookkeeping, so each
-    (row, budget) pair returns the best point either scheme visited for it.
-    On a linear model with the adaptive step, the binary pass already flips
-    absent features in exact descending-weight order (the gradient is
-    constant), which is the optimal addition schedule, so the shadow pass is
-    skipped.  Returns (n, k) scores, (n, k, d) points, (n, k) iteration
-    counts and each row's best score after every iteration.  Only
-    record_trace (one budget only) keeps the points and the traces; without
-    it both are None and no (n, k, d) array of points is held.
+    For each budget a binary pass, then on a kernel model one shadow pass
+    shared by all budgets; both lower the same score matrix, so each (row,
+    budget) pair gets the best feasible point either scheme visited.  On a
+    linear model the binary pass already flips absent features in exact
+    descending-weight order (the gradient is constant), which is the
+    optimal addition schedule, so there is no shadow pass.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     lb = X0b.astype(np.float64)
     start = model.decision_and_gradient_batch(lb)
-    k = len(budgets)
-    best_scores = np.repeat(start[0][:, None], k, axis=1)
-    best_points, traces = None, None
-    if record_trace:
-        best_points = np.repeat(X0b[:, None, :], k, axis=1)
-        traces = [[float(s)] for s in start[0]]
-
-    iterations = np.zeros((len(X0b), k), dtype=np.int64)
+    best_scores = np.repeat(start[0][:, None], len(budgets), axis=1)
     for col, eps in enumerate(budgets):
-        iterations[:, col] = _descent_pass(
-            model, X0b, lb, start, [eps], "binary", cfg, threshold,
-            best_scores[:, col:col + 1], best_points, traces)
-    if not (isinstance(model, LinearModel) and cfg.eta is None):
-        iterations += _descent_pass(
-            model, X0b, lb, start, budgets, "shadow", cfg, threshold,
-            best_scores, best_points, traces)[:, None]
-    return best_scores, best_points, iterations, traces
+        _descent_pass(model, X0b, lb, start, [eps], "binary", cfg, threshold,
+                      best_scores[:, col:col + 1])
+    if isinstance(model, KernelModel):
+        _descent_pass(model, X0b, lb, start, budgets, "shadow", cfg,
+                      threshold, best_scores)
+    return best_scores
 
 
 def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
@@ -372,26 +314,6 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
                                      method)
     return _first_evading_budget(scores, budgets, scores[:, 0], threshold,
                                  eps_max)
-
-
-def pgd_evasion(model: TrainedModel, x: SparseBinaryVector, epsilon: int,
-                cfg: AttackConfig | None = None,
-                threshold: float = 0.0) -> AttackResult:
-    """Gradient-descent evasion of one sample adding at most epsilon
-    features."""
-    _check_budget(epsilon)
-    if x.dim != model.d:
-        raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
-    X0b = x.to_dense().astype(bool)[None]
-    best_scores, best_points, iterations, traces = _pgd_core(
-        model, X0b, [epsilon], cfg, threshold, record_trace=True)
-    adv = SparseBinaryVector(
-        tuple(int(i) for i in np.flatnonzero(best_points[0, 0])), x.dim)
-    added = tuple(sorted(set(adv.indices) - set(x.indices)))
-    result = AttackResult(adv, added, tuple(traces[0]),
-                          bool(best_scores[0, 0] < threshold),
-                          int(iterations[0, 0]))
-    return _check_result(result, x, epsilon)
 
 
 def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
@@ -467,7 +389,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores = _pgd_core(model, X0b, budgets, cfg, threshold)[0]
+        best_scores = _pgd_core(model, X0b, budgets, cfg, threshold)
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out

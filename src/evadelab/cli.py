@@ -92,7 +92,7 @@ def cmd_attack(args) -> int:
 
     malware_rows = [i for i, y in enumerate(ds.labels) if y == 1]
     samples = [ds.samples[i] for i in malware_rows]
-    cfg = AttackConfig(eta=args.eta, max_iters=args.max_iters)
+    cfg = AttackConfig(max_iters=args.max_iters)
     # One attack over the grid and budgets 0..eps_max gives the grid scores,
     # the clean scores (budget 0, the first column) and eps_min.
     budgets = sorted(set(grid) | set(range(eps_max + 1)))
@@ -180,7 +180,7 @@ def cmd_robustness(args) -> int:
     threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.eps_grid)
     samples = [x for x, y in zip(ds.samples, ds.labels) if y == 1]
-    cfg = AttackConfig(eta=args.eta, max_iters=args.max_iters)
+    cfg = AttackConfig(max_iters=args.max_iters)
     scores = attack_scores_over_grid(model, samples, grid, threshold, cfg,
                                      args.method)
     result = robustness_from_scores(scores, grid, args.loss)
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None,
                    help="use a fixed threshold instead of --fpr")
     p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
-    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
@@ -308,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fpr", type=float, default=0.01)
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
-    p.add_argument("--eta", type=float, default=None)
     p.add_argument("--max-iters", type=int, default=1000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_robustness)

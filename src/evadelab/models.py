@@ -192,19 +192,7 @@ def _check_dim(model: TrainedModel, x: SparseBinaryVector) -> None:
 def score(model: TrainedModel, x: SparseBinaryVector) -> float:
     """Decision value f(x) at a binary point."""
     _check_dim(model, x)
-    if isinstance(model, LinearModel):
-        if not x.indices:
-            return float(model.bias)
-        return float(model.weights[list(x.indices)].sum() + model.bias)
     return float(model.decision_batch(x.to_dense()[None])[0])
-
-
-def input_gradient(model: TrainedModel, x: SparseBinaryVector) -> np.ndarray:
-    """Gradient of f evaluated at x treated as a point of R^d."""
-    _check_dim(model, x)
-    if isinstance(model, LinearModel):
-        return model.weights.copy()
-    return model.gradient_batch(x.to_dense()[None])[0]
 
 
 @dataclass

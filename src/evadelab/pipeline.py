@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +34,9 @@ from .stats import CorrelationReport, correlation_suite
 
 ATTRIBUTION_METHODS = ("gradient", "gradient_input", "integrated_gradients")
 EVENNESS_METRICS = ("e1", "e2")
+# the keys of a config file's "dataset" section; its "attack" section's keys
+# are the attack_* fields of ExperimentConfig without the prefix
+_DATASET_KEYS = ("path", "synthetic")
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,6 @@ class ClassifierSpec:
     weight_bound: float = 0.25  # secsvm only; box is [-bound, +bound]
     epochs: int = 10
     learning_rate: float = 0.1
-    robust_loss: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "secsvm", "rbf"):
@@ -57,8 +59,6 @@ class ClassifierSpec:
             raise ValueError("classifier name must be non-empty")
 
     def effective_robust_loss(self) -> str:
-        if self.robust_loss is not None:
-            return self.robust_loss
         return "logistic" if self.loss == "logistic" else "hinge"
 
     @property
@@ -92,7 +92,6 @@ class ExperimentConfig:
     ig_p: int = 100
     evenness_m: int = 1000
     n_attack_samples: int = 1000
-    attack_eta: float | None = None
     attack_tol: float = 1e-6
     attack_max_iters: int = 1000
     attack_method: str = "auto"
@@ -128,6 +127,15 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
         dataset = doc.pop("dataset", {})
+        attack = doc.pop("attack", {})
+        attack_keys = tuple(f.name.removeprefix("attack_") for f in fields(cls)
+                            if f.name.startswith("attack_"))
+        for section, keys, known in (("dataset", dataset, _DATASET_KEYS),
+                                     ("attack", attack, attack_keys)):
+            unknown = sorted(set(keys) - set(known))
+            if unknown:
+                raise ValueError(f"unknown {section} key(s) {unknown}; "
+                                 f"expected some of {known}")
         dataset_path = dataset.get("path")
         synthetic = None
         if "synthetic" in dataset:
@@ -143,7 +151,6 @@ class ExperimentConfig:
                     specs.append(replace(base, **entry))
                 else:
                     specs.append(ClassifierSpec(**entry))
-        attack = doc.pop("attack", {})
         grid = doc.pop("eps_grid", None)
         kwargs = dict(doc)
         if grid is not None:
@@ -159,10 +166,7 @@ class ExperimentConfig:
             classifiers=tuple(specs),
             dataset_path=dataset_path,
             synthetic=synthetic,
-            attack_eta=attack.get("eta"),
-            attack_tol=attack.get("tol", 1e-6),
-            attack_max_iters=attack.get("max_iters", 1000),
-            attack_method=attack.get("method", "auto"),
+            **{f"attack_{key}": value for key, value in attack.items()},
             **kwargs,
         )
 
@@ -185,7 +189,7 @@ class ExperimentConfig:
             "ig_p": self.ig_p,
             "evenness_m": self.evenness_m,
             "n_attack_samples": self.n_attack_samples,
-            "attack": {"eta": self.attack_eta, "tol": self.attack_tol,
+            "attack": {"tol": self.attack_tol,
                        "max_iters": self.attack_max_iters,
                        "method": self.attack_method},
             "evenness_include_benign": self.evenness_include_benign,
@@ -282,8 +286,7 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.sample_ids = _choose_rows(malware_rows, cfg.n_attack_samples, rng)
     samples = [test_ds.samples[i] for i in cell.sample_ids]
 
-    acfg = AttackConfig(eta=cfg.attack_eta, tol=cfg.attack_tol,
-                        max_iters=cfg.attack_max_iters)
+    acfg = AttackConfig(tol=cfg.attack_tol, max_iters=cfg.attack_max_iters)
     # budget 0 is the clean score, so one attack gives both
     scores = attack_scores_over_grid(model, samples, (0, *cfg.eps_grid),
                                      cell.threshold, acfg, cfg.attack_method)

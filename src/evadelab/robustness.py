@@ -22,16 +22,11 @@ def adversarial_loss(y: int, score: float, loss: str = "hinge") -> float:
     """Classification loss of one (label, score) pair; non-negative."""
     if y not in (-1, 1):
         raise ValueError(f"label must be -1 or +1, got {y}")
-    margin = y * score
-    if loss == "hinge":
-        return max(0.0, 1.0 - margin)
-    if loss == "logistic":
-        return float(np.logaddexp(0.0, -margin))
-    raise ValueError(f"unknown loss {loss!r}; expected one of {ROBUSTNESS_LOSSES}")
+    return float(_loss_matrix(y * score, loss))
 
 
 def _loss_matrix(scores: np.ndarray, loss: str) -> np.ndarray:
-    """Elementwise loss of +1-labelled scores."""
+    """Elementwise loss of margins: the scores of +1-labelled samples."""
     if loss == "hinge":
         return np.maximum(0.0, 1.0 - scores)
     if loss == "logistic":

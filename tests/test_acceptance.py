@@ -12,17 +12,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evadelab.attack import (AttackConfig, epsilon_min_batch, pgd_evasion,
-                             security_evaluation)
+from evadelab.attack import (AttackConfig, attack_scores_over_grid,
+                             epsilon_min_batch, security_evaluation)
 from evadelab.cli import main as cli_main
 from evadelab.evenness import evenness_e1, evenness_e2
-from evadelab.explain import (attribution_gradient_input,
+from evadelab.explain import (attribution_gradient, attribution_gradient_input,
                               attribution_integrated_gradients)
 from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
                                    generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
-                             detection_rate_at_fpr, input_gradient, score,
-                             train_linear, train_rbf_svm, train_secsvm)
+                             detection_rate_at_fpr, score, train_linear,
+                             train_rbf_svm, train_secsvm)
 from evadelab.pipeline import PRESETS, ExperimentConfig, run_experiment
 from evadelab.stats import kendall, midranks, pearson, spearman
 
@@ -123,7 +123,7 @@ def test_criterion_03_gradient_matches_finite_differences():
                             float(rng.normal() * 0.3),
                             float(rng.uniform(0.2, 1.0)))
         x = vec(np.flatnonzero(rng.random(d) < 0.5), d)
-        g = input_gradient(model, x)
+        g = attribution_gradient(model, [x])[0]
         base = x.to_dense()
         fd = np.zeros(d)
         for i in range(d):
@@ -202,15 +202,16 @@ def test_criterion_06_small_instance_brute_force():
     assert len(cases) == 50
     hits = 0
     for model, x in cases:
-        res = pgd_evasion(model, x, 2, AttackConfig(max_iters=500),
-                          threshold=-np.inf)
+        after = attack_scores_over_grid(model, [x], [2], -np.inf,
+                                        AttackConfig(max_iters=500),
+                                        "pgd")[0, 0]
         absent = [i for i in range(x.dim) if i not in x.indices]
         best = score(model, x)
         base = set(x.indices)
         for add in ([(i,) for i in absent]
                     + list(itertools.combinations(absent, 2))):
             best = min(best, score(model, vec(base | set(add), x.dim)))
-        if res.score_after <= best + 1e-9:
+        if after <= best + 1e-9:
             hits += 1
     _report("6 PGD reaches brute-force optimum (d=8, eps=2)", hits >= 45,
             f"{hits}/50 optimal")

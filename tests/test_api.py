@@ -9,9 +9,10 @@ from pathlib import Path
 
 import evadelab
 from evadelab.attack import AttackConfig
+from evadelab.pipeline import ClassifierSpec, ExperimentConfig
 
 EXPORTED = {
-    "AttackConfig", "AttackResult", "ClassifierSpec", "CorrelationReport",
+    "AttackConfig", "ClassifierSpec", "CorrelationReport",
     "EvennessReport", "ExperimentConfig", "ExperimentReport", "FeatureSpace",
     "KernelModel", "LabeledDataset", "LinearModel", "NOT_EVADABLE", "PRESETS",
     "RobustnessScore", "SecurityCurve",
@@ -22,8 +23,8 @@ EXPORTED = {
     "cumulative_ratio", "detection_rate_at_fpr", "emit_scatter_data",
     "epsilon_min", "epsilon_min_batch", "evenness_e1", "evenness_e2",
     "evenness_report", "generate_synthetic",
-    "grid_cv", "input_gradient", "kendall", "load_dataset", "load_model",
-    "pearson", "pgd_evasion", "project", "robustness_from_scores",
+    "grid_cv", "kendall", "load_dataset", "load_model",
+    "pearson", "project", "robustness_from_scores",
     "roc_curve", "run_experiment", "save_dataset", "save_model", "score",
     "security_evaluation", "spearman", "split", "train_linear",
     "train_rbf_svm", "train_secsvm",
@@ -37,9 +38,26 @@ def test_exported_names():
     assert names == EXPORTED
 
 
+def fields(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
 def test_attack_config_holds_descent_settings_only():
-    fields = [f.name for f in dataclasses.fields(AttackConfig)]
-    assert fields == ["eta", "tol", "max_iters"]
+    assert fields(AttackConfig) == ["tol", "max_iters"]
+
+
+def test_experiment_config_fields():
+    assert fields(ExperimentConfig) == [
+        "classifiers", "dataset_path", "synthetic", "split_fraction", "seed",
+        "repetitions", "eps_grid", "fpr", "methods", "ig_p", "evenness_m",
+        "n_attack_samples", "attack_tol", "attack_max_iters", "attack_method",
+        "evenness_include_benign", "curve_envelopes"]
+
+
+def test_classifier_spec_fields():
+    assert fields(ClassifierSpec) == [
+        "name", "kind", "loss", "reg", "gamma", "weight_bound", "epochs",
+        "learning_rate"]
 
 
 def test_import_leaves_scipy_stats_out():

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from evadelab.explain import attribution_gradient
 from evadelab.featurespace import (FeatureSpace, LabeledDataset,
                                    SparseBinaryVector, SyntheticConfig,
                                    generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, ModelFormatError,
                              TrainConfig, auc, detection_rate_at_fpr,
-                             input_gradient, load_model, roc_curve, save_model,
-                             score, train_linear, train_rbf_svm, train_secsvm)
+                             load_model, roc_curve, save_model, score,
+                             train_linear, train_rbf_svm, train_secsvm)
 
 
 def vec(indices, d):
@@ -67,18 +68,18 @@ class TestInputGradient:
         w = np.array([1.0, -2.0, 3.0])
         m = LinearModel(w, 0.0)
         for ix in ([], [0], [1, 2]):
-            assert np.array_equal(input_gradient(m, vec(ix, 3)), w)
+            assert np.array_equal(attribution_gradient(m, [vec(ix, 3)])[0], w)
 
     def test_kernel_at_own_sv_is_zero(self):
         x = vec([1], 3)
         m = KernelModel((x,), np.array([1.5]), 0.0, 0.8)
-        assert np.allclose(input_gradient(m, x), 0.0)
+        assert np.allclose(attribution_gradient(m, [x])[0], 0.0)
 
     def test_kernel_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         m = random_kernel_model(rng, 3, 2)
         x = vec([0, 2], 3)
-        g = input_gradient(m, x)
+        g = attribution_gradient(m, [x])[0]
         fd = finite_difference_gradient(m, x)
         assert np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-12)) < 1e-5
 

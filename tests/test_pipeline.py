@@ -341,6 +341,35 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="unknown attack method"):
             small_config(attack_method="bogus")
 
+    @pytest.mark.parametrize("section,extra", [
+        ("attack", {"max_iter": 5}), ("attack", {"eta": 0.05}),
+        ("dataset", {"pth": "data.jsonl"})])
+    def test_unknown_section_key_fails_fast(self, section, extra):
+        # a misspelt key used to be ignored, so the run took the default
+        doc = small_config().to_dict()
+        doc[section] = {**doc[section], **extra}
+        with pytest.raises(ValueError, match=f"unknown {section} key.*"
+                                             f"{next(iter(extra))}"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_attack_section_keys_are_read(self):
+        doc = small_config().to_dict()
+        doc["attack"] = {"tol": 1e-4, "max_iters": 5, "method": "pgd"}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert (cfg.attack_tol, cfg.attack_max_iters, cfg.attack_method) == (
+            1e-4, 5, "pgd")
+
+    def test_robust_loss_follows_training_loss(self):
+        assert PRESETS["logistic"].effective_robust_loss() == "logistic"
+        for name in ("svm", "sec-svm", "svm-rbf", "ridge"):
+            assert PRESETS[name].effective_robust_loss() == "hinge"
+
+    def test_classifier_robust_loss_rejected(self):
+        doc = small_config().to_dict()
+        doc["classifiers"][0]["robust_loss"] = "logistic"
+        with pytest.raises(TypeError, match="robust_loss"):
+            ExperimentConfig.from_dict(doc)
+
     @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
                                          {"n_attack_samples": 0}])
     def test_study_settings_fail_fast(self, setting):
