@@ -3,9 +3,8 @@ evenness/robustness analysis for binary malware-style classifiers."""
 
 __version__ = "0.1.0"
 
-from .featurespace import (FeatureSpace, LabeledDataset, SparseBinaryVector,
-                           SyntheticConfig, generate_synthetic, load_dataset,
-                           save_dataset, split)
+from .featurespace import (LabeledDataset, SyntheticConfig, generate_synthetic,
+                           load_dataset, save_dataset, split)
 from .models import (KernelModel, LinearModel, TrainConfig, auc,
                      detection_rate_at_fpr, load_model, roc_curve, save_model,
                      score, train_linear, train_rbf_svm, train_secsvm)

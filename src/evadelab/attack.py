@@ -8,9 +8,11 @@ whose accumulated gradient pressure lets weakly-graded coordinates cross the
 binarization threshold.  Each step applies the composite projection (clip
 into the box [x0, 1], binarize at 0.5, keep the epsilon top-ranked changes),
 so every scored point is feasible, and the best score of any feasible point
-seen is kept because the stopping rule can halt past the optimum.  Only
-scores are kept: no attack call returns adversarial points, and each point's
-budget and addition-only invariant is checked when its score is recorded.
+seen is kept because the stopping rule can halt past the optimum.  Every
+attack call takes its samples as the rows of one (n, d) 0/1 matrix, checked
+once on entry, and works on that bool matrix throughout.  Only scores are
+kept: no attack call returns adversarial points, and each point's budget and
+addition-only invariant is checked when its score is recorded.
 The attack only ever adds features: the box keeps every feature the sample
 has, so the app keeps its malicious function.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import SparseBinaryVector, _dense_rows
+from .featurespace import _binary_rows
 from .models import KernelModel, LinearModel, TrainedModel
 
 NOT_EVADABLE: float = math.inf
@@ -117,9 +119,9 @@ def _check_feasible(X0b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         raise RuntimeError("addition-only attack removed a present feature")
 
 
-def project(x_cont: np.ndarray, x_orig: SparseBinaryVector,
-            epsilon: int) -> SparseBinaryVector:
-    """Composite projection of a real vector onto the attack's feasible set.
+def project(x_cont: np.ndarray, x_orig, epsilon: int) -> np.ndarray:
+    """Composite projection of a real (d,) vector onto the attack's feasible
+    set around the binary (d,) row x_orig; returns a bool (d,) row.
 
     Clips into the box [x_orig, 1], binarizes at 0.5, then reverts all but
     the epsilon largest |x_cont - x_orig| changes (ties broken toward the
@@ -127,13 +129,11 @@ def project(x_cont: np.ndarray, x_orig: SparseBinaryVector,
     """
     _check_budget(epsilon)
     v = np.asarray(x_cont, dtype=np.float64)
-    if v.shape != (x_orig.dim,):
-        raise ValueError(f"vector shape {v.shape} does not match d={x_orig.dim}")
-    x0 = x_orig.to_dense()
-    v = np.clip(v, x0, 1.0)
-    binary = _project_clipped_batch(v[None], x0.astype(bool)[None], epsilon)[0]
-    return SparseBinaryVector(tuple(int(i) for i in np.flatnonzero(binary)),
-                              x_orig.dim)
+    if v.ndim != 1:
+        raise ValueError(f"vector shape {v.shape} is not one (d,) row")
+    x0 = _binary_rows([x_orig], v.size)
+    return _project_clipped_batch(np.clip(v[None], x0, 1.0), x0.astype(bool),
+                                  epsilon)[0]
 
 
 def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
@@ -316,10 +316,10 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
                                  eps_max)
 
 
-def epsilon_min(model: TrainedModel, x: SparseBinaryVector, eps_max: int,
+def epsilon_min(model: TrainedModel, x, eps_max: int,
                 method: str = "auto", cfg: AttackConfig | None = None,
                 threshold: float = 0.0) -> float:
-    """epsilon_min_batch of one sample: an int, or NOT_EVADABLE."""
+    """epsilon_min_batch of one binary (d,) row: an int, or NOT_EVADABLE."""
     value = epsilon_min_batch(model, [x], eps_max, method, cfg, threshold)[0]
     return NOT_EVADABLE if value == NOT_EVADABLE else int(value)
 
@@ -348,14 +348,15 @@ def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
 def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
                             threshold: float, cfg: AttackConfig | None = None,
                             method: str = "auto") -> np.ndarray:
-    """Score of every sample after attacking at each budget: (n, len(grid)).
+    """Score of every row of an (n, d) 0/1 sample matrix after attacking at
+    each budget: (n, len(grid)).
 
     A grid entry of 0 means no perturbation.  Greedy keeps its early-stop
     semantics (it quits adding once the threshold is crossed); the descent
     attack minimizes within the budget.  cfg holds the descent settings.
     """
-    samples = list(samples)
-    if not samples:
+    X0b = _binary_rows(samples, model.d, bool)
+    if X0b.shape[0] == 0:
         raise ValueError("no samples to attack")
     eps_grid = [int(e) for e in eps_grid]
     if any(e < 0 for e in eps_grid):
@@ -368,10 +369,9 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     if method == "greedy" and not isinstance(model, LinearModel):
         raise TypeError("greedy attack requires a linear model")
 
-    X0b = _dense_rows(samples, model.d, bool)
     scores0 = model.decision_batch(X0b.astype(np.float64))
 
-    out = np.empty((len(samples), len(eps_grid)))
+    out = np.empty((X0b.shape[0], len(eps_grid)))
     if method == "greedy":
         # Each budget stops at the first crossing or at the last step whose
         # addition count fits, whichever comes first; an already-benign row
@@ -381,7 +381,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
         first_cross = np.where(crossing.any(axis=1),
                                np.argmax(crossing, axis=1),
                                path_scores.shape[1] - 1)
-        rows = np.arange(len(samples))
+        rows = np.arange(X0b.shape[0])
         for col, eps in enumerate(eps_grid):
             last = np.sum(path_counts <= eps, axis=1) - 1
             out[:, col] = path_scores[rows, np.minimum(first_cross, last)]

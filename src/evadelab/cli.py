@@ -90,14 +90,13 @@ def cmd_attack(args) -> int:
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
 
-    malware_rows = [i for i, y in enumerate(ds.labels) if y == 1]
-    samples = [ds.samples[i] for i in malware_rows]
+    malware_rows = np.flatnonzero(ds.labels == 1).tolist()
     cfg = AttackConfig(max_iters=args.max_iters)
     # One attack over the grid and budgets 0..eps_max gives the grid scores,
     # the clean scores (budget 0, the first column) and eps_min.
     budgets = sorted(set(grid) | set(range(eps_max + 1)))
-    scores = attack_scores_over_grid(model, samples, budgets, threshold, cfg,
-                                     args.method)
+    scores = attack_scores_over_grid(model, ds.samples[malware_rows], budgets,
+                                     threshold, cfg, args.method)
     clean = scores[:, 0]
     eps_min = _first_evading_budget(scores, budgets, clean, threshold, eps_max)
     grid_cols = [budgets.index(eps) for eps in grid]
@@ -113,7 +112,7 @@ def cmd_attack(args) -> int:
     _write_csv(args.out, ["sample_id", "eps", "score_before", "score_after",
                           "evaded", "eps_min"], rows_out)
     print(json.dumps({"out": str(args.out), "threshold": threshold,
-                      "n_samples": len(samples), "grid": grid}))
+                      "n_samples": len(malware_rows), "grid": grid}))
     return 0
 
 
@@ -179,10 +178,9 @@ def cmd_robustness(args) -> int:
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.eps_grid)
-    samples = [x for x, y in zip(ds.samples, ds.labels) if y == 1]
     cfg = AttackConfig(max_iters=args.max_iters)
-    scores = attack_scores_over_grid(model, samples, grid, threshold, cfg,
-                                     args.method)
+    scores = attack_scores_over_grid(model, ds.samples[ds.labels == 1], grid,
+                                     threshold, cfg, args.method)
     result = robustness_from_scores(scores, grid, args.loss)
     _write_csv(args.out, ["eps", "robustness"],
                [[eps, result.per_eps[eps]] for eps in result.eps_grid])

@@ -1,17 +1,17 @@
 """Gradient-based feature attributions of the malicious-class score.
 
-Each method takes a batch of samples and returns one finite, writable (n, d)
-float64 matrix whose row i attributes f(x_i) to the features.  Gradient is
-one ``gradient_batch`` call on the sample matrix and Gradient*Input masks it
-by that matrix.  Integrated Gradients sums each row's path in chunks of
-points, so no array grows with n times p.
+Each method takes an (n, d) 0/1 sample matrix and returns one finite,
+writable (n, d) float64 matrix whose row i attributes f(x_i) to the
+features.  Gradient is one ``gradient_batch`` call on the sample matrix and
+Gradient*Input masks it by that matrix.  Integrated Gradients sums each
+row's path in chunks of points, so no array grows with n times p.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .featurespace import _dense_rows
+from .featurespace import _binary_rows
 from .models import TrainedModel
 
 # Values per chunk of integrated-gradients path points: 4 MiB of float64.
@@ -27,12 +27,12 @@ def _finite(R: np.ndarray) -> np.ndarray:
 def attribution_gradient(model: TrainedModel, samples) -> np.ndarray:
     """Row i is grad f(x_i)."""
     # copied: a linear model's gradient is a read-only broadcast of its weights
-    return _finite(np.array(model.gradient_batch(_dense_rows(samples, model.d))))
+    return _finite(np.array(model.gradient_batch(_binary_rows(samples, model.d))))
 
 
 def attribution_gradient_input(model: TrainedModel, samples) -> np.ndarray:
     """Row i is grad f(x_i) * x_i, so absent features get exactly zero."""
-    X = _dense_rows(samples, model.d)
+    X = _binary_rows(samples, model.d)
     return _finite(model.gradient_batch(X) * X)
 
 
@@ -47,7 +47,7 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    X = _dense_rows(samples, model.d)
+    X = _binary_rows(samples, model.d)
     base = np.zeros(model.d) if baseline is None else np.asarray(
         baseline, dtype=np.float64)
     if base.shape != (model.d,):

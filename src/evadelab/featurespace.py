@@ -1,4 +1,12 @@
-"""Sparse binary feature vectors, dataset IO, synthetic generation, and splitting."""
+"""Binary samples as one (n, d) 0/1 matrix: the format check, dataset IO,
+synthetic generation, and splitting.
+
+A sample is a row of {0,1}^d, one presence bit per feature.  Datasets hold
+their rows as an (n, d) bool matrix, and every entry point that takes rows
+(attack, attributions, scoring, projection) accepts anything ``np.asarray``
+makes into an (n, d) 0/1 matrix; ``_binary_rows`` is the one place that
+checks it.  On disk a dataset is the sparse text format of ``load_dataset``.
+"""
 
 from __future__ import annotations
 
@@ -18,114 +26,51 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class FeatureSpace:
-    """Dimensionality of the binary input space."""
+def _binary_rows(samples, d: int | None, dtype=np.float64) -> np.ndarray:
+    """The (n, d) 0/1 matrix of ``samples`` as ``dtype``.
 
-    dimension: int
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class SparseBinaryVector:
-    """A point of {0,1}^d stored as the strictly increasing tuple of active indices."""
-
-    indices: tuple[int, ...]
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise ValueError("indices must be strictly increasing (no duplicates)")
-            prev = i
-        if self.indices and (self.indices[0] < 0 or self.indices[-1] >= self.dim):
-            raise ValueError(f"indices must lie in [0, {self.dim})")
-
-    @classmethod
-    def from_indices(cls, indices, dim: int) -> "SparseBinaryVector":
-        """Build from an arbitrary iterable of indices: duplicates dropped, order fixed."""
-        return cls(tuple(sorted(set(int(i) for i in indices))), dim)
-
-    @classmethod
-    def from_dense(cls, values) -> "SparseBinaryVector":
-        arr = np.asarray(values)
-        return cls(tuple(int(i) for i in np.flatnonzero(arr)), int(arr.shape[0]))
-
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=dtype)
-        if self.indices:
-            out[list(self.indices)] = 1
-        return out
-
-    @property
-    def n_active(self) -> int:
-        return len(self.indices)
-
-
-def _dense_rows(samples, d: int, dtype=np.float64) -> np.ndarray:
-    """The (n, d) 0/1 matrix of a sequence of d-dimensional samples."""
-    samples = list(samples)
-    out = np.zeros((len(samples), d), dtype=dtype)
-    for row, x in enumerate(samples):
-        if x.dim != d:
-            raise ValueError(f"sample dim {x.dim} does not match d={d}")
-        if x.indices:
-            out[row, list(x.indices)] = 1
-    return out
+    The one check of the sample format: accepts anything ``np.asarray`` makes
+    into an (n, d) matrix of 0s and 1s (any width of at least 1 when d is
+    None) and raises ValueError on any other shape or value.  The result may
+    share memory with ``samples``; no caller writes to it.
+    """
+    X = np.asarray(samples)
+    if X.ndim != 2 or X.shape[1] < 1 or (d is not None and X.shape[1] != d):
+        raise ValueError(f"samples must be an (n, {d or 'd'}) matrix with "
+                         f"d >= 1, got shape {X.shape}")
+    if X.dtype != bool and not ((X == 0) | (X == 1)).all():
+        raise ValueError("samples must hold 0/1 values only")
+    return X.astype(dtype, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """Samples plus labels in {-1,+1}, where +1 marks the malicious class."""
+    """An (n, d) bool sample matrix plus (n,) int labels in {-1,+1}, where
+    +1 marks the malicious class."""
 
-    feature_space: FeatureSpace
-    samples: tuple[SparseBinaryVector, ...]
-    labels: tuple[int, ...]
+    samples: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        object.__setattr__(self, "labels", tuple(int(y) for y in self.labels))
-        if len(self.samples) != len(self.labels):
-            raise ValueError("samples and labels must have equal length")
-        for y in self.labels:
-            if y not in (-1, 1):
-                raise ValueError(f"labels must be -1 or +1, got {y}")
-        d = self.feature_space.dimension
-        for x in self.samples:
-            if x.dim != d:
-                raise ValueError(f"sample dim {x.dim} does not match dataset d={d}")
+        samples = _binary_rows(self.samples, None, bool)
+        labels = np.asarray(self.labels)
+        if labels.shape != samples.shape[:1] or not np.isin(labels, (-1, 1)).all():
+            raise ValueError("labels must be one -1 or +1 per sample row")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "labels", labels.astype(np.int64))
 
     @property
     def d(self) -> int:
-        return self.feature_space.dimension
+        return self.samples.shape[1]
 
     @property
     def n(self) -> int:
-        return len(self.samples)
+        return self.samples.shape[0]
 
-    def labels_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.float64)
-
-    def to_dense_matrix(self, dtype=np.float64) -> np.ndarray:
-        return _dense_rows(self.samples, self.d, dtype)
-
-    def subset(self, row_indices) -> "LabeledDataset":
-        rows = [int(i) for i in row_indices]
-        return LabeledDataset(
-            self.feature_space,
-            tuple(self.samples[i] for i in rows),
-            tuple(self.labels[i] for i in rows),
-        )
-
-    def by_label(self, label: int) -> "LabeledDataset":
-        return self.subset([i for i, y in enumerate(self.labels) if y == label])
+    def subset(self, rows) -> "LabeledDataset":
+        """The dataset of the given integer row indices, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return LabeledDataset(self.samples[rows], self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -170,25 +115,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     p_malware[: cfg.n_strong] = min(1.0, cfg.base_density + cfg.strong_rate_gap)
     p_benign[cfg.n_strong :] = min(1.0, cfg.base_density + cfg.weak_rate_gap)
 
-    rows_b = rng.random((cfg.n_benign, cfg.d)) < p_benign
-    rows_m = rng.random((cfg.n_malware, cfg.d)) < p_malware
-
-    samples = [SparseBinaryVector(tuple(int(i) for i in np.flatnonzero(r)), cfg.d)
-               for r in rows_b]
-    samples += [SparseBinaryVector(tuple(int(i) for i in np.flatnonzero(r)), cfg.d)
-                for r in rows_m]
-    labels = (-1,) * cfg.n_benign + (1,) * cfg.n_malware
-    return LabeledDataset(FeatureSpace(cfg.d), tuple(samples), labels)
+    samples = np.vstack([rng.random((cfg.n_benign, cfg.d)) < p_benign,
+                         rng.random((cfg.n_malware, cfg.d)) < p_malware])
+    return LabeledDataset(samples, np.repeat([-1, 1], [cfg.n_benign,
+                                                      cfg.n_malware]))
 
 
 def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
     """Parse the sparse text format: ``<label> <idx>:1 ...`` with ``#`` comments.
 
-    Indices are deduplicated and sorted; the dimensionality is
+    Repeated indices set one feature; the dimensionality is
     max(d_hint, 1 + highest index seen).
     """
-    rows: list[tuple[int, tuple[int, ...]]] = []
-    max_index = -1
+    labels: list[int] = []
+    rows: list[int] = []
+    cols: list[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -203,7 +144,6 @@ def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
             else:
                 raise DatasetFormatError(
                     f"label must be +1 or -1, got {label_tok!r}", line_no)
-            indices = set()
             for tok in tokens[1:]:
                 idx_s, sep, val_s = tok.partition(":")
                 if not sep:
@@ -220,18 +160,17 @@ def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
                 if val_s != "1":
                     raise DatasetFormatError(
                         f"feature value must be 1, got {val_s!r}", line_no)
-                indices.add(idx)
-            if indices:
-                max_index = max(max_index, max(indices))
-            rows.append((label, tuple(sorted(indices))))
+                rows.append(len(labels))
+                cols.append(idx)
+            labels.append(label)
 
-    d = max(d_hint or 0, max_index + 1)
+    d = max(d_hint or 0, max(cols, default=-1) + 1)
     if d < 1:
         raise DatasetFormatError(
             "empty dataset and no d_hint given; dimensionality is undefined")
-    samples = tuple(SparseBinaryVector(ix, d) for _, ix in rows)
-    labels = tuple(label for label, _ in rows)
-    return LabeledDataset(FeatureSpace(d), samples, labels)
+    samples = np.zeros((len(labels), d), dtype=bool)
+    samples[rows, cols] = True
+    return LabeledDataset(samples, labels)
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
@@ -239,7 +178,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for x, y in zip(ds.samples, ds.labels):
             label = "+1" if y == 1 else "-1"
-            pairs = " ".join(f"{i}:1" for i in x.indices)
+            pairs = " ".join(f"{i}:1" for i in np.flatnonzero(x))
             fh.write(f"{label} {pairs}".rstrip() + "\n")
 
 
@@ -254,14 +193,13 @@ def split(ds: LabeledDataset, train_fraction: float, seed: int
     train_rows: list[int] = []
     test_rows: list[int] = []
     for label in (-1, 1):
-        rows = np.asarray([i for i, y in enumerate(ds.labels) if y == label])
+        rows = np.flatnonzero(ds.labels == label)
         if rows.size == 0:
             continue
-        perm = rng.permutation(rows.size)
+        shuffled = rows[rng.permutation(rows.size)]
         n_train = int(math.floor(train_fraction * rows.size + 0.5))
-        shuffled = rows[perm]
-        train_rows.extend(int(i) for i in shuffled[:n_train])
-        test_rows.extend(int(i) for i in shuffled[n_train:])
+        train_rows.extend(shuffled[:n_train].tolist())
+        test_rows.extend(shuffled[n_train:].tolist())
     if not train_rows or not test_rows:
         raise ValueError(
             f"train_fraction={train_fraction} leaves one side of the split empty")

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurespace import LabeledDataset, SparseBinaryVector
+from .featurespace import LabeledDataset, _binary_rows
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
@@ -60,51 +60,48 @@ class LinearModel:
 class KernelModel:
     """RBF expansion f(x) = sum_i c_i exp(-gamma ||x - s_i||^2) + b.
 
-    The coefficients already carry the label sign (alpha_i * y_i).
+    The support vectors are the rows of an (n_sv, d) float64 0/1 matrix and
+    the coefficients already carry the label sign (alpha_i * y_i).
     """
 
-    support_vectors: tuple[SparseBinaryVector, ...]
+    support_vectors: np.ndarray
     dual_coeffs: np.ndarray
     bias: float
     gamma: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # a private read-only copy, so the cached norms and deltas stay true
+        svs = np.array(_binary_rows(self.support_vectors, None))
+        svs.flags.writeable = False
         coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
-        object.__setattr__(self, "support_vectors", tuple(self.support_vectors))
+        object.__setattr__(self, "support_vectors", svs)
         object.__setattr__(self, "dual_coeffs", coeffs)
         object.__setattr__(self, "bias", float(self.bias))
         object.__setattr__(self, "gamma", float(self.gamma))
         if coeffs.ndim != 1:
             raise ValueError("dual_coeffs must be a 1-d vector")
-        if len(self.support_vectors) != coeffs.shape[0]:
+        if svs.shape[0] != coeffs.shape[0]:
             raise ValueError("support_vectors and dual_coeffs lengths differ")
         if not np.all(np.isfinite(coeffs)) or not math.isfinite(self.bias):
             raise ValueError("model parameters must be finite")
         if not (math.isfinite(self.gamma) and self.gamma > 0):
             raise ValueError("gamma must be finite and positive")
-        if not self.support_vectors:
+        if svs.shape[0] == 0:
             raise ValueError("kernel model needs at least one support vector")
-        dims = {sv.dim for sv in self.support_vectors}
-        if len(dims) != 1:
-            raise ValueError("support vectors must share one dimensionality")
 
     @property
     def d(self) -> int:
-        return self.support_vectors[0].dim
-
-    @cached_property
-    def _sv_matrix(self) -> np.ndarray:
-        return np.stack([sv.to_dense() for sv in self.support_vectors])
+        return self.support_vectors.shape[1]
 
     @cached_property
     def _sv_sqnorms(self) -> np.ndarray:
-        return (self._sv_matrix * self._sv_matrix).sum(axis=1)
+        return (self.support_vectors * self.support_vectors).sum(axis=1)
 
     @cached_property
     def _flip_deltas(self) -> np.ndarray:
         # Row j: the change of ||x - s_i||^2 when x_j goes from 0 to 1.
-        return np.ascontiguousarray((1.0 - 2.0 * self._sv_matrix).T)
+        return np.ascontiguousarray((1.0 - 2.0 * self.support_vectors).T)
 
     # The batch methods update their temporaries in place: the same
     # operations in the same order as the expressions they spell out, with
@@ -112,7 +109,7 @@ class KernelModel:
 
     def _sq_distances(self, points: np.ndarray) -> np.ndarray:
         sq = (points * points).sum(axis=1)[:, None] + self._sv_sqnorms[None, :]
-        sq -= 2.0 * points @ self._sv_matrix.T
+        sq -= 2.0 * points @ self.support_vectors.T
         np.maximum(sq, 0.0, out=sq)
         return sq
 
@@ -167,7 +164,7 @@ class KernelModel:
                   totals: np.ndarray) -> np.ndarray:
         """-2 gamma (x * sum_i w_i - w @ S) for each point."""
         grad = points * totals[:, None]
-        grad -= w @ self._sv_matrix
+        grad -= w @ self.support_vectors
         grad *= -2.0 * self.gamma
         return grad
 
@@ -184,15 +181,9 @@ class KernelModel:
 TrainedModel = LinearModel | KernelModel
 
 
-def _check_dim(model: TrainedModel, x: SparseBinaryVector) -> None:
-    if x.dim != model.d:
-        raise ValueError(f"sample dim {x.dim} does not match model d={model.d}")
-
-
-def score(model: TrainedModel, x: SparseBinaryVector) -> float:
-    """Decision value f(x) at a binary point."""
-    _check_dim(model, x)
-    return float(model.decision_batch(x.to_dense()[None])[0])
+def score(model: TrainedModel, x) -> float:
+    """Decision value f(x) at one binary (d,) row."""
+    return float(model.decision_batch(_binary_rows([x], model.d))[0])
 
 
 @dataclass
@@ -200,15 +191,14 @@ class TrainConfig:
     """Shared SGD settings.
 
     ``reg`` is the C of the hinge/logistic objectives and the alpha of the
-    squared (ridge) one.  The step decays as eta0 / (1 + t / decay_steps),
-    with decay_steps defaulting to the number of training samples.
+    squared (ridge) one.  The step decays as eta0 / (1 + t / n) over the n
+    training samples.
     """
 
     loss: str = "hinge"
     reg: float = 1.0
     epochs: int = 10
     learning_rate: float = 0.1
-    decay_steps: float | None = None
     seed: int = 0
     weight_lb: float | np.ndarray | None = None
     weight_ub: float | np.ndarray | None = None
@@ -238,8 +228,7 @@ class TrainConfig:
 
 
 def _require_both_classes(ds: LabeledDataset) -> None:
-    labels = set(ds.labels)
-    if labels != {-1, 1}:
+    if set(ds.labels.tolist()) != {-1, 1}:
         raise ValueError("training data must contain both classes")
 
 
@@ -257,8 +246,8 @@ def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
 def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
                 bounds: tuple[np.ndarray, np.ndarray] | None) -> LinearModel:
     _require_both_classes(train)
-    X = train.to_dense_matrix()
-    y = train.labels_array()
+    X = train.samples.astype(np.float64)
+    y = train.labels.astype(np.float64)
     n, d = X.shape
     # Mean-form objective: (lam/2)||w||^2 + mean loss, so a sampled step is
     # w <- w - eta (lam w + grad loss_i).
@@ -266,7 +255,6 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
         lam = 2.0 * cfg.reg / n
     else:
         lam = 1.0 / (n * cfg.reg)
-    decay = cfg.decay_steps if cfg.decay_steps is not None else float(n)
 
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
@@ -276,7 +264,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
     for _ in range(cfg.epochs):
         for i in rng.permutation(n):
             t += 1
-            eta = cfg.learning_rate / (1.0 + t / decay)
+            eta = cfg.learning_rate / (1.0 + t / n)
             xi = X[i]
             f = xi @ w + b
             if cfg.loss == "hinge":
@@ -307,7 +295,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
         "reg": cfg.reg,
         "epochs": cfg.epochs,
         "eta0": cfg.learning_rate,
-        "decay_steps": decay,
+        "decay_steps": float(n),
         "seed": cfg.seed,
         "epoch_objective": epoch_objective,
     }
@@ -343,8 +331,8 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     _require_both_classes(train)
     if C <= 0 or gamma <= 0:
         raise ValueError("C and gamma must be positive")
-    X = train.to_dense_matrix()
-    y = train.labels_array()
+    X = train.samples.astype(np.float64)
+    y = train.labels.astype(np.float64)
     n = X.shape[0]
     norms = (X * X).sum(axis=1)
     sq = norms[:, None] + norms[None, :] - 2.0 * X @ X.T
@@ -352,7 +340,6 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     K = np.exp(-gamma * sq)
 
     lam = 1.0 / (n * C)
-    decay = cfg.decay_steps if cfg.decay_steps is not None else float(n)
     rng = np.random.default_rng(cfg.seed)
     beta = np.zeros(n)
     b = 0.0
@@ -360,7 +347,7 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     for _ in range(cfg.epochs):
         for i in rng.permutation(n):
             t += 1
-            eta = cfg.learning_rate / (1.0 + t / decay)
+            eta = cfg.learning_rate / (1.0 + t / n)
             f = K[i] @ beta + b
             beta *= 1.0 - eta * lam
             if y[i] * f < 1.0:
@@ -379,15 +366,14 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
         "gamma": gamma,
         "epochs": cfg.epochs,
         "eta0": cfg.learning_rate,
-        "decay_steps": decay,
+        "decay_steps": float(n),
         "seed": cfg.seed,
     }
-    return KernelModel(
-        tuple(train.samples[int(i)] for i in keep), beta[keep], b, gamma, meta)
+    return KernelModel(train.samples[keep], beta[keep], b, gamma, meta)
 
 
 def _dataset_scores(model: TrainedModel, ds: LabeledDataset) -> np.ndarray:
-    return model.decision_batch(ds.to_dense_matrix())
+    return model.decision_batch(_binary_rows(ds.samples, model.d))
 
 
 def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
@@ -402,9 +388,8 @@ def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
     if not 0.0 <= fpr_target <= 1.0:
         raise ValueError("fpr_target must lie in [0, 1]")
     scores = _dataset_scores(model, ds)
-    y = ds.labels_array()
-    benign = np.sort(scores[y == -1])
-    malware = scores[y == 1]
+    benign = np.sort(scores[ds.labels == -1])
+    malware = scores[ds.labels == 1]
     if benign.size == 0:
         raise ValueError("dataset has no benign samples to fix the threshold")
     if malware.size == 0:
@@ -438,9 +423,8 @@ def _share_at_or_above(values: np.ndarray, thresholds: np.ndarray) -> list:
 def roc_curve(model: TrainedModel, ds: LabeledDataset) -> list[tuple[float, float]]:
     """(fpr, tpr) points from a sweep over the distinct scores; starts at (0,0)."""
     scores = _dataset_scores(model, ds)
-    y = ds.labels_array()
-    benign = scores[y == -1]
-    malware = scores[y == 1]
+    benign = scores[ds.labels == -1]
+    malware = scores[ds.labels == 1]
     if benign.size == 0 or malware.size == 0:
         raise ValueError("ROC needs both classes present")
     thresholds = np.unique(scores)[::-1]
@@ -479,7 +463,8 @@ def save_model(model: TrainedModel, path) -> None:
             "d": model.d,
             "bias": model.bias,
             "gamma": model.gamma,
-            "support_vectors": [list(sv.indices) for sv in model.support_vectors],
+            "support_vectors": [np.flatnonzero(sv).tolist()
+                                for sv in model.support_vectors],
             "dual_coeffs": [float(c) for c in model.dual_coeffs],
             "training": model.meta,
         }
@@ -488,6 +473,16 @@ def save_model(model: TrainedModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+
+
+def _index_list(indices, d: int, what: str) -> np.ndarray:
+    """A stored index list, checked strictly increasing and inside [0, d):
+    numpy would wrap a negative index onto a column from the end."""
+    ix = np.asarray(indices, dtype=np.intp)
+    if ix.ndim != 1 or np.any(np.diff(ix) <= 0) or np.any((ix < 0) | (ix >= d)):
+        raise ModelFormatError(f"{what}: indices must be strictly increasing "
+                               f"and lie in [0, {d})")
+    return ix
 
 
 def load_model(path) -> TrainedModel:
@@ -509,12 +504,14 @@ def load_model(path) -> TrainedModel:
         bias = float(doc["bias"])
         if kind == "linear":
             w = np.zeros(d)
-            for idx, value in doc["weights"]:
-                w[int(idx)] = float(value)
+            pairs = doc["weights"]
+            w[_index_list([i for i, _ in pairs], d, "weights")] = [
+                float(v) for _, v in pairs]
             return LinearModel(w, bias, doc.get("training", {}))
         if kind == "rbf":
-            svs = tuple(SparseBinaryVector(tuple(int(i) for i in ix), d)
-                        for ix in doc["support_vectors"])
+            svs = np.zeros((len(doc["support_vectors"]), d))
+            for row, ix in enumerate(doc["support_vectors"]):
+                svs[row, _index_list(ix, d, f"support vector {row}")] = 1.0
             coeffs = np.asarray(doc["dual_coeffs"], dtype=np.float64)
             return KernelModel(svs, coeffs, bias, float(doc["gamma"]),
                                doc.get("training", {}))

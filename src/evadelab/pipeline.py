@@ -264,11 +264,12 @@ def _attribution(method: str, model: TrainedModel, samples,
     return attribution_integrated_gradients(model, samples, p=ig_p)
 
 
-def _choose_rows(rows: list[int], limit: int, rng: np.random.Generator) -> list[int]:
-    if len(rows) <= limit:
-        return list(rows)
-    picked = rng.choice(len(rows), size=limit, replace=False)
-    return [rows[i] for i in sorted(int(i) for i in picked)]
+def _choose_rows(ds: LabeledDataset, label: int, limit: int,
+                 rng: np.random.Generator) -> list[int]:
+    rows = np.flatnonzero(ds.labels == label)
+    if rows.size > limit:
+        rows = rows[np.sort(rng.choice(rows.size, size=limit, replace=False))]
+    return rows.tolist()
 
 
 def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
@@ -282,9 +283,8 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.dr_clean, cell.threshold = detection_rate_at_fpr(model, test_ds, cfg.fpr)
 
     rng = np.random.default_rng(seed)
-    malware_rows = [i for i, y in enumerate(test_ds.labels) if y == 1]
-    cell.sample_ids = _choose_rows(malware_rows, cfg.n_attack_samples, rng)
-    samples = [test_ds.samples[i] for i in cell.sample_ids]
+    cell.sample_ids = _choose_rows(test_ds, 1, cfg.n_attack_samples, rng)
+    samples = test_ds.samples[cell.sample_ids]
 
     acfg = AttackConfig(tol=cfg.attack_tol, max_iters=cfg.attack_max_iters)
     # budget 0 is the clean score, so one attack gives both
@@ -296,17 +296,16 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
-    benign = []
+    benign_rows = []
     if cfg.evenness_include_benign:
-        benign_rows = [i for i, y in enumerate(test_ds.labels) if y == -1]
-        benign_rows = _choose_rows(benign_rows, cfg.n_attack_samples, rng)
-        benign = [test_ds.samples[i] for i in benign_rows]
+        benign_rows = _choose_rows(test_ds, -1, cfg.n_attack_samples, rng)
     for method in cfg.methods:
         R = _attribution(method, model, samples, cfg.ig_p)
         cell.evenness[method] = evenness_report(R, cfg.evenness_m, method)
         cell.summary_evenness[method] = cell.evenness[method]
-        if benign:
-            R = np.vstack([R, _attribution(method, model, benign, cfg.ig_p)])
+        if benign_rows:
+            R = np.vstack([R, _attribution(
+                method, model, test_ds.samples[benign_rows], cfg.ig_p)])
             cell.summary_evenness[method] = evenness_report(
                 R, cfg.evenness_m, method)
         for metric in EVENNESS_METRICS:
@@ -596,7 +595,7 @@ def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,
     rng = np.random.default_rng(seed)
     fold_of = np.zeros(ds.n, dtype=int)
     for label in (-1, 1):
-        rows = np.asarray([i for i, yy in enumerate(ds.labels) if yy == label])
+        rows = np.flatnonzero(ds.labels == label)
         perm = rng.permutation(rows.size)
         fold_of[rows[perm]] = np.arange(rows.size) % folds
 

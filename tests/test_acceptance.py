@@ -18,8 +18,7 @@ from evadelab.cli import main as cli_main
 from evadelab.evenness import evenness_e1, evenness_e2
 from evadelab.explain import (attribution_gradient, attribution_gradient_input,
                               attribution_integrated_gradients)
-from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
-                                   generate_synthetic, split)
+from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
                              detection_rate_at_fpr, score, train_linear,
                              train_rbf_svm, train_secsvm)
@@ -34,7 +33,10 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def vec(indices, d):
-    return SparseBinaryVector.from_indices(indices, d)
+    """The bool (d,) row with the given features present."""
+    x = np.zeros(d, dtype=bool)
+    x[list(indices)] = True
+    return x
 
 
 def trained_small_rbf_cases(n_blocks, per_block, seed0, rng_seed, d=8,
@@ -87,7 +89,7 @@ def test_criterion_02_ig_completeness_on_kernel_models():
         ds = generate_synthetic(cfg)
         model = train_rbf_svm(ds, 10.0, 0.15, TrainConfig(epochs=60,
                                                           seed=block))
-        malware = [s for s, y in zip(ds.samples, ds.labels) if y == 1]
+        malware = ds.samples[ds.labels == 1]
         rng.shuffle(malware)
         for x in malware[:5]:
             n_cases += 1
@@ -124,7 +126,7 @@ def test_criterion_03_gradient_matches_finite_differences():
                             float(rng.uniform(0.2, 1.0)))
         x = vec(np.flatnonzero(rng.random(d) < 0.5), d)
         g = attribution_gradient(model, [x])[0]
-        base = x.to_dense()
+        base = x.astype(float)
         fd = np.zeros(d)
         for i in range(d):
             up = base.copy()
@@ -167,7 +169,7 @@ def test_criterion_05_attack_oracle_equivalence_at_scale():
                           strong_rate_gap=0.5, weak_rate_gap=0.003,
                           base_density=0.10, seed=2024)
     train, test = split(generate_synthetic(cfg), 0.5, 0)
-    malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:200]
+    malware = test.samples[test.labels == 1][:200]
     presets = {
         "svm": TrainConfig("hinge", 0.1, epochs=10, seed=1),
         "sec-svm": TrainConfig("hinge", 1.0, epochs=10, seed=1,
@@ -205,12 +207,12 @@ def test_criterion_06_small_instance_brute_force():
         after = attack_scores_over_grid(model, [x], [2], -np.inf,
                                         AttackConfig(max_iters=500),
                                         "pgd")[0, 0]
-        absent = [i for i in range(x.dim) if i not in x.indices]
+        absent = np.flatnonzero(~x).tolist()
         best = score(model, x)
-        base = set(x.indices)
+        base = np.flatnonzero(x).tolist()
         for add in ([(i,) for i in absent]
                     + list(itertools.combinations(absent, 2))):
-            best = min(best, score(model, vec(base | set(add), x.dim)))
+            best = min(best, score(model, vec(base + list(add), x.size)))
         if after <= best + 1e-9:
             hits += 1
     _report("6 PGD reaches brute-force optimum (d=8, eps=2)", hits >= 45,
@@ -234,7 +236,7 @@ def test_criterion_07_secsvm_bounds_evenness_and_curve_area():
             bounds_ok += 1
         _, t1 = detection_rate_at_fpr(svm, test, 0.01)
         _, t2 = detection_rate_at_fpr(sec, test, 0.01)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:200]
+        malware = test.samples[test.labels == 1][:200]
         grid = range(1, 51)
         a_svm = security_evaluation(svm, malware, grid, t1,
                                     method="greedy").area()

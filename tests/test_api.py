@@ -9,14 +9,15 @@ from pathlib import Path
 
 import evadelab
 from evadelab.attack import AttackConfig
+from evadelab.featurespace import LabeledDataset
+from evadelab.models import KernelModel, TrainConfig
 from evadelab.pipeline import ClassifierSpec, ExperimentConfig
 
 EXPORTED = {
     "AttackConfig", "ClassifierSpec", "CorrelationReport",
-    "EvennessReport", "ExperimentConfig", "ExperimentReport", "FeatureSpace",
+    "EvennessReport", "ExperimentConfig", "ExperimentReport",
     "KernelModel", "LabeledDataset", "LinearModel", "NOT_EVADABLE", "PRESETS",
-    "RobustnessScore", "SecurityCurve",
-    "SparseBinaryVector", "SyntheticConfig", "TrainConfig",
+    "RobustnessScore", "SecurityCurve", "SyntheticConfig", "TrainConfig",
     "UndefinedEvennessError", "adversarial_loss", "attack_scores_over_grid",
     "attribution_gradient", "attribution_gradient_input",
     "attribution_integrated_gradients", "auc", "correlation_suite",
@@ -58,6 +59,23 @@ def test_classifier_spec_fields():
     assert fields(ClassifierSpec) == [
         "name", "kind", "loss", "reg", "gamma", "weight_bound", "epochs",
         "learning_rate"]
+
+
+def test_dataset_fields():
+    # one (n, d) bool sample matrix and one label array; no feature space
+    assert fields(LabeledDataset) == ["samples", "labels"]
+
+
+def test_kernel_model_fields():
+    assert fields(KernelModel) == [
+        "support_vectors", "dual_coeffs", "bias", "gamma", "meta"]
+
+
+def test_train_config_fields():
+    # the step always decays over the number of training samples
+    assert fields(TrainConfig) == [
+        "loss", "reg", "epochs", "learning_rate", "seed", "weight_lb",
+        "weight_ub"]
 
 
 def test_import_leaves_scipy_stats_out():

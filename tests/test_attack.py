@@ -9,8 +9,7 @@ from evadelab import attack as attack_mod
 from evadelab.attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
                              attack_scores_over_grid, epsilon_min,
                              epsilon_min_batch, project, security_evaluation)
-from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
-                                   generate_synthetic, split)
+from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
                              detection_rate_at_fpr, score, train_linear,
                              train_rbf_svm)
@@ -18,16 +17,23 @@ from evadelab.pipeline import PRESETS
 
 
 def vec(indices, d):
-    return SparseBinaryVector.from_indices(indices, d)
+    """The bool (d,) row with the given features present."""
+    x = np.zeros(d, dtype=bool)
+    x[list(indices)] = True
+    return x
+
+
+def active(x):
+    """The present features of a bool row, ascending."""
+    return np.flatnonzero(x).tolist()
 
 
 def brute_force_best(model, x, eps):
-    absent = [i for i in range(x.dim) if i not in x.indices]
-    base = set(x.indices)
+    base = active(x)
     best = score(model, x)
     for k in range(1, eps + 1):
-        for add in itertools.combinations(absent, k):
-            best = min(best, score(model, vec(base | set(add), x.dim)))
+        for add in itertools.combinations(np.flatnonzero(~x), k):
+            best = min(best, score(model, vec(base + list(add), x.size)))
     return best
 
 
@@ -63,9 +69,7 @@ def greedy_linear_evasion(model, x, epsilon, threshold=0.0):
         return GreedyResult((), tuple(trace), True)
 
     w = model.weights
-    present = np.zeros(model.d, dtype=bool)
-    present[list(x.indices)] = True
-    candidates = np.flatnonzero(~present & (w < 0.0))
+    candidates = np.flatnonzero(~x & (w < 0.0))
     candidates = candidates[np.argsort(w[candidates], kind="stable")]
 
     added = []
@@ -99,28 +103,28 @@ class TestProject:
     def test_three_stage_trace(self):
         x = vec([2], 3)
         out = project(np.array([0.9, 0.2, 1.0]), x, 1)
-        assert out.indices == (0, 2)
+        assert out.dtype == bool and active(out) == [0, 2]
 
     def test_fixed_point(self):
         x = vec([1, 3], 5)
-        out = project(x.to_dense(), x, 2)
-        assert out.indices == x.indices
+        out = project(x.astype(float), x, 2)
+        assert np.array_equal(out, x)
 
     def test_addition_only_restores_original(self):
         x = vec([0], 3)
         out = project(np.array([0.0, 0.0, 0.0]), x, 2)
-        assert 0 in out.indices
+        assert out[0]
 
     def test_budget_enforced_with_index_ties(self):
         x = vec([], 4)
         # all four coordinates equally attractive; lowest indices win
         out = project(np.array([0.8, 0.8, 0.8, 0.8]), x, 2)
-        assert out.indices == (0, 1)
+        assert active(out) == [0, 1]
 
     def test_largest_moves_kept(self):
         x = vec([], 4)
         out = project(np.array([0.6, 0.9, 0.55, 0.95]), x, 2)
-        assert out.indices == (1, 3)
+        assert active(out) == [1, 3]
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError):
@@ -342,7 +346,7 @@ class TestSecurityEvaluation:
         train, test = split(generate_synthetic(cfg), 0.6, 0)
         model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         rate, threshold = detection_rate_at_fpr(model, test, 0.01)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+        malware = test.samples[test.labels == 1]
         return model, malware, rate, threshold
 
     def test_zero_budget_equals_clean_rate(self):
@@ -453,7 +457,7 @@ class TestKernelCurveMonotonicity:
         train, test = split(generate_synthetic(cfg), 0.6, 0)
         model = train_rbf_svm(train, 10.0, 0.2, TrainConfig(epochs=20, seed=0))
         _, threshold = detection_rate_at_fpr(model, test, 0.05)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+        malware = test.samples[test.labels == 1]
         curve = security_evaluation(model, malware, range(1, 9), threshold,
                                     AttackConfig(max_iters=80), method="pgd")
         rates = curve.detection_rates
@@ -468,7 +472,7 @@ class TestOracleEquivalence:
         train, test = split(generate_synthetic(cfg), 0.6, 0)
         model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:60]
+        malware = test.samples[test.labels == 1][:60]
         g = epsilon_min_batch(model, malware, 40, "greedy", threshold=threshold)
         p = epsilon_min_batch(model, malware, 40, "pgd",
                               AttackConfig(max_iters=200), threshold=threshold)
@@ -536,6 +540,17 @@ GOLDEN_C8_GRID = (
     (1.708498319209459, 1.6571486952007866, 1.6132691821936347, 1.571967873756614, 1.5326473198572166, 1.4939039691725724, 1.457932689077905, 1.4238390668895895),
 )
 
+# Rows 2, 12, 44 and 78 of the same cell at budgets 19 and 20: the shadow
+# pass lowers four of these eight scores (by 1.7e-6 to 1.4e-4) below what
+# the binary passes alone reach, so this pins its contribution.
+GOLDEN_C8_SHADOW_ROWS = (2, 12, 44, 78)
+GOLDEN_C8_SHADOW = (
+    (0.1940324741607013, 0.1777954013404836),
+    (-0.08760092299833261, -0.10393024037255444),
+    (1.0808341724324726, 1.0569957387523075),
+    (1.2734083307175381, 1.2501357535661497),
+)
+
 
 def criterion8_rbf_cell():
     cfg = SyntheticConfig(d=150, n_benign=1300, n_malware=1300, n_strong=30,
@@ -547,7 +562,7 @@ def criterion8_rbf_cell():
                           TrainConfig("hinge", spec.reg, epochs=spec.epochs,
                                       learning_rate=spec.learning_rate, seed=0))
     _, threshold = detection_rate_at_fpr(model, test, 0.01)
-    malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+    malware = test.samples[test.labels == 1]
     return model, malware, threshold
 
 
@@ -562,7 +577,7 @@ def d12_cell(kind="rbf"):
     else:
         model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
     _, threshold = detection_rate_at_fpr(model, test, 0.05)
-    malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+    malware = test.samples[test.labels == 1]
     return model, malware, threshold
 
 
@@ -573,6 +588,14 @@ class TestGridEngine:
                                          threshold,
                                          AttackConfig(max_iters=150), "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
+
+    def test_shadow_pass_scores_bitwise_equal_golden(self):
+        model, malware, threshold = criterion8_rbf_cell()
+        rows = list(GOLDEN_C8_SHADOW_ROWS)
+        scores = attack_scores_over_grid(model, malware[rows], [19, 20],
+                                         threshold,
+                                         AttackConfig(max_iters=150), "pgd")
+        assert np.array_equal(scores, np.array(GOLDEN_C8_SHADOW))
 
     def test_grid_columns_equal_single_budget_attacks(self):
         model, malware, threshold = d12_cell()
@@ -655,7 +678,7 @@ class TestEngineMemory:
                               weak_rate_gap=0.003, base_density=0.10,
                               seed=2024)
         train, test = split(generate_synthetic(cfg), 0.5, 0)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1]
+        malware = test.samples[test.labels == 1]
         model = train_linear(train, TrainConfig("hinge", 0.1, epochs=10,
                                                 seed=1))
         _, threshold = detection_rate_at_fpr(model, test, 0.01)

@@ -6,14 +6,16 @@ from evadelab.explain import (attribution_gradient,
                               attribution_gradient_input,
                               attribution_integrated_gradients,
                               relevance_percentages, top_features)
-from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
-                                   generate_synthetic)
+from evadelab.featurespace import SyntheticConfig, generate_synthetic
 from evadelab.models import (KernelModel, LinearModel, TrainConfig, score,
                              train_linear, train_rbf_svm)
 
 
 def vec(indices, d):
-    return SparseBinaryVector.from_indices(indices, d)
+    """The bool (d,) row with the given features present."""
+    x = np.zeros(d, dtype=bool)
+    x[list(indices)] = True
+    return x
 
 
 def random_kernel_model(rng, d, n_sv, gamma):
@@ -36,7 +38,7 @@ class TestGradient:
         x = vec([0, 3, 5], 6)
         r = attribution_gradient(m, [x])[0]
         h = 1e-4
-        base = x.to_dense()
+        base = x.astype(float)
         for i in range(6):
             up = base.copy()
             up[i] += h
@@ -64,8 +66,7 @@ class TestGradientInput:
             m = random_kernel_model(rng, 8, 4, 0.5)
             x = vec(np.flatnonzero(rng.random(8) < 0.4), 8)
             r = attribution_gradient_input(m, [x])[0]
-            absent = [i for i in range(8) if i not in x.indices]
-            assert np.all(r[absent] == 0.0)
+            assert np.all(r[~x] == 0.0)
 
 
 class TestIntegratedGradients:
@@ -82,7 +83,7 @@ class TestIntegratedGradients:
         rng = np.random.default_rng(6)
         m = random_kernel_model(rng, 5, 3, 0.4)
         x = vec([1, 3], 5)
-        r = attribution_integrated_gradients(m, [x], baseline=x.to_dense(),
+        r = attribution_integrated_gradients(m, [x], baseline=x.astype(float),
                                              p=50)
         assert np.array_equal(r, np.zeros((1, 5)))
 
@@ -96,7 +97,7 @@ class TestIntegratedGradients:
                               base_density=0.1, seed=23)
         ds = generate_synthetic(cfg)
         m = train_rbf_svm(ds, 10.0, 0.1, TrainConfig(epochs=30, seed=0))
-        malware = [s for s, y in zip(ds.samples, ds.labels) if y == 1]
+        malware = ds.samples[ds.labels == 1]
         R = attribution_integrated_gradients(m, malware[:5], p=1000)
         for x, r in zip(malware[:5], R):
             f_x = score(m, x)
@@ -170,7 +171,7 @@ class TestReporting:
 
 def reference_ig(model, x, p):
     """One sample's zero-baseline path sum as one (p, d) gradient batch."""
-    delta = x.to_dense()
+    delta = x.astype(float)
     points = (np.arange(1, p + 1) / p)[:, None] * delta[None, :]
     return delta * model.gradient_batch(points).sum(axis=0) / p
 
@@ -186,7 +187,7 @@ class TestBatchedRows:
         ds = generate_synthetic(cfg)
         linear = train_linear(ds, TrainConfig("hinge", 1.0, epochs=5, seed=0))
         rbf = train_rbf_svm(ds, 10.0, 0.05, TrainConfig(epochs=5, seed=0))
-        samples = list(ds.samples[:50]) + [vec([], 40)]
+        samples = np.vstack([ds.samples[:50], vec([], 40)])
         return linear, rbf, samples
 
     @pytest.mark.parametrize("method", [attribution_gradient,

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from evadelab.featurespace import (DatasetFormatError, FeatureSpace,
-                                   LabeledDataset, SparseBinaryVector,
+from evadelab.featurespace import (DatasetFormatError, LabeledDataset,
                                    SyntheticConfig, generate_synthetic,
                                    load_dataset, save_dataset, split)
-from evadelab.models import TrainConfig, auc, detection_rate_at_fpr, roc_curve, train_linear
+from evadelab.attack import (attack_scores_over_grid, epsilon_min,
+                             epsilon_min_batch, project, security_evaluation)
+from evadelab.explain import (attribution_gradient, attribution_gradient_input,
+                              attribution_integrated_gradients)
+from evadelab.models import (KernelModel, LinearModel, TrainConfig, auc,
+                             detection_rate_at_fpr, roc_curve, score,
+                             train_linear)
 
 
 def _write(tmp_path, text, name="data.txt"):
@@ -14,47 +19,18 @@ def _write(tmp_path, text, name="data.txt"):
     return path
 
 
-class TestSparseBinaryVector:
-    def test_valid_construction(self):
-        v = SparseBinaryVector((1, 4, 7), 10)
-        assert v.indices == (1, 4, 7)
-        assert v.n_active == 3
-
-    def test_rejects_duplicates_and_disorder(self):
-        with pytest.raises(ValueError):
-            SparseBinaryVector((3, 3), 5)
-        with pytest.raises(ValueError):
-            SparseBinaryVector((4, 2), 5)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseBinaryVector((5,), 5)
-        with pytest.raises(ValueError):
-            SparseBinaryVector((-1,), 5)
-
-    def test_from_indices_normalizes(self):
-        v = SparseBinaryVector.from_indices([7, 3, 7], 8)
-        assert v.indices == (3, 7)
-
-    def test_dense_round_trip(self):
-        v = SparseBinaryVector((0, 2), 4)
-        assert np.array_equal(v.to_dense(), [1.0, 0.0, 1.0, 0.0])
-        assert SparseBinaryVector.from_dense(v.to_dense()) == v
-
-
-class TestFeatureSpace:
-    def test_dimension_validated(self):
-        with pytest.raises(ValueError):
-            FeatureSpace(0)
-        assert FeatureSpace(1).dimension == 1
+def active(x):
+    """The present features of a bool row, ascending."""
+    return np.flatnonzero(x).tolist()
 
 
 class TestLoadDataset:
     def test_basic_format(self, tmp_path):
         ds = load_dataset(_write(tmp_path, "+1 3:1 7:1\n-1 1:1\n"))
         assert ds.n == 2
-        assert ds.samples[0].indices == (3, 7)
-        assert ds.labels == (1, -1)
+        assert ds.samples.dtype == bool and ds.samples.shape == (2, 8)
+        assert active(ds.samples[0]) == [3, 7]
+        assert ds.labels.tolist() == [1, -1]
         assert ds.d == 8  # 1 + max index seen
 
     def test_empty_file_needs_hint(self, tmp_path):
@@ -62,11 +38,15 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError):
             load_dataset(path)
         ds = load_dataset(path, d_hint=5)
-        assert ds.n == 0 and ds.d == 5
+        assert ds.n == 0 and ds.d == 5 and ds.samples.shape == (0, 5)
 
     def test_unsorted_indices_normalized(self, tmp_path):
-        ds = load_dataset(_write(tmp_path, "+1 7:1 3:1\n"))
-        assert ds.samples[0].indices == (3, 7)
+        # repeated indices set one feature; saving writes them ascending
+        path = _write(tmp_path, "+1 7:1 3:1 7:1\n")
+        ds = load_dataset(path)
+        assert active(ds.samples[0]) == [3, 7]
+        save_dataset(ds, path)
+        assert path.read_text() == "+1 3:1 7:1\n"
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         ds = load_dataset(_write(tmp_path, "# header\n\n+1 2:1\n"))
@@ -97,8 +77,8 @@ class TestLoadDataset:
         path = tmp_path / "round.txt"
         save_dataset(ds, path)
         loaded = load_dataset(path, d_hint=ds.d)
-        assert loaded.labels == ds.labels
-        assert all(a.indices == b.indices for a, b in zip(loaded.samples, ds.samples))
+        assert np.array_equal(loaded.labels, ds.labels)
+        assert np.array_equal(loaded.samples, ds.samples)
 
 
 class TestGenerateSynthetic:
@@ -108,12 +88,13 @@ class TestGenerateSynthetic:
     def test_deterministic(self):
         a = generate_synthetic(SyntheticConfig(seed=9, **self.CFG))
         b = generate_synthetic(SyntheticConfig(seed=9, **self.CFG))
-        assert a.labels == b.labels
-        assert all(x.indices == y.indices for x, y in zip(a.samples, b.samples))
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.samples, b.samples)
 
     def test_label_counts(self):
         ds = generate_synthetic(SyntheticConfig(seed=1, **self.CFG))
-        assert ds.labels.count(-1) == 30 and ds.labels.count(1) == 30
+        assert ds.labels.tolist() == [-1] * 30 + [1] * 30
+        assert ds.samples.dtype == bool and ds.samples.shape == (60, 40)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -158,23 +139,24 @@ class TestSplit:
         ds = self._dataset(5, 5)
         train, test = split(ds, 0.6, 1)
         assert train.n == 6 and test.n == 4
-        seen = sorted((x.indices, y) for x, y in
-                      list(zip(train.samples, train.labels))
-                      + list(zip(test.samples, test.labels)))
-        orig = sorted((x.indices, y) for x, y in zip(ds.samples, ds.labels))
+        seen = sorted((tuple(active(x)), y) for x, y in
+                      list(zip(train.samples, train.labels.tolist()))
+                      + list(zip(test.samples, test.labels.tolist())))
+        orig = sorted((tuple(active(x)), y)
+                      for x, y in zip(ds.samples, ds.labels.tolist()))
         assert seen == orig
 
     def test_deterministic(self):
         ds = self._dataset(20, 20)
         a = split(ds, 0.7, 5)
         b = split(ds, 0.7, 5)
-        assert all(x.indices == y.indices for x, y in zip(a[0].samples, b[0].samples))
+        assert np.array_equal(a[0].samples, b[0].samples)
 
     def test_stratified(self):
         ds = self._dataset(8, 2)
         train, test = split(ds, 0.5, 3)
-        assert train.labels.count(1) == 1
-        assert test.labels.count(1) == 1
+        assert np.sum(train.labels == 1) == 1
+        assert np.sum(test.labels == 1) == 1
 
     def test_empty_side_rejected(self):
         ds = self._dataset(1, 1)
@@ -190,20 +172,130 @@ class TestSplit:
 class TestLabeledDataset:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            LabeledDataset(FeatureSpace(3), (SparseBinaryVector((0,), 3),), (1, -1))
+            LabeledDataset([[1, 0, 0]], [1, -1])
 
     def test_bad_label(self):
         with pytest.raises(ValueError):
-            LabeledDataset(FeatureSpace(3), (SparseBinaryVector((0,), 3),), (0,))
+            LabeledDataset([[1, 0, 0]], [0])
 
     def test_dim_mismatch(self):
+        # rows of different widths make no (n, d) matrix
         with pytest.raises(ValueError):
-            LabeledDataset(FeatureSpace(3), (SparseBinaryVector((0,), 4),), (1,))
+            LabeledDataset([[1, 0, 0], [1, 0]], [1, -1])
 
-    def test_by_label(self):
-        ds = LabeledDataset(
-            FeatureSpace(3),
-            (SparseBinaryVector((0,), 3), SparseBinaryVector((1,), 3)),
-            (1, -1))
-        assert ds.by_label(1).n == 1
-        assert ds.by_label(-1).samples[0].indices == (1,)
+    @pytest.mark.parametrize("samples", [
+        [[1, 0, 2]],                    # a value other than 0 or 1
+        [[1.0, 0.5, 0.0]],
+        [[1.0, np.nan, 0.0]],
+        [1, 0, 1],                      # one row, not a batch
+        [[[1, 0, 1]]],                  # three dimensions
+        np.zeros((2, 0), dtype=bool),   # no features
+    ])
+    def test_bad_samples_rejected(self, samples):
+        labels = [1] * np.shape(samples)[0]
+        with pytest.raises(ValueError, match="samples must"):
+            LabeledDataset(samples, labels)
+
+    def test_holds_bool_matrix_and_int_labels(self):
+        ds = LabeledDataset([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [1.0, -1.0])
+        assert ds.samples.dtype == bool and ds.labels.dtype == np.int64
+        assert (ds.n, ds.d) == (2, 3)
+        assert active(ds.samples[0]) == [0, 2]
+
+    def test_subset_takes_row_indices_in_order(self):
+        ds = LabeledDataset([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, -1, 1])
+        sub = ds.subset([2, 0])
+        assert [active(x) for x in sub.samples] == [[2], [0]]
+        assert sub.labels.tolist() == [1, 1]
+        assert sub.subset([]).n == 0 and sub.subset([]).d == 3
+
+
+LIN = LinearModel(np.array([1.0, -1.0, 0.5]), 0.0)
+RBF = KernelModel([[1, 0, 1], [0, 1, 0]], np.array([1.0, -0.5]), 0.1, 0.5)
+
+# Every public entry point that takes a batch of samples, on d = 3 models.
+BATCH_APIS = {
+    "attack": lambda X: attack_scores_over_grid(RBF, X, [0, 1], 0.0),
+    "attack_greedy": lambda X: attack_scores_over_grid(LIN, X, [1], 0.0),
+    "security_evaluation": lambda X: security_evaluation(
+        LIN, X, [1], 0.0).detection_rates,
+    "epsilon_min_batch": lambda X: epsilon_min_batch(RBF, X, 2),
+    "gradient": lambda X: attribution_gradient(RBF, X),
+    "gradient_input": lambda X: attribution_gradient_input(RBF, X),
+    "integrated_gradients": lambda X: attribution_integrated_gradients(
+        RBF, X, p=3),
+}
+# ... and every one that takes one (d,) row.
+ROW_APIS = {
+    "score": lambda x: score(RBF, x),
+    "epsilon_min": lambda x: epsilon_min(LIN, x, 2),
+    "project": lambda x: project(np.full(3, 0.7), x, 1),
+}
+GOOD_ROWS = [[1, 0, 1], [0, 0, 0]]
+BAD_VALUES = [[[1, 0, 2], [0, 0, 0]], [[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+              [[1.0, np.nan, 0.0], [0.0, 0.0, 0.0]], [[1, 0, -1], [0, 0, 0]]]
+
+
+class TestSampleFormat:
+    """The one 0/1 matrix format, checked at every public entry point."""
+
+    @pytest.mark.parametrize("api", BATCH_APIS)
+    def test_batch_forms_agree(self, api):
+        # bool, int and float matrices and nested lists are one format
+        want = BATCH_APIS[api](np.array(GOOD_ROWS, dtype=bool))
+        for X in (GOOD_ROWS, np.array(GOOD_ROWS), np.array(GOOD_ROWS, float)):
+            assert np.array_equal(BATCH_APIS[api](X), want)
+
+    @pytest.mark.parametrize("api", BATCH_APIS)
+    @pytest.mark.parametrize("X", BAD_VALUES + [
+        [1, 0, 1],                      # one row, not a batch
+        [[[1, 0, 1]]],                  # three dimensions
+        [[1, 0, 1, 0]],                 # wrong width
+        [[1, 0]],
+    ])
+    def test_batch_rejects_bad_input(self, api, X):
+        with pytest.raises(ValueError, match="samples must"):
+            BATCH_APIS[api](X)
+
+    @pytest.mark.parametrize("api", ROW_APIS)
+    def test_row_forms_agree(self, api):
+        want = ROW_APIS[api](np.array([1, 0, 1], dtype=bool))
+        for x in ([1, 0, 1], np.array([1.0, 0.0, 1.0])):
+            assert np.array_equal(ROW_APIS[api](x), want)
+
+    @pytest.mark.parametrize("api", ROW_APIS)
+    @pytest.mark.parametrize("x", [rows[0] for rows in BAD_VALUES] + [
+        [[1, 0, 1]],                    # a batch, not one row
+        [1, 0, 1, 0],                   # wrong width
+    ])
+    def test_row_rejects_bad_input(self, api, x):
+        with pytest.raises(ValueError, match="samples must"):
+            ROW_APIS[api](x)
+
+    def test_project_returns_bool_row(self):
+        out = project(np.array([0.9, 0.2, 0.6]), [0, 0, 1], 1)
+        assert out.dtype == bool and active(out) == [0, 2]
+
+    @pytest.mark.parametrize("svs", BAD_VALUES + [
+        [1, 0, 1], [[[1, 0, 1]]], np.zeros((2, 0))])
+    def test_kernel_model_rejects_bad_support_vectors(self, svs):
+        with pytest.raises(ValueError, match="samples must"):
+            KernelModel(svs, np.ones(np.shape(svs)[0]), 0.0, 0.5)
+
+    def test_kernel_model_holds_float_matrix(self):
+        m = KernelModel([[True, False, True]], np.array([1.0]), 0.0, 0.5)
+        assert m.support_vectors.dtype == np.float64 and m.d == 3
+
+    def test_kernel_model_owns_its_support_vectors(self):
+        # the cached squared norms must keep matching the support vectors
+        S = np.array([[1.0, 0.0, 1.0]])
+        m = KernelModel(S, np.array([1.0]), 0.0, 0.5)
+        S[0, 1] = 1.0
+        assert np.array_equal(m.support_vectors, [[1.0, 0.0, 1.0]])
+        with pytest.raises(ValueError):
+            m.support_vectors[0, 1] = 1.0
+
+    def test_dataset_width_must_match_model(self):
+        ds = LabeledDataset([[1, 0, 1, 0], [0, 1, 0, 0]], [1, -1])
+        with pytest.raises(ValueError, match=r"\(n, 3\)"):
+            detection_rate_at_fpr(LIN, ds, 0.1)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from evadelab.explain import attribution_gradient
-from evadelab.featurespace import (FeatureSpace, LabeledDataset,
-                                   SparseBinaryVector, SyntheticConfig,
+from evadelab.featurespace import (LabeledDataset, SyntheticConfig,
                                    generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, ModelFormatError,
                              TrainConfig, auc, detection_rate_at_fpr,
@@ -15,25 +14,26 @@ from evadelab.models import (KernelModel, LinearModel, ModelFormatError,
 
 
 def vec(indices, d):
-    return SparseBinaryVector.from_indices(indices, d)
+    """The bool (d,) row with the given features present."""
+    x = np.zeros(d, dtype=bool)
+    x[list(indices)] = True
+    return x
 
 
 def dataset(samples, labels, d):
-    return LabeledDataset(FeatureSpace(d),
-                          tuple(vec(ix, d) for ix in samples),
-                          tuple(labels))
+    return LabeledDataset([vec(ix, d) for ix in samples], labels)
 
 
 def random_kernel_model(rng, d, n_sv, gamma=None):
-    svs = tuple(vec(np.flatnonzero(rng.random(d) < 0.5), d) for _ in range(n_sv))
+    svs = rng.random((n_sv, d)) < 0.5
     g = gamma if gamma is not None else float(rng.uniform(0.2, 1.0))
     return KernelModel(svs, rng.normal(size=n_sv), float(rng.normal() * 0.3), g)
 
 
 def finite_difference_gradient(model, x, h=1e-4):
-    base = x.to_dense()
-    out = np.zeros(x.dim)
-    for i in range(x.dim):
+    base = x.astype(float)
+    out = np.zeros(x.size)
+    for i in range(x.size):
         up = base.copy()
         up[i] += h
         dn = base.copy()
@@ -181,7 +181,7 @@ class TestTrainRbfSvm:
         ds = dataset([[], [0, 1], [0], [1]], [-1, -1, 1, 1], 2)
         m = train_rbf_svm(ds, 10.0, 1.0, TrainConfig(epochs=300, seed=1))
         preds = [1 if score(m, x) >= 0 else -1 for x in ds.samples]
-        assert preds == list(ds.labels)
+        assert preds == ds.labels.tolist()
 
     def test_deterministic(self):
         cfg = SyntheticConfig(d=15, n_benign=40, n_malware=40, n_strong=4,
@@ -351,6 +351,39 @@ class TestPersistence:
         path = tmp_path / "partial.json"
         path.write_text('{"format_version": 1, "kind": "linear", "d": 3}')
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_kernel_file_keeps_index_lists(self, tmp_path):
+        m = KernelModel([vec([0, 3], 5), vec([], 5)], np.array([1.0, -1.0]),
+                        0.0, 0.5)
+        path = tmp_path / "rbf.json"
+        save_model(m, path)
+        assert json.loads(path.read_text())["support_vectors"] == [[0, 3], []]
+        loaded = load_model(path)
+        assert loaded.support_vectors.dtype == np.float64
+        assert np.array_equal(loaded.support_vectors, m.support_vectors)
+
+    @pytest.mark.parametrize("indices", [[-1], [5], [3, 1], [2, 2]])
+    def test_bad_support_vector_indices_rejected(self, tmp_path, indices):
+        # negative, >= d, decreasing, repeated: a negative index would
+        # otherwise land silently on column d - 1
+        path = tmp_path / "rbf.json"
+        save_model(random_kernel_model(np.random.default_rng(3), 5, 2), path)
+        doc = json.loads(path.read_text())
+        doc["support_vectors"][1] = indices
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="support vector 1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("pairs", [[[-1, 0.5]], [[3, 0.5]],
+                                       [[2, 0.5], [0, 1.0]]])
+    def test_bad_weight_indices_rejected(self, tmp_path, pairs):
+        path = tmp_path / "linear.json"
+        save_model(LinearModel(np.array([0.5, 0.0, -1.0]), 0.0), path)
+        doc = json.loads(path.read_text())
+        doc["weights"] = pairs
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="weights"):
             load_model(path)
 
     @pytest.mark.parametrize("field,value", [("dual_coeffs", float("nan")),

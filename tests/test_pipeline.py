@@ -124,8 +124,7 @@ class TestRunExperiment:
         report, _ = small_report
         _, test = split(generate_synthetic(SMALL_SYNTH), 0.6, 3)
         for cell in report.cells:
-            dense = np.stack([test.samples[i].to_dense()
-                              for i in cell.sample_ids])
+            dense = test.samples[cell.sample_ids].astype(float)
             assert np.array_equal(cell.clean_scores,
                                   cell.model.decision_batch(dense))
 
@@ -139,14 +138,14 @@ class TestRunExperiment:
         cell = report.cells[0]
         assert cell.status == "ok"
         _, test = split(generate_synthetic(SMALL_SYNTH), 0.6, 3)
-        malware = [x for x, y in zip(test.samples, test.labels) if y == 1]
-        benign = [x for x, y in zip(test.samples, test.labels) if y == -1]
+        malware = test.samples[test.labels == 1]
+        benign = test.samples[test.labels == -1]
         assert len(cell.sample_ids) == len(malware)
         with open(tmp_path / "summary.csv") as fh:
             summary = next(csv.DictReader(fh))
         for method in cfg.methods:
             values = []
-            for x in malware + benign:
+            for x in np.vstack([malware, benign]):
                 try:
                     values.append(evenness_e1(_attribution(
                         method, cell.model, [x], cfg.ig_p)[0],

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from evadelab.attack import attack_scores_over_grid
-from evadelab.featurespace import (SparseBinaryVector, SyntheticConfig,
-                                   generate_synthetic, split)
+from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.models import (LinearModel, TrainConfig, detection_rate_at_fpr,
                              train_linear, train_secsvm)
 from evadelab.robustness import (RobustnessScore, adversarial_loss,
@@ -13,7 +12,10 @@ from evadelab.robustness import (RobustnessScore, adversarial_loss,
 
 
 def vec(indices, d):
-    return SparseBinaryVector.from_indices(indices, d)
+    """The bool (d,) row with the given features present."""
+    x = np.zeros(d, dtype=bool)
+    x[list(indices)] = True
+    return x
 
 
 def attacked_robustness(model, samples, eps_grid, threshold, method="auto"):
@@ -92,7 +94,7 @@ class TestAggregateRobustness:
         train, test = split(generate_synthetic(cfg), 0.6, 0)
         model = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:80]
+        malware = test.samples[test.labels == 1][:80]
         r = attacked_robustness(model, malware, range(1, 16), threshold,
                                 "greedy")
         values = [r.per_eps[e] for e in r.eps_grid]
@@ -106,7 +108,7 @@ class TestAggregateRobustness:
         svm = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         sec = train_secsvm(train, TrainConfig("hinge", 1.0, epochs=8, seed=0,
                                               weight_lb=-0.25, weight_ub=0.25))
-        malware = [s for s, y in zip(test.samples, test.labels) if y == 1][:120]
+        malware = test.samples[test.labels == 1][:120]
         _, t1 = detection_rate_at_fpr(svm, test, 0.01)
         _, t2 = detection_rate_at_fpr(sec, test, 0.01)
         r1 = attacked_robustness(svm, malware, range(1, 51), t1, "greedy")
