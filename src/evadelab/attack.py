@@ -87,7 +87,6 @@ class SecurityCurve:
 
     epsilons: tuple[int, ...]
     detection_rates: tuple[float, ...]
-    fpr: float
     n_samples: int
 
     def __post_init__(self):
@@ -98,11 +97,11 @@ class SecurityCurve:
                 raise ValueError("detection rates must lie in [0, 1]")
 
     @classmethod
-    def from_scores(cls, scores: np.ndarray, eps_grid, threshold: float,
-                    fpr: float = float("nan")) -> "SecurityCurve":
+    def from_scores(cls, scores: np.ndarray, eps_grid,
+                    threshold: float) -> "SecurityCurve":
         """The curve of an (n, len(eps_grid)) post-attack score matrix."""
         rates = tuple(float(np.mean(col >= threshold)) for col in scores.T)
-        return cls(tuple(int(e) for e in eps_grid), rates, fpr, scores.shape[0])
+        return cls(tuple(int(e) for e in eps_grid), rates, scores.shape[0])
 
     def area(self) -> float:
         """Mean detection rate over the grid (higher = harder to evade)."""
@@ -258,10 +257,10 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
         rows, g = rows[~done], g[~done]
 
 
-def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
+def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
               cfg: AttackConfig | None, threshold: float) -> np.ndarray:
     """(n, k) best scores of the batched attack at each budget of an
-    ascending list.
+    ascending list, from ``start``, the (scores, gradients) of the rows X0b.
 
     For each budget a binary pass, then on a kernel model one shadow pass
     shared by all budgets; both lower the same score matrix, so each (row,
@@ -272,7 +271,6 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, budgets,
     """
     cfg = cfg if cfg is not None else AttackConfig()
     lb = X0b.astype(np.float64)
-    start = model.decision_and_gradient_batch(lb)
     best_scores = np.repeat(start[0][:, None], len(budgets), axis=1)
     for col, eps in enumerate(budgets):
         _descent_pass(model, X0b, lb, start, [eps], "binary", cfg, threshold,
@@ -369,10 +367,9 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     if method == "greedy" and not isinstance(model, LinearModel):
         raise TypeError("greedy attack requires a linear model")
 
-    scores0 = model.decision_batch(X0b.astype(np.float64))
-
     out = np.empty((X0b.shape[0], len(eps_grid)))
     if method == "greedy":
+        scores0 = model.decision_batch(X0b.astype(np.float64))
         # Each budget stops at the first crossing or at the last step whose
         # addition count fits, whichever comes first; an already-benign row
         # crosses at its clean point (step 0).
@@ -387,9 +384,12 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
             out[:, col] = path_scores[rows, np.minimum(first_cross, last)]
         return out
 
+    # one fused call scores the rows and gives the descent's first gradient
+    start = model.decision_and_gradient_batch(X0b.astype(np.float64))
+    scores0 = start[0]
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores = _pgd_core(model, X0b, budgets, cfg, threshold)
+        best_scores = _pgd_core(model, X0b, start, budgets, cfg, threshold)
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out
@@ -397,10 +397,9 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
 
 def security_evaluation(model: TrainedModel, malware_samples, eps_grid,
                         threshold: float, cfg: AttackConfig | None = None,
-                        method: str = "auto",
-                        fpr: float = float("nan")) -> SecurityCurve:
+                        method: str = "auto") -> SecurityCurve:
     """Detection rate at the fixed threshold after attacking at each budget."""
     eps_grid = [int(e) for e in eps_grid]
     return SecurityCurve.from_scores(attack_scores_over_grid(
         model, malware_samples, eps_grid, threshold, cfg, method),
-        eps_grid, threshold, fpr)
+        eps_grid, threshold)

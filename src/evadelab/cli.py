@@ -85,7 +85,7 @@ def cmd_attack(args) -> int:
     model = models.load_model(args.model)
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
-    grid = _parse_grid(args.epsilon_grid) if args.epsilon_grid else [args.epsilon]
+    grid = _parse_grid(args.epsilon_grid)
     eps_max = args.eps_max or max(grid)
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
@@ -207,11 +207,9 @@ def cmd_correlate(args) -> int:
             xs.append(x)
             ys.append(y)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    fns = {"pearson": stats.pearson, "spearman": stats.spearman,
-           "kendall": stats.kendall}
     rows_out = []
     for name in methods:
-        rpt = fns[name](xs, ys)
+        rpt = stats._by_name(name)(xs, ys)
         p_value = rpt.p_value
         if args.permutation and not rpt.degenerate:
             p_value = stats.permutation_pvalue(xs, ys, name, args.permutation,
@@ -267,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attack", help="attack malware samples and emit a CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--epsilon", type=int, default=10)
-    p.add_argument("--epsilon-grid", help="'1:50' or comma list")
+    p.add_argument("--epsilon-grid", default="10",
+                   help="'1:50', a comma list, or one budget")
     p.add_argument("--eps-max", type=int, default=None,
                    help="search cap for eps_min (defaults to the grid max)")
     p.add_argument("--fpr", type=float, default=0.01)

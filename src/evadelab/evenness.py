@@ -93,13 +93,12 @@ class EvennessReport:
     per_sample_e1: tuple[float | None, ...]
     per_sample_e2: tuple[float | None, ...]
     m: int
-    method: str
     averaged_e1: float
     averaged_e2: float
     n_undefined: int
 
 
-def evenness_report(R, m: int, method: str = "") -> EvennessReport:
+def evenness_report(R, m: int) -> EvennessReport:
     """Both metrics for every row of the (n, d) attributions R plus their
     averages over the defined rows."""
     if m < 2:
@@ -113,7 +112,7 @@ def evenness_report(R, m: int, method: str = "") -> EvennessReport:
     return EvennessReport(
         tuple(v if ok else None for v, ok in zip(e1.tolist(), keep)),
         tuple(v if ok else None for v, ok in zip(e2.tolist(), keep)),
-        m, method,
+        m,
         math.fsum(e1[defined].tolist()) / n_defined,
         math.fsum(e2[defined].tolist()) / n_defined,
         len(keep) - n_defined,

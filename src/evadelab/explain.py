@@ -37,31 +37,26 @@ def attribution_gradient_input(model: TrainedModel, samples) -> np.ndarray:
 
 
 def attribution_integrated_gradients(model: TrainedModel, samples,
-                                     baseline=None, p: int = 100) -> np.ndarray:
-    """Right-endpoint path sum of gradients from the baseline to each x.
+                                     p: int = 100) -> np.ndarray:
+    """Right-endpoint path sum of gradients from the all-zeros baseline to
+    each x.
 
-    r_i = (x_i - x'_i) * (1/p) * sum_{k=1..p} grad_i f(x' + (k/p)(x - x')),
-    with the all-zeros baseline by default or one (d,) array x'.  Each row's
+    r_i = x_i * (1/p) * sum_{k=1..p} grad_i f((k/p) x).  Each row's
     gradients are summed over chunks of max(1, 2**19 // d) path points, so
     a row's result does not depend on the other rows.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     X = _binary_rows(samples, model.d)
-    base = np.zeros(model.d) if baseline is None else np.asarray(
-        baseline, dtype=np.float64)
-    if base.shape != (model.d,):
-        raise ValueError("baseline dimensionality does not match the model")
     chunk = max(1, _IG_CHUNK_VALUES // model.d)
     R = np.empty_like(X)
     for row, x in enumerate(X):
-        delta = x - base
         grad_sum = np.zeros(model.d)
         for start in range(1, p + 1, chunk):
             ks = np.arange(start, min(start + chunk, p + 1), dtype=np.float64)
-            points = base[None, :] + (ks / p)[:, None] * delta[None, :]
+            points = (ks / p)[:, None] * x[None, :]
             grad_sum += model.gradient_batch(points).sum(axis=0)
-        R[row] = delta * grad_sum / p
+        R[row] = x * grad_sum / p
     return _finite(R)
 
 

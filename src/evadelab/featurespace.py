@@ -6,6 +6,8 @@ their rows as an (n, d) bool matrix, and every entry point that takes rows
 (attack, attributions, scoring, projection) accepts anything ``np.asarray``
 makes into an (n, d) 0/1 matrix; ``_binary_rows`` is the one place that
 checks it.  On disk a dataset is the sparse text format of ``load_dataset``.
+``load_dataset`` and ``generate_synthetic`` refuse, before allocating it, a
+matrix whose float64 copy would exceed 1 GiB.
 """
 
 from __future__ import annotations
@@ -16,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The largest sample matrix a dataset may hold, counted as the float64 copy
+# that scoring and training take of it: 1 GiB.
+_MAX_FLOAT64_BYTES = 2 ** 30
+
+
 class DatasetFormatError(ValueError):
     """A sparse dataset file could not be parsed; carries the offending line number."""
 
@@ -24,6 +31,15 @@ class DatasetFormatError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+def _check_size(n: int, d: int, error=ValueError) -> None:
+    """Raise ``error`` before an (n, d) sample matrix whose float64 copy
+    would exceed _MAX_FLOAT64_BYTES is built."""
+    nbytes = 8 * n * d
+    if nbytes > _MAX_FLOAT64_BYTES:
+        raise error(f"an (n={n}, d={d}) sample matrix takes {nbytes} bytes "
+                    f"as float64, over the {_MAX_FLOAT64_BYTES}-byte limit")
 
 
 def _binary_rows(samples, d: int | None, dtype=np.float64) -> np.ndarray:
@@ -109,6 +125,7 @@ class SyntheticConfig:
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     """Draw a seeded dataset of independent Bernoulli features, benign rows first."""
+    _check_size(cfg.n_benign + cfg.n_malware, cfg.d)
     rng = np.random.default_rng(cfg.seed)
     p_benign = np.full(cfg.d, cfg.base_density)
     p_malware = np.full(cfg.d, cfg.base_density)
@@ -168,6 +185,7 @@ def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
     if d < 1:
         raise DatasetFormatError(
             "empty dataset and no d_hint given; dimensionality is undefined")
+    _check_size(len(labels), d, DatasetFormatError)
     samples = np.zeros((len(labels), d), dtype=bool)
     samples[rows, cols] = True
     return LabeledDataset(samples, labels)

@@ -4,8 +4,10 @@ One repetition trains every classifier on a fresh stratified split, fixes the
 decision threshold at the configured false-positive budget, attacks the
 malicious test samples over the budget grid, and derives the security curve,
 the robustness score, per-sample attribution evenness, and the correlation
-table from that single attack pass.  Everything is seeded, so a rerun with
-the same config reproduces every output file byte for byte.
+table from that single attack pass.  Evenness is computed on the attacked
+malware only, so the summary and scatter averages cover the same samples
+that the correlations pair with robustness.  Everything is seeded, so a
+rerun with the same config reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -95,8 +97,6 @@ class ExperimentConfig:
     attack_tol: float = 1e-6
     attack_max_iters: int = 1000
     attack_method: str = "auto"
-    evenness_include_benign: bool = False
-    curve_envelopes: bool = False
 
     def __post_init__(self):
         if not self.classifiers:
@@ -126,16 +126,23 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         doc = dict(doc)
-        dataset = doc.pop("dataset", {})
-        attack = doc.pop("attack", {})
-        attack_keys = tuple(f.name.removeprefix("attack_") for f in fields(cls)
-                            if f.name.startswith("attack_"))
-        for section, keys, known in (("dataset", dataset, _DATASET_KEYS),
-                                     ("attack", attack, attack_keys)):
+        names = [f.name for f in fields(cls)]
+        attack_keys = tuple(name.removeprefix("attack_") for name in names
+                            if name.startswith("attack_"))
+        # the top level holds the sections, the roster and every other field
+        top_keys = ("dataset", "attack", "classifiers", *(
+            name for name in names if not name.startswith("attack_")
+            and name not in ("classifiers", "dataset_path", "synthetic")))
+        for section, keys, known in (
+                ("config", doc, top_keys),
+                ("dataset", doc.get("dataset", {}), _DATASET_KEYS),
+                ("attack", doc.get("attack", {}), attack_keys)):
             unknown = sorted(set(keys) - set(known))
             if unknown:
                 raise ValueError(f"unknown {section} key(s) {unknown}; "
                                  f"expected some of {known}")
+        dataset = doc.pop("dataset", {})
+        attack = doc.pop("attack", {})
         dataset_path = dataset.get("path")
         synthetic = None
         if "synthetic" in dataset:
@@ -159,9 +166,8 @@ class ExperimentConfig:
                                                  int(grid["stop"]) + 1))
             else:
                 kwargs["eps_grid"] = tuple(int(e) for e in grid)
-        for key in ("methods",):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
+        if "methods" in kwargs:
+            kwargs["methods"] = tuple(kwargs["methods"])
         return cls(
             classifiers=tuple(specs),
             dataset_path=dataset_path,
@@ -192,8 +198,6 @@ class ExperimentConfig:
             "attack": {"tol": self.attack_tol,
                        "max_iters": self.attack_max_iters,
                        "method": self.attack_method},
-            "evenness_include_benign": self.evenness_include_benign,
-            "curve_envelopes": self.curve_envelopes,
         }
         return doc
 
@@ -216,10 +220,8 @@ class ClassifierCell:
     adv_scores: np.ndarray | None = None
     curve: SecurityCurve | None = None
     robust: RobustnessScore | None = None
+    # per method: the report over the attacked malware samples
     evenness: dict[str, EvennessReport] = field(default_factory=dict)
-    # per method: the attacked malware's report, or with
-    # evenness_include_benign one over those samples plus benign test rows
-    summary_evenness: dict[str, EvennessReport] = field(default_factory=dict)
     correlations: list[dict] = field(default_factory=list)
 
 
@@ -264,14 +266,6 @@ def _attribution(method: str, model: TrainedModel, samples,
     return attribution_integrated_gradients(model, samples, p=ig_p)
 
 
-def _choose_rows(ds: LabeledDataset, label: int, limit: int,
-                 rng: np.random.Generator) -> list[int]:
-    rows = np.flatnonzero(ds.labels == label)
-    if rows.size > limit:
-        rows = rows[np.sort(rng.choice(rows.size, size=limit, replace=False))]
-    return rows.tolist()
-
-
 def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
               train_ds: LabeledDataset, test_ds: LabeledDataset) -> ClassifierCell:
     cell = ClassifierCell(rep=rep, spec=spec)
@@ -282,8 +276,13 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.auc = auc(cell.roc)
     cell.dr_clean, cell.threshold = detection_rate_at_fpr(model, test_ds, cfg.fpr)
 
-    rng = np.random.default_rng(seed)
-    cell.sample_ids = _choose_rows(test_ds, 1, cfg.n_attack_samples, rng)
+    # the attacked malware: all of it, or a seeded sorted draw of that many
+    rows = np.flatnonzero(test_ds.labels == 1)
+    if rows.size > cfg.n_attack_samples:
+        rng = np.random.default_rng(seed)
+        rows = rows[np.sort(rng.choice(rows.size, size=cfg.n_attack_samples,
+                                       replace=False))]
+    cell.sample_ids = rows.tolist()
     samples = test_ds.samples[cell.sample_ids]
 
     acfg = AttackConfig(tol=cfg.attack_tol, max_iters=cfg.attack_max_iters)
@@ -292,30 +291,15 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
                                      cell.threshold, acfg, cfg.attack_method)
     cell.clean_scores, cell.adv_scores = scores[:, 0], scores[:, 1:]
     cell.curve = SecurityCurve.from_scores(cell.adv_scores, cfg.eps_grid,
-                                           cell.threshold, cfg.fpr)
+                                           cell.threshold)
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
-    benign_rows = []
-    if cfg.evenness_include_benign:
-        benign_rows = _choose_rows(test_ds, -1, cfg.n_attack_samples, rng)
     for method in cfg.methods:
-        R = _attribution(method, model, samples, cfg.ig_p)
-        cell.evenness[method] = evenness_report(R, cfg.evenness_m, method)
-        cell.summary_evenness[method] = cell.evenness[method]
-        if benign_rows:
-            R = np.vstack([R, _attribution(
-                method, model, test_ds.samples[benign_rows], cfg.ig_p)])
-            cell.summary_evenness[method] = evenness_report(
-                R, cfg.evenness_m, method)
+        cell.evenness[method] = evenness_report(
+            _attribution(method, model, samples, cfg.ig_p), cfg.evenness_m)
         for metric in EVENNESS_METRICS:
-            pairs = _evenness_robustness_pairs(cell, method, metric)
-            if len(pairs) < 3:
-                continue
-            _, xs, ys = zip(*pairs)
-            for rpt in correlation_suite(xs, ys):
-                cell.correlations.append(
-                    {"attribution": method, "metric": metric, "report": rpt})
+            cell.correlations += _correlation_entries([cell], method, metric)
     return cell
 
 
@@ -328,6 +312,19 @@ def _evenness_robustness_pairs(cell: ClassifierCell, method: str,
     return [(row, e, float(r)) for row, (e, r)
             in enumerate(zip(per_sample, cell.robust.per_sample))
             if e is not None]
+
+
+def _correlation_entries(cells: list[ClassifierCell], method: str,
+                         metric: str, **lead) -> list[dict]:
+    """The correlation suite over the cells' pooled (evenness, robustness)
+    pairs, one entry per coefficient carrying ``lead``; none below 3 pairs."""
+    pairs = [pair for cell in cells
+             for pair in _evenness_robustness_pairs(cell, method, metric)]
+    if len(pairs) < 3:
+        return []
+    _, xs, ys = zip(*pairs)
+    return [{**lead, "attribution": method, "metric": metric, "report": rpt}
+            for rpt in correlation_suite(xs, ys)]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -369,17 +366,8 @@ def _pool_correlations(cfg: ExperimentConfig,
             continue
         for method in cfg.methods:
             for metric in EVENNESS_METRICS:
-                pairs = [p for cell in ok
-                         for p in _evenness_robustness_pairs(cell, method,
-                                                             metric)]
-                if len(pairs) < 3:
-                    continue
-                _, xs, ys = zip(*pairs)
-                for rpt in correlation_suite(xs, ys):
-                    pooled.append({"classifier": spec.name,
-                                   "attribution": method,
-                                   "metric": metric,
-                                   "report": rpt})
+                pooled += _correlation_entries(ok, method, metric,
+                                               classifier=spec.name)
     return pooled
 
 
@@ -408,13 +396,18 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
     cfg = report.config
     out.mkdir(parents=True, exist_ok=True)
 
+    summary_header = ["rep", "classifier", "status", "auc", "dr_clean",
+                      "threshold", "aggregate_robustness",
+                      "mean_dr_under_attack"]
+    for method in cfg.methods:
+        summary_header += [f"avg_e1_{method}", f"avg_e2_{method}"]
     summary_rows = []
     for cell in report.cells:
         rep_dir = out / f"rep{cell.rep}"
         slug = cell.spec.slug
         if cell.status != "ok":
             summary_rows.append([cell.rep, cell.spec.name, cell.status]
-                                + [None] * (5 + 2 * len(cfg.methods)))
+                                + [None] * (len(summary_header) - 3))
             continue
         _write_csv(rep_dir / f"roc_{slug}.csv", ["fpr", "tpr"], cell.roc)
 
@@ -449,20 +442,14 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                     "p_value", "n", "degenerate"],
                    _correlation_rows(cell.correlations, []))
 
-        mean_dr_attack = float(np.mean(cell.curve.detection_rates))
         summary = [cell.rep, cell.spec.name, cell.status, cell.auc,
                    cell.dr_clean, cell.threshold, cell.robust.aggregate,
-                   mean_dr_attack]
+                   cell.curve.area()]
         for method in cfg.methods:
-            rpt = cell.summary_evenness[method]
+            rpt = cell.evenness[method]
             summary += [rpt.averaged_e1, rpt.averaged_e2]
         summary_rows.append(summary)
-
-    header = ["rep", "classifier", "status", "auc", "dr_clean", "threshold",
-              "aggregate_robustness", "mean_dr_under_attack"]
-    for method in cfg.methods:
-        header += [f"avg_e1_{method}", f"avg_e2_{method}"]
-    _write_csv(out / "summary.csv", header, summary_rows)
+    _write_csv(out / "summary.csv", summary_header, summary_rows)
 
     _write_csv(out / "pooled_correlations.csv",
                ["classifier", "attribution", "metric", "corr_method",
@@ -471,20 +458,15 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                 for row in _correlation_rows(
                     [entry], [entry["classifier"]])])
 
-    # repetition-mean security curves (optionally with min/max envelopes)
+    # repetition-mean security curves
     for spec in cfg.classifiers:
         ok = report.ok_cells(spec.name)
         if not ok:
             continue
         rates = np.stack([np.asarray(c.curve.detection_rates) for c in ok])
-        header = ["eps", "mean_detection_rate"]
-        columns = [list(cfg.eps_grid), rates.mean(axis=0)]
-        if cfg.curve_envelopes:
-            header += ["min_detection_rate", "max_detection_rate"]
-            columns += [rates.min(axis=0), rates.max(axis=0)]
-        _write_csv(out / f"security_curve_mean_{spec.slug}.csv", header,
-                   [[col[i] for col in columns]
-                    for i in range(len(cfg.eps_grid))])
+        _write_csv(out / f"security_curve_mean_{spec.slug}.csv",
+                   ["eps", "mean_detection_rate"],
+                   zip(cfg.eps_grid, rates.mean(axis=0)))
 
     scatter_dir = out / "scatter"
     for method in cfg.methods:
@@ -524,15 +506,14 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
 
 
 def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
-                      y: str = "robustness", out_path: str | Path | None = None,
-                      subsample: int | None = None,
-                      subsample_seed: int = 0) -> list[list]:
+                      y: str = "robustness", out_path: str | Path | None = None
+                      ) -> list[list]:
     """Plot-ready rows pairing evenness with robustness or detection rate.
 
     y="robustness" emits one row per attacked sample (classifier, rep,
     sample_id, evenness, robustness); y="detection_rate" emits one row per
-    classifier (classifier, averaged evenness, mean detection rate under
-    attack over the budget grid), averaged over repetitions.
+    classifier (classifier, the attacked malware's averaged evenness, the
+    security curve's area), each averaged over repetitions.
     """
     if attribution not in report.config.methods:
         raise ValueError(f"attribution {attribution!r} was not computed")
@@ -549,11 +530,6 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
                                                         metric):
                 rows.append([cell.spec.name, cell.rep, cell.sample_ids[row],
                              e, r])
-        if subsample is not None and len(rows) > subsample:
-            rng = np.random.default_rng(subsample_seed)
-            picked = sorted(int(i) for i in
-                            rng.choice(len(rows), subsample, replace=False))
-            rows = [rows[i] for i in picked]
         header = ["classifier", "rep", "sample_id", f"evenness_{metric}",
                   "robustness"]
     elif y == "detection_rate":
@@ -565,10 +541,10 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
             evens = []
             drs = []
             for cell in matching:
-                rpt = cell.summary_evenness[attribution]
+                rpt = cell.evenness[attribution]
                 evens.append(rpt.averaged_e1 if metric == "e1"
                              else rpt.averaged_e2)
-                drs.append(float(np.mean(cell.curve.detection_rates)))
+                drs.append(cell.curve.area())
             rows.append([spec.name, math.fsum(evens) / len(evens),
                          math.fsum(drs) / len(drs)])
         header = ["classifier", f"avg_evenness_{metric}",

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, stdtr
 
-METHODS = ("pearson", "spearman", "kendall")
-
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -211,19 +209,30 @@ def kendall(xs, ys) -> CorrelationReport:
     return CorrelationReport("kendall", tau, min(1.0, p), n, False)
 
 
+# The one name -> function mapping of the coefficients.
+_BY_NAME = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
+METHODS = tuple(_BY_NAME)
+
+
+def _by_name(method: str):
+    """The coefficient function called ``method``; ValueError for any name
+    outside METHODS."""
+    if method not in _BY_NAME:
+        raise ValueError(f"unknown correlation method {method!r}; expected "
+                         f"one of {METHODS}")
+    return _BY_NAME[method]
+
+
 def correlation_suite(evenness_values, robustness_values) -> list[CorrelationReport]:
-    """All three coefficients for one aligned pair of per-sample series."""
-    return [pearson(evenness_values, robustness_values),
-            spearman(evenness_values, robustness_values),
-            kendall(evenness_values, robustness_values)]
+    """All three coefficients, in METHODS order, for one aligned pair of
+    per-sample series."""
+    return [fn(evenness_values, robustness_values) for fn in _BY_NAME.values()]
 
 
 def permutation_pvalue(xs, ys, method: str = "spearman", n_perm: int = 1000,
                        seed: int = 0) -> float:
     """Two-sided permutation p-value for tiny samples where asymptotics are rough."""
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}")
-    fn = {"pearson": pearson, "spearman": spearman, "kendall": kendall}[method]
+    fn = _by_name(method)
     observed = fn(xs, ys)
     if observed.degenerate:
         raise ValueError("permutation test is undefined for degenerate inputs")

@@ -8,7 +8,8 @@ import types
 from pathlib import Path
 
 import evadelab
-from evadelab.attack import AttackConfig
+from evadelab.attack import AttackConfig, SecurityCurve
+from evadelab.evenness import EvennessReport
 from evadelab.featurespace import LabeledDataset
 from evadelab.models import KernelModel, TrainConfig
 from evadelab.pipeline import ClassifierSpec, ExperimentConfig
@@ -51,8 +52,18 @@ def test_experiment_config_fields():
     assert fields(ExperimentConfig) == [
         "classifiers", "dataset_path", "synthetic", "split_fraction", "seed",
         "repetitions", "eps_grid", "fpr", "methods", "ig_p", "evenness_m",
-        "n_attack_samples", "attack_tol", "attack_max_iters", "attack_method",
-        "evenness_include_benign", "curve_envelopes"]
+        "n_attack_samples", "attack_tol", "attack_max_iters", "attack_method"]
+
+
+def test_security_curve_fields():
+    assert fields(SecurityCurve) == ["epsilons", "detection_rates",
+                                     "n_samples"]
+
+
+def test_evenness_report_fields():
+    assert fields(EvennessReport) == [
+        "per_sample_e1", "per_sample_e2", "m", "averaged_e1", "averaged_e2",
+        "n_undefined"]
 
 
 def test_classifier_spec_fields():

@@ -380,16 +380,17 @@ class TestSecurityEvaluation:
 
     def test_curve_from_scores(self):
         scores = np.array([[1.0, -1.0], [2.0, 0.5], [0.6, 0.6]])
-        curve = SecurityCurve.from_scores(scores, [2, 5], 0.6, 0.01)
+        curve = SecurityCurve.from_scores(scores, [2, 5], 0.6)
         assert curve.epsilons == (2, 5)
         assert curve.detection_rates == (1.0, 1 / 3)
-        assert curve.fpr == 0.01 and curve.n_samples == 3
+        assert curve.n_samples == 3
+        assert curve.area() == (1.0 + 1 / 3) / 2
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            SecurityCurve((1, 2), (0.5,), 0.01, 10)
+            SecurityCurve((1, 2), (0.5,), 10)
         with pytest.raises(ValueError):
-            SecurityCurve((1,), (1.5,), 0.01, 10)
+            SecurityCurve((1,), (1.5,), 10)
 
 
 # Greedy grid scores recorded before the greedy branch became one rule.

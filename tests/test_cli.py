@@ -80,7 +80,7 @@ class TestAttack:
     def test_single_epsilon(self, workdir):
         out = workdir / "attack1.csv"
         rc = main(["attack", "--model", str(workdir / "model.json"),
-                   "--data", str(workdir / "test.txt"), "--epsilon", "3",
+                   "--data", str(workdir / "test.txt"), "--epsilon-grid", "3",
                    "--threshold", "0.0", "--method", "greedy",
                    "--out", str(out)])
         assert rc == 0
@@ -267,6 +267,19 @@ class TestCorrelate:
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and "finite" in err["message"]
+
+    def test_unknown_method_fails_by_name(self, workdir, tmp_path, capsys):
+        data = tmp_path / "xy3.csv"
+        data.write_text("a,b\n1,2\n2,1\n3,3\n")
+        rc = main(["correlate", "--data", str(data), "--x", "a", "--y", "b",
+                   "--methods", "pearson,foo",
+                   "--out", str(tmp_path / "corr3.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "'foo'" in err["message"]
+        assert "('pearson', 'spearman', 'kendall')" in err["message"]
+        assert not (tmp_path / "corr3.csv").exists()
 
     def test_permutation_flag(self, workdir, tmp_path):
         data = tmp_path / "xy2.csv"

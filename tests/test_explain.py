@@ -79,14 +79,6 @@ class TestIntegratedGradients:
             ig = attribution_integrated_gradients(m, [x], p=p)
             assert np.max(np.abs(gi - ig)) < 1e-12
 
-    def test_zero_path(self):
-        rng = np.random.default_rng(6)
-        m = random_kernel_model(rng, 5, 3, 0.4)
-        x = vec([1, 3], 5)
-        r = attribution_integrated_gradients(m, [x], baseline=x.astype(float),
-                                             p=50)
-        assert np.array_equal(r, np.zeros((1, 5)))
-
     def test_completeness_on_trained_kernel(self):
         # a trained machine keeps f(x) - f(0) away from the cancellation
         # regime where the relative tolerance loses meaning
@@ -147,8 +139,7 @@ class TestIntegratedGradients:
         with pytest.raises(ValueError):
             attribution_integrated_gradients(m, [vec([0], 3)], p=0)
         with pytest.raises(ValueError):
-            attribution_integrated_gradients(m, [vec([0], 3)],
-                                             baseline=np.zeros(4))
+            attribution_integrated_gradients(m, [vec([0], 4)])
         with pytest.raises(ValueError):
             attribution_gradient(m, [vec([0], 3), vec([0], 4)])
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from evadelab import featurespace
 from evadelab.featurespace import (DatasetFormatError, LabeledDataset,
                                    SyntheticConfig, generate_synthetic,
                                    load_dataset, save_dataset, split)
@@ -22,6 +25,16 @@ def _write(tmp_path, text, name="data.txt"):
 def active(x):
     """The present features of a bool row, ascending."""
     return np.flatnonzero(x).tolist()
+
+
+def traced_peak(fn):
+    """Peak bytes traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLoadDataset:
@@ -69,6 +82,26 @@ class TestLoadDataset:
         ds = load_dataset(_write(tmp_path, "+1 2:1\n"), d_hint=10)
         assert ds.d == 10
 
+    def test_oversized_matrix_fails_fast(self, tmp_path):
+        # one index of 10**8 makes d = 100,000,001: two rows of that are a
+        # 1.6 GB float64 copy, refused before the sample matrix is built
+        path = _write(tmp_path, "+1 100000000:1\n-1 0:1\n")
+
+        def load():
+            with pytest.raises(DatasetFormatError,
+                               match=r"n=2, d=100000001\) .* 1600000016 bytes"):
+                load_dataset(path)
+        assert traced_peak(load) < 4 * 2 ** 20
+
+    def test_size_limit_is_inclusive(self, tmp_path, monkeypatch):
+        # (2, 5) float64 is 80 bytes: at the limit it loads, one more
+        # feature does not
+        monkeypatch.setattr(featurespace, "_MAX_FLOAT64_BYTES", 80)
+        path = _write(tmp_path, "+1 4:1\n-1 0:1\n")
+        assert load_dataset(path).d == 5
+        with pytest.raises(DatasetFormatError, match="96 bytes"):
+            load_dataset(path, d_hint=6)
+
     def test_round_trip(self, tmp_path):
         cfg = SyntheticConfig(d=30, n_benign=20, n_malware=20, n_strong=5,
                               strong_rate_gap=0.5, weak_rate_gap=0.1,
@@ -105,6 +138,17 @@ class TestGenerateSynthetic:
             SyntheticConfig(d=4, n_benign=1, n_malware=1, n_strong=2,
                             strong_rate_gap=1.5, weak_rate_gap=0.1,
                             base_density=0.1, seed=0)
+
+    def test_oversized_matrix_fails_fast(self):
+        cfg = SyntheticConfig(d=10 ** 6, n_benign=100, n_malware=100,
+                              n_strong=0, strong_rate_gap=0.5,
+                              weak_rate_gap=0.1, base_density=0.1, seed=0)
+
+        def draw():
+            with pytest.raises(ValueError,
+                               match=r"n=200, d=1000000\) .* 1600000000 bytes"):
+                generate_synthetic(cfg)
+        assert traced_peak(draw) < 4 * 2 ** 20
 
     def test_no_gap_gives_chance_auc(self):
         # With both gaps at zero the class-conditional distributions are

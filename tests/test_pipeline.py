@@ -80,21 +80,19 @@ class TestRunExperiment:
         assert (out / "scatter" / "samples_gradient_input_e1.csv").exists()
         assert (out / "scatter" / "classifiers_integrated_gradients_e2.csv").exists()
 
-    def test_mean_curve_with_envelopes(self, tmp_path):
-        cfg = small_config(repetitions=2, curve_envelopes=True,
-                           classifiers=(PRESETS["svm"],))
-        report = run_experiment(cfg, out_dir=tmp_path / "env")
-        with open(tmp_path / "env" / "security_curve_mean_svm.csv") as fh:
+    def test_mean_curve_over_repetitions(self, tmp_path):
+        cfg = small_config(repetitions=2, classifiers=(PRESETS["svm"],))
+        report = run_experiment(cfg, out_dir=tmp_path / "mean")
+        with open(tmp_path / "mean" / "security_curve_mean_svm.csv") as fh:
             rows = list(csv.DictReader(fh))
         cells = report.ok_cells("svm")
         assert len(cells) == 2
-        for row, eps in zip(rows, cfg.eps_grid):
-            per_rep = [c.curve.detection_rates[cfg.eps_grid.index(eps)]
-                       for c in cells]
+        assert list(rows[0]) == ["eps", "mean_detection_rate"]
+        assert [int(row["eps"]) for row in rows] == list(cfg.eps_grid)
+        for col, row in enumerate(rows):
+            per_rep = [c.curve.detection_rates[col] for c in cells]
             assert float(row["mean_detection_rate"]) == pytest.approx(
                 sum(per_rep) / 2)
-            assert float(row["min_detection_rate"]) == pytest.approx(min(per_rep))
-            assert float(row["max_detection_rate"]) == pytest.approx(max(per_rep))
 
     def test_security_curve_has_clean_rate_row(self, small_report):
         report, out = small_report
@@ -128,24 +126,22 @@ class TestRunExperiment:
             assert np.array_equal(cell.clean_scores,
                                   cell.model.decision_batch(dense))
 
-    def test_benign_evenness_pools_into_the_averages(self, tmp_path):
-        # n_attack_samples above the test split's size: every malware and
-        # every benign test row is used, whatever the sampling
+    def test_averages_are_the_attacked_malware_means(self, tmp_path):
+        # n_attack_samples above the test split's size: every malware test
+        # row is attacked, whatever the sampling
         cfg = small_config(classifiers=(PRESETS["svm"],),
-                           n_attack_samples=1000,
-                           evenness_include_benign=True)
+                           n_attack_samples=1000)
         report = run_experiment(cfg, out_dir=tmp_path)
         cell = report.cells[0]
         assert cell.status == "ok"
         _, test = split(generate_synthetic(SMALL_SYNTH), 0.6, 3)
         malware = test.samples[test.labels == 1]
-        benign = test.samples[test.labels == -1]
         assert len(cell.sample_ids) == len(malware)
         with open(tmp_path / "summary.csv") as fh:
             summary = next(csv.DictReader(fh))
         for method in cfg.methods:
             values = []
-            for x in np.vstack([malware, benign]):
+            for x in malware:
                 try:
                     values.append(evenness_e1(_attribution(
                         method, cell.model, [x], cfg.ig_p)[0],
@@ -157,14 +153,10 @@ class TestRunExperiment:
             scatter = emit_scatter_data(report, method, "e1",
                                         "detection_rate")
             assert scatter[0][1] == want
-            # the malware-only report still feeds the correlations
-            assert len(cell.evenness[method].per_sample_e1) == len(malware)
-        assert (cell.evenness["gradient_input"].averaged_e1
-                != float(summary["avg_e1_gradient_input"]))
+            assert scatter[0][2] == cell.curve.area()
+            assert float(summary["mean_dr_under_attack"]) == cell.curve.area()
 
-    @pytest.mark.parametrize("include_benign", [False, True])
-    def test_one_attribution_call_per_cell_and_method(self, monkeypatch,
-                                                      include_benign):
+    def test_one_attribution_call_per_cell_and_method(self, monkeypatch):
         # the layer entry points are looked up as pipeline globals, so a
         # wrapper installed there sees every call of a run
         names = ("attribution_gradient", "attribution_gradient_input",
@@ -180,15 +172,13 @@ class TestRunExperiment:
         for name in names:
             monkeypatch.setattr(pipeline, name,
                                 counted(name, getattr(pipeline, name)))
-        report = run_experiment(small_config(
-            evenness_include_benign=include_benign))
+        report = run_experiment(small_config())
         cells = len(report.ok_cells())
         assert cells == 2
-        per_cell = 2 if include_benign else 1
-        assert calls == {"attribution_gradient": cells * per_cell,
-                         "attribution_gradient_input": cells * per_cell,
-                         "attribution_integrated_gradients": cells * per_cell,
-                         "evenness_report": 3 * cells * per_cell}
+        assert calls == {"attribution_gradient": cells,
+                         "attribution_gradient_input": cells,
+                         "attribution_integrated_gradients": cells,
+                         "evenness_report": 3 * cells}
 
     def test_manifest_carries_config_and_seeds(self, small_report):
         _, out = small_report
@@ -209,6 +199,12 @@ class TestRunExperiment:
         assert by_name["svm"].status == "ok"
         assert by_name["broken"].status == "failed"
         assert "ValueError" in by_name["broken"].error
+        # the failed cell's summary row is padded to the header's width
+        with open(tmp_path / "iso" / "summary.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * 2
+        assert rows[1][:3] == ["0", "broken", "failed"]
+        assert rows[1][3:] == [""] * (len(header) - 3)
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = small_config()
@@ -277,15 +273,6 @@ class TestScatter:
                         if e["attribution"] == "gradient_input"
                         and e["metric"] == "e1"] == want
 
-    def test_subsample(self, small_report):
-        report, _ = small_report
-        rows = emit_scatter_data(report, "gradient_input", "e2", "robustness",
-                                 subsample=10, subsample_seed=1)
-        assert len(rows) == 10
-        again = emit_scatter_data(report, "gradient_input", "e2", "robustness",
-                                  subsample=10, subsample_seed=1)
-        assert rows == again
-
     def test_per_classifier_mode(self, small_report):
         report, _ = small_report
         rows = emit_scatter_data(report, "integrated_gradients", "e2",
@@ -349,6 +336,16 @@ class TestConfigParsing:
         doc[section] = {**doc[section], **extra}
         with pytest.raises(ValueError, match=f"unknown {section} key.*"
                                              f"{next(iter(extra))}"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["repetition", "curve_envelopes",
+                                     "evenness_include_benign", "attack_tol"])
+    def test_unknown_top_level_key_fails_by_name(self, key):
+        # attack settings belong in the attack section, so attack_* is not
+        # a top-level key either
+        doc = {**small_config().to_dict(), key: 2}
+        with pytest.raises(ValueError, match=f"unknown config key.*{key}.*"
+                                             "expected some of.*repetitions"):
             ExperimentConfig.from_dict(doc)
 
     def test_attack_section_keys_are_read(self):
