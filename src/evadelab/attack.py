@@ -25,7 +25,11 @@ lower index, and the budget-e point is x0 plus the first e changes.  For an
 RBF model the nested points are scored incrementally: points and support
 vectors are 0/1, so ||x - s_i||^2 is a small integer and flipping x_j moves it
 by exactly +-(1 - 2 s_ij); integer sums are exact in any order, so the scores
-equal those of the materialised points bit for bit.  The binary pass stays
+equal those of the materialised points bit for bit.  A row whose ranked
+prefix of budgets[-1] changes is the previous iteration's is not scored
+again: its point at every budget is unchanged, so its scores are the ones
+already compared with the best scores, and none can be strictly lower.  The
+first iteration scores every row.  The binary pass stays
 per budget, because its iterate is that budget's projection.  A linear model
 gets no shadow pass: its gradient is constant, so the binary pass already
 adds features in the optimal order.
@@ -139,7 +143,8 @@ def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
     """Rank each clipped row's changes by |V - X0|, largest first.
 
     Ties go to the lower feature index.  Returns (order, counts): the first
-    counts[r] entries of order[r] are row r's changed features in rank order.
+    counts[r] entries of order[r] are row r's changed features in rank order
+    and the rest are -1.
     Only the changed entries are sorted, so the cost follows the number of
     changes rather than the dimension.
     """
@@ -150,7 +155,7 @@ def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
     key = np.lexsort((-np.abs(V[rows, cols] - X0b[rows, cols]), rows))
     rows, cols = rows[key], cols[key]
     rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    order = np.zeros((V.shape[0], counts.max(initial=0)), dtype=np.intp)
+    order = np.full((V.shape[0], counts.max(initial=0)), -1, dtype=np.intp)
     order[rows, rank] = cols
     return order, counts
 
@@ -210,10 +215,12 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
     real relaxation that accumulates gradient pressure, so weakly-graded
     coordinates can still cross the binarization threshold; its trajectory
     never reads the budget, so each iterate is projected onto every budget
-    and the nested projections are scored incrementally.  One fused kernel
-    call per iteration evaluates the new iterate and gives the gradient that
-    the still-active rows step with next.  A row leaves the pass when its
-    objective converges.
+    and the nested projections are scored incrementally, only for the rows
+    whose ranked prefix of budgets[-1] changes differs from the previous
+    iteration's (an unchanged prefix scores bitwise what was already
+    recorded).  One fused kernel call per iteration evaluates the new
+    iterate and gives the gradient that the still-active rows step with
+    next.  A row leaves the pass when its objective converges.
     """
     scores0, grad0 = start
     cur = X0b.astype(np.float64)
@@ -223,6 +230,9 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
     g = grad0[rows]
     if mode == "shadow" and rows.size:
         sq0 = model._sq_distances(cur)
+        # each row's ranked prefix of at most budgets[-1] changes, padded
+        # with -1; -2 matches no prefix, so the first iteration scores all
+        prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
     budget_arr = np.asarray(budgets)
     eta_scale = 0.5005 if mode == "binary" else 0.1
     for _ in range(cfg.max_iters):
@@ -242,13 +252,21 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             best_scores[rows[improved], 0] = obj[improved]
         else:
             order, counts = _ranked_changes(stepped, X0r)
+            prefix = np.full((rows.size, budgets[-1]), -1, dtype=np.intp)
+            width = min(order.shape[1], budgets[-1])
+            prefix[:, :width] = order[:, :width]
+            # an unchanged prefix scores bit for bit what it scored before
+            changed = np.flatnonzero((prefix != prefixes[rows]).any(axis=1))
+            live, X0c, order, counts = (rows[changed], X0r[changed],
+                                        order[changed], counts[changed])
+            prefixes[live] = prefix[changed]
             bin_scores = model._prefix_flip_decisions(
-                sq0[rows], scores0[rows], X0r, order, counts, budgets)
-            ri, ci = np.nonzero(bin_scores < best_scores[rows])
+                sq0[live], scores0[live], X0c, order, counts, budgets)
+            ri, ci = np.nonzero(bin_scores < best_scores[live])
             if ri.size:
-                _check_feasible(X0r[ri], *_prefix_changes(
+                _check_feasible(X0c[ri], *_prefix_changes(
                     order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
-                best_scores[rows[ri], ci] = bin_scores[ri, ci]
+                best_scores[live[ri], ci] = bin_scores[ri, ci]
             cur[rows] = stepped
             obj, g = model.decision_and_gradient_batch(stepped)
 

@@ -28,12 +28,17 @@ from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
                        run_experiment)
 
 
-def _parse_grid(text: str) -> list[int]:
-    """'1:50' -> 1..50 inclusive; '1,2,5' -> [1, 2, 5]."""
+def _parse_grid(text: str, flag: str) -> list[int]:
+    """'1:50' -> 1..50 inclusive; '1,2,5' -> [1, 2, 5]; the value of
+    ``flag``, which must hold at least one budget."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+        grid = list(range(int(lo), int(hi) + 1))
+    else:
+        grid = [int(tok) for tok in text.split(",") if tok]
+    if not grid:
+        raise ValueError(f"{flag} {text!r} holds no budget")
+    return grid
 
 
 def _load_data(args) -> "LabeledDataset":
@@ -85,7 +90,7 @@ def cmd_attack(args) -> int:
     model = models.load_model(args.model)
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
-    grid = _parse_grid(args.epsilon_grid)
+    grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     eps_max = args.eps_max or max(grid)
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
@@ -177,7 +182,7 @@ def cmd_robustness(args) -> int:
     model = models.load_model(args.model)
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
-    grid = _parse_grid(args.eps_grid)
+    grid = _parse_grid(args.eps_grid, "--eps-grid")
     cfg = AttackConfig(max_iters=args.max_iters)
     scores = attack_scores_over_grid(model, ds.samples[ds.labels == 1], grid,
                                      threshold, cfg, args.method)

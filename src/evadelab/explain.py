@@ -3,8 +3,12 @@
 Each method takes an (n, d) 0/1 sample matrix and returns one finite,
 writable (n, d) float64 matrix whose row i attributes f(x_i) to the
 features.  Gradient is one ``gradient_batch`` call on the sample matrix and
-Gradient*Input masks it by that matrix.  Integrated Gradients sums each
-row's path in chunks of points, so no array grows with n times p.
+Gradient*Input masks it by that matrix.  Integrated Gradients is the
+right-endpoint Riemann sum of Sundararajan et al. (ICML 2017) along the
+straight path from the all-zeros baseline, taken without any (p, d) array
+of path points: a linear model's constant gradient is summed once per call,
+and a kernel model's sum is taken in closed form over the integer squared
+distances of 0/1 points.  In both, row i does not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -12,10 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from .featurespace import _binary_rows
-from .models import TrainedModel
+from .models import KernelModel, LinearModel, TrainedModel
 
-# Values per chunk of integrated-gradients path points: 4 MiB of float64.
+# Values per chunk of integrated-gradients path terms: 4 MiB of float64.
 _IG_CHUNK_VALUES = 2 ** 19
+# Path points per chunk of the kernel closed form; fixed, so that a row's
+# rounding does not depend on what else is in the batch.
+_IG_KERNEL_POINTS = 2 ** 14
 
 
 def _finite(R: np.ndarray) -> np.ndarray:
@@ -41,23 +48,75 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
     """Right-endpoint path sum of gradients from the all-zeros baseline to
     each x.
 
-    r_i = x_i * (1/p) * sum_{k=1..p} grad_i f((k/p) x).  Each row's
-    gradients are summed over chunks of max(1, 2**19 // d) path points, so
-    a row's result does not depend on the other rows.
+    r_i = x_i * (1/p) * sum_{k=1..p} grad_i f(t_k x) with t_k = k/p.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     X = _binary_rows(samples, model.d)
-    chunk = max(1, _IG_CHUNK_VALUES // model.d)
-    R = np.empty_like(X)
-    for row, x in enumerate(X):
-        grad_sum = np.zeros(model.d)
-        for start in range(1, p + 1, chunk):
-            ks = np.arange(start, min(start + chunk, p + 1), dtype=np.float64)
-            points = (ks / p)[:, None] * x[None, :]
-            grad_sum += model.gradient_batch(points).sum(axis=0)
-        R[row] = x * grad_sum / p
+    R = X * (_linear_path_sum(model, p) if isinstance(model, LinearModel)
+             else _kernel_path_sums(model, X, p))
+    R /= p
     return _finite(R)
+
+
+def _linear_path_sum(model: LinearModel, p: int) -> np.ndarray:
+    """sum_{k=1..p} w: the gradient is the same at every path point, so
+    the sum is built once, over chunks of max(1, 2**19 // d) points."""
+    chunk = max(1, _IG_CHUNK_VALUES // model.d)
+    grad_sum = np.zeros(model.d)
+    for start in range(1, p + 1, chunk):
+        points = min(chunk, p + 1 - start)
+        grad_sum += np.broadcast_to(model.weights,
+                                    (points, model.d)).sum(axis=0)
+    return grad_sum
+
+
+def _kernel_path_sums(model: KernelModel, X: np.ndarray, p: int) -> np.ndarray:
+    """Row r is sum_{k=1..p} grad f(t_k x_r) of an RBF model.
+
+    For 0/1 x and s_i, ||t x - s_i||^2 = (t |x| - 2 m_i) t + |s_i| with
+    m_i = <s_i, x>, so a kernel value on the path depends on i only through
+    the integer triple (|x|, m_i, |s_i|), read off one exact X @ S.T.  Each
+    exponential is taken once per distinct triple of the batch and path
+    point, in blocks of at most 2**19 values.  With w_ki = c_i
+    exp(-gamma ||t_k x - s_i||^2), the gradient sum is
+    -2 gamma (x sum_k t_k sum_i w_ki - (sum_k w_k) @ S).
+    """
+    S = model.support_vectors
+    sizes = X.sum(axis=1).astype(np.int64)
+    inner = (X @ S.T).astype(np.int64)
+    sqnorms = model._sv_sqnorms.astype(np.int64)
+    # exact in int64 while every count stays below 2**21
+    base = max(sizes.max(initial=0), sqnorms.max()) + 1
+    keys, inverse = np.unique((sizes[:, None] * base + inner) * base + sqnorms,
+                              return_inverse=True)
+    size_u, rest = np.divmod(keys, base * base)
+    triples = np.stack([size_u, *np.divmod(rest, base)]).astype(np.float64)
+    e_sum = np.zeros(keys.size)
+    te_sum = np.zeros(keys.size)
+    points = min(p, _IG_KERNEL_POINTS)
+    block = max(1, _IG_CHUNK_VALUES // points)
+    for lo in range(0, keys.size, block):
+        rows = slice(lo, lo + block)
+        a, m, n = triples[:, rows, None]
+        for start in range(1, p + 1, points):
+            t = np.arange(start, min(start + points, p + 1)) / p
+            e = a * t
+            e -= 2.0 * m
+            e *= t
+            e += n
+            e *= -model.gamma
+            np.exp(e, out=e)
+            e_sum[rows] += e.sum(axis=1)
+            e *= t
+            te_sum[rows] += e.sum(axis=1)
+    inverse = inverse.reshape(inner.shape)
+    w_sum = e_sum[inverse] * model.dual_coeffs
+    grad = X * (te_sum[inverse] * model.dual_coeffs).sum(axis=1)[:, None]
+    # one product per row: a batched one may round unlike a one-row call
+    grad -= np.array([w @ S for w in w_sum]).reshape(grad.shape)
+    grad *= -2.0 * model.gamma
+    return grad
 
 
 def relevance_percentages(r: np.ndarray) -> np.ndarray:

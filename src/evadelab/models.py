@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurespace import LabeledDataset, _binary_rows
+from .featurespace import _MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
@@ -331,9 +331,13 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     _require_both_classes(train)
     if C <= 0 or gamma <= 0:
         raise ValueError("C and gamma must be positive")
+    n = train.n
+    if 8 * n * n > _MAX_FLOAT64_BYTES:
+        raise ValueError(f"the Gram matrix of n={n} training rows takes "
+                         f"{8 * n * n} bytes as float64, over the "
+                         f"{_MAX_FLOAT64_BYTES}-byte limit")
     X = train.samples.astype(np.float64)
     y = train.labels.astype(np.float64)
-    n = X.shape[0]
     norms = (X * X).sum(axis=1)
     sq = norms[:, None] + norms[None, :] - 2.0 * X @ X.T
     np.maximum(sq, 0.0, out=sq)

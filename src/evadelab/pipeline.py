@@ -31,7 +31,7 @@ from .featurespace import (LabeledDataset, SyntheticConfig, generate_synthetic,
                            load_dataset, split)
 from .models import (TrainConfig, TrainedModel, auc, detection_rate_at_fpr,
                      roc_curve, train_linear, train_rbf_svm, train_secsvm)
-from .robustness import RobustnessScore, robustness_from_scores
+from .robustness import RobustnessScore, _check_grid, robustness_from_scores
 from .stats import CorrelationReport, correlation_suite
 
 ATTRIBUTION_METHODS = ("gradient", "gradient_input", "integrated_gradients")
@@ -105,8 +105,7 @@ class ExperimentConfig:
             raise ValueError("repetitions must be >= 1")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("give exactly one of dataset_path or synthetic")
-        if any(e < 1 for e in self.eps_grid) or not self.eps_grid:
-            raise ValueError("eps_grid must be non-empty positive integers")
+        _check_grid(self.eps_grid)
         if self.evenness_m < 2:
             raise ValueError("evenness_m must be >= 2")
         if self.ig_p < 1:

@@ -34,6 +34,12 @@ def _loss_matrix(scores: np.ndarray, loss: str) -> np.ndarray:
     raise ValueError(f"unknown loss {loss!r}; expected one of {ROBUSTNESS_LOSSES}")
 
 
+def _check_grid(eps_grid) -> None:
+    """The one rule for a budget grid: non-empty, every budget >= 1."""
+    if not eps_grid or any(e < 1 for e in eps_grid):
+        raise ValueError("eps_grid must be non-empty positive integers")
+
+
 @dataclass(frozen=True, eq=False)
 class RobustnessScore:
     """Per-budget values, their grid average, and per-sample aggregates."""
@@ -59,8 +65,7 @@ def robustness_from_scores(adv_scores: np.ndarray, eps_grid,
     exp(-loss) over the grid, for scatter and correlation use.
     """
     eps_grid = tuple(int(e) for e in eps_grid)
-    if not eps_grid:
-        raise ValueError("eps_grid must be non-empty")
+    _check_grid(eps_grid)
     scores = np.asarray(adv_scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != len(eps_grid):
         raise ValueError("score matrix must be (n_samples, len(eps_grid))")

@@ -598,6 +598,34 @@ class TestGridEngine:
                                          AttackConfig(max_iters=150), "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_SHADOW))
 
+    def test_shadow_pass_rescores_only_changed_prefixes(self, monkeypatch):
+        # a row whose ranked prefix is the previous iteration's is not
+        # scored again, and the golden scores stay bitwise
+        model, malware, threshold = criterion8_rbf_cell()
+        scored, active = [], []
+        prefix_flip = KernelModel._prefix_flip_decisions
+        movable_eta = attack_mod._movable_eta
+
+        def record_scored(self, sq0, *args):
+            scored.append(len(sq0))
+            return prefix_flip(self, sq0, *args)
+
+        def record_active(g, cur, lb, scale):
+            if scale == 0.1:  # the shadow pass's step: one per iteration
+                active.append(len(g))
+            return movable_eta(g, cur, lb, scale)
+
+        monkeypatch.setattr(KernelModel, "_prefix_flip_decisions",
+                            record_scored)
+        monkeypatch.setattr(attack_mod, "_movable_eta", record_active)
+        scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
+                                         threshold,
+                                         AttackConfig(max_iters=150), "pgd")
+        assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
+        assert len(scored) == len(active) > 1
+        assert scored[0] == active[0]  # the first iteration scores every row
+        assert sum(scored) < sum(active)
+
     def test_grid_columns_equal_single_budget_attacks(self):
         model, malware, threshold = d12_cell()
         cfg = AttackConfig(max_iters=80)

@@ -87,6 +87,17 @@ class TestAttack:
         assert {rec["eps"] for rec in read_csv(out)} == {"3"}
 
 
+    @pytest.mark.parametrize("grid", ["", "3:1"])
+    def test_empty_grid_names_the_flag(self, workdir, capsys, grid):
+        rc = main(["attack", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--epsilon-grid",
+                   grid, "--out", str(workdir / "attack_empty.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"] == f"--epsilon-grid {grid!r} holds no budget"
+
+
 class TestAttackEpsMin:
     """eps_min read off the grid agrees with the scalar search."""
 
@@ -236,6 +247,17 @@ class TestRobustness:
         per_sample = read_csv(workdir / "rob_per_sample.csv")
         assert all(0.0 < float(r["robustness"]) <= 1.0 for r in per_sample)
         assert 0.0 < info["aggregate"] <= 1.0
+
+
+    def test_zero_budget_rejected_like_the_config(self, workdir, capsys):
+        rc = main(["robustness", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--eps-grid", "0:3",
+                   "--method", "greedy",
+                   "--out", str(workdir / "rob_zero.csv")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "eps_grid must be non-empty positive integers"
+        assert not (workdir / "rob_zero.csv").exists()
 
 
 class TestCorrelate:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,20 +121,22 @@ class TestIntegratedGradients:
         b = attribution_integrated_gradients(m, [x], p=300)
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_one_chunk_of_points_per_gradient_call(self):
-        # 2**19 values per chunk: 4 points of d = 2**17, so no call holds
-        # more than 4 MiB of points whatever p is
-        class Recording:
-            d = 2 ** 17
-            rows = []
-
-            def gradient_batch(self, points):
-                self.rows.append(points.shape[0])
-                return np.zeros(points.shape)
-
-        model = Recording()
-        attribution_integrated_gradients(model, [vec([0], model.d)] * 2, p=10)
-        assert model.rows == [4, 4, 2] * 2
+    def test_kernel_path_memory_bounded_at_a_million_points(self):
+        # the exponentials are taken a chunk of 2**19 values (4 MiB) at a
+        # time, so the peak stays a few chunks whatever p is; per-row (p, d)
+        # point batches peaked near 24 MiB on a model of this size
+        rng = np.random.default_rng(10)
+        m = random_kernel_model(rng, 8, 16, 0.2)
+        X = np.vstack([vec(np.flatnonzero(rng.random(8) < 0.4), 8)
+                       for _ in range(3)])
+        attribution_integrated_gradients(m, X, p=10)
+        tracemalloc.start()
+        try:
+            attribution_integrated_gradients(m, X, p=10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 22
 
     def test_validation(self):
         m = LinearModel(np.ones(3), 0.0)
@@ -192,12 +196,14 @@ class TestBatchedRows:
             assert np.array_equal(R[row], method(linear, [x])[0])
 
     def test_ig_rows_bitwise_on_kernel(self, cell):
+        # a row does not depend on the batch; the closed form rounds unlike
+        # the (p, d) point batches of the reference, within 1e-13
         _, rbf, samples = cell
         R = attribution_integrated_gradients(rbf, samples, p=100)
         for row, x in enumerate(samples):
             single = attribution_integrated_gradients(rbf, [x], p=100)[0]
             assert np.array_equal(R[row], single)
-            assert np.array_equal(R[row], reference_ig(rbf, x, 100))
+            assert np.max(np.abs(R[row] - reference_ig(rbf, x, 100))) <= 1e-13
 
     @pytest.mark.parametrize("method", [attribution_gradient,
                                         attribution_gradient_input])
@@ -223,7 +229,14 @@ class TestBatchedRows:
             def gradient_batch(self, points):
                 return np.full(points.shape, np.nan)
 
-        for method in (attribution_gradient, attribution_gradient_input,
-                       attribution_integrated_gradients):
+        for method in (attribution_gradient, attribution_gradient_input):
             with pytest.raises(ValueError, match="finite"):
                 method(Broken(), [vec([0], 3)])
+        # finite parameters whose path sums overflow
+        huge = np.full(3, 1e308)
+        for model in (LinearModel(huge, 0.0),
+                      KernelModel([vec([0], 3), vec([0], 3)], huge[:2], 0.0,
+                                  0.5)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="finite"):
+                attribution_integrated_gradients(model, [vec([0], 3)])

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,22 @@ class TestTrainRbfSvm:
         ds = dataset([[0], [1]], [1, 1], 2)
         with pytest.raises(ValueError):
             train_rbf_svm(ds, 1.0, 1.0, TrainConfig())
+
+    def test_gram_matrix_over_limit_rejected_before_allocation(self):
+        # 12,000 rows of d = 10 pass the sample-matrix guard, but their
+        # n x n Gram matrix would take 1.15 GB
+        cfg = SyntheticConfig(d=10, n_benign=6000, n_malware=6000,
+                              n_strong=3, strong_rate_gap=0.5,
+                              weak_rate_gap=0.1, base_density=0.2, seed=0)
+        ds = generate_synthetic(cfg)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n=12000.*1152000000 bytes"):
+                train_rbf_svm(ds, 1.0, 0.1, TrainConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestDetectionRate:

@@ -75,6 +75,13 @@ class TestRobustnessFromScores:
         r = robustness_from_scores(np.full((3, 2), 5.0), [1, 2], "hinge")
         assert all(v == pytest.approx(1.0) for v in r.per_eps.values())
 
+    def test_budget_below_one_rejected(self):
+        # the rule ExperimentConfig applies to its grid
+        for grid in ([0, 1], [-1]):
+            with pytest.raises(ValueError,
+                               match="eps_grid must be non-empty positive"):
+                robustness_from_scores(np.zeros((2, len(grid))), grid)
+
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
             RobustnessScore({1: 1.5}, 1.5, "hinge", (1,), np.ones(1))
