@@ -10,14 +10,12 @@ from .models import (KernelModel, LinearModel, TrainConfig, auc,
                      score, train_linear, train_rbf_svm, train_secsvm)
 from .attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
                      attack_scores_over_grid, epsilon_min, epsilon_min_batch,
-                     project, security_evaluation)
+                     security_evaluation)
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
-from .evenness import (EvennessReport, UndefinedEvennessError,
-                       cumulative_ratio, evenness_e1, evenness_e2,
-                       evenness_report)
-from .robustness import (RobustnessScore, adversarial_loss,
-                         robustness_from_scores)
+from .evenness import (EvennessReport, UndefinedEvennessError, evenness_e1,
+                       evenness_e2, evenness_report)
+from .robustness import RobustnessScore, robustness_from_scores
 from .stats import (CorrelationReport, correlation_suite, kendall, pearson,
                     spearman)
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,

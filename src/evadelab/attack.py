@@ -80,18 +80,12 @@ class AttackConfig:
             raise ValueError("max_iters must be >= 1")
 
 
-def _check_budget(epsilon: int) -> None:
-    if epsilon < 1:
-        raise ValueError("epsilon must be >= 1")
-
-
 @dataclass(frozen=True)
 class SecurityCurve:
     """Detection rate at a fixed threshold as the addition budget grows."""
 
     epsilons: tuple[int, ...]
     detection_rates: tuple[float, ...]
-    n_samples: int
 
     def __post_init__(self):
         if len(self.epsilons) != len(self.detection_rates):
@@ -105,7 +99,7 @@ class SecurityCurve:
                     threshold: float) -> "SecurityCurve":
         """The curve of an (n, len(eps_grid)) post-attack score matrix."""
         rates = tuple(float(np.mean(col >= threshold)) for col in scores.T)
-        return cls(tuple(int(e) for e in eps_grid), rates, scores.shape[0])
+        return cls(tuple(int(e) for e in eps_grid), rates)
 
     def area(self) -> float:
         """Mean detection rate over the grid (higher = harder to evade)."""
@@ -120,23 +114,6 @@ def _check_feasible(X0b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         raise RuntimeError("attack returned a point over its change budget")
     if np.any(X0b[rows, cols]):
         raise RuntimeError("addition-only attack removed a present feature")
-
-
-def project(x_cont: np.ndarray, x_orig, epsilon: int) -> np.ndarray:
-    """Composite projection of a real (d,) vector onto the attack's feasible
-    set around the binary (d,) row x_orig; returns a bool (d,) row.
-
-    Clips into the box [x_orig, 1], binarizes at 0.5, then reverts all but
-    the epsilon largest |x_cont - x_orig| changes (ties broken toward the
-    lower feature index).
-    """
-    _check_budget(epsilon)
-    v = np.asarray(x_cont, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"vector shape {v.shape} is not one (d,) row")
-    x0 = _binary_rows([x_orig], v.size)
-    return _project_clipped_batch(np.clip(v[None], x0, 1.0), x0.astype(bool),
-                                  epsilon)[0]
 
 
 def _ranked_changes(V: np.ndarray, X0b: np.ndarray):

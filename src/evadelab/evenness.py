@@ -60,17 +60,6 @@ def _one_row(r, m: int) -> tuple[float, float]:
     return float(e1[0]), float(e2[0])
 
 
-def cumulative_ratio(r, k: int, m: int) -> float:
-    """Share of the top-m absolute relevance mass held by the k largest."""
-    if not 1 <= k <= m:
-        raise ValueError("need 1 <= k <= m")
-    window, defined = _top_window(np.asarray(r, dtype=np.float64)[None], m)
-    if not defined[0]:
-        raise UndefinedEvennessError(
-            "evenness is undefined for an all-zero attribution window")
-    return float(window[0, :k].sum() / window[0].sum())
-
-
 def evenness_e1(r, m: int) -> float:
     """Normalized complement of the cumulative concentration curve.
 
@@ -92,7 +81,6 @@ class EvennessReport:
 
     per_sample_e1: tuple[float | None, ...]
     per_sample_e2: tuple[float | None, ...]
-    m: int
     averaged_e1: float
     averaged_e2: float
     n_undefined: int
@@ -112,7 +100,6 @@ def evenness_report(R, m: int) -> EvennessReport:
     return EvennessReport(
         tuple(v if ok else None for v, ok in zip(e1.tolist(), keep)),
         tuple(v if ok else None for v, ok in zip(e2.tolist(), keep)),
-        m,
         math.fsum(e1[defined].tolist()) / n_defined,
         math.fsum(e2[defined].tolist()) / n_defined,
         len(keep) - n_defined,

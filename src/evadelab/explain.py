@@ -119,18 +119,13 @@ def _kernel_path_sums(model: KernelModel, X: np.ndarray, p: int) -> np.ndarray:
     return grad
 
 
-def relevance_percentages(r: np.ndarray) -> np.ndarray:
-    """Signed share of one attribution row's total absolute relevance, in
-    percent."""
-    total = np.abs(r).sum()
-    if total == 0.0:
-        return np.zeros_like(r)
-    return r / total * 100.0
-
-
 def top_features(r: np.ndarray, k: int) -> list[tuple[int, float, float]]:
-    """The k most relevant features of one attribution row as
-    (index, value, percent), by |value|."""
+    """The k most relevant features of one attribution row as (index, value,
+    percent), by |value|; percent is the signed share of the row's total
+    absolute relevance (0 for an all-zero row)."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     order = np.argsort(-np.abs(r), kind="stable")[:k]
-    pct = relevance_percentages(r)
+    total = np.abs(r).sum()
+    pct = np.zeros_like(r) if total == 0.0 else r / total * 100.0
     return [(int(i), float(r[i]), float(pct[i])) for i in order]

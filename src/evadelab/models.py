@@ -192,7 +192,8 @@ class TrainConfig:
 
     ``reg`` is the C of the hinge/logistic objectives and the alpha of the
     squared (ridge) one.  The step decays as eta0 / (1 + t / n) over the n
-    training samples.
+    training samples.  ``weight_lb``/``weight_ub`` are the box of the
+    box-constrained trainer: both or neither, with lb <= 0 <= ub.
     """
 
     loss: str = "hinge"
@@ -200,8 +201,8 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 0.1
     seed: int = 0
-    weight_lb: float | np.ndarray | None = None
-    weight_ub: float | np.ndarray | None = None
+    weight_lb: float | None = None
+    weight_ub: float | None = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -212,19 +213,11 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.reg <= 0:
             raise ValueError("reg must be positive")
-
-    def resolved_bounds(self, d: int) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.weight_lb is None and self.weight_ub is None:
-            return None
-        if self.weight_lb is None or self.weight_ub is None:
+        if (self.weight_lb is None) != (self.weight_ub is None):
             raise ValueError("weight_lb and weight_ub must be given together")
-        lb = np.broadcast_to(np.asarray(self.weight_lb, dtype=np.float64), (d,)).copy()
-        ub = np.broadcast_to(np.asarray(self.weight_ub, dtype=np.float64), (d,)).copy()
-        if np.any(lb > 0) or np.any(ub < 0):
-            raise ValueError("weight bounds must satisfy lb <= 0 <= ub elementwise")
-        if np.any(lb > ub):
-            raise ValueError("weight_lb must be <= weight_ub elementwise")
-        return lb, ub
+        if self.weight_lb is not None and not (
+                self.weight_lb <= 0.0 <= self.weight_ub):
+            raise ValueError("weight bounds must satisfy lb <= 0 <= ub")
 
 
 def _require_both_classes(ds: LabeledDataset) -> None:
@@ -243,8 +236,7 @@ def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
     return reg * float(w @ w) + float(((1.0 - margins) ** 2).sum())
 
 
-def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
-                bounds: tuple[np.ndarray, np.ndarray] | None) -> LinearModel:
+def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     _require_both_classes(train)
     X = train.samples.astype(np.float64)
     y = train.labels.astype(np.float64)
@@ -256,6 +248,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
     else:
         lam = 1.0 / (n * cfg.reg)
 
+    bounded = cfg.weight_lb is not None
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
     b = 0.0
@@ -285,8 +278,10 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
                 step = eta / max(1.0, xi @ xi)
                 w -= step * (2.0 * resid * xi + lam * w)
                 b -= step * 2.0 * resid
-            if bounds is not None:
-                np.clip(w, bounds[0], bounds[1], out=w)
+            if bounded:
+                # np.clip, without its Python wrapper's per-call cost
+                np.maximum(w, cfg.weight_lb, out=w)
+                np.minimum(w, cfg.weight_ub, out=w)
         epoch_objective.append(_objective(X, y, w, b, cfg.loss, cfg.reg))
 
     meta = {
@@ -299,25 +294,28 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig,
         "seed": cfg.seed,
         "epoch_objective": epoch_objective,
     }
-    if bounds is not None:
-        meta["weight_lb"] = bounds[0].tolist()
-        meta["weight_ub"] = bounds[1].tolist()
+    if bounded:
+        meta["weight_lb"] = float(cfg.weight_lb)
+        meta["weight_ub"] = float(cfg.weight_ub)
     return LinearModel(w, b, meta)
 
 
 def train_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Regularized hinge / logistic / squared loss via seeded SGD."""
-    return _sgd_linear(train, cfg, bounds=None)
+    if cfg.weight_lb is not None:
+        raise ValueError("train_linear takes no weight bounds; train_secsvm "
+                         "trains the box-constrained model")
+    return _sgd_linear(train, cfg)
 
 
 def train_secsvm(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """Hinge SGD with every weight clipped into its box after each update."""
-    bounds = cfg.resolved_bounds(train.d)
-    if bounds is None:
+    """Hinge SGD with every weight clipped into [weight_lb, weight_ub] after
+    each update."""
+    if cfg.weight_lb is None:
         raise ValueError("train_secsvm requires weight_lb and weight_ub")
     if cfg.loss != "hinge":
         raise ValueError("the box-constrained trainer uses the hinge loss")
-    return _sgd_linear(train, cfg, bounds=bounds)
+    return _sgd_linear(train, cfg)
 
 
 def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,

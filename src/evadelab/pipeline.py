@@ -39,6 +39,8 @@ EVENNESS_METRICS = ("e1", "e2")
 # the keys of a config file's "dataset" section; its "attack" section's keys
 # are the attack_* fields of ExperimentConfig without the prefix
 _DATASET_KEYS = ("path", "synthetic")
+# the fold count of grid_cv's stratified cross-validation
+_CV_FOLDS = 5
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,12 @@ class ExperimentConfig:
             raise ValueError("ig_p must be >= 1")
         if self.n_attack_samples < 1:
             raise ValueError("n_attack_samples must be >= 1")
+        if not 0.0 <= self.fpr <= 1.0:
+            raise ValueError("fpr must lie in [0, 1]")
+        try:
+            AttackConfig(self.attack_tol, self.attack_max_iters)
+        except ValueError as exc:  # name the field: "attack_tol must be ..."
+            raise ValueError(f"attack_{exc}") from None
         for m in self.methods:
             if m not in ATTRIBUTION_METHODS:
                 raise ValueError(f"unknown attribution method {m!r}")
@@ -149,14 +157,15 @@ class ExperimentConfig:
         specs = []
         for entry in doc.pop("classifiers", []):
             if isinstance(entry, str):
-                specs.append(PRESETS[entry])
+                entry = {"preset": entry}
+            entry = dict(entry)
+            if "preset" not in entry:
+                specs.append(ClassifierSpec(**entry))
+            elif entry["preset"] in PRESETS:
+                specs.append(replace(PRESETS[entry.pop("preset")], **entry))
             else:
-                entry = dict(entry)
-                base = PRESETS.get(entry.pop("preset", ""), None)
-                if base is not None:
-                    specs.append(replace(base, **entry))
-                else:
-                    specs.append(ClassifierSpec(**entry))
+                raise ValueError(f"unknown preset {entry['preset']!r}; "
+                                 f"expected one of {tuple(PRESETS)}")
         grid = doc.pop("eps_grid", None)
         kwargs = dict(doc)
         if grid is not None:
@@ -557,9 +566,9 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
 
 
 def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,
-            folds: int = 5, fpr: float = 0.01, seed: int = 0
+            fpr: float = 0.01, seed: int = 0
             ) -> tuple[float, list[tuple[float, float]]]:
-    """Pick a regularization value by stratified k-fold detection rate at the
+    """Pick a regularization value by stratified 5-fold detection rate at the
     false-positive budget; ties within one percentage point go to the more
     regularized setting (larger alpha for the squared loss, smaller C
     otherwise).
@@ -572,12 +581,12 @@ def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,
     for label in (-1, 1):
         rows = np.flatnonzero(ds.labels == label)
         perm = rng.permutation(rows.size)
-        fold_of[rows[perm]] = np.arange(rows.size) % folds
+        fold_of[rows[perm]] = np.arange(rows.size) % _CV_FOLDS
 
     table = []
     for reg in reg_grid:
         rates = []
-        for k in range(folds):
+        for k in range(_CV_FOLDS):
             train_rows = np.flatnonzero(fold_of != k)
             val_rows = np.flatnonzero(fold_of == k)
             model = _train_spec(replace(spec, reg=reg), ds.subset(train_rows),

@@ -18,13 +18,6 @@ import numpy as np
 ROBUSTNESS_LOSSES = ("hinge", "logistic")
 
 
-def adversarial_loss(y: int, score: float, loss: str = "hinge") -> float:
-    """Classification loss of one (label, score) pair; non-negative."""
-    if y not in (-1, 1):
-        raise ValueError(f"label must be -1 or +1, got {y}")
-    return float(_loss_matrix(y * score, loss))
-
-
 def _loss_matrix(scores: np.ndarray, loss: str) -> np.ndarray:
     """Elementwise loss of margins: the scores of +1-labelled samples."""
     if loss == "hinge":

@@ -167,12 +167,6 @@ def _kendall_counts(x: np.ndarray, y: np.ndarray):
     return concordant, discordant, tied, x_groups, y_groups
 
 
-def kendall_counts(xs, ys) -> tuple[int, int, int]:
-    """(concordant, discordant, tied) pair counts; they sum to n(n-1)/2."""
-    x, y, _ = _validated(xs, ys)
-    return _kendall_counts(x, y)[:3]
-
-
 def kendall(xs, ys) -> CorrelationReport:
     """Tie-corrected tau-b with a normal approximation for the p-value."""
     x, y, n = _validated(xs, ys)
@@ -232,6 +226,8 @@ def correlation_suite(evenness_values, robustness_values) -> list[CorrelationRep
 def permutation_pvalue(xs, ys, method: str = "spearman", n_perm: int = 1000,
                        seed: int = 0) -> float:
     """Two-sided permutation p-value for tiny samples where asymptotics are rough."""
+    if n_perm < 1:
+        raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     fn = _by_name(method)
     observed = fn(xs, ys)
     if observed.degenerate:

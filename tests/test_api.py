@@ -19,14 +19,14 @@ EXPORTED = {
     "EvennessReport", "ExperimentConfig", "ExperimentReport",
     "KernelModel", "LabeledDataset", "LinearModel", "NOT_EVADABLE", "PRESETS",
     "RobustnessScore", "SecurityCurve", "SyntheticConfig", "TrainConfig",
-    "UndefinedEvennessError", "adversarial_loss", "attack_scores_over_grid",
+    "UndefinedEvennessError", "attack_scores_over_grid",
     "attribution_gradient", "attribution_gradient_input",
     "attribution_integrated_gradients", "auc", "correlation_suite",
-    "cumulative_ratio", "detection_rate_at_fpr", "emit_scatter_data",
+    "detection_rate_at_fpr", "emit_scatter_data",
     "epsilon_min", "epsilon_min_batch", "evenness_e1", "evenness_e2",
     "evenness_report", "generate_synthetic",
     "grid_cv", "kendall", "load_dataset", "load_model",
-    "pearson", "project", "robustness_from_scores",
+    "pearson", "robustness_from_scores",
     "roc_curve", "run_experiment", "save_dataset", "save_model", "score",
     "security_evaluation", "spearman", "split", "train_linear",
     "train_rbf_svm", "train_secsvm",
@@ -56,13 +56,12 @@ def test_experiment_config_fields():
 
 
 def test_security_curve_fields():
-    assert fields(SecurityCurve) == ["epsilons", "detection_rates",
-                                     "n_samples"]
+    assert fields(SecurityCurve) == ["epsilons", "detection_rates"]
 
 
 def test_evenness_report_fields():
     assert fields(EvennessReport) == [
-        "per_sample_e1", "per_sample_e2", "m", "averaged_e1", "averaged_e2",
+        "per_sample_e1", "per_sample_e2", "averaged_e1", "averaged_e2",
         "n_undefined"]
 
 

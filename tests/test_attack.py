@@ -8,8 +8,9 @@ import pytest
 from evadelab import attack as attack_mod
 from evadelab.attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
                              attack_scores_over_grid, epsilon_min,
-                             epsilon_min_batch, project, security_evaluation)
-from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
+                             epsilon_min_batch, security_evaluation)
+from evadelab.featurespace import (SyntheticConfig, _binary_rows,
+                                   generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
                              detection_rate_at_fpr, score, train_linear,
                              train_rbf_svm)
@@ -26,6 +27,16 @@ def vec(indices, d):
 def active(x):
     """The present features of a bool row, ascending."""
     return np.flatnonzero(x).tolist()
+
+
+def project(x_cont, x_orig, epsilon):
+    """The engine's composite projection of one real (d,) row around the 0/1
+    row x_orig, as a bool (d,) row: clip into [x_orig, 1], binarize at 0.5,
+    keep the epsilon largest changes (ties to the lower index)."""
+    v = np.asarray(x_cont, dtype=np.float64)
+    x0 = _binary_rows([x_orig], v.size)
+    return attack_mod._project_clipped_batch(np.clip(v[None], x0, 1.0),
+                                             x0.astype(bool), epsilon)[0]
 
 
 def brute_force_best(model, x, eps):
@@ -62,7 +73,6 @@ def greedy_linear_evasion(model, x, epsilon, threshold=0.0):
     """
     if not isinstance(model, LinearModel):
         raise TypeError("greedy_linear_evasion requires a linear model")
-    attack_mod._check_budget(epsilon)
     s = score(model, x)
     trace = [s]
     if s < threshold:
@@ -92,11 +102,12 @@ class TestAttackConfig:
             AttackConfig(tol=0.0)
 
     def test_budget_below_one_rejected(self):
+        # budget 0 is the clean score; eps_min searches budgets from 1
         m = LinearModel(np.array([-1.0, 1.0]), 0.5)
-        with pytest.raises(ValueError, match="epsilon must be >= 1"):
-            greedy_linear_evasion(m, vec([1], 2), 0)
-        with pytest.raises(ValueError, match="epsilon must be >= 1"):
-            project(np.array([0.9, 1.0]), vec([1], 2), 0)
+        with pytest.raises(ValueError, match="eps_max must be >= 1"):
+            epsilon_min(m, vec([1], 2), 0)
+        with pytest.raises(ValueError, match="budgets must be non-negative"):
+            attack_scores_over_grid(m, [vec([1], 2)], [-1], 0.0)
 
 
 class TestProject:
@@ -383,14 +394,13 @@ class TestSecurityEvaluation:
         curve = SecurityCurve.from_scores(scores, [2, 5], 0.6)
         assert curve.epsilons == (2, 5)
         assert curve.detection_rates == (1.0, 1 / 3)
-        assert curve.n_samples == 3
         assert curve.area() == (1.0 + 1 / 3) / 2
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
-            SecurityCurve((1, 2), (0.5,), 10)
+            SecurityCurve((1, 2), (0.5,))
         with pytest.raises(ValueError):
-            SecurityCurve((1,), (1.5,), 10)
+            SecurityCurve((1,), (1.5,))
 
 
 # Greedy grid scores recorded before the greedy branch became one rule.

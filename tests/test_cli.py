@@ -168,6 +168,16 @@ class TestExplain:
         pcts = [abs(t["percent"]) for t in report["top"]]
         assert pcts == sorted(pcts, reverse=True)
 
+    def test_negative_top_fails(self, workdir, capsys):
+        # --top 0 means no report; a negative count is no count at all
+        rc = main(["explain", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--top", "-1",
+                   "--out", str(workdir / "rel3.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "k must be >= 0" in json.loads(captured.err.strip())["message"]
+
 
 class TestEvenness:
     def test_metrics_with_footer(self, workdir):
@@ -317,6 +327,18 @@ class TestCorrelate:
         assert rc == 0
         rows = read_csv(out)
         assert float(rows[0]["p_value"]) < 0.05
+
+    def test_negative_permutation_count_fails(self, workdir, tmp_path, capsys):
+        data = tmp_path / "xy4.csv"
+        data.write_text("x,y\n1,1\n2,3\n3,2\n4,4\n")
+        out = tmp_path / "corr4.csv"
+        rc = main(["correlate", "--data", str(data), "--x", "x", "--y", "y",
+                   "--methods", "spearman", "--permutation", "-5",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "n_perm must be >= 1" in err["message"]
+        assert not out.exists()
 
 
 class TestExperimentCommand:

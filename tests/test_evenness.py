@@ -3,36 +3,54 @@ import math
 import numpy as np
 import pytest
 
-from evadelab.evenness import (UndefinedEvennessError, cumulative_ratio,
-                               evenness_e1, evenness_e2, evenness_report)
+from evadelab.evenness import (UndefinedEvennessError, evenness_e1,
+                               evenness_e2, evenness_report)
+
+
+def cumulative_ratio(r, k, m):
+    """Reference: share of the top-m absolute relevance mass held by the k
+    largest, F(r, k)."""
+    top = np.sort(np.abs(np.asarray(r, dtype=np.float64)))[::-1][:m]
+    return top[:k].sum() / top.sum()
+
+
+def curve_e1(r, m):
+    """Reference: E1 = 2/(m-1) * (m - sum_{k=1..m} F(r, k))."""
+    curve = sum(cumulative_ratio(r, k, m) for k in range(1, m + 1))
+    return 2.0 / (m - 1) * (m - curve)
 
 
 class TestCumulativeRatio:
+    """E1 against the concentration curve F(r, k) it is defined by."""
+
     def test_hand_example(self):
         r = np.array([2.0, 1.0, 1.0, 0.0])
-        assert cumulative_ratio(r, 1, 4) == pytest.approx(0.5)
-        assert cumulative_ratio(r, 2, 4) == pytest.approx(0.75)
-        assert cumulative_ratio(r, 3, 4) == pytest.approx(1.0)
+        assert [cumulative_ratio(r, k, 4) for k in (1, 2, 3)] == [
+            0.5, 0.75, 1.0]
+        assert evenness_e1(r, 4) == pytest.approx(curve_e1(r, 4))
+        assert evenness_e1(r, 4) == pytest.approx(0.5)
 
     def test_uniform_is_k_over_m(self):
         r = np.full(6, 0.7)
         for k in range(1, 7):
             assert cumulative_ratio(r, k, 6) == pytest.approx(k / 6)
+        assert evenness_e1(r, 6) == pytest.approx(curve_e1(r, 6))
+        assert evenness_e1(r, 6) == pytest.approx(1.0)
 
     def test_one_hot_is_always_one(self):
         r = np.array([0.0, 5.0, 0.0, 0.0])
-        for k in range(1, 5):
-            assert cumulative_ratio(r, k, 4) == pytest.approx(1.0)
+        assert evenness_e1(r, 4) == pytest.approx(curve_e1(r, 4))
+        assert evenness_e1(r, 4) == 0.0
 
     def test_bounds_checked(self):
-        with pytest.raises(ValueError):
-            cumulative_ratio(np.ones(4), 0, 4)
-        with pytest.raises(ValueError):
-            cumulative_ratio(np.ones(4), 5, 4)
+        # the curve's 2/(m-1) needs a window of at least two entries
+        for m in (0, 1):
+            with pytest.raises(ValueError, match="m must be >= 2"):
+                evenness_e1(np.ones(4), m)
 
     def test_all_zero_window_undefined(self):
         with pytest.raises(UndefinedEvennessError):
-            cumulative_ratio(np.zeros(4), 1, 4)
+            evenness_e1(np.zeros(4), 4)
 
 
 class TestEvennessValues:

@@ -6,8 +6,7 @@ import pytest
 from evadelab import explain
 from evadelab.explain import (attribution_gradient,
                               attribution_gradient_input,
-                              attribution_integrated_gradients,
-                              relevance_percentages, top_features)
+                              attribution_integrated_gradients, top_features)
 from evadelab.featurespace import SyntheticConfig, generate_synthetic
 from evadelab.models import (KernelModel, LinearModel, TrainConfig, score,
                              train_linear, train_rbf_svm)
@@ -148,10 +147,15 @@ class TestIntegratedGradients:
             attribution_gradient(m, [vec([0], 3), vec([0], 4)])
 
 
+def percentages(r):
+    """Each feature's percent of one row, as top_features reports it."""
+    return {i: pct for i, _, pct in top_features(r, len(r))}
+
+
 class TestReporting:
     def test_percentages_sum_to_100_in_magnitude(self):
-        pct = relevance_percentages(np.array([2.0, -1.0, 1.0]))
-        assert np.abs(pct).sum() == pytest.approx(100.0)
+        pct = percentages(np.array([2.0, -1.0, 1.0]))
+        assert sum(map(abs, pct.values())) == pytest.approx(100.0)
         assert pct[0] == pytest.approx(50.0)
         assert pct[1] == pytest.approx(-25.0)
 
@@ -161,7 +165,13 @@ class TestReporting:
         assert top[0][1] == -3.0
 
     def test_all_zero_percentages(self):
-        assert np.array_equal(relevance_percentages(np.zeros(4)), np.zeros(4))
+        assert percentages(np.zeros(4)) == {0: 0.0, 1: 0.0, 2: 0.0, 3: 0.0}
+
+    def test_negative_k_rejected(self):
+        r = np.array([0.5, -3.0, 1.0])
+        assert top_features(r, 0) == []
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            top_features(r, -1)
 
 
 def reference_ig(model, x, p):

@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evadelab import attack as attack_mod
 from evadelab import featurespace
 from evadelab.featurespace import (DatasetFormatError, LabeledDataset,
                                    SyntheticConfig, generate_synthetic,
                                    load_dataset, save_dataset, split)
 from evadelab.attack import (attack_scores_over_grid, epsilon_min,
-                             epsilon_min_batch, project, security_evaluation)
+                             epsilon_min_batch, security_evaluation)
 from evadelab.explain import (attribution_gradient, attribution_gradient_input,
                               attribution_integrated_gradients)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig, auc,
@@ -25,6 +26,15 @@ def _write(tmp_path, text, name="data.txt"):
 def active(x):
     """The present features of a bool row, ascending."""
     return np.flatnonzero(x).tolist()
+
+
+def project(x_cont, x_orig, epsilon):
+    """One real (d,) row through the attack engine's projection around the
+    0/1 row x_orig, checked like every one-row entry point."""
+    v = np.asarray(x_cont, dtype=np.float64)
+    x0 = featurespace._binary_rows([x_orig], v.size)
+    return attack_mod._project_clipped_batch(np.clip(v[None], x0, 1.0),
+                                             x0.astype(bool), epsilon)[0]
 
 
 def traced_peak(fn):
@@ -269,7 +279,8 @@ BATCH_APIS = {
     "integrated_gradients": lambda X: attribution_integrated_gradients(
         RBF, X, p=3),
 }
-# ... and every one that takes one (d,) row.
+# ... and every one that takes one (d,) row, with the engine's one-row
+# projection that the attack tests use as their oracle.
 ROW_APIS = {
     "score": lambda x: score(RBF, x),
     "epsilon_min": lambda x: epsilon_min(LIN, x, 2),

@@ -149,6 +149,7 @@ class TestTrainSecSVM:
         assert np.all(m.weights <= 0.25)
         assert np.all(m.weights >= -0.25)
         assert np.max(np.abs(m.weights)) <= 0.25
+        assert (m.meta["weight_lb"], m.meta["weight_ub"]) == (-0.25, 0.25)
 
     def test_infinite_bounds_match_plain_hinge(self):
         ds = generate_synthetic(self.CFG)
@@ -171,10 +172,18 @@ class TestTrainSecSVM:
 
     def test_bounds_required_and_validated(self):
         ds = generate_synthetic(self.CFG)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires weight_lb"):
             train_secsvm(ds, TrainConfig("hinge", 1.0))
-        with pytest.raises(ValueError):
-            TrainConfig("hinge", 1.0, weight_lb=0.1, weight_ub=0.25).resolved_bounds(5)
+        with pytest.raises(ValueError, match="lb <= 0 <= ub"):
+            TrainConfig("hinge", 1.0, weight_lb=0.1, weight_ub=0.25)
+        with pytest.raises(ValueError, match="lb <= 0 <= ub"):
+            TrainConfig("hinge", 1.0, weight_lb=-0.25, weight_ub=np.nan)
+        with pytest.raises(ValueError, match="given together"):
+            TrainConfig("hinge", 1.0, weight_lb=-0.25)
+        # the unconstrained trainer would return the unbounded model
+        with pytest.raises(ValueError, match="train_secsvm"):
+            train_linear(ds, TrainConfig("hinge", 1.0, weight_lb=-0.01,
+                                         weight_ub=0.01))
 
 
 class TestTrainRbfSvm:

@@ -307,6 +307,14 @@ class TestConfigParsing:
         assert cfg.classifiers[2].loss == "logistic"
         assert cfg.repetitions == 2
 
+    @pytest.mark.parametrize("entry", [
+        "svmx", {"preset": "svmx", "name": "a", "kind": "linear"}])
+    def test_unknown_preset_fails_by_name(self, entry):
+        # a misspelt preset must not fall back to a plain spec
+        doc = {**small_config().to_dict(), "classifiers": [entry]}
+        with pytest.raises(ValueError, match="unknown preset 'svmx'.*sec-svm"):
+            ExperimentConfig.from_dict(doc)
+
     def test_round_trip_through_to_dict(self):
         cfg = small_config()
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -367,7 +375,9 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
-                                         {"n_attack_samples": 0}])
+                                         {"n_attack_samples": 0},
+                                         {"fpr": 1.5}, {"attack_tol": 0.0},
+                                         {"attack_max_iters": 0}])
     def test_study_settings_fail_fast(self, setting):
         # each would otherwise fail every cell after training and attacking
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -378,7 +388,7 @@ class TestGridCV:
     def test_picks_a_grid_value_and_prefers_regularized_ties(self):
         ds = generate_synthetic(SMALL_SYNTH)
         spec = ClassifierSpec("svm", "linear", loss="hinge", epochs=4)
-        best, table = grid_cv(ds, spec, [0.1, 1.0], folds=3, seed=0)
+        best, table = grid_cv(ds, spec, [0.1, 1.0], seed=0)
         assert best in (0.1, 1.0)
         assert len(table) == 2
         rates = dict(table)

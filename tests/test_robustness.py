@@ -7,7 +7,7 @@ from evadelab.attack import attack_scores_over_grid
 from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.models import (LinearModel, TrainConfig, detection_rate_at_fpr,
                              train_linear, train_secsvm)
-from evadelab.robustness import (RobustnessScore, adversarial_loss,
+from evadelab.robustness import (RobustnessScore, _loss_matrix,
                                  robustness_from_scores)
 
 
@@ -26,19 +26,19 @@ def attacked_robustness(model, samples, eps_grid, threshold, method="auto"):
 
 
 class TestAdversarialLoss:
+    """The elementwise loss of the margins of +1-labelled samples."""
+
     def test_hinge_values(self):
-        assert adversarial_loss(1, 1.0, "hinge") == 0.0
-        assert adversarial_loss(1, -1.0, "hinge") == 2.0
-        assert adversarial_loss(-1, -3.0, "hinge") == 0.0
+        margins = np.array([[1.0, -1.0, 3.0]])
+        assert _loss_matrix(margins, "hinge").tolist() == [[0.0, 2.0, 0.0]]
 
     def test_logistic_value(self):
-        assert adversarial_loss(1, 0.0, "logistic") == pytest.approx(math.log(2))
+        assert _loss_matrix(np.array([0.0]), "logistic")[0] == pytest.approx(
+            math.log(2))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            adversarial_loss(0, 1.0, "hinge")
-        with pytest.raises(ValueError):
-            adversarial_loss(1, 1.0, "squared")
+        with pytest.raises(ValueError, match="unknown loss 'squared'"):
+            _loss_matrix(np.array([1.0]), "squared")
 
 
 class TestPerEpsRobustness:

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from evadelab import stats
 from evadelab.stats import (CorrelationReport, correlation_suite, kendall,
-                            kendall_counts, midranks, pearson,
-                            permutation_pvalue, spearman)
+                            midranks, pearson, permutation_pvalue, spearman)
+
+
+def kendall_counts(xs, ys):
+    """(concordant, discordant, tied) as kendall counts them: its input
+    check, then its sort-and-count path."""
+    x, y, _ = stats._validated(xs, ys)
+    return stats._kendall_counts(x, y)[:3]
 
 
 def pairwise_kendall_counts(xs, ys):
@@ -271,3 +278,9 @@ class TestPermutation:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             permutation_pvalue([1, 1, 1], [1, 2, 3], "pearson")
+
+    @pytest.mark.parametrize("n_perm", [0, -5])
+    def test_no_shuffle_rejected(self, n_perm):
+        # (hits + 1) / (n_perm + 1) is a p-value only for n_perm >= 1
+        with pytest.raises(ValueError, match="n_perm must be >= 1"):
+            permutation_pvalue([1, 2, 3, 4], [1, 3, 2, 4], "spearman", n_perm)
