@@ -68,14 +68,13 @@ class AttackConfig:
     Each iteration's step is adaptive, normalized by the largest gradient
     component that can still move: big enough to flip the steepest
     coordinate on the binary-iterate pass, 0.1 of that on the shadow pass.
+    A row leaves a pass once its objective moves by at most 1e-6, or after
+    max_iters iterations.
     """
 
-    tol: float = 1e-6
     max_iters: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -247,7 +246,7 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             cur[rows] = stepped
             obj, g = model.decision_and_gradient_batch(stepped)
 
-        done = np.abs(obj - prev_obj[rows]) <= cfg.tol
+        done = np.abs(obj - prev_obj[rows]) <= 1e-6
         prev_obj[rows] = obj
         rows, g = rows[~done], g[~done]
 

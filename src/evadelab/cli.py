@@ -91,7 +91,7 @@ def cmd_attack(args) -> int:
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
-    eps_max = args.eps_max or max(grid)
+    eps_max = max(grid) if args.eps_max is None else args.eps_max
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
 
@@ -230,6 +230,9 @@ def cmd_experiment(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     report = run_experiment(cfg, out_dir=args.out)
     failures = [c for c in report.cells if c.status != "ok"]
+    if not report.ok_cells():
+        raise RuntimeError("every cell failed: " + "; ".join(
+            f"rep {c.rep} {c.spec.name}: {c.error}" for c in failures))
     print(json.dumps({
         "out": str(args.out),
         "cells": len(report.cells),

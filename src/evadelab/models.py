@@ -209,9 +209,9 @@ class TrainConfig:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ValueError("learning_rate must be positive")
-        if self.reg <= 0:
+        if not self.reg > 0:
             raise ValueError("reg must be positive")
         if (self.weight_lb is None) != (self.weight_ub is None):
             raise ValueError("weight_lb and weight_ub must be given together")

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import (ATTACK_METHODS, AttackConfig, SecurityCurve,
-                     attack_scores_over_grid)
+from .attack import AttackConfig, SecurityCurve, attack_scores_over_grid
 from .evenness import EvennessReport, evenness_report
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
@@ -41,6 +40,8 @@ EVENNESS_METRICS = ("e1", "e2")
 _DATASET_KEYS = ("path", "synthetic")
 # the fold count of grid_cv's stratified cross-validation
 _CV_FOLDS = 5
+# the share of each class that a repetition's split puts in training
+_SPLIT_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,24 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "secsvm", "rbf"):
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        if not self.name:
-            raise ValueError("classifier name must be non-empty")
+        if not self.slug:
+            raise ValueError(f"classifier name {self.name!r} has no file slug")
+        if self.kind != "linear" and self.loss != "hinge":
+            raise ValueError(f"loss {self.loss!r}: the {self.kind} trainer "
+                             "uses the hinge loss")
+        if self.kind == "rbf" and not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not self.weight_bound >= 0:
+            raise ValueError("weight_bound must be >= 0")
+        self._train_config(0)
+
+    def _train_config(self, seed: int) -> TrainConfig:
+        """The SGD settings of this spec; only secsvm trains in a box."""
+        bound = self.weight_bound if self.kind == "secsvm" else None
+        return TrainConfig(loss=self.loss, reg=self.reg, epochs=self.epochs,
+                           learning_rate=self.learning_rate, seed=seed,
+                           weight_lb=None if bound is None else -bound,
+                           weight_ub=bound)
 
     def effective_robust_loss(self) -> str:
         return "logistic" if self.loss == "logistic" else "hinge"
@@ -87,18 +104,14 @@ class ExperimentConfig:
     classifiers: tuple[ClassifierSpec, ...]
     dataset_path: str | None = None
     synthetic: SyntheticConfig | None = None
-    split_fraction: float = 0.6
     seed: int = 0
     repetitions: int = 1
     eps_grid: tuple[int, ...] = tuple(range(1, 51))
     fpr: float = 0.01
-    methods: tuple[str, ...] = ATTRIBUTION_METHODS
     ig_p: int = 100
     evenness_m: int = 1000
     n_attack_samples: int = 1000
-    attack_tol: float = 1e-6
     attack_max_iters: int = 1000
-    attack_method: str = "auto"
 
     def __post_init__(self):
         if not self.classifiers:
@@ -117,18 +130,14 @@ class ExperimentConfig:
         if not 0.0 <= self.fpr <= 1.0:
             raise ValueError("fpr must lie in [0, 1]")
         try:
-            AttackConfig(self.attack_tol, self.attack_max_iters)
-        except ValueError as exc:  # name the field: "attack_tol must be ..."
+            AttackConfig(self.attack_max_iters)
+        except ValueError as exc:  # name the field: "attack_max_iters ..."
             raise ValueError(f"attack_{exc}") from None
-        for m in self.methods:
-            if m not in ATTRIBUTION_METHODS:
-                raise ValueError(f"unknown attribution method {m!r}")
-        if self.attack_method not in ATTACK_METHODS:
-            raise ValueError(f"unknown attack method {self.attack_method!r}; "
-                             f"expected one of {ATTACK_METHODS}")
-        names = [spec.name for spec in self.classifiers]
-        if len(set(names)) != len(names):
-            raise ValueError("classifier names must be unique")
+        # equal slugs would write the same per-cell files
+        slugs = [spec.slug for spec in self.classifiers]
+        if len(set(slugs)) != len(slugs):
+            raise ValueError(f"classifier names must give distinct file "
+                             f"slugs; got {slugs}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -174,8 +183,6 @@ class ExperimentConfig:
                                                  int(grid["stop"]) + 1))
             else:
                 kwargs["eps_grid"] = tuple(int(e) for e in grid)
-        if "methods" in kwargs:
-            kwargs["methods"] = tuple(kwargs["methods"])
         return cls(
             classifiers=tuple(specs),
             dataset_path=dataset_path,
@@ -194,18 +201,14 @@ class ExperimentConfig:
             "dataset": ({"path": self.dataset_path} if self.dataset_path
                         else {"synthetic": vars(self.synthetic).copy()}),
             "classifiers": [vars(s).copy() for s in self.classifiers],
-            "split_fraction": self.split_fraction,
             "seed": self.seed,
             "repetitions": self.repetitions,
             "eps_grid": list(self.eps_grid),
             "fpr": self.fpr,
-            "methods": list(self.methods),
             "ig_p": self.ig_p,
             "evenness_m": self.evenness_m,
             "n_attack_samples": self.n_attack_samples,
-            "attack": {"tol": self.attack_tol,
-                       "max_iters": self.attack_max_iters,
-                       "method": self.attack_method},
+            "attack": {"max_iters": self.attack_max_iters},
         }
         return doc
 
@@ -238,7 +241,6 @@ class ExperimentReport:
     config: ExperimentConfig
     cells: list[ClassifierCell]
     pooled_correlations: list[dict]
-    out_dir: Path | None
 
     def ok_cells(self, name: str | None = None) -> list[ClassifierCell]:
         return [c for c in self.cells
@@ -247,18 +249,11 @@ class ExperimentReport:
 
 def _train_spec(spec: ClassifierSpec, train_ds: LabeledDataset,
                 seed: int) -> TrainedModel:
+    cfg = spec._train_config(seed)
     if spec.kind == "rbf":
-        cfg = TrainConfig(loss="hinge", reg=spec.reg, epochs=spec.epochs,
-                          learning_rate=spec.learning_rate, seed=seed)
         return train_rbf_svm(train_ds, spec.reg, spec.gamma, cfg)
     if spec.kind == "secsvm":
-        cfg = TrainConfig(loss="hinge", reg=spec.reg, epochs=spec.epochs,
-                          learning_rate=spec.learning_rate, seed=seed,
-                          weight_lb=-spec.weight_bound,
-                          weight_ub=spec.weight_bound)
         return train_secsvm(train_ds, cfg)
-    cfg = TrainConfig(loss=spec.loss, reg=spec.reg, epochs=spec.epochs,
-                      learning_rate=spec.learning_rate, seed=seed)
     return train_linear(train_ds, cfg)
 
 
@@ -293,17 +288,17 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.sample_ids = rows.tolist()
     samples = test_ds.samples[cell.sample_ids]
 
-    acfg = AttackConfig(tol=cfg.attack_tol, max_iters=cfg.attack_max_iters)
     # budget 0 is the clean score, so one attack gives both
     scores = attack_scores_over_grid(model, samples, (0, *cfg.eps_grid),
-                                     cell.threshold, acfg, cfg.attack_method)
+                                     cell.threshold,
+                                     AttackConfig(cfg.attack_max_iters))
     cell.clean_scores, cell.adv_scores = scores[:, 0], scores[:, 1:]
     cell.curve = SecurityCurve.from_scores(cell.adv_scores, cfg.eps_grid,
                                            cell.threshold)
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
-    for method in cfg.methods:
+    for method in ATTRIBUTION_METHODS:
         cell.evenness[method] = evenness_report(
             _attribution(method, model, samples, cfg.ig_p), cfg.evenness_m)
         for metric in EVENNESS_METRICS:
@@ -348,7 +343,7 @@ def run_experiment(cfg: ExperimentConfig,
 
     cells: list[ClassifierCell] = []
     for rep in range(cfg.repetitions):
-        train_ds, test_ds = split(ds, cfg.split_fraction, cfg.seed + rep)
+        train_ds, test_ds = split(ds, _SPLIT_FRACTION, cfg.seed + rep)
         for spec in cfg.classifiers:
             try:
                 cells.append(_run_cell(cfg, spec, rep, train_ds, test_ds))
@@ -358,10 +353,9 @@ def run_experiment(cfg: ExperimentConfig,
                     error=f"{type(exc).__name__}: {exc}"))
 
     pooled = _pool_correlations(cfg, cells)
-    report = ExperimentReport(cfg, cells, pooled, None)
+    report = ExperimentReport(cfg, cells, pooled)
     if out_dir is not None:
         _write_artifacts(report, Path(out_dir))
-        report.out_dir = Path(out_dir)
     return report
 
 
@@ -372,7 +366,7 @@ def _pool_correlations(cfg: ExperimentConfig,
         ok = [c for c in cells if c.spec.name == spec.name and c.status == "ok"]
         if not ok:
             continue
-        for method in cfg.methods:
+        for method in ATTRIBUTION_METHODS:
             for metric in EVENNESS_METRICS:
                 pooled += _correlation_entries(ok, method, metric,
                                                classifier=spec.name)
@@ -407,7 +401,7 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
     summary_header = ["rep", "classifier", "status", "auc", "dr_clean",
                       "threshold", "aggregate_robustness",
                       "mean_dr_under_attack"]
-    for method in cfg.methods:
+    for method in ATTRIBUTION_METHODS:
         summary_header += [f"avg_e1_{method}", f"avg_e2_{method}"]
     summary_rows = []
     for cell in report.cells:
@@ -433,13 +427,13 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                     for eps, s in zip(cfg.eps_grid, scores)])
 
         header = ["sample_id", "score_clean", "robustness"]
-        for method in cfg.methods:
+        for method in ATTRIBUTION_METHODS:
             header += [f"e1_{method}", f"e2_{method}"]
         sample_rows = []
         for row, sid in enumerate(cell.sample_ids):
             entry = [sid, float(cell.clean_scores[row]),
                      float(cell.robust.per_sample[row])]
-            for method in cfg.methods:
+            for method in ATTRIBUTION_METHODS:
                 rpt = cell.evenness[method]
                 entry += [rpt.per_sample_e1[row], rpt.per_sample_e2[row]]
             sample_rows.append(entry)
@@ -453,7 +447,7 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
         summary = [cell.rep, cell.spec.name, cell.status, cell.auc,
                    cell.dr_clean, cell.threshold, cell.robust.aggregate,
                    cell.curve.area()]
-        for method in cfg.methods:
+        for method in ATTRIBUTION_METHODS:
             rpt = cell.evenness[method]
             summary += [rpt.averaged_e1, rpt.averaged_e2]
         summary_rows.append(summary)
@@ -476,8 +470,9 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                    ["eps", "mean_detection_rate"],
                    zip(cfg.eps_grid, rates.mean(axis=0)))
 
+    # no scatter without a successful cell; the manifest still gets written
     scatter_dir = out / "scatter"
-    for method in cfg.methods:
+    for method in ATTRIBUTION_METHODS if report.ok_cells() else ():
         for metric in EVENNESS_METRICS:
             emit_scatter_data(report, method, metric, "robustness",
                               scatter_dir / f"samples_{method}_{metric}.csv")
@@ -523,8 +518,9 @@ def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
     classifier (classifier, the attacked malware's averaged evenness, the
     security curve's area), each averaged over repetitions.
     """
-    if attribution not in report.config.methods:
-        raise ValueError(f"attribution {attribution!r} was not computed")
+    if attribution not in ATTRIBUTION_METHODS:
+        raise ValueError(f"unknown attribution {attribution!r}; expected one "
+                         f"of {ATTRIBUTION_METHODS}")
     if metric not in EVENNESS_METRICS:
         raise ValueError(f"metric must be one of {EVENNESS_METRICS}")
     cells = report.ok_cells()

@@ -45,14 +45,14 @@ def fields(cls):
 
 
 def test_attack_config_holds_descent_settings_only():
-    assert fields(AttackConfig) == ["tol", "max_iters"]
+    assert fields(AttackConfig) == ["max_iters"]
 
 
 def test_experiment_config_fields():
     assert fields(ExperimentConfig) == [
-        "classifiers", "dataset_path", "synthetic", "split_fraction", "seed",
-        "repetitions", "eps_grid", "fpr", "methods", "ig_p", "evenness_m",
-        "n_attack_samples", "attack_tol", "attack_max_iters", "attack_method"]
+        "classifiers", "dataset_path", "synthetic", "seed", "repetitions",
+        "eps_grid", "fpr", "ig_p", "evenness_m", "n_attack_samples",
+        "attack_max_iters"]
 
 
 def test_security_curve_fields():

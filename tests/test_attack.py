@@ -98,8 +98,6 @@ class TestAttackConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             AttackConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            AttackConfig(tol=0.0)
 
     def test_budget_below_one_rejected(self):
         # budget 0 is the clean score; eps_min searches budgets from 1

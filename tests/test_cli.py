@@ -61,6 +61,16 @@ class TestTrain:
         first = json.loads(capsys.readouterr().out.strip().splitlines()[0])
         assert first["cv_selected_reg"] in (0.1, 1.0)
 
+    @pytest.mark.parametrize("kind", ["secsvm", "rbf"])
+    def test_loss_the_trainer_ignores_rejected(self, workdir, capsys, kind):
+        rc = main(["train", "--data", str(workdir / "train.txt"),
+                   "--kind", kind, "--loss", "logistic",
+                   "--out", str(workdir / "ignored.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "loss 'logistic'" in err["message"]
+        assert not (workdir / "ignored.json").exists()
+
 
 class TestAttack:
     def test_csv_columns_and_eps_min(self, workdir):
@@ -96,6 +106,17 @@ class TestAttack:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert err["message"] == f"--epsilon-grid {grid!r} holds no budget"
+
+    @pytest.mark.parametrize("eps_max", ["0", "-3"])
+    def test_eps_max_below_one_rejected(self, workdir, capsys, eps_max):
+        out = workdir / f"attack_epsmax{eps_max}.csv"
+        rc = main(["attack", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--epsilon-grid", "3",
+                   "--eps-max", eps_max, "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "eps_max must be >= 1"
+        assert not out.exists()
 
 
 class TestAttackEpsMin:
@@ -341,27 +362,56 @@ class TestCorrelate:
         assert not out.exists()
 
 
+EXPERIMENT = {
+    "dataset": {"synthetic": SYNTH},
+    "classifiers": ["svm"],
+    "eps_grid": {"start": 1, "stop": 4},
+    "repetitions": 1,
+    "seed": 2,
+    "n_attack_samples": 30,
+    "evenness_m": 20,
+    "ig_p": 20,
+    "attack": {"max_iters": 60},
+}
+
+
+def run_experiment_command(tmp_path, **overrides):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({**EXPERIMENT, **overrides}))
+    out = tmp_path / "expout"
+    return main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+
+
 class TestExperimentCommand:
-    def test_runs_and_reports(self, workdir, tmp_path, capsys):
-        cfg = {
-            "dataset": {"synthetic": SYNTH},
-            "classifiers": ["svm"],
-            "eps_grid": {"start": 1, "stop": 4},
-            "repetitions": 1,
-            "seed": 2,
-            "n_attack_samples": 30,
-            "evenness_m": 20,
-            "ig_p": 20,
-            "attack": {"max_iters": 60},
-        }
-        cfg_path = tmp_path / "exp.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "expout"
-        rc = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+    def test_runs_and_reports(self, tmp_path, capsys):
+        rc = run_experiment_command(tmp_path)
         assert rc == 0
         info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert info["cells"] == 1 and info["failed"] == []
-        assert (out / "manifest.json").exists()
+        assert (tmp_path / "expout" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("entry,field", [
+        ({"preset": "svm", "reg": -1.0}, "reg"),
+        ({"preset": "svm", "loss": "hinj"}, "loss"),
+        ({"preset": "sec-svm", "weight_bound": -0.5}, "weight_bound")])
+    def test_bad_spec_fails_before_any_cell(self, tmp_path, capsys, entry,
+                                            field):
+        rc = run_experiment_command(tmp_path, classifiers=[entry])
+        assert rc == 2
+        assert field in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not (tmp_path / "expout").exists()
+
+    def test_every_cell_failing_names_each_error(self, tmp_path, capsys):
+        # one malware sample goes to training, so the test split has none
+        rc = run_experiment_command(
+            tmp_path, classifiers=["svm", "sec-svm"],
+            dataset={"synthetic": {**SYNTH, "n_malware": 1}})
+        assert rc == 2
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        error = "ValueError: ROC needs both classes present"
+        assert message == (f"every cell failed: rep 0 svm: {error}; "
+                           f"rep 0 sec-svm: {error}")
+        assert (tmp_path / "expout" / "manifest.json").exists()
 
 
 class TestErrorEnvelope:

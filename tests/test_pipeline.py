@@ -2,6 +2,7 @@ import csv
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +11,9 @@ import numpy as np
 from evadelab import pipeline
 from evadelab.evenness import UndefinedEvennessError, evenness_e1
 from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
-from evadelab.pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
-                               _attribution, _write_csv, emit_scatter_data,
-                               grid_cv, run_experiment)
+from evadelab.pipeline import (ATTRIBUTION_METHODS, PRESETS, ClassifierSpec,
+                               ExperimentConfig, _attribution, _write_csv,
+                               emit_scatter_data, grid_cv, run_experiment)
 from evadelab.stats import correlation_suite
 
 SMALL_SYNTH = SyntheticConfig(d=80, n_benign=260, n_malware=260, n_strong=16,
@@ -139,7 +140,7 @@ class TestRunExperiment:
         assert len(cell.sample_ids) == len(malware)
         with open(tmp_path / "summary.csv") as fh:
             summary = next(csv.DictReader(fh))
-        for method in cfg.methods:
+        for method in ATTRIBUTION_METHODS:
             values = []
             for x in malware:
                 try:
@@ -191,20 +192,38 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_config(classifiers=())
 
-    def test_failing_cell_isolated(self, tmp_path):
-        bad = ClassifierSpec("broken", "rbf", reg=-5.0)
+    def test_failing_cell_isolated(self, tmp_path, monkeypatch):
+        # a bad spec fails at construction, so the rbf trainer is made to
+        # fail inside the cell instead
+        def broken_trainer(*args, **kwargs):
+            raise ValueError("trainer failed")
+
+        monkeypatch.setattr(pipeline, "train_rbf_svm", broken_trainer)
+        bad = ClassifierSpec("broken", "rbf")
         cfg = small_config(classifiers=(PRESETS["svm"], bad))
         report = run_experiment(cfg, out_dir=tmp_path / "iso")
         by_name = {c.spec.name: c for c in report.cells}
         assert by_name["svm"].status == "ok"
         assert by_name["broken"].status == "failed"
-        assert "ValueError" in by_name["broken"].error
+        assert by_name["broken"].error == "ValueError: trainer failed"
         # the failed cell's summary row is padded to the header's width
         with open(tmp_path / "iso" / "summary.csv", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert [len(row) for row in rows] == [len(header)] * 2
         assert rows[1][:3] == ["0", "broken", "failed"]
         assert rows[1][3:] == [""] * (len(header) - 3)
+
+    def test_every_cell_failing_still_writes_the_manifest(self, tmp_path):
+        # one malware sample goes to training, so no test split has malware
+        synth = replace(SMALL_SYNTH, n_malware=1)
+        cfg = small_config(synthetic=synth)
+        report = run_experiment(cfg, out_dir=tmp_path)
+        assert [c.status for c in report.cells] == ["failed", "failed"]
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [c["error"] for c in manifest["cells"]] == [
+            c.error for c in report.cells]
+        assert all(c.error for c in report.cells)
+        assert not (tmp_path / "scatter").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = small_config()
@@ -329,11 +348,32 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             small_config(eps_grid=(0, 1))
         with pytest.raises(ValueError):
-            small_config(methods=("saliency",))
-        with pytest.raises(ValueError):
             small_config(classifiers=(PRESETS["svm"], PRESETS["svm"]))
-        with pytest.raises(ValueError, match="unknown attack method"):
-            small_config(attack_method="bogus")
+
+    def test_colliding_file_slugs_rejected(self):
+        # "SVM" and "svm" would both write rep0/roc_svm.csv
+        upper = replace(PRESETS["svm"], name="SVM")
+        with pytest.raises(ValueError, match="slugs.*'svm', 'svm'"):
+            small_config(classifiers=(PRESETS["svm"], upper))
+        with pytest.raises(ValueError, match="'!!' has no file slug"):
+            ClassifierSpec("!!", "linear")
+
+    @pytest.mark.parametrize("spec,field", [
+        (dict(kind="linear", reg=-1.0), "reg"),
+        (dict(kind="linear", reg=math.nan), "reg"),
+        (dict(kind="linear", learning_rate=math.nan), "learning_rate"),
+        (dict(kind="linear", loss="hinj"), "loss"),
+        (dict(kind="secsvm", weight_bound=-0.5), "weight_bound"),
+        (dict(kind="linear", weight_bound=math.nan), "weight_bound"),
+        (dict(kind="secsvm", loss="logistic"), "loss"),
+        (dict(kind="rbf", loss="squared"), "loss"),
+        (dict(kind="rbf", gamma=0.0), "gamma"),
+        (dict(kind="rbf", gamma=math.nan), "gamma"),
+        (dict(kind="rbf", gamma=math.inf), "gamma")])
+    def test_bad_spec_fails_at_construction(self, spec, field):
+        # each used to pass here and fail inside its cell or be ignored
+        with pytest.raises(ValueError, match=field):
+            ClassifierSpec("bad", **spec)
 
     @pytest.mark.parametrize("section,extra", [
         ("attack", {"max_iter": 5}), ("attack", {"eta": 0.05}),
@@ -347,7 +387,8 @@ class TestConfigParsing:
             ExperimentConfig.from_dict(doc)
 
     @pytest.mark.parametrize("key", ["repetition", "curve_envelopes",
-                                     "evenness_include_benign", "attack_tol"])
+                                     "evenness_include_benign", "attack_tol",
+                                     "methods", "split_fraction"])
     def test_unknown_top_level_key_fails_by_name(self, key):
         # attack settings belong in the attack section, so attack_* is not
         # a top-level key either
@@ -358,10 +399,13 @@ class TestConfigParsing:
 
     def test_attack_section_keys_are_read(self):
         doc = small_config().to_dict()
-        doc["attack"] = {"tol": 1e-4, "max_iters": 5, "method": "pgd"}
-        cfg = ExperimentConfig.from_dict(doc)
-        assert (cfg.attack_tol, cfg.attack_max_iters, cfg.attack_method) == (
-            1e-4, 5, "pgd")
+        doc["attack"] = {"max_iters": 5}
+        assert ExperimentConfig.from_dict(doc).attack_max_iters == 5
+        for key in ("tol", "method"):
+            doc["attack"] = {"max_iters": 5, key: 1}
+            with pytest.raises(ValueError,
+                               match=f"unknown attack key.*'{key}'"):
+                ExperimentConfig.from_dict(doc)
 
     def test_robust_loss_follows_training_loss(self):
         assert PRESETS["logistic"].effective_robust_loss() == "logistic"
@@ -376,7 +420,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
                                          {"n_attack_samples": 0},
-                                         {"fpr": 1.5}, {"attack_tol": 0.0},
+                                         {"fpr": 1.5},
                                          {"attack_max_iters": 0}])
     def test_study_settings_fail_fast(self, setting):
         # each would otherwise fail every cell after training and attacking
