@@ -420,7 +420,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
                                          {"n_attack_samples": 0},
-                                         {"fpr": 1.5},
+                                         {"fpr": 1.5}, {"fpr": -0.5},
                                          {"attack_max_iters": 0}])
     def test_study_settings_fail_fast(self, setting):
         # each would otherwise fail every cell after training and attacking
