@@ -17,6 +17,11 @@ The attack only ever adds features: the box keeps every feature the sample
 has, so the app keeps its malicious function.
 
 One engine, ``_pgd_core``, attacks a whole list of budgets at once.  The
+binary pass starts every budget from the same clean point, and budgets keep
+one iterate until a step changes more features than the smaller of them
+allow: a row of the pass is a sample and an interval of budgets that share
+an iterate, so each point is evaluated once for all of them, and a budget
+splits off with its own projection only when its iterate departs.  The
 shadow iterate never reads the budget (its step, its stopping test and its
 active set depend only on the box), so its trajectory is computed once per
 sample and each iterate is projected onto every budget.  The projections are
@@ -29,10 +34,9 @@ equal those of the materialised points bit for bit.  A row whose ranked
 prefix of budgets[-1] changes is the previous iteration's is not scored
 again: its point at every budget is unchanged, so its scores are the ones
 already compared with the best scores, and none can be strictly lower.  The
-first iteration scores every row.  The binary pass stays
-per budget, because its iterate is that budget's projection.  A linear model
-gets no shadow pass: its gradient is constant, so the binary pass already
-adds features in the optimal order.
+first iteration scores every row.  A linear model gets no shadow pass: its
+gradient is constant, so the binary pass already adds features in the
+optimal order.
 
 For linear models an exact greedy oracle exists: additions are independent,
 so adding absent features in ascending weight order is optimal.  It stops
@@ -44,7 +48,10 @@ Every attack product is read off the one (n, grid) score matrix of
 ``attack_scores_over_grid``: the security curve (``SecurityCurve.from_scores``),
 the robustness score and ``eps_min``.  The attack at budget e evades exactly
 when its grid score is below the threshold, so ``eps_min`` is the first such
-budget of an attack over 0..eps_max; no pass stops early on evasion.
+budget of an attack over 0..eps_max; no pass stops early on evasion.  A
+point feasible at one budget is feasible at every larger one, so each row of
+that matrix is a running minimum along the ascending budgets and no security
+curve rises.
 """
 
 from __future__ import annotations
@@ -59,6 +66,8 @@ from .models import KernelModel, LinearModel, TrainedModel
 
 NOT_EVADABLE: float = math.inf
 ATTACK_METHODS = ("auto", "pgd", "greedy")
+# Values per (group rows, d) array of a binary-pass chunk: 4 MiB of float64.
+_BINARY_CHUNK_VALUES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -155,13 +164,15 @@ def _prefix_projection(X0b: np.ndarray, order: np.ndarray, counts: np.ndarray,
 
 
 def _project_clipped_batch(V: np.ndarray, X0b: np.ndarray,
-                           epsilon: int) -> np.ndarray:
-    """Binarize already-clipped rows and enforce the change budget rowwise."""
+                           epsilon) -> np.ndarray:
+    """Binarize already-clipped rows and enforce the change budget rowwise;
+    epsilon may be one budget or one per row."""
     XB = V >= 0.5
+    epsilon = np.broadcast_to(epsilon, len(V))
     over = np.flatnonzero((XB != X0b).sum(axis=1) > epsilon)
     if over.size:
         order, counts = _ranked_changes(V[over], X0b[over])
-        XB[over] = _prefix_projection(X0b[over], order, counts, epsilon)
+        XB[over] = _prefix_projection(X0b[over], order, counts, epsilon[over])
     return XB
 
 
@@ -178,24 +189,86 @@ def _movable_eta(g: np.ndarray, cur: np.ndarray, lb: np.ndarray,
     return np.where(gmax > 0.0, scale / np.maximum(gmax, 1e-300), 0.0)
 
 
-def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
-                  start, budgets, mode: str, cfg: AttackConfig,
-                  threshold: float, best_scores: np.ndarray) -> None:
-    """One batched descent pass; lowers best_scores in place, checking each
-    point's feasibility as its score is recorded.
+def _ranges(lo: np.ndarray, lengths: np.ndarray):
+    """(owner, index): entry r contributes lo[r], lo[r] + 1, ...,
+    lo[r] + lengths[r] - 1, each owned by r, in order."""
+    owner = np.repeat(np.arange(lengths.size), lengths)
+    index = np.arange(owner.size) + (lo - (np.cumsum(lengths) - lengths))[owner]
+    return owner, index
 
-    best_scores holds one column per budget.  mode "binary" (one budget)
-    steps from the budget's projected binary point each iteration, so the
-    iterate hops between feasible points with enough step to flip at least
-    one coordinate.  mode "shadow" (kernel models) descends a box-clipped
-    real relaxation that accumulates gradient pressure, so weakly-graded
-    coordinates can still cross the binarization threshold; its trajectory
-    never reads the budget, so each iterate is projected onto every budget
-    and the nested projections are scored incrementally, only for the rows
-    whose ranked prefix of budgets[-1] changes differs from the previous
-    iteration's (an unchanged prefix scores bitwise what was already
-    recorded).  One fused kernel call per iteration evaluates the new
-    iterate and gives the gradient that the still-active rows step with
+
+def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
+                 start, budgets, cfg: AttackConfig, threshold: float,
+                 best_scores: np.ndarray) -> None:
+    """The binary-iterate pass at every budget of an ascending list; lowers
+    best_scores in place, checking each point's feasibility as its score is
+    recorded.
+
+    Each iteration steps from the budget's projected binary point, with
+    enough step to flip at least one coordinate.  Budgets whose iterates
+    coincide share one row: a group is a sample and an interval [lo, hi] of
+    the budget list, and each sample starts as one group over all of them,
+    at its clean point.  After a step that binarises to c changes, the
+    members with budget >= c keep that point as one group and each smaller
+    budget splits off with its own top-budget projection.  So every member
+    visits exactly the points of a pass at its budget alone, which is what
+    a one-budget call runs.  Members share their whole history, so one
+    objective, gradient and stopping test serve the group, its best score
+    is the same at each member, and one write lowers
+    best_scores[sample, lo:hi + 1].  A sample holds at most k groups, so
+    chunks of _BINARY_CHUNK_VALUES // (k d) samples (at least one) keep
+    each (rows, d) array of live groups within that many values.
+    """
+    scores0, grad0 = start
+    budget_arr = np.asarray(budgets)
+    k = budget_arr.size
+    # already-benign samples are left alone
+    attacked = np.flatnonzero(scores0 >= threshold)
+    chunk = max(1, _BINARY_CHUNK_VALUES // (k * X0b.shape[1]))
+    for first in range(0, attacked.size, chunk):
+        sample = attacked[first:first + chunk]
+        lo = np.zeros(sample.size, dtype=np.intp)
+        hi = np.full(sample.size, k - 1)
+        cur, g, prev_obj = lb[sample], grad0[sample], scores0[sample]
+        for _ in range(cfg.max_iters):
+            if sample.size == 0:
+                break
+            X0g, lbg = X0b[sample], lb[sample]
+            eta = _movable_eta(g, cur, lbg, 0.5005)
+            stepped = np.clip(cur - eta[:, None] * g, lbg, 1.0)
+            # the first member whose budget covers every change, or hi + 1
+            whole = np.clip(np.searchsorted(
+                budget_arr, ((stepped >= 0.5) != X0g).sum(axis=1)), lo, hi + 1)
+            parent, lo = _ranges(lo, whole - lo + (whole <= hi))
+            hi = np.where(lo < whole[parent], lo, hi[parent])
+            sample, X0g = sample[parent], X0g[parent]
+            binary = _project_clipped_batch(stepped[parent], X0g,
+                                            budget_arr[lo])
+            cur = binary.astype(np.float64)
+            obj, g = model.decision_and_gradient_batch(cur)
+            improved = np.flatnonzero(obj < best_scores[sample, lo])
+            X0i = X0g[improved]
+            _check_feasible(X0i, *np.nonzero(binary[improved] != X0i),
+                            budget_arr[lo[improved]])
+            at, cols = _ranges(lo[improved], hi[improved] - lo[improved] + 1)
+            best_scores[sample[improved][at], cols] = obj[improved][at]
+
+            go = ~(np.abs(obj - prev_obj[parent]) <= 1e-6)
+            sample, lo, hi = sample[go], lo[go], hi[go]
+            cur, g, prev_obj = cur[go], g[go], obj[go]
+
+
+def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
+                 budgets, cfg: AttackConfig, threshold: float,
+                 best_scores: np.ndarray) -> None:
+    """The shadow pass of a kernel model, shared by every budget; lowers
+    best_scores in place, checking each point's feasibility as its score is
+    recorded.
+
+    Each iterate's nested projections are scored incrementally, and only
+    for the rows whose ranked prefix of budgets[-1] changes differs from the
+    previous iteration's.  One fused kernel call per iteration evaluates the
+    new iterate and gives the gradient that the still-active rows step with
     next.  A row leaves the pass when its objective converges.
     """
     scores0, grad0 = start
@@ -204,47 +277,36 @@ def _descent_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
     # already-benign samples are left alone
     rows = np.flatnonzero(scores0 >= threshold)
     g = grad0[rows]
-    if mode == "shadow" and rows.size:
+    if rows.size:
         sq0 = model._sq_distances(cur)
         # each row's ranked prefix of at most budgets[-1] changes, padded
         # with -1; -2 matches no prefix, so the first iteration scores all
         prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
     budget_arr = np.asarray(budgets)
-    eta_scale = 0.5005 if mode == "binary" else 0.1
     for _ in range(cfg.max_iters):
         if rows.size == 0:
             break
-        eta = _movable_eta(g, cur[rows], lb[rows], eta_scale)
+        eta = _movable_eta(g, cur[rows], lb[rows], 0.1)
         stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
         X0r = X0b[rows]
-        if mode == "binary":
-            binary = _project_clipped_batch(stepped, X0r, budgets[0])
-            cur[rows] = binary
-            obj, g = model.decision_and_gradient_batch(cur[rows])
-            improved = obj < best_scores[rows, 0]
-            X0i = X0r[improved]
-            _check_feasible(X0i, *np.nonzero(binary[improved] != X0i),
-                            budgets[0])
-            best_scores[rows[improved], 0] = obj[improved]
-        else:
-            order, counts = _ranked_changes(stepped, X0r)
-            prefix = np.full((rows.size, budgets[-1]), -1, dtype=np.intp)
-            width = min(order.shape[1], budgets[-1])
-            prefix[:, :width] = order[:, :width]
-            # an unchanged prefix scores bit for bit what it scored before
-            changed = np.flatnonzero((prefix != prefixes[rows]).any(axis=1))
-            live, X0c, order, counts = (rows[changed], X0r[changed],
-                                        order[changed], counts[changed])
-            prefixes[live] = prefix[changed]
-            bin_scores = model._prefix_flip_decisions(
-                sq0[live], scores0[live], X0c, order, counts, budgets)
-            ri, ci = np.nonzero(bin_scores < best_scores[live])
-            if ri.size:
-                _check_feasible(X0c[ri], *_prefix_changes(
-                    order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
-                best_scores[live[ri], ci] = bin_scores[ri, ci]
-            cur[rows] = stepped
-            obj, g = model.decision_and_gradient_batch(stepped)
+        order, counts = _ranked_changes(stepped, X0r)
+        prefix = np.full((rows.size, budgets[-1]), -1, dtype=np.intp)
+        width = min(order.shape[1], budgets[-1])
+        prefix[:, :width] = order[:, :width]
+        # an unchanged prefix scores bit for bit what it scored before
+        changed = np.flatnonzero((prefix != prefixes[rows]).any(axis=1))
+        live, X0c, order, counts = (rows[changed], X0r[changed],
+                                    order[changed], counts[changed])
+        prefixes[live] = prefix[changed]
+        bin_scores = model._prefix_flip_decisions(
+            sq0[live], scores0[live], X0c, order, counts, budgets)
+        ri, ci = np.nonzero(bin_scores < best_scores[live])
+        if ri.size:
+            _check_feasible(X0c[ri], *_prefix_changes(
+                order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
+            best_scores[live[ri], ci] = bin_scores[ri, ci]
+        cur[rows] = stepped
+        obj, g = model.decision_and_gradient_batch(stepped)
 
         done = np.abs(obj - prev_obj[rows]) <= 1e-6
         prev_obj[rows] = obj
@@ -256,23 +318,24 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
     """(n, k) best scores of the batched attack at each budget of an
     ascending list, from ``start``, the (scores, gradients) of the rows X0b.
 
-    For each budget a binary pass, then on a kernel model one shadow pass
-    shared by all budgets; both lower the same score matrix, so each (row,
-    budget) pair gets the best feasible point either scheme visited.  On a
-    linear model the binary pass already flips absent features in exact
-    descending-weight order (the gradient is constant), which is the
-    optimal addition schedule, so there is no shadow pass.
+    One binary pass over the whole list, then on a kernel model one shadow
+    pass shared by all budgets; both lower the same score matrix, so each
+    (row, budget) pair gets the best feasible point either scheme visited.
+    On a linear model the binary pass already flips absent features in
+    exact descending-weight order (the gradient is constant), which is the
+    optimal addition schedule, so there is no shadow pass.  A point feasible
+    at one budget is feasible at every larger one, so a running minimum
+    along the budgets keeps every score valid and makes each row
+    non-increasing in the budget.
     """
     cfg = cfg if cfg is not None else AttackConfig()
     lb = X0b.astype(np.float64)
     best_scores = np.repeat(start[0][:, None], len(budgets), axis=1)
-    for col, eps in enumerate(budgets):
-        _descent_pass(model, X0b, lb, start, [eps], "binary", cfg, threshold,
-                      best_scores[:, col:col + 1])
+    _binary_pass(model, X0b, lb, start, budgets, cfg, threshold, best_scores)
     if isinstance(model, KernelModel):
-        _descent_pass(model, X0b, lb, start, budgets, "shadow", cfg,
-                      threshold, best_scores)
-    return best_scores
+        _shadow_pass(model, X0b, lb, start, budgets, cfg, threshold,
+                     best_scores)
+    return np.minimum.accumulate(best_scores, axis=1)
 
 
 def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,

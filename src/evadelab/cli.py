@@ -74,8 +74,11 @@ def cmd_train(args) -> int:
     info = {"out": str(args.out), "kind": spec.kind, "d": model.d}
     if args.test:
         test_ds = load_dataset(args.test, d_hint=model.d)
-        rate, threshold = models.detection_rate_at_fpr(model, test_ds, args.fpr)
-        info.update({"auc": models.auc(models.roc_curve(model, test_ds)),
+        # the test set is scored once, for the threshold and for the ROC
+        scores = models._dataset_scores(model, test_ds)
+        rate, threshold = models._rate_at_fpr(scores, test_ds.labels, args.fpr)
+        info.update({"auc": models.auc(models._roc_points(scores,
+                                                          test_ds.labels)),
                      "detection_rate": rate, "threshold": threshold,
                      "fpr": args.fpr})
     print(json.dumps(info))

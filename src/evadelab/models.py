@@ -387,11 +387,16 @@ def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
     benign scores themselves plus max(benign) + 1 when nothing else fits
     (scores equal to the threshold count as positive).
     """
+    return _rate_at_fpr(_dataset_scores(model, ds), ds.labels, fpr_target)
+
+
+def _rate_at_fpr(scores: np.ndarray, labels: np.ndarray,
+                 fpr_target: float) -> tuple[float, float]:
+    """detection_rate_at_fpr of a dataset's scores and labels."""
     if not 0.0 <= fpr_target <= 1.0:
         raise ValueError("fpr_target must lie in [0, 1]")
-    scores = _dataset_scores(model, ds)
-    benign = np.sort(scores[ds.labels == -1])
-    malware = scores[ds.labels == 1]
+    benign = np.sort(scores[labels == -1])
+    malware = scores[labels == 1]
     if benign.size == 0:
         raise ValueError("dataset has no benign samples to fix the threshold")
     if malware.size == 0:
@@ -424,9 +429,14 @@ def _share_at_or_above(values: np.ndarray, thresholds: np.ndarray) -> list:
 
 def roc_curve(model: TrainedModel, ds: LabeledDataset) -> list[tuple[float, float]]:
     """(fpr, tpr) points from a sweep over the distinct scores; starts at (0,0)."""
-    scores = _dataset_scores(model, ds)
-    benign = scores[ds.labels == -1]
-    malware = scores[ds.labels == 1]
+    return _roc_points(_dataset_scores(model, ds), ds.labels)
+
+
+def _roc_points(scores: np.ndarray,
+                labels: np.ndarray) -> list[tuple[float, float]]:
+    """roc_curve of a dataset's scores and labels."""
+    benign = scores[labels == -1]
+    malware = scores[labels == 1]
     if benign.size == 0 or malware.size == 0:
         raise ValueError("ROC needs both classes present")
     thresholds = np.unique(scores)[::-1]

@@ -24,12 +24,16 @@ import numpy as np
 from . import __version__
 from .attack import AttackConfig, SecurityCurve, attack_scores_over_grid
 from .evenness import EvennessReport, evenness_report
-from .explain import (attribution_gradient, attribution_gradient_input,
+from .explain import (_finite, attribution_gradient,
+                      attribution_gradient_input,
                       attribution_integrated_gradients)
 from .featurespace import (LabeledDataset, SyntheticConfig, generate_synthetic,
                            load_dataset, split)
-from .models import (TrainConfig, TrainedModel, auc, detection_rate_at_fpr,
-                     roc_curve, train_linear, train_rbf_svm, train_secsvm)
+from .models import (TrainConfig, TrainedModel, _dataset_scores, _rate_at_fpr,
+                     _roc_points, auc, detection_rate_at_fpr, train_linear,
+                     train_rbf_svm, train_secsvm)
+# Re-exported: studybench's traced run wraps pipeline.roc_curve.
+from .models import roc_curve  # noqa: F401
 from .robustness import RobustnessScore, _check_grid, robustness_from_scores
 from .stats import CorrelationReport, correlation_suite
 
@@ -275,9 +279,12 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     seed = cfg.seed + rep
     model = _train_spec(spec, train_ds, seed)
     cell.model = model
-    cell.roc = roc_curve(model, test_ds)
+    # the test set is scored once, for the ROC and for the threshold
+    test_scores = _dataset_scores(model, test_ds)
+    cell.roc = _roc_points(test_scores, test_ds.labels)
     cell.auc = auc(cell.roc)
-    cell.dr_clean, cell.threshold = detection_rate_at_fpr(model, test_ds, cfg.fpr)
+    cell.dr_clean, cell.threshold = _rate_at_fpr(test_scores, test_ds.labels,
+                                                 cfg.fpr)
 
     # the attacked malware: all of it, or a seeded sorted draw of that many
     rows = np.flatnonzero(test_ds.labels == 1)
@@ -298,9 +305,18 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     cell.robust = robustness_from_scores(
         cell.adv_scores, cfg.eps_grid, spec.effective_robust_loss())
 
+    # Gradient*Input is the Gradient matrix masked by the samples, masked in
+    # place once the Gradient report is taken, so one (n, d) matrix is live
+    R = attribution_gradient(model, samples)
+    cell.evenness["gradient"] = evenness_report(R, cfg.evenness_m)
+    R *= samples
+    cell.evenness["gradient_input"] = evenness_report(_finite(R),
+                                                      cfg.evenness_m)
+    del R
+    cell.evenness["integrated_gradients"] = evenness_report(
+        attribution_integrated_gradients(model, samples, p=cfg.ig_p),
+        cfg.evenness_m)
     for method in ATTRIBUTION_METHODS:
-        cell.evenness[method] = evenness_report(
-            _attribution(method, model, samples, cfg.ig_p), cfg.evenness_m)
         for metric in EVENNESS_METRICS:
             cell.correlations += _correlation_entries([cell], method, metric)
     return cell

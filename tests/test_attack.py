@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 from typing import NamedTuple
@@ -459,18 +460,18 @@ class TestGreedyGrid:
 
 
 class TestKernelCurveMonotonicity:
-    def test_pgd_curve_non_increasing_within_jitter(self):
-        cfg = SyntheticConfig(d=12, n_benign=150, n_malware=150, n_strong=4,
-                              strong_rate_gap=0.5, weak_rate_gap=0.15,
-                              base_density=0.1, seed=41)
-        train, test = split(generate_synthetic(cfg), 0.6, 0)
-        model = train_rbf_svm(train, 10.0, 0.2, TrainConfig(epochs=20, seed=0))
-        _, threshold = detection_rate_at_fpr(model, test, 0.05)
-        malware = test.samples[test.labels == 1]
+    def test_pgd_curve_non_increasing(self):
+        model, malware, threshold = d12_cell()
+        cfg = AttackConfig(max_iters=80)
         curve = security_evaluation(model, malware, range(1, 9), threshold,
-                                    AttackConfig(max_iters=80), method="pgd")
+                                    cfg, method="pgd")
         rates = curve.detection_rates
-        assert all(b <= a + 0.01 for a, b in zip(rates, rates[1:]))
+        assert all(b <= a for a, b in zip(rates, rates[1:]))
+        # every row, not only the rates, at the threshold and without one
+        for t in (threshold, -np.inf):
+            scores = attack_scores_over_grid(model, malware, range(9), t, cfg,
+                                             "pgd")
+            assert np.all(np.diff(scores, axis=1) <= 0.0)
 
 
 class TestOracleEquivalence:
@@ -520,6 +521,13 @@ class TestRankedProjection:
                     got = attack_mod._project_clipped_batch(V, X0b, eps)
                     want = partition_projection(V, X0b, eps)
                     assert np.array_equal(got, want)
+                # one budget per row
+                eps = rng.integers(1, d + 1, size=n)
+                got = attack_mod._project_clipped_batch(V, X0b, eps)
+                for row, e in enumerate(eps):
+                    want = partition_projection(V[row:row + 1],
+                                                X0b[row:row + 1], e)
+                    assert np.array_equal(got[row], want[0])
 
     def test_budgets_are_nested_prefixes(self):
         rng = np.random.default_rng(13)
@@ -561,6 +569,7 @@ GOLDEN_C8_SHADOW = (
 )
 
 
+@functools.cache
 def criterion8_rbf_cell():
     cfg = SyntheticConfig(d=150, n_benign=1300, n_malware=1300, n_strong=30,
                           strong_rate_gap=0.5, weak_rate_gap=0.015,
@@ -646,6 +655,49 @@ class TestGridEngine:
             for col, eps in enumerate(grid[1:], start=1):
                 assert scores[row, col] == pgd_score(model, x, eps, cfg,
                                                      threshold)
+
+    def test_grid_columns_equal_lone_budgets_on_criterion8_rows(self):
+        # a lone budget never splits its group, so it replays a pass at that
+        # budget alone; the grid's shared groups must score the same bits
+        model, malware, threshold = criterion8_rbf_cell()
+        cfg = AttackConfig(max_iters=150)
+        grid = [1, 2, 5, 20, 50]
+        scores = attack_scores_over_grid(model, malware[:10], grid, threshold,
+                                         cfg, "pgd")
+        for col, eps in enumerate(grid):
+            alone = attack_scores_over_grid(model, malware[:10], [eps],
+                                            threshold, cfg, "pgd")
+            assert np.array_equal(scores[:, col], alone[:, 0])
+
+    def test_one_sample_chunks_do_not_change_scores(self, monkeypatch):
+        model, malware, threshold = criterion8_rbf_cell()
+        monkeypatch.setattr(attack_mod, "_BINARY_CHUNK_VALUES", 1)
+        scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
+                                         threshold,
+                                         AttackConfig(max_iters=150), "pgd")
+        assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
+
+    def test_binary_pass_shares_rows_across_budgets(self, monkeypatch):
+        # the rows the binary pass projects are the rows it evaluates
+        model, malware, threshold = criterion8_rbf_cell()
+        cfg = AttackConfig(max_iters=150)
+        projected = []
+        project_batch = attack_mod._project_clipped_batch
+
+        def record(V, X0b, epsilon):
+            projected.append(len(V))
+            return project_batch(V, X0b, epsilon)
+
+        monkeypatch.setattr(attack_mod, "_project_clipped_batch", record)
+        scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
+                                         threshold, cfg, "pgd")
+        assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
+        grid_rows = sum(projected)
+        projected.clear()
+        for eps in range(1, 9):
+            attack_scores_over_grid(model, malware[:10], [eps], threshold,
+                                    cfg, "pgd")
+        assert 0 < grid_rows < sum(projected)
 
     def test_grid_order_and_repeats_do_not_change_scores(self):
         model, malware, threshold = d12_cell()

@@ -11,6 +11,7 @@ import numpy as np
 from evadelab import pipeline
 from evadelab.evenness import UndefinedEvennessError, evenness_e1
 from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
+from evadelab.models import detection_rate_at_fpr, roc_curve
 from evadelab.pipeline import (ATTRIBUTION_METHODS, PRESETS, ClassifierSpec,
                                ExperimentConfig, _attribution, _write_csv,
                                emit_scatter_data, grid_cv, run_experiment)
@@ -176,10 +177,31 @@ class TestRunExperiment:
         report = run_experiment(small_config())
         cells = len(report.ok_cells())
         assert cells == 2
+        # Gradient*Input is the Gradient matrix masked by the samples, so
+        # it takes no gradient call of its own
         assert calls == {"attribution_gradient": cells,
-                         "attribution_gradient_input": cells,
                          "attribution_integrated_gradients": cells,
                          "evenness_report": 3 * cells}
+
+    def test_cell_scores_its_test_set_once(self, monkeypatch):
+        # the ROC and the threshold read one scoring of the test split and
+        # equal what the public functions give
+        calls = []
+        dataset_scores = pipeline._dataset_scores
+
+        def counted(model, ds):
+            calls.append(ds.n)
+            return dataset_scores(model, ds)
+
+        monkeypatch.setattr(pipeline, "_dataset_scores", counted)
+        cfg = small_config()
+        report = run_experiment(cfg)
+        _, test = split(generate_synthetic(cfg.synthetic), 0.6, cfg.seed)
+        assert calls == [test.n] * len(report.cells)
+        for cell in report.cells:
+            assert cell.roc == roc_curve(cell.model, test)
+            assert (cell.dr_clean, cell.threshold) == detection_rate_at_fpr(
+                cell.model, test, cfg.fpr)
 
     def test_manifest_carries_config_and_seeds(self, small_report):
         _, out = small_report
