@@ -8,9 +8,8 @@ from .featurespace import (LabeledDataset, SyntheticConfig, generate_synthetic,
 from .models import (KernelModel, LinearModel, TrainConfig, auc,
                      detection_rate_at_fpr, load_model, roc_curve, save_model,
                      score, train_linear, train_rbf_svm, train_secsvm)
-from .attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
-                     attack_scores_over_grid, epsilon_min, epsilon_min_batch,
-                     security_evaluation)
+from .attack import (NOT_EVADABLE, SecurityCurve, attack_scores_over_grid,
+                     epsilon_min, epsilon_min_batch)
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
 from .evenness import (EvennessReport, UndefinedEvennessError, evenness_e1,

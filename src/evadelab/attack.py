@@ -68,24 +68,8 @@ NOT_EVADABLE: float = math.inf
 ATTACK_METHODS = ("auto", "pgd", "greedy")
 # Values per (group rows, d) array of a binary-pass chunk: 4 MiB of float64.
 _BINARY_CHUNK_VALUES = 2 ** 19
-
-
-@dataclass(frozen=True)
-class AttackConfig:
-    """Descent settings of the gradient attack; budgets are call arguments.
-
-    Each iteration's step is adaptive, normalized by the largest gradient
-    component that can still move: big enough to flip the steepest
-    coordinate on the binary-iterate pass, 0.1 of that on the shadow pass.
-    A row leaves a pass once its objective moves by at most 1e-6, or after
-    max_iters iterations.
-    """
-
-    max_iters: int = 1000
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+# The iteration cap of each descent pass when the caller gives none.
+_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -198,7 +182,7 @@ def _ranges(lo: np.ndarray, lengths: np.ndarray):
 
 
 def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
-                 start, budgets, cfg: AttackConfig, threshold: float,
+                 start, budgets, max_iters: int, threshold: float,
                  best_scores: np.ndarray) -> None:
     """The binary-iterate pass at every budget of an ascending list; lowers
     best_scores in place, checking each point's feasibility as its score is
@@ -230,7 +214,7 @@ def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
         lo = np.zeros(sample.size, dtype=np.intp)
         hi = np.full(sample.size, k - 1)
         cur, g, prev_obj = lb[sample], grad0[sample], scores0[sample]
-        for _ in range(cfg.max_iters):
+        for _ in range(max_iters):
             if sample.size == 0:
                 break
             X0g, lbg = X0b[sample], lb[sample]
@@ -259,7 +243,7 @@ def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
 
 
 def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
-                 budgets, cfg: AttackConfig, threshold: float,
+                 budgets, max_iters: int, threshold: float,
                  best_scores: np.ndarray) -> None:
     """The shadow pass of a kernel model, shared by every budget; lowers
     best_scores in place, checking each point's feasibility as its score is
@@ -283,7 +267,7 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
         # with -1; -2 matches no prefix, so the first iteration scores all
         prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
     budget_arr = np.asarray(budgets)
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         if rows.size == 0:
             break
         eta = _movable_eta(g, cur[rows], lb[rows], 0.1)
@@ -314,7 +298,7 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
 
 
 def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
-              cfg: AttackConfig | None, threshold: float) -> np.ndarray:
+              max_iters: int, threshold: float) -> np.ndarray:
     """(n, k) best scores of the batched attack at each budget of an
     ascending list, from ``start``, the (scores, gradients) of the rows X0b.
 
@@ -328,12 +312,12 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
     along the budgets keeps every score valid and makes each row
     non-increasing in the budget.
     """
-    cfg = cfg if cfg is not None else AttackConfig()
     lb = X0b.astype(np.float64)
     best_scores = np.repeat(start[0][:, None], len(budgets), axis=1)
-    _binary_pass(model, X0b, lb, start, budgets, cfg, threshold, best_scores)
+    _binary_pass(model, X0b, lb, start, budgets, max_iters, threshold,
+                 best_scores)
     if isinstance(model, KernelModel):
-        _shadow_pass(model, X0b, lb, start, budgets, cfg, threshold,
+        _shadow_pass(model, X0b, lb, start, budgets, max_iters, threshold,
                      best_scores)
     return np.minimum.accumulate(best_scores, axis=1)
 
@@ -354,7 +338,7 @@ def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
 
 
 def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
-                      method: str = "auto", cfg: AttackConfig | None = None,
+                      method: str = "auto", max_iters: int = _MAX_ITERS,
                       threshold: float = 0.0) -> np.ndarray:
     """Smallest addition budget in [1, eps_max] that evades, per sample.
 
@@ -365,17 +349,18 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
     budgets = list(range(eps_max + 1))
-    scores = attack_scores_over_grid(model, samples, budgets, threshold, cfg,
-                                     method)
+    scores = attack_scores_over_grid(model, samples, budgets, threshold,
+                                     max_iters, method)
     return _first_evading_budget(scores, budgets, scores[:, 0], threshold,
                                  eps_max)
 
 
 def epsilon_min(model: TrainedModel, x, eps_max: int,
-                method: str = "auto", cfg: AttackConfig | None = None,
+                method: str = "auto", max_iters: int = _MAX_ITERS,
                 threshold: float = 0.0) -> float:
     """epsilon_min_batch of one binary (d,) row: an int, or NOT_EVADABLE."""
-    value = epsilon_min_batch(model, [x], eps_max, method, cfg, threshold)[0]
+    value = epsilon_min_batch(model, [x], eps_max, method, max_iters,
+                              threshold)[0]
     return NOT_EVADABLE if value == NOT_EVADABLE else int(value)
 
 
@@ -401,15 +386,22 @@ def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
 
 
 def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
-                            threshold: float, cfg: AttackConfig | None = None,
+                            threshold: float, max_iters: int = _MAX_ITERS,
                             method: str = "auto") -> np.ndarray:
     """Score of every row of an (n, d) 0/1 sample matrix after attacking at
     each budget: (n, len(grid)).
 
     A grid entry of 0 means no perturbation.  Greedy keeps its early-stop
     semantics (it quits adding once the threshold is crossed); the descent
-    attack minimizes within the budget.  cfg holds the descent settings.
+    attack minimizes within the budget.  Each descent iteration's step is
+    adaptive, normalized by the largest gradient component that can still
+    move: big enough to flip the steepest coordinate on the binary-iterate
+    pass, 0.1 of that on the shadow pass.  A row leaves a pass once its
+    objective moves by at most 1e-6, or after max_iters iterations; every
+    method refuses a max_iters below 1.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     X0b = _binary_rows(samples, model.d, bool)
     if X0b.shape[0] == 0:
         raise ValueError("no samples to attack")
@@ -446,17 +438,8 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     scores0 = start[0]
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores = _pgd_core(model, X0b, start, budgets, cfg, threshold)
+        best_scores = _pgd_core(model, X0b, start, budgets, max_iters,
+                                threshold)
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]
     return out
-
-
-def security_evaluation(model: TrainedModel, malware_samples, eps_grid,
-                        threshold: float, cfg: AttackConfig | None = None,
-                        method: str = "auto") -> SecurityCurve:
-    """Detection rate at the fixed threshold after attacking at each budget."""
-    eps_grid = [int(e) for e in eps_grid]
-    return SecurityCurve.from_scores(attack_scores_over_grid(
-        model, malware_samples, eps_grid, threshold, cfg, method),
-        eps_grid, threshold)

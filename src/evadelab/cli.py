@@ -18,7 +18,7 @@ import numpy as np
 
 from . import evenness as evenness_mod
 from . import models, pipeline, stats
-from .attack import (ATTACK_METHODS, NOT_EVADABLE, AttackConfig,
+from .attack import (_MAX_ITERS, ATTACK_METHODS, NOT_EVADABLE,
                      _first_evading_budget, attack_scores_over_grid)
 # Re-exported: studybench's traced run wraps cli.epsilon_min.
 from .attack import epsilon_min  # noqa: F401
@@ -26,6 +26,7 @@ from .explain import top_features
 from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
                        run_experiment)
+from .robustness import _check_grid, robustness_from_scores
 
 
 def _parse_grid(text: str, flag: str) -> list[int]:
@@ -89,22 +90,28 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def cmd_attack(args) -> int:
+def _attack_malware(args, budgets) -> tuple[list[int], float, np.ndarray]:
+    """Attack the malware rows of --data at every budget: their row ids in
+    --data, the threshold (--threshold, or the one at --fpr) and their
+    (n, len(budgets)) scores."""
     model = models.load_model(args.model)
     ds = load_dataset(args.data, d_hint=model.d)
     threshold = _threshold_for(model, ds, args)
+    rows = np.flatnonzero(ds.labels == 1)
+    scores = attack_scores_over_grid(model, ds.samples[rows], budgets,
+                                     threshold, args.max_iters, args.method)
+    return rows.tolist(), threshold, scores
+
+
+def cmd_attack(args) -> int:
     grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
     eps_max = max(grid) if args.eps_max is None else args.eps_max
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
-
-    malware_rows = np.flatnonzero(ds.labels == 1).tolist()
-    cfg = AttackConfig(max_iters=args.max_iters)
     # One attack over the grid and budgets 0..eps_max gives the grid scores,
     # the clean scores (budget 0, the first column) and eps_min.
     budgets = sorted(set(grid) | set(range(eps_max + 1)))
-    scores = attack_scores_over_grid(model, ds.samples[malware_rows], budgets,
-                                     threshold, cfg, args.method)
+    malware_rows, threshold, scores = _attack_malware(args, budgets)
     clean = scores[:, 0]
     eps_min = _first_evading_budget(scores, budgets, clean, threshold, eps_max)
     grid_cols = [budgets.index(eps) for eps in grid]
@@ -180,22 +187,17 @@ def cmd_evenness(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    from .robustness import robustness_from_scores
-
-    model = models.load_model(args.model)
-    ds = load_dataset(args.data, d_hint=model.d)
-    threshold = _threshold_for(model, ds, args)
     grid = _parse_grid(args.eps_grid, "--eps-grid")
-    cfg = AttackConfig(max_iters=args.max_iters)
-    scores = attack_scores_over_grid(model, ds.samples[ds.labels == 1], grid,
-                                     threshold, cfg, args.method)
+    _check_grid(grid)
+    malware_rows, threshold, scores = _attack_malware(args, grid)
     result = robustness_from_scores(scores, grid, args.loss)
     _write_csv(args.out, ["eps", "robustness"],
                [[eps, result.per_eps[eps]] for eps in result.eps_grid])
     per_sample_path = Path(args.out).with_name(
         Path(args.out).stem + "_per_sample.csv")
     _write_csv(per_sample_path, ["sample_id", "robustness"],
-               [[i, float(v)] for i, v in enumerate(result.per_sample)])
+               [[sid, float(v)] for sid, v in zip(malware_rows,
+                                                  result.per_sample)])
     print(json.dumps({"aggregate": result.aggregate, "loss": result.loss,
                       "threshold": threshold,
                       "per_sample_out": str(per_sample_path)}))
@@ -245,6 +247,18 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _add_attack_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that ``attack`` and ``robustness`` share."""
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--fpr", type=float, default=0.01)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="use a fixed threshold instead of --fpr")
+    p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
+    p.add_argument("--max-iters", type=int, default=_MAX_ITERS)
+    p.add_argument("--out", required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evadelab",
@@ -274,18 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("attack", help="attack malware samples and emit a CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_flags(p)
     p.add_argument("--epsilon-grid", default="10",
                    help="'1:50', a comma list, or one budget")
     p.add_argument("--eps-max", type=int, default=None,
                    help="search cap for eps_min (defaults to the grid max)")
-    p.add_argument("--fpr", type=float, default=0.01)
-    p.add_argument("--threshold", type=float, default=None,
-                   help="use a fixed threshold instead of --fpr")
-    p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("explain", help="per-sample attributions as a CSV")
@@ -307,15 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evenness)
 
     p = sub.add_parser("robustness", help="per-budget and aggregate robustness")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
+    _add_attack_flags(p)
     p.add_argument("--eps-grid", default="1:50")
     p.add_argument("--loss", default="hinge", choices=["hinge", "logistic"])
-    p.add_argument("--fpr", type=float, default=0.01)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
-    p.add_argument("--max-iters", type=int, default=1000)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("correlate", help="correlation between two CSV columns")

@@ -327,8 +327,10 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     coefficient is still exactly zero on exit are pruned.
     """
     _require_both_classes(train)
-    if C <= 0 or gamma <= 0:
-        raise ValueError("C and gamma must be positive")
+    if not C > 0:
+        raise ValueError("C must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
     n = train.n
     if 8 * n * n > _MAX_FLOAT64_BYTES:
         raise ValueError(f"the Gram matrix of n={n} training rows takes "

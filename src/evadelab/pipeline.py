@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attack import AttackConfig, SecurityCurve, attack_scores_over_grid
+from .attack import _MAX_ITERS, SecurityCurve, attack_scores_over_grid
 from .evenness import EvennessReport, evenness_report
 from .explain import (_finite, attribution_gradient,
                       attribution_gradient_input,
@@ -42,6 +42,8 @@ EVENNESS_METRICS = ("e1", "e2")
 # the keys of a config file's "dataset" section; its "attack" section's keys
 # are the attack_* fields of ExperimentConfig without the prefix
 _DATASET_KEYS = ("path", "synthetic")
+# the keys of an "eps_grid" object: the inclusive range start..stop
+_GRID_KEYS = ("start", "stop")
 # the fold count of grid_cv's stratified cross-validation
 _CV_FOLDS = 5
 # the share of each class that a repetition's split puts in training
@@ -115,7 +117,7 @@ class ExperimentConfig:
     ig_p: int = 100
     evenness_m: int = 1000
     n_attack_samples: int = 1000
-    attack_max_iters: int = 1000
+    attack_max_iters: int = _MAX_ITERS
 
     def __post_init__(self):
         if not self.classifiers:
@@ -133,10 +135,8 @@ class ExperimentConfig:
             raise ValueError("n_attack_samples must be >= 1")
         if not 0.0 <= self.fpr <= 1.0:
             raise ValueError("fpr must lie in [0, 1]")
-        try:
-            AttackConfig(self.attack_max_iters)
-        except ValueError as exc:  # name the field: "attack_max_iters ..."
-            raise ValueError(f"attack_{exc}") from None
+        if self.attack_max_iters < 1:
+            raise ValueError("attack_max_iters must be >= 1")
         # equal slugs would write the same per-cell files
         slugs = [spec.slug for spec in self.classifiers]
         if len(set(slugs)) != len(slugs):
@@ -153,14 +153,22 @@ class ExperimentConfig:
         top_keys = ("dataset", "attack", "classifiers", *(
             name for name in names if not name.startswith("attack_")
             and name not in ("classifiers", "dataset_path", "synthetic")))
+        grid = doc.pop("eps_grid", None)
+        # an "eps_grid" list has no keys, so it passes both key checks
+        grid_keys = grid if isinstance(grid, dict) else _GRID_KEYS
         for section, keys, known in (
                 ("config", doc, top_keys),
                 ("dataset", doc.get("dataset", {}), _DATASET_KEYS),
-                ("attack", doc.get("attack", {}), attack_keys)):
+                ("attack", doc.get("attack", {}), attack_keys),
+                ("eps_grid", grid_keys, _GRID_KEYS)):
             unknown = sorted(set(keys) - set(known))
             if unknown:
                 raise ValueError(f"unknown {section} key(s) {unknown}; "
                                  f"expected some of {known}")
+        missing = [key for key in _GRID_KEYS if key not in grid_keys]
+        if missing:
+            raise ValueError(f"missing eps_grid key(s) {missing}; "
+                             f"expected {_GRID_KEYS}")
         dataset = doc.pop("dataset", {})
         attack = doc.pop("attack", {})
         dataset_path = dataset.get("path")
@@ -179,7 +187,6 @@ class ExperimentConfig:
             else:
                 raise ValueError(f"unknown preset {entry['preset']!r}; "
                                  f"expected one of {tuple(PRESETS)}")
-        grid = doc.pop("eps_grid", None)
         kwargs = dict(doc)
         if grid is not None:
             if isinstance(grid, dict):
@@ -263,7 +270,8 @@ def _train_spec(spec: ClassifierSpec, train_ds: LabeledDataset,
 
 def _attribution(method: str, model: TrainedModel, samples,
                  ig_p: int) -> np.ndarray:
-    """The (n, d) attributions of one method.  The functions are looked up
+    """The (n, d) attributions of one method for ``evadelab explain``; a
+    study cell calls the attribution functions itself.  They are looked up
     as module globals at call time, so a wrapper installed on these names
     (as studybench's traced run does) sees every call."""
     if method == "gradient":
@@ -297,8 +305,7 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
 
     # budget 0 is the clean score, so one attack gives both
     scores = attack_scores_over_grid(model, samples, (0, *cfg.eps_grid),
-                                     cell.threshold,
-                                     AttackConfig(cfg.attack_max_iters))
+                                     cell.threshold, cfg.attack_max_iters)
     cell.clean_scores, cell.adv_scores = scores[:, 0], scores[:, 1:]
     cell.curve = SecurityCurve.from_scores(cell.adv_scores, cfg.eps_grid,
                                            cell.threshold)

@@ -28,9 +28,13 @@ def _loss_matrix(scores: np.ndarray, loss: str) -> np.ndarray:
 
 
 def _check_grid(eps_grid) -> None:
-    """The one rule for a budget grid: non-empty, every budget >= 1."""
+    """The one rule for a budget grid: non-empty, every budget >= 1, none
+    repeated."""
     if not eps_grid or any(e < 1 for e in eps_grid):
         raise ValueError("eps_grid must be non-empty positive integers")
+    repeated = sorted({e for e in eps_grid if eps_grid.count(e) > 1})
+    if repeated:
+        raise ValueError(f"eps_grid repeats budget(s) {repeated}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evadelab.attack import (AttackConfig, attack_scores_over_grid,
-                             epsilon_min_batch, security_evaluation)
+from evadelab.attack import (SecurityCurve, attack_scores_over_grid,
+                             epsilon_min_batch)
 from evadelab.cli import main as cli_main
 from evadelab.evenness import evenness_e1, evenness_e2
 from evadelab.explain import (attribution_gradient, attribution_gradient_input,
@@ -185,8 +185,7 @@ def test_criterion_05_attack_oracle_equivalence_at_scale():
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
         greedy = epsilon_min_batch(model, malware, 50, "greedy",
                                    threshold=threshold)
-        pgd = epsilon_min_batch(model, malware, 50, "pgd",
-                                AttackConfig(max_iters=200),
+        pgd = epsilon_min_batch(model, malware, 50, "pgd", 200,
                                 threshold=threshold)
         agree = float(np.mean(pgd == greedy))
         never_below = bool(np.all(pgd >= greedy))
@@ -204,8 +203,7 @@ def test_criterion_06_small_instance_brute_force():
     assert len(cases) == 50
     hits = 0
     for model, x in cases:
-        after = attack_scores_over_grid(model, [x], [2], -np.inf,
-                                        AttackConfig(max_iters=500),
+        after = attack_scores_over_grid(model, [x], [2], -np.inf, 500,
                                         "pgd")[0, 0]
         absent = np.flatnonzero(~x).tolist()
         best = score(model, x)
@@ -238,10 +236,10 @@ def test_criterion_07_secsvm_bounds_evenness_and_curve_area():
         _, t2 = detection_rate_at_fpr(sec, test, 0.01)
         malware = test.samples[test.labels == 1][:200]
         grid = range(1, 51)
-        a_svm = security_evaluation(svm, malware, grid, t1,
-                                    method="greedy").area()
-        a_sec = security_evaluation(sec, malware, grid, t2,
-                                    method="greedy").area()
+        a_svm = SecurityCurve.from_scores(attack_scores_over_grid(
+            svm, malware, grid, t1, method="greedy"), grid, t1).area()
+        a_sec = SecurityCurve.from_scores(attack_scores_over_grid(
+            sec, malware, grid, t2, method="greedy"), grid, t2).area()
         if a_sec >= a_svm:
             area_ok += 1
         if evenness_e2(sec.weights, 150) > evenness_e2(svm.weights, 150):

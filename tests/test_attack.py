@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from evadelab import attack as attack_mod
-from evadelab.attack import (NOT_EVADABLE, AttackConfig, SecurityCurve,
+from evadelab.attack import (NOT_EVADABLE, SecurityCurve,
                              attack_scores_over_grid, epsilon_min,
-                             epsilon_min_batch, security_evaluation)
+                             epsilon_min_batch)
 from evadelab.featurespace import (SyntheticConfig, _binary_rows,
                                    generate_synthetic, split)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig,
@@ -49,10 +49,10 @@ def brute_force_best(model, x, eps):
     return best
 
 
-def pgd_score(model, x, epsilon, cfg, threshold):
+def pgd_score(model, x, epsilon, max_iters, threshold):
     """Score of one sample after the gradient attack at one budget."""
-    return attack_scores_over_grid(model, [x], [epsilon], threshold, cfg,
-                                   "pgd")[0, 0]
+    return attack_scores_over_grid(model, [x], [epsilon], threshold,
+                                   max_iters, "pgd")[0, 0]
 
 
 class GreedyResult(NamedTuple):
@@ -97,8 +97,15 @@ def greedy_linear_evasion(model, x, epsilon, threshold=0.0):
 
 class TestAttackConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AttackConfig(max_iters=0)
+        # every method refuses the cap, greedy too, which never reads it
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        for method in ("greedy", "pgd"):
+            with pytest.raises(ValueError, match="max_iters must be >= 1"):
+                attack_scores_over_grid(m, [vec([1], 2)], [1], 0.0, 0, method)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            epsilon_min_batch(m, [vec([1], 2)], 2, "greedy", max_iters=0)
+        with pytest.raises(ValueError, match="max_iters must be >= 1"):
+            epsilon_min(m, vec([1], 2), 2, max_iters=0)
 
     def test_budget_below_one_rejected(self):
         # budget 0 is the clean score; eps_min searches budgets from 1
@@ -146,13 +153,13 @@ class TestPgdEvasion:
         m = LinearModel(np.array([-3.0, 1.0, 0.5]), 0.0)
         x = vec([2], 3)
         # -2.5 is x plus feature 0, the only evading point
-        after = pgd_score(m, x, 1, AttackConfig(max_iters=50), 0.0)
+        after = pgd_score(m, x, 1, 50, 0.0)
         assert after == pytest.approx(-2.5)
 
     def test_all_positive_weights_unattackable(self):
         m = LinearModel(np.array([0.5, 1.0, 2.0]), 0.0)
         x = vec([1], 3)
-        after = pgd_score(m, x, 2, AttackConfig(max_iters=50), 0.0)
+        after = pgd_score(m, x, 2, 50, 0.0)
         assert after == score(m, x) == 1.0
 
     def test_already_benign_returned_unchanged(self):
@@ -160,8 +167,8 @@ class TestPgdEvasion:
         # scores below the threshold, so the attack leaves it alone
         m = LinearModel(np.array([-1.0, -1.0]), 0.0)
         x = vec([0], 2)
-        assert pgd_score(m, x, 1, None, 0.0) == score(m, x) == -1.0
-        assert pgd_score(m, x, 1, None, -np.inf) == -2.0
+        assert pgd_score(m, x, 1, 1000, 0.0) == score(m, x) == -1.0
+        assert pgd_score(m, x, 1, 1000, -np.inf) == -2.0
 
     def test_already_benign_kernel_rows_keep_clean_scores(self):
         # adding any of the support vector's features lowers the score;
@@ -170,12 +177,11 @@ class TestPgdEvasion:
         xs = [vec([1, 2], 4), vec([0], 4)]
         clean = np.array([score(m, x) for x in xs])
         assert clean[0] < -0.3 <= clean[1]
-        scores = attack_scores_over_grid(m, xs, [0, 1, 2], -0.3,
-                                         AttackConfig(max_iters=50), "pgd")
+        scores = attack_scores_over_grid(m, xs, [0, 1, 2], -0.3, 50, "pgd")
         assert np.all(scores[0] == clean[0])
         assert np.all(scores[1, 1:] < clean[1])
-        attacked = attack_scores_over_grid(m, xs[:1], [1, 2], -np.inf,
-                                           AttackConfig(max_iters=50), "pgd")
+        attacked = attack_scores_over_grid(m, xs[:1], [1, 2], -np.inf, 50,
+                                           "pgd")
         assert np.all(attacked[0] < clean[0])
 
     def test_feasibility_on_random_cases(self):
@@ -196,7 +202,7 @@ class TestPgdEvasion:
                       for _ in range(3)]
                 grid = [1, 2, 3]
                 scores = attack_scores_over_grid(
-                    m, xs, grid, -np.inf, AttackConfig(max_iters=60), "pgd")
+                    m, xs, grid, -np.inf, 60, "pgd")
                 for row, x in enumerate(xs):
                     for col, eps in enumerate(grid):
                         assert (scores[row, col]
@@ -214,8 +220,7 @@ class TestPgdEvasion:
             mal = [s for s, y in zip(ds.samples, ds.labels)
                    if y == 1 and score(m, s) >= 0]
             for x in mal[:5]:
-                after = pgd_score(m, x, 2, AttackConfig(max_iters=300),
-                                  -np.inf)
+                after = pgd_score(m, x, 2, 300, -np.inf)
                 if after <= brute_force_best(m, x, 2) + 1e-9:
                     hits += 1
         assert hits >= 8  # of 10
@@ -278,13 +283,12 @@ class TestEpsilonMin:
     def test_not_evadable(self):
         m = LinearModel(np.array([1.0, 2.0]), 0.5)
         assert epsilon_min(m, vec([], 2), 5, "greedy") == NOT_EVADABLE
-        assert (epsilon_min(m, vec([], 2), 5, "pgd", AttackConfig())
-                == NOT_EVADABLE)
+        assert epsilon_min(m, vec([], 2), 5, "pgd") == NOT_EVADABLE
 
     def test_pgd_matches_greedy_on_linear(self):
         m = LinearModel(np.array([-1.0, -1.0, -0.2]), 1.5)
         g = epsilon_min(m, vec([], 3), 5, "greedy")
-        p = epsilon_min(m, vec([], 3), 5, "pgd", AttackConfig(max_iters=50))
+        p = epsilon_min(m, vec([], 3), 5, "pgd", 50)
         assert p == g == 2
 
     def test_batch_agrees_with_scalar(self):
@@ -293,12 +297,10 @@ class TestEpsilonMin:
         m = LinearModel(rng.normal(size=d) * 0.5, 1.0)
         xs = [vec(np.flatnonzero(rng.random(d) < 0.3), d) for _ in range(15)]
         batch_g = epsilon_min_batch(m, xs, 10, "greedy")
-        batch_p = epsilon_min_batch(m, xs, 10, "pgd",
-                                    AttackConfig(max_iters=80))
+        batch_p = epsilon_min_batch(m, xs, 10, "pgd", 80)
         for i, x in enumerate(xs):
             assert batch_g[i] == epsilon_min(m, x, 10, "greedy")
-            assert batch_p[i] == epsilon_min(
-                m, x, 10, "pgd", AttackConfig(max_iters=80))
+            assert batch_p[i] == epsilon_min(m, x, 10, "pgd", 80)
 
 
 class TestEpsMinOracle:
@@ -308,7 +310,7 @@ class TestEpsMinOracle:
                                              ("linear", "greedy")])
     def test_matches_first_evading_single_budget_attack(self, kind, method):
         model, malware, threshold = d12_cell(kind)
-        cfg = AttackConfig(max_iters=80)
+        max_iters = 80
         want = []
         for x in malware:
             if score(model, x) < threshold:
@@ -316,7 +318,7 @@ class TestEpsMinOracle:
                 continue
             for eps in range(1, 7):
                 if method == "pgd":
-                    after = pgd_score(model, x, eps, cfg, threshold)
+                    after = pgd_score(model, x, eps, max_iters, threshold)
                 else:
                     after = greedy_linear_evasion(model, x, eps,
                                                   threshold).score_after
@@ -325,19 +327,23 @@ class TestEpsMinOracle:
                     break
             else:
                 want.append(NOT_EVADABLE)
-        got = epsilon_min_batch(model, malware, 6, method, cfg, threshold)
+        got = epsilon_min_batch(model, malware, 6, method, max_iters,
+                                threshold)
         assert np.array_equal(got, want)
         assert {0, 1, 6} <= set(want)  # both ends of the search
 
     def test_default_method_is_auto(self):
         model, malware, threshold = d12_cell("rbf")
-        cfg = AttackConfig(max_iters=80)
-        got = epsilon_min_batch(model, malware, 6, cfg=cfg,
+        max_iters = 80
+        got = epsilon_min_batch(model, malware, 6, max_iters=max_iters,
                                 threshold=threshold)
-        want = epsilon_min_batch(model, malware, 6, "pgd", cfg, threshold)
+        want = epsilon_min_batch(model, malware, 6, "pgd", max_iters,
+                                 threshold)
         assert np.array_equal(got, want)
-        assert (epsilon_min(model, malware[0], 6, cfg=cfg, threshold=threshold)
-                == epsilon_min(model, malware[0], 6, "pgd", cfg, threshold))
+        assert (epsilon_min(model, malware[0], 6, max_iters=max_iters,
+                            threshold=threshold)
+                == epsilon_min(model, malware[0], 6, "pgd", max_iters,
+                               threshold))
 
     def test_unknown_method_rejected(self):
         m = LinearModel(np.array([-1.0, 1.0]), 0.5)
@@ -359,17 +365,20 @@ class TestSecurityEvaluation:
         malware = test.samples[test.labels == 1]
         return model, malware, rate, threshold
 
+    @staticmethod
+    def _greedy_curve(model, malware, grid, threshold):
+        return SecurityCurve.from_scores(attack_scores_over_grid(
+            model, malware, grid, threshold, method="greedy"), grid, threshold)
+
     def test_zero_budget_equals_clean_rate(self):
         model, malware, rate_clean, threshold = self._trained()
-        curve = security_evaluation(model, malware, [0, 1, 2], threshold,
-                                    method="greedy")
+        curve = self._greedy_curve(model, malware, [0, 1, 2], threshold)
         clean = float(np.mean([score(model, x) >= threshold for x in malware]))
         assert curve.detection_rates[0] == pytest.approx(clean)
 
     def test_greedy_curve_monotone(self):
         model, malware, _, threshold = self._trained()
-        curve = security_evaluation(model, malware, range(1, 21), threshold,
-                                    method="greedy")
+        curve = self._greedy_curve(model, malware, range(1, 21), threshold)
         rates = curve.detection_rates
         assert all(a >= b for a, b in zip(rates, rates[1:]))
 
@@ -386,7 +395,7 @@ class TestSecurityEvaluation:
     def test_empty_malware_rejected(self):
         model, _, _, threshold = self._trained()
         with pytest.raises(ValueError):
-            security_evaluation(model, [], [1], threshold)
+            attack_scores_over_grid(model, [], [1], threshold)
 
     def test_curve_from_scores(self):
         scores = np.array([[1.0, -1.0], [2.0, 0.5], [0.6, 0.6]])
@@ -462,15 +471,17 @@ class TestGreedyGrid:
 class TestKernelCurveMonotonicity:
     def test_pgd_curve_non_increasing(self):
         model, malware, threshold = d12_cell()
-        cfg = AttackConfig(max_iters=80)
-        curve = security_evaluation(model, malware, range(1, 9), threshold,
-                                    cfg, method="pgd")
+        max_iters = 80
+        grid = range(1, 9)
+        scores = attack_scores_over_grid(model, malware, grid, threshold,
+                                         max_iters, "pgd")
+        curve = SecurityCurve.from_scores(scores, grid, threshold)
         rates = curve.detection_rates
         assert all(b <= a for a, b in zip(rates, rates[1:]))
         # every row, not only the rates, at the threshold and without one
         for t in (threshold, -np.inf):
-            scores = attack_scores_over_grid(model, malware, range(9), t, cfg,
-                                             "pgd")
+            scores = attack_scores_over_grid(model, malware, range(9), t,
+                                             max_iters, "pgd")
             assert np.all(np.diff(scores, axis=1) <= 0.0)
 
 
@@ -484,8 +495,8 @@ class TestOracleEquivalence:
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
         malware = test.samples[test.labels == 1][:60]
         g = epsilon_min_batch(model, malware, 40, "greedy", threshold=threshold)
-        p = epsilon_min_batch(model, malware, 40, "pgd",
-                              AttackConfig(max_iters=200), threshold=threshold)
+        p = epsilon_min_batch(model, malware, 40, "pgd", 200,
+                              threshold=threshold)
         assert np.all(p >= g)
         assert np.mean(p == g) >= 0.95
 
@@ -604,7 +615,7 @@ class TestGridEngine:
         model, malware, threshold = criterion8_rbf_cell()
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
                                          threshold,
-                                         AttackConfig(max_iters=150), "pgd")
+                                         150, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
 
     def test_shadow_pass_scores_bitwise_equal_golden(self):
@@ -612,7 +623,7 @@ class TestGridEngine:
         rows = list(GOLDEN_C8_SHADOW_ROWS)
         scores = attack_scores_over_grid(model, malware[rows], [19, 20],
                                          threshold,
-                                         AttackConfig(max_iters=150), "pgd")
+                                         150, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_SHADOW))
 
     def test_shadow_pass_rescores_only_changed_prefixes(self, monkeypatch):
@@ -637,7 +648,7 @@ class TestGridEngine:
         monkeypatch.setattr(attack_mod, "_movable_eta", record_active)
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
                                          threshold,
-                                         AttackConfig(max_iters=150), "pgd")
+                                         150, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
         assert len(scored) == len(active) > 1
         assert scored[0] == active[0]  # the first iteration scores every row
@@ -645,28 +656,28 @@ class TestGridEngine:
 
     def test_grid_columns_equal_single_budget_attacks(self):
         model, malware, threshold = d12_cell()
-        cfg = AttackConfig(max_iters=80)
+        max_iters = 80
         grid = [0, 1, 2, 3, 5, 8]
         scores = attack_scores_over_grid(model, malware[:20], grid, threshold,
-                                         cfg, "pgd")
+                                         max_iters, "pgd")
         assert np.any(scores < threshold)  # some attacks do evade here
         for row, x in enumerate(malware[:20]):
             assert scores[row, 0] == score(model, x)
             for col, eps in enumerate(grid[1:], start=1):
-                assert scores[row, col] == pgd_score(model, x, eps, cfg,
+                assert scores[row, col] == pgd_score(model, x, eps, max_iters,
                                                      threshold)
 
     def test_grid_columns_equal_lone_budgets_on_criterion8_rows(self):
         # a lone budget never splits its group, so it replays a pass at that
         # budget alone; the grid's shared groups must score the same bits
         model, malware, threshold = criterion8_rbf_cell()
-        cfg = AttackConfig(max_iters=150)
+        max_iters = 150
         grid = [1, 2, 5, 20, 50]
         scores = attack_scores_over_grid(model, malware[:10], grid, threshold,
-                                         cfg, "pgd")
+                                         max_iters, "pgd")
         for col, eps in enumerate(grid):
             alone = attack_scores_over_grid(model, malware[:10], [eps],
-                                            threshold, cfg, "pgd")
+                                            threshold, max_iters, "pgd")
             assert np.array_equal(scores[:, col], alone[:, 0])
 
     def test_one_sample_chunks_do_not_change_scores(self, monkeypatch):
@@ -674,13 +685,13 @@ class TestGridEngine:
         monkeypatch.setattr(attack_mod, "_BINARY_CHUNK_VALUES", 1)
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
                                          threshold,
-                                         AttackConfig(max_iters=150), "pgd")
+                                         150, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
 
     def test_binary_pass_shares_rows_across_budgets(self, monkeypatch):
         # the rows the binary pass projects are the rows it evaluates
         model, malware, threshold = criterion8_rbf_cell()
-        cfg = AttackConfig(max_iters=150)
+        max_iters = 150
         projected = []
         project_batch = attack_mod._project_clipped_batch
 
@@ -690,22 +701,22 @@ class TestGridEngine:
 
         monkeypatch.setattr(attack_mod, "_project_clipped_batch", record)
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
-                                         threshold, cfg, "pgd")
+                                         threshold, max_iters, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
         grid_rows = sum(projected)
         projected.clear()
         for eps in range(1, 9):
             attack_scores_over_grid(model, malware[:10], [eps], threshold,
-                                    cfg, "pgd")
+                                    max_iters, "pgd")
         assert 0 < grid_rows < sum(projected)
 
     def test_grid_order_and_repeats_do_not_change_scores(self):
         model, malware, threshold = d12_cell()
-        cfg = AttackConfig(max_iters=80)
+        max_iters = 80
         a = attack_scores_over_grid(model, malware[:15], [1, 4, 6], threshold,
-                                    cfg, "pgd")
+                                    max_iters, "pgd")
         b = attack_scores_over_grid(model, malware[:15], [6, 1, 4, 1],
-                                    threshold, cfg, "pgd")
+                                    threshold, max_iters, "pgd")
         assert np.array_equal(a, b[:, [1, 2, 0]])
         assert np.array_equal(b[:, 1], b[:, 3])
 
@@ -714,15 +725,17 @@ class TestGridEngine:
         d = 20
         m = LinearModel(rng.normal(size=d), 0.5)
         xs = [vec(np.flatnonzero(rng.random(d) < 0.3), d) for _ in range(12)]
-        cfg = AttackConfig(max_iters=60)
-        scores = attack_scores_over_grid(m, xs, [1, 2, 4], -np.inf, cfg, "pgd")
+        max_iters = 60
+        scores = attack_scores_over_grid(m, xs, [1, 2, 4], -np.inf, max_iters,
+                                         "pgd")
         for col, eps in enumerate((1, 2, 4)):
-            alone = attack_scores_over_grid(m, xs, [eps], -np.inf, cfg, "pgd")
+            alone = attack_scores_over_grid(m, xs, [eps], -np.inf, max_iters,
+                                            "pgd")
             assert np.array_equal(scores[:, col], alone[:, 0])
             for row, x in enumerate(xs):
                 # a lone row's dot product may round differently
                 assert scores[row, col] == pytest.approx(
-                    pgd_score(m, x, eps, cfg, -np.inf), abs=1e-12)
+                    pgd_score(m, x, eps, max_iters, -np.inf), abs=1e-12)
 
 
 class TestFeasibilityChecks:
@@ -736,7 +749,7 @@ class TestFeasibilityChecks:
         monkeypatch.setattr(attack_mod, "_project_clipped_batch", everything)
         with pytest.raises(RuntimeError, match="budget"):
             attack_scores_over_grid(m, [vec([2], 5)], [1, 2], -np.inf,
-                                    AttackConfig(max_iters=5), "pgd")
+                                    5, "pgd")
 
     def test_shadow_pass_rejects_removed_feature(self, monkeypatch):
         # the support vector is the empty point, so dropping feature 2 would
@@ -749,7 +762,7 @@ class TestFeasibilityChecks:
         monkeypatch.setattr(attack_mod, "_ranked_changes", removal)
         with pytest.raises(RuntimeError, match="addition-only"):
             attack_scores_over_grid(m, [vec([2], 5)], [1, 2], -np.inf,
-                                    AttackConfig(max_iters=5), "pgd")
+                                    5, "pgd")
 
     def test_engine_rejects_removed_feature(self):
         X0b = np.array([[True, False, False]])
@@ -774,7 +787,7 @@ class TestEngineMemory:
         tracemalloc.start()
         try:
             epsilon_min_batch(model, malware[:200], 50, "pgd",
-                              AttackConfig(max_iters=200), threshold)
+                              200, threshold)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

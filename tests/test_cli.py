@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from evadelab.attack import NOT_EVADABLE, AttackConfig, epsilon_min
+from evadelab.attack import NOT_EVADABLE, epsilon_min
 from evadelab.cli import main
 from evadelab.evenness import evenness_report
 from evadelab.featurespace import (SyntheticConfig, generate_synthetic,
@@ -158,8 +158,8 @@ class TestAttackEpsMin:
         by_sample = {int(r["sample_id"]): r["eps_min"] for r in rows}
         seen = set()
         for sid, text in by_sample.items():
-            want = epsilon_min(model, ds.samples[sid], 6, method,
-                               AttackConfig(max_iters=80), threshold)
+            want = epsilon_min(model, ds.samples[sid], 6, method, 80,
+                               threshold)
             want_text = "NOT_EVADABLE" if want == NOT_EVADABLE else str(want)
             assert text == want_text
             seen.add(text)
@@ -289,6 +289,45 @@ class TestRobustness:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == "eps_grid must be non-empty positive integers"
         assert not (workdir / "rob_zero.csv").exists()
+
+    def test_repeated_budget_rejected(self, workdir, capsys):
+        out = workdir / "rob_repeat.csv"
+        rc = main(["robustness", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--eps-grid", "2,2",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "eps_grid repeats budget(s) [2]"
+        assert not out.exists()
+
+    def test_per_sample_ids_are_the_attack_csv_rows(self, workdir):
+        # both name each sample by its row in --data, whose benign rows come
+        # first, so a malware ordinal would pair the wrong samples
+        data = ["--model", str(workdir / "model.json"),
+                "--data", str(workdir / "test.txt"), "--threshold", "0.0",
+                "--method", "greedy"]
+        assert main(["attack", *data, "--epsilon-grid", "1:3",
+                     "--out", str(workdir / "ids_attack.csv")]) == 0
+        assert main(["robustness", *data, "--eps-grid", "1:3",
+                     "--out", str(workdir / "ids_rob.csv")]) == 0
+        want = list(dict.fromkeys(
+            r["sample_id"] for r in read_csv(workdir / "ids_attack.csv")))
+        got = [r["sample_id"]
+               for r in read_csv(workdir / "ids_rob_per_sample.csv")]
+        assert got == want and want[0] != "0"
+
+
+@pytest.mark.parametrize("command,grid_flag", [("attack", "--epsilon-grid"),
+                                               ("robustness", "--eps-grid")])
+def test_max_iters_below_one_rejected(workdir, capsys, command, grid_flag):
+    out = workdir / f"{command}_iters0.csv"
+    rc = main([command, "--model", str(workdir / "model.json"),
+               "--data", str(workdir / "test.txt"), grid_flag, "2",
+               "--method", "greedy", "--max-iters", "0", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == "max_iters must be >= 1"
+    assert not out.exists()
 
 
 class TestCorrelate:

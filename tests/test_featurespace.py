@@ -8,8 +8,8 @@ from evadelab import featurespace
 from evadelab.featurespace import (DatasetFormatError, LabeledDataset,
                                    SyntheticConfig, generate_synthetic,
                                    load_dataset, save_dataset, split)
-from evadelab.attack import (attack_scores_over_grid, epsilon_min,
-                             epsilon_min_batch, security_evaluation)
+from evadelab.attack import (SecurityCurve, attack_scores_over_grid,
+                             epsilon_min, epsilon_min_batch)
 from evadelab.explain import (attribution_gradient, attribution_gradient_input,
                               attribution_integrated_gradients)
 from evadelab.models import (KernelModel, LinearModel, TrainConfig, auc,
@@ -271,8 +271,9 @@ RBF = KernelModel([[1, 0, 1], [0, 1, 0]], np.array([1.0, -0.5]), 0.1, 0.5)
 BATCH_APIS = {
     "attack": lambda X: attack_scores_over_grid(RBF, X, [0, 1], 0.0),
     "attack_greedy": lambda X: attack_scores_over_grid(LIN, X, [1], 0.0),
-    "security_evaluation": lambda X: security_evaluation(
-        LIN, X, [1], 0.0).detection_rates,
+    # the security curve as the study reads it off the attack's scores
+    "security_evaluation": lambda X: SecurityCurve.from_scores(
+        attack_scores_over_grid(LIN, X, [1], 0.0), [1], 0.0).detection_rates,
     "epsilon_min_batch": lambda X: epsilon_min_batch(RBF, X, 2),
     "gradient": lambda X: attribution_gradient(RBF, X),
     "gradient_input": lambda X: attribution_gradient_input(RBF, X),

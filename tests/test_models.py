@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evadelab import models as models_mod
 from evadelab.explain import attribution_gradient
 from evadelab.featurespace import (LabeledDataset, SyntheticConfig,
                                    generate_synthetic, split)
@@ -231,6 +232,18 @@ class TestTrainRbfSvm:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("C,gamma,name", [
+        (math.nan, 1.0, "C"), (1.0, math.nan, "gamma"),
+        (1.0, math.inf, "gamma")])
+    def test_bad_parameter_named_before_the_gram_matrix(self, monkeypatch,
+                                                        C, gamma, name):
+        # with no room for a Gram matrix, only a check made before it is
+        # built can name the parameter
+        monkeypatch.setattr(models_mod, "_MAX_FLOAT64_BYTES", 0)
+        ds = dataset([[0], [1]], [-1, 1], 2)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            train_rbf_svm(ds, C, gamma, TrainConfig())
 
 
 class TestDetectionRate:

@@ -419,6 +419,16 @@ class TestConfigParsing:
                                              "expected some of.*repetitions"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("grid,message", [
+        ({"start": 1, "stop": 50, "step": 5}, r"unknown eps_grid key.*'step'"),
+        ({"start": 1}, r"missing eps_grid key.*'stop'"),
+        ({"stop": 3}, r"missing eps_grid key.*'start'")])
+    def test_eps_grid_object_keys_checked(self, grid, message):
+        # "step" used to be dropped silently, a missing key a bare KeyError
+        doc = {**small_config().to_dict(), "eps_grid": grid}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
     def test_attack_section_keys_are_read(self):
         doc = small_config().to_dict()
         doc["attack"] = {"max_iters": 5}
@@ -443,7 +453,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("setting", [{"evenness_m": 1}, {"ig_p": 0},
                                          {"n_attack_samples": 0},
                                          {"fpr": 1.5}, {"fpr": -0.5},
-                                         {"attack_max_iters": 0}])
+                                         {"attack_max_iters": 0},
+                                         {"eps_grid": (2, 2, 3)}])
     def test_study_settings_fail_fast(self, setting):
         # each would otherwise fail every cell after training and attacking
         with pytest.raises(ValueError, match=next(iter(setting))):

@@ -82,6 +82,13 @@ class TestRobustnessFromScores:
                                match="eps_grid must be non-empty positive"):
                 robustness_from_scores(np.zeros((2, len(grid))), grid)
 
+    def test_repeated_budget_rejected_by_name(self):
+        # [1, 1] kept one per_eps entry but averaged it over two budgets
+        with pytest.raises(ValueError, match=r"repeats budget\(s\) \[1\]"):
+            robustness_from_scores(np.zeros((2, 2)), [1, 1])
+        with pytest.raises(ValueError, match=r"repeats budget\(s\) \[2, 5\]"):
+            robustness_from_scores(np.zeros((2, 5)), [5, 2, 3, 2, 5])
+
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
             RobustnessScore({1: 1.5}, 1.5, "hinge", (1,), np.ones(1))
