@@ -26,12 +26,12 @@ from .explain import top_features
 from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
                        run_experiment)
-from .robustness import _check_grid, robustness_from_scores
+from .robustness import _check_grid, _repeated, robustness_from_scores
 
 
 def _parse_grid(text: str, flag: str) -> list[int]:
     """'1:50' -> 1..50 inclusive; '1,2,5' -> [1, 2, 5]; the value of
-    ``flag``, which must hold at least one budget."""
+    ``flag``, which must hold at least one budget and none twice."""
     if ":" in text:
         lo, hi = text.split(":", 1)
         grid = list(range(int(lo), int(hi) + 1))
@@ -39,6 +39,9 @@ def _parse_grid(text: str, flag: str) -> list[int]:
         grid = [int(tok) for tok in text.split(",") if tok]
     if not grid:
         raise ValueError(f"{flag} {text!r} holds no budget")
+    repeated = _repeated(grid)
+    if repeated:
+        raise ValueError(f"{flag} {text!r} repeats budget(s) {repeated}")
     return grid
 
 

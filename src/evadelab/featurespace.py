@@ -47,10 +47,13 @@ def _binary_rows(samples, d: int | None, dtype=np.float64) -> np.ndarray:
 
     The one check of the sample format: accepts anything ``np.asarray`` makes
     into an (n, d) matrix of 0s and 1s (any width of at least 1 when d is
-    None) and raises ValueError on any other shape or value.  The result may
+    None) and raises ValueError on any other shape or value.  With d given,
+    an empty flat input such as ``[]`` is the (0, d) matrix.  The result may
     share memory with ``samples``; no caller writes to it.
     """
     X = np.asarray(samples)
+    if d is not None and X.shape == (0,):
+        X = X.reshape(0, d)
     if X.ndim != 2 or X.shape[1] < 1 or (d is not None and X.shape[1] != d):
         raise ValueError(f"samples must be an (n, {d or 'd'}) matrix with "
                          f"d >= 1, got shape {X.shape}")

@@ -248,35 +248,61 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     else:
         lam = 1.0 / (n * cfg.reg)
 
+    # Each step writes its update into ``buf`` (and ``tmp``) in place: the
+    # same operations in the same order as the expression in its comment,
+    # so the weights are bitwise those of that expression.  The labels are
+    # +-1 and the rows 0/1, so y_i * x_i and x_i . x_i are exact up front.
+    rows = list(X)
+    signed = list(y[:, None] * X)
+    labels = y.tolist()
+    sqnorms = (X * X).sum(axis=1).tolist()
     bounded = cfg.weight_lb is not None
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
+    buf = np.empty(d)
+    tmp = np.empty(d)
     b = 0.0
     t = 0
     epoch_objective = []
     for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = cfg.learning_rate / (1.0 + t / n)
-            xi = X[i]
-            f = xi @ w + b
+            yi = labels[i]
+            f = float(rows[i].dot(w)) + b
             if cfg.loss == "hinge":
-                if y[i] * f < 1.0:
-                    w += eta * (y[i] * xi - lam * w)
-                    b += eta * y[i]
+                if yi * f < 1.0:
+                    # w += eta * (y_i x_i - lam w)
+                    np.multiply(w, lam, out=buf)
+                    np.subtract(signed[i], buf, out=buf)
+                    buf *= eta
+                    w += buf
+                    b += eta * yi
                 else:
-                    w -= eta * lam * w
+                    # w -= eta * lam * w
+                    np.multiply(w, eta * lam, out=buf)
+                    w -= buf
             elif cfg.loss == "logistic":
-                sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, y[i] * f))))
-                w += eta * (sig * y[i] * xi - lam * w)
-                b += eta * sig * y[i]
+                sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, yi * f))))
+                # w += eta * (sig * y_i * x_i - lam w)
+                np.multiply(signed[i], sig, out=tmp)
+                np.multiply(w, lam, out=buf)
+                np.subtract(tmp, buf, out=buf)
+                buf *= eta
+                w += buf
+                b += eta * sig * yi
             else:  # squared
                 # Normalized step (NLMS): plain least-squares SGD diverges
                 # once eta * ||x_i||^2 exceeds 1, which dense samples hit at
                 # any usable base rate.
-                resid = f - y[i]
-                step = eta / max(1.0, xi @ xi)
-                w -= step * (2.0 * resid * xi + lam * w)
+                resid = f - yi
+                step = eta / max(1.0, sqnorms[i])
+                # w -= step * (2 resid x_i + lam w)
+                np.multiply(rows[i], 2.0 * resid, out=tmp)
+                np.multiply(w, lam, out=buf)
+                np.add(tmp, buf, out=buf)
+                buf *= step
+                w -= buf
                 b -= step * 2.0 * resid
             if bounded:
                 # np.clip, without its Python wrapper's per-call cost
@@ -324,7 +350,8 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
 
     Every training point owns a coefficient; regularization shrinks them all
     each step and a margin violation bumps the sampled one.  Points whose
-    coefficient is still exactly zero on exit are pruned.
+    coefficient is still exactly zero on exit are pruned.  The trainer holds
+    one n x n float64 kernel matrix, which the guard below bounds.
     """
     _require_both_classes(train)
     if not C > 0:
@@ -337,26 +364,36 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
                          f"{8 * n * n} bytes as float64, over the "
                          f"{_MAX_FLOAT64_BYTES}-byte limit")
     X = train.samples.astype(np.float64)
-    y = train.labels.astype(np.float64)
     norms = (X * X).sum(axis=1)
-    sq = norms[:, None] + norms[None, :] - 2.0 * X @ X.T
-    np.maximum(sq, 0.0, out=sq)
-    K = np.exp(-gamma * sq)
+    # K = exp(-gamma * max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)), built in
+    # place so that one n x n array is live.  With 0/1 rows every partial
+    # sum is a small exact integer, so the order of the sums changes no bit.
+    K = X @ X.T
+    del X
+    K *= -2.0
+    K += norms[:, None]
+    K += norms[None, :]
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    np.exp(K, out=K)
 
+    rows = list(K)
+    labels = train.labels.astype(np.float64).tolist()
     lam = 1.0 / (n * C)
     rng = np.random.default_rng(cfg.seed)
     beta = np.zeros(n)
     b = 0.0
     t = 0
     for _ in range(cfg.epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = cfg.learning_rate / (1.0 + t / n)
-            f = K[i] @ beta + b
+            f = float(rows[i].dot(beta)) + b
             beta *= 1.0 - eta * lam
-            if y[i] * f < 1.0:
-                beta[i] += eta * y[i]
-                b += eta * y[i]
+            yi = labels[i]
+            if yi * f < 1.0:
+                beta[i] += eta * yi
+                b += eta * yi
 
     keep = np.flatnonzero(beta != 0.0)
     if keep.size == 0:

@@ -32,9 +32,14 @@ def _check_grid(eps_grid) -> None:
     repeated."""
     if not eps_grid or any(e < 1 for e in eps_grid):
         raise ValueError("eps_grid must be non-empty positive integers")
-    repeated = sorted({e for e in eps_grid if eps_grid.count(e) > 1})
+    repeated = _repeated(eps_grid)
     if repeated:
         raise ValueError(f"eps_grid repeats budget(s) {repeated}")
+
+
+def _repeated(eps_grid) -> list[int]:
+    """The budgets a grid holds more than once, ascending."""
+    return sorted({e for e in eps_grid if eps_grid.count(e) > 1})
 
 
 @dataclass(frozen=True, eq=False)

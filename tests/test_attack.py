@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import tracemalloc
 from typing import NamedTuple
 
@@ -114,6 +115,16 @@ class TestAttackConfig:
             epsilon_min(m, vec([1], 2), 0)
         with pytest.raises(ValueError, match="budgets must be non-negative"):
             attack_scores_over_grid(m, [vec([1], 2)], [-1], 0.0)
+
+
+    @pytest.mark.parametrize("samples", [[], np.zeros((0, 2))])
+    def test_no_samples_named(self, samples):
+        # an empty list is no rows of the model's width, not a bad width
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match="^no samples to attack$"):
+            attack_scores_over_grid(m, samples, [1], 0.0)
+        with pytest.raises(ValueError, match="^no samples to attack$"):
+            epsilon_min_batch(m, samples, 2)
 
 
 class TestProject:
@@ -736,6 +747,38 @@ class TestGridEngine:
                 # a lone row's dot product may round differently
                 assert scores[row, col] == pytest.approx(
                     pgd_score(m, x, eps, max_iters, -np.inf), abs=1e-12)
+
+
+def best_single_addition_scores(model, X0b):
+    """min(clean score, best one-feature addition) of each 0/1 row of an RBF
+    model.  Adding an absent feature j moves every ||x - s_i||^2 by exactly
+    1 - 2 s_ij, so the d one-addition scores of a row with kernel weights w
+    are e^(-gamma) sum(w) + (e^gamma - e^(-gamma)) (w @ S) + b.  The chosen
+    point is re-scored with decision_batch."""
+    X = X0b.astype(np.float64)
+    w = model._kernel_weights(X)
+    g = model.gamma
+    added = (math.exp(-g) * w.sum(axis=1)[:, None]
+             + (math.exp(g) - math.exp(-g)) * (w @ model.support_vectors)
+             + model.bias)
+    added[X0b] = np.inf
+    best = X0b.copy()
+    best[np.arange(len(best)), added.argmin(axis=1)] = True
+    rescored = model.decision_batch(best.astype(np.float64))
+    assert np.allclose(rescored, added.min(axis=1), rtol=0, atol=1e-12)
+    return np.minimum(model.decision_batch(X), rescored)
+
+
+class TestKernelBudgetOneOracle:
+    def test_pgd_finds_the_best_single_addition(self):
+        # criterion-8 svm-rbf at the study's iteration cap: budget 1 must
+        # reach the exact one-addition optimum on every row
+        model, malware, threshold = criterion8_rbf_cell()
+        X0b = malware[:100]
+        scores = attack_scores_over_grid(model, X0b, [1], threshold, 150,
+                                         "pgd")
+        oracle = best_single_addition_scores(model, X0b)
+        assert np.allclose(scores[:, 0], oracle, rtol=0, atol=1e-12)
 
 
 class TestFeasibilityChecks:

@@ -107,6 +107,18 @@ class TestAttack:
         assert err["error"] == "ValueError"
         assert err["message"] == f"--epsilon-grid {grid!r} holds no budget"
 
+    def test_repeated_budget_names_the_flag(self, workdir, capsys):
+        # a repeated budget wrote each sample's row twice
+        out = workdir / "attack_repeat.csv"
+        rc = main(["attack", "--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--epsilon-grid",
+                   "2,0,3,2,0", "--method", "greedy", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == ("--epsilon-grid '2,0,3,2,0' repeats "
+                                  "budget(s) [0, 2]")
+        assert not out.exists()
+
     @pytest.mark.parametrize("eps_max", ["0", "-3"])
     def test_eps_max_below_one_rejected(self, workdir, capsys, eps_max):
         out = workdir / f"attack_epsmax{eps_max}.csv"
@@ -297,7 +309,7 @@ class TestRobustness:
                    "--out", str(out)])
         assert rc == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == "eps_grid repeats budget(s) [2]"
+        assert err["message"] == "--eps-grid '2,2' repeats budget(s) [2]"
         assert not out.exists()
 
     def test_per_sample_ids_are_the_attack_csv_rows(self, workdir):

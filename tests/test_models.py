@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -13,6 +15,7 @@ from evadelab.models import (KernelModel, LinearModel, ModelFormatError,
                              TrainConfig, auc, detection_rate_at_fpr,
                              load_model, roc_curve, save_model, score,
                              train_linear, train_rbf_svm, train_secsvm)
+from evadelab.pipeline import PRESETS, _train_spec
 
 
 def vec(indices, d):
@@ -233,6 +236,19 @@ class TestTrainRbfSvm:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_holds_one_gram_matrix(self):
+        # the n x n float64 Gram matrix is built in place; three such arrays
+        # were live at once (3.10 x 8 n^2 here) under a guard that budgets one
+        train = criterion8_train()
+        spec = PRESETS["svm-rbf"]
+        tracemalloc.start()
+        try:
+            train_rbf_svm(train, spec.reg, spec.gamma, spec._train_config(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * train.n ** 2
+
     @pytest.mark.parametrize("C,gamma,name", [
         (math.nan, 1.0, "C"), (1.0, math.nan, "gamma"),
         (1.0, math.inf, "gamma")])
@@ -244,6 +260,53 @@ class TestTrainRbfSvm:
         ds = dataset([[0], [1]], [-1, 1], 2)
         with pytest.raises(ValueError, match=f"^{name} must be"):
             train_rbf_svm(ds, C, gamma, TrainConfig())
+
+
+@functools.cache
+def criterion8_train():
+    """The criterion-8 train split (data seed 7): n = 1560, d = 150."""
+    cfg = SyntheticConfig(d=150, n_benign=1300, n_malware=1300, n_strong=30,
+                          strong_rate_gap=0.5, weak_rate_gap=0.015,
+                          base_density=0.18, seed=7)
+    return split(generate_synthetic(cfg), 0.6, 0)[0]
+
+
+def parameter_digest(model):
+    """sha256 of the float64 bytes of a model's trained arrays."""
+    h = hashlib.sha256()
+    arrays = ((model.support_vectors, model.dual_coeffs)
+              if isinstance(model, KernelModel) else (model.weights,))
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# Each preset trained as a study cell of repetition 0 trains it (seed 0) on
+# criterion8_train(): the bias, parameter_digest and the per-epoch objective
+# (the RBF trainer records none).  Any reorganisation of the SGD loops must
+# keep every bit.
+GOLDEN_TRAINED = {
+    "svm": (-2.8857553994078744, "02209dbc14b001448e68d01d0320fb00555129b57fa53a902cb7665eaba793f3",
+        (7.032893658680166, 5.264884147933001, 4.465542626854323, 3.3258507096174026, 2.9388471161399288, 3.010085321635943, 2.4916863575105426, 2.8193247135023403, 2.570075514173958, 2.3960780742937207)),
+    "sec-svm": (-2.356184254212204, "f0e4a54bd57c33e123ea4fc52ebc8f4a44044f3d711639d3bfb213beb3704c3a",
+        (172.36379292611275, 64.99186001834589, 61.93361231339062, 32.38159358534493, 32.10650992768675, 28.661265482937438, 29.342255060527755, 41.66354868807106, 26.720904953965665, 22.753943567447642)),
+    "svm-rbf": (0.11705938201157678, "0102a47463b5ddbd00978b3671cca8330804a470560bcfc22c83ce39fc543863",
+        ()),
+    "logistic": (-2.96744614690104, "df3dd3d3d1f5d6051d14055a6d8809aa6081ed56b6d74555d81e3d99dd3992d8",
+        (56.95871666292008, 45.95684359047205, 42.9923684325077, 41.38453181950155, 40.408095071698, 39.65169711904989, 39.05114202656169, 38.68552467407758, 38.261395358043174, 37.96358266858937)),
+    "ridge": (-0.7390350249998704, "9b6b55b9e3c9794a7704d1bc7081d9642b55b1f2752b66ab2f40103b9a68cc0f",
+        (186.9129590904647, 171.00428229396903, 165.03435718710244, 162.29301230047525, 161.39251287800965, 158.33543657362614, 156.2640206618433, 155.62746095349237, 154.44804467974947, 153.4211001151254)),
+}
+
+
+class TestPresetTrainersPinned:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRAINED))
+    def test_trained_parameters_bitwise_equal_golden(self, name):
+        bias, digest, objective = GOLDEN_TRAINED[name]
+        model = _train_spec(PRESETS[name], criterion8_train(), 0)
+        assert model.bias == bias
+        assert parameter_digest(model) == digest
+        assert tuple(model.meta.get("epoch_objective", ())) == objective
 
 
 class TestDetectionRate:
