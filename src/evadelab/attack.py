@@ -6,7 +6,7 @@ projected binary point itself, re-evaluating the gradient after every
 accepted flip; the shadow pass descends a box-clipped real-relaxed iterate
 whose accumulated gradient pressure lets weakly-graded coordinates cross the
 binarization threshold.  Each step applies the composite projection (clip
-into the box [x0, 1], binarize at 0.5, keep the epsilon top-ranked changes),
+into the box [x0, 1], binarize at 0.5, keep the epsilon top-ranked additions),
 so every scored point is feasible, and the best score of any feasible point
 seen is kept because the stopping rule can halt past the optimum.  Every
 attack call takes its samples as the rows of one (n, d) 0/1 matrix, checked
@@ -25,13 +25,14 @@ splits off with its own projection only when its iterate departs.  The
 shadow iterate never reads the budget (its step, its stopping test and its
 active set depend only on the box), so its trajectory is computed once per
 sample and each iterate is projected onto every budget.  The projections are
-nested: rank the iterate's changes by |v - x0|, largest first, ties to the
-lower index, and the budget-e point is x0 plus the first e changes.  For an
+nested: rank the iterate's additions (inside the box its only changes) by
+v, largest first, ties to the lower index, and cut the ranking at the
+largest budget; the budget-e point is x0 plus the first e additions.  For an
 RBF model the nested points are scored incrementally: points and support
-vectors are 0/1, so ||x - s_i||^2 is a small integer and flipping x_j moves it
-by exactly +-(1 - 2 s_ij); integer sums are exact in any order, so the scores
+vectors are 0/1, so ||x - s_i||^2 is a small integer and adding x_j moves it
+by exactly +(1 - 2 s_ij); integer sums are exact in any order, so the scores
 equal those of the materialised points bit for bit.  A row whose ranked
-prefix of budgets[-1] changes is the previous iteration's is not scored
+prefix of budgets[-1] additions is the previous iteration's is not scored
 again: its point at every budget is unchanged, so its scores are the ones
 already compared with the best scores, and none can be strictly lower.  The
 first iteration scores every row.  A linear model gets no shadow pass: its
@@ -108,25 +109,28 @@ def _check_feasible(X0b: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         raise RuntimeError("addition-only attack removed a present feature")
 
 
-def _ranked_changes(V: np.ndarray, X0b: np.ndarray):
-    """Rank each clipped row's changes by |V - X0|, largest first.
+def _ranked_changes(V: np.ndarray, X0b: np.ndarray, width: int):
+    """Rank each clipped row's additions by V, largest first, cut at width.
 
+    An addition is an absent feature that V binarises to 1.  Inside the box
+    [X0, 1] those are the only changes, and V is each one's move from X0.
     Ties go to the lower feature index.  Returns (order, counts): the first
-    counts[r] entries of order[r] are row r's changed features in rank order
-    and the rest are -1.
-    Only the changed entries are sorted, so the cost follows the number of
-    changes rather than the dimension.
+    counts[r] <= width entries of the (rows, width) order[r] are row r's
+    first additions in rank order and the rest are -1.
+    Only the additions are sorted, so the cost follows their number rather
+    than the dimension.
     """
-    rows, cols = np.nonzero((V >= 0.5) != X0b)
+    rows, cols = np.nonzero((V >= 0.5) & ~X0b)
     counts = np.bincount(rows, minlength=V.shape[0])
     # lexsort is stable and np.nonzero lists columns in ascending order, so
     # equal moves keep the lower index first.
-    key = np.lexsort((-np.abs(V[rows, cols] - X0b[rows, cols]), rows))
+    key = np.lexsort((-V[rows, cols], rows))
     rows, cols = rows[key], cols[key]
     rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    order = np.full((V.shape[0], counts.max(initial=0)), -1, dtype=np.intp)
-    order[rows, rank] = cols
-    return order, counts
+    kept = rank < width
+    order = np.full((V.shape[0], width), -1, dtype=np.intp)
+    order[rows[kept], rank[kept]] = cols[kept]
+    return order, np.minimum(counts, width)
 
 
 def _prefix_changes(order: np.ndarray, counts: np.ndarray, epsilon):
@@ -137,16 +141,6 @@ def _prefix_changes(order: np.ndarray, counts: np.ndarray, epsilon):
     return rows, order[rows, pos]
 
 
-def _prefix_projection(X0b: np.ndarray, order: np.ndarray, counts: np.ndarray,
-                       epsilon) -> np.ndarray:
-    """X0b with the first min(epsilon, count) ranked changes of each row
-    applied; epsilon may be one budget or one per row."""
-    rows, cols = _prefix_changes(order, counts, epsilon)
-    out = X0b.copy()
-    out[rows, cols] = ~X0b[rows, cols]
-    return out
-
-
 def _project_clipped_batch(V: np.ndarray, X0b: np.ndarray,
                            epsilon) -> np.ndarray:
     """Binarize already-clipped rows and enforce the change budget rowwise;
@@ -155,8 +149,11 @@ def _project_clipped_batch(V: np.ndarray, X0b: np.ndarray,
     epsilon = np.broadcast_to(epsilon, len(V))
     over = np.flatnonzero((XB != X0b).sum(axis=1) > epsilon)
     if over.size:
-        order, counts = _ranked_changes(V[over], X0b[over])
-        XB[over] = _prefix_projection(X0b[over], order, counts, epsilon[over])
+        rows, cols = _prefix_changes(
+            *_ranked_changes(V[over], X0b[over], epsilon[over].max()),
+            epsilon[over])
+        XB[over] = X0b[over]
+        XB[over[rows], cols] = True
     return XB
 
 
@@ -242,6 +239,40 @@ def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             cur, g, prev_obj = cur[go], g[go], obj[go]
 
 
+def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
+                   scores0: np.ndarray, order: np.ndarray, counts: np.ndarray,
+                   budgets) -> np.ndarray:
+    """Decision values at x0 plus its first min(e, count) ranked additions,
+    for each e of the ascending budgets: (rows, len(budgets)).
+
+    ``sq0`` and ``scores0`` are the squared distances and decisions of the
+    clean rows, ``order[r, :counts[r]]`` lists row r's additions in rank
+    order, and ``deltas[j]`` is the change 1 - 2 s_ij of every
+    ||x - s_i||^2 when feature j is added.  With 0/1 points and support
+    vectors every squared distance is a small integer, so the running sums
+    are exact in any order and each value equals ``decision_batch`` on the
+    materialised point bit for bit.  Memory stays O(rows x n_sv) whatever
+    the number of budgets.
+    """
+    sq = sq0.copy()
+    score = scores0.copy()
+    out = np.empty((sq.shape[0], len(budgets)))
+    done = 0
+    for col, eps in enumerate(budgets):
+        moved = np.flatnonzero(counts > done)
+        for pos in range(done, eps):
+            live = np.flatnonzero(counts > pos)
+            if live.size == 0:
+                break
+            sq[live] += deltas[order[live, pos]]
+        if moved.size:
+            score[moved] = (model._weights_from_sq(sq[moved]).sum(axis=1)
+                            + model.bias)
+        out[:, col] = score
+        done = eps
+    return out
+
+
 def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
                  budgets, max_iters: int, threshold: float,
                  best_scores: np.ndarray) -> None:
@@ -250,10 +281,10 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     recorded.
 
     Each iterate's nested projections are scored incrementally, and only
-    for the rows whose ranked prefix of budgets[-1] changes differs from the
-    previous iteration's.  One fused kernel call per iteration evaluates the
-    new iterate and gives the gradient that the still-active rows step with
-    next.  A row leaves the pass when its objective converges.
+    for the rows whose ranked prefix of budgets[-1] additions differs from
+    the previous iteration's.  One fused kernel call per iteration evaluates
+    the new iterate and gives the gradient that the still-active rows step
+    with next.  A row leaves the pass when its objective converges.
     """
     scores0, grad0 = start
     cur = X0b.astype(np.float64)
@@ -263,8 +294,10 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     g = grad0[rows]
     if rows.size:
         sq0 = model._sq_distances(cur)
-        # each row's ranked prefix of at most budgets[-1] changes, padded
-        # with -1; -2 matches no prefix, so the first iteration scores all
+        # row j: the change of every ||x - s_i||^2 when x_j goes from 0 to 1
+        deltas = np.ascontiguousarray((1.0 - 2.0 * model.support_vectors).T)
+        # each row's ranked prefix; -2 matches none, so the first iteration
+        # scores every row
         prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
     budget_arr = np.asarray(budgets)
     for _ in range(max_iters):
@@ -272,21 +305,16 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
             break
         eta = _movable_eta(g, cur[rows], lb[rows], 0.1)
         stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
-        X0r = X0b[rows]
-        order, counts = _ranked_changes(stepped, X0r)
-        prefix = np.full((rows.size, budgets[-1]), -1, dtype=np.intp)
-        width = min(order.shape[1], budgets[-1])
-        prefix[:, :width] = order[:, :width]
+        order, counts = _ranked_changes(stepped, X0b[rows], budgets[-1])
         # an unchanged prefix scores bit for bit what it scored before
-        changed = np.flatnonzero((prefix != prefixes[rows]).any(axis=1))
-        live, X0c, order, counts = (rows[changed], X0r[changed],
-                                    order[changed], counts[changed])
-        prefixes[live] = prefix[changed]
-        bin_scores = model._prefix_flip_decisions(
-            sq0[live], scores0[live], X0c, order, counts, budgets)
+        changed = np.flatnonzero((order != prefixes[rows]).any(axis=1))
+        live, order, counts = rows[changed], order[changed], counts[changed]
+        prefixes[live] = order
+        bin_scores = _nested_scores(model, deltas, sq0[live], scores0[live],
+                                    order, counts, budgets)
         ri, ci = np.nonzero(bin_scores < best_scores[live])
         if ri.size:
-            _check_feasible(X0c[ri], *_prefix_changes(
+            _check_feasible(X0b[live[ri]], *_prefix_changes(
                 order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
             best_scores[live[ri], ci] = bin_scores[ri, ci]
         cur[rows] = stepped
@@ -322,18 +350,18 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
     return np.minimum.accumulate(best_scores, axis=1)
 
 
-def _first_evading_budget(scores: np.ndarray, budgets, clean: np.ndarray,
-                          threshold: float, eps_max: int) -> np.ndarray:
+def _first_evading_budget(scores: np.ndarray, budgets, threshold: float,
+                          eps_max: int) -> np.ndarray:
     """eps_min of each row of an (n, len(budgets)) post-attack score matrix.
 
-    0 where the clean score is already below the threshold, else the first
-    budget in 1..eps_max (all of which budgets must hold) whose score is
-    below it, else NOT_EVADABLE.
+    0 where the clean score (budget 0) is already below the threshold, else
+    the first budget in 1..eps_max whose score is below it, else
+    NOT_EVADABLE.  budgets must hold every budget in 0..eps_max.
     """
     cols = [budgets.index(eps) for eps in range(1, eps_max + 1)]
     hits = scores[:, cols] < threshold
     out = np.where(hits.any(axis=1), np.argmax(hits, axis=1) + 1, NOT_EVADABLE)
-    out[clean < threshold] = 0
+    out[scores[:, budgets.index(0)] < threshold] = 0
     return out
 
 
@@ -351,8 +379,7 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
     budgets = list(range(eps_max + 1))
     scores = attack_scores_over_grid(model, samples, budgets, threshold,
                                      max_iters, method)
-    return _first_evading_budget(scores, budgets, scores[:, 0], threshold,
-                                 eps_max)
+    return _first_evading_budget(scores, budgets, threshold, eps_max)
 
 
 def epsilon_min(model: TrainedModel, x, eps_max: int,

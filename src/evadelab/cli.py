@@ -116,7 +116,7 @@ def cmd_attack(args) -> int:
     budgets = sorted(set(grid) | set(range(eps_max + 1)))
     malware_rows, threshold, scores = _attack_malware(args, budgets)
     clean = scores[:, 0]
-    eps_min = _first_evading_budget(scores, budgets, clean, threshold, eps_max)
+    eps_min = _first_evading_budget(scores, budgets, threshold, eps_max)
     grid_cols = [budgets.index(eps) for eps in grid]
 
     rows_out = []

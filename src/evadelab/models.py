@@ -71,7 +71,7 @@ class KernelModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # a private read-only copy, so the cached norms and deltas stay true
+        # a private read-only copy, so the cached norms stay true
         svs = np.array(_binary_rows(self.support_vectors, None))
         svs.flags.writeable = False
         coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
@@ -98,11 +98,6 @@ class KernelModel:
     def _sv_sqnorms(self) -> np.ndarray:
         return (self.support_vectors * self.support_vectors).sum(axis=1)
 
-    @cached_property
-    def _flip_deltas(self) -> np.ndarray:
-        # Row j: the change of ||x - s_i||^2 when x_j goes from 0 to 1.
-        return np.ascontiguousarray((1.0 - 2.0 * self.support_vectors).T)
-
     # The batch methods update their temporaries in place: the same
     # operations in the same order as the expressions they spell out, with
     # fewer (points x n_sv) and (points x d) arrays allocated.
@@ -122,40 +117,6 @@ class KernelModel:
 
     def _kernel_weights(self, points: np.ndarray) -> np.ndarray:
         return self._weights_from_sq(self._sq_distances(points))
-
-    def _prefix_flip_decisions(self, sq0: np.ndarray, scores0: np.ndarray,
-                               X0b: np.ndarray, order: np.ndarray,
-                               counts: np.ndarray, budgets) -> np.ndarray:
-        """Decision values at X0 plus its first min(e, count) ranked flips.
-
-        ``sq0`` and ``scores0`` are the squared distances and decisions of
-        the 0/1 rows ``X0b``; ``order[r, :counts[r]]`` lists row r's flips
-        in rank order; ``budgets`` ascend.  Returns (rows, len(budgets)).
-        With 0/1 points and support vectors every squared distance is a
-        small integer and flipping x_j moves it by exactly +-(1 - 2 s_ij),
-        so the running sums are exact in any order and each value equals
-        ``decision_batch`` on the materialised point bit for bit.  Memory
-        stays O(rows x n_sv) whatever the number of budgets.
-        """
-        sq = sq0.copy()
-        score = scores0.copy()
-        out = np.empty((sq.shape[0], len(budgets)))
-        done = 0
-        for col, eps in enumerate(budgets):
-            moved = np.flatnonzero(counts > done)
-            for pos in range(done, eps):
-                live = np.flatnonzero(counts > pos)
-                if live.size == 0:
-                    break
-                j = order[live, pos]
-                sign = np.where(X0b[live, j], -1.0, 1.0)
-                sq[live] += sign[:, None] * self._flip_deltas[j]
-            if moved.size:
-                score[moved] = (self._weights_from_sq(sq[moved]).sum(axis=1)
-                                + self.bias)
-            out[:, col] = score
-            done = eps
-        return out
 
     def decision_batch(self, points: np.ndarray) -> np.ndarray:
         return self._kernel_weights(points).sum(axis=1) + self.bias
@@ -441,20 +402,11 @@ def _rate_at_fpr(scores: np.ndarray, labels: np.ndarray,
     if malware.size == 0:
         raise ValueError("dataset has no malware samples to measure the rate")
 
+    # a benign score t fits when #{benign >= t} stays within the budget
     n = benign.size
-    k_max = int(math.floor(fpr_target * n))
-    p = n - k_max
-    if p <= 0:
-        threshold = float(benign[0])
-    elif p >= n:
-        threshold = float(benign[-1]) + 1.0
-    else:
-        first = int(np.searchsorted(benign, benign[p], side="left"))
-        if first >= p:
-            threshold = float(benign[p])
-        else:
-            nxt = int(np.searchsorted(benign, benign[p], side="right"))
-            threshold = float(benign[nxt]) if nxt < n else float(benign[-1]) + 1.0
+    fits = n - np.searchsorted(benign, benign) <= math.floor(fpr_target * n)
+    threshold = (float(benign[np.argmax(fits)]) if fits.any()
+                 else float(benign[-1]) + 1.0)
     rate = float(np.mean(malware >= threshold))
     return rate, threshold
 

@@ -1,5 +1,6 @@
 """The public API, pinned: growing it shows up as a diff of this file."""
 
+import ast
 import dataclasses
 import os
 import subprocess
@@ -101,3 +102,38 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _private_definitions(tree):
+    """(name, node) of each _-prefixed, non-dunder function, class and
+    method anywhere in a module, and of each module-level assigned name."""
+    private = [(node.name, node) for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))]
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        private += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node) for name, node in private
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing in the package calls is dead code
+    package = Path(evadelab.__file__).resolve().parent
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))]
+    unused = []
+    for tree in trees:
+        for name, definition in _private_definitions(tree):
+            own = set(map(id, ast.walk(definition)))
+            used = any(
+                id(node) not in own and (
+                    isinstance(node, ast.Name) and node.id == name
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Attribute) and node.attr == name)
+                for t in trees for node in ast.walk(t))
+            if not used:
+                unused.append(name)
+    assert unused == []

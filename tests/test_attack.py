@@ -531,25 +531,22 @@ def partition_projection(V, X0b, epsilon):
 class TestRankedProjection:
     def test_prefix_matches_partition_and_quota_with_ties(self):
         rng = np.random.default_rng(12)
-        for addition_only in (True, False):
-            for _ in range(40):
-                n, d = 25, int(rng.integers(3, 20))
-                X0b = rng.random((n, d)) < 0.3
-                # values on a coarse lattice force many tied move sizes
-                V = rng.integers(0, 5, size=(n, d)) / 4.0
-                if addition_only:
-                    V = np.maximum(V, X0b)
-                for eps in range(1, d + 1):
-                    got = attack_mod._project_clipped_batch(V, X0b, eps)
-                    want = partition_projection(V, X0b, eps)
-                    assert np.array_equal(got, want)
-                # one budget per row
-                eps = rng.integers(1, d + 1, size=n)
+        for _ in range(40):
+            n, d = 25, int(rng.integers(3, 20))
+            X0b = rng.random((n, d)) < 0.3
+            # values on a coarse lattice force many tied move sizes
+            V = np.maximum(rng.integers(0, 5, size=(n, d)) / 4.0, X0b)
+            for eps in range(1, d + 1):
                 got = attack_mod._project_clipped_batch(V, X0b, eps)
-                for row, e in enumerate(eps):
-                    want = partition_projection(V[row:row + 1],
-                                                X0b[row:row + 1], e)
-                    assert np.array_equal(got[row], want[0])
+                want = partition_projection(V, X0b, eps)
+                assert np.array_equal(got, want)
+            # one budget per row
+            eps = rng.integers(1, d + 1, size=n)
+            got = attack_mod._project_clipped_batch(V, X0b, eps)
+            for row, e in enumerate(eps):
+                want = partition_projection(V[row:row + 1],
+                                            X0b[row:row + 1], e)
+                assert np.array_equal(got[row], want[0])
 
     def test_budgets_are_nested_prefixes(self):
         rng = np.random.default_rng(13)
@@ -561,6 +558,35 @@ class TestRankedProjection:
             assert np.all(prev <= cur)  # addition-only: each budget adds
             assert np.all((cur != X0b).sum(axis=1) <= eps)
             prev = cur
+
+
+class TestNestedScores:
+    def test_nested_scores_equal_materialised_points(self):
+        rng = np.random.default_rng(4)
+        d, n, n_sv = 15, 40, 30
+        svs = rng.random((n_sv, d)) < 0.5
+        m = KernelModel(svs, rng.normal(size=n_sv), float(rng.normal() * 0.3),
+                        0.3)
+        X0b = rng.random((n, d)) < 0.3
+        # each row's order: a permutation of its absent features, padded
+        order = np.full((n, d), -1)
+        counts = np.empty(n, dtype=np.intp)
+        for r in range(n):
+            absent = rng.permutation(np.flatnonzero(~X0b[r]))
+            order[r, :absent.size] = absent
+            counts[r] = rng.integers(0, absent.size + 1)
+        budgets = [1, 2, 3, 5, 8, 15]
+        X0 = X0b.astype(np.float64)
+        deltas = np.ascontiguousarray((1.0 - 2.0 * m.support_vectors).T)
+        got = attack_mod._nested_scores(m, deltas, m._sq_distances(X0),
+                                        m.decision_batch(X0), order, counts,
+                                        budgets)
+        for col, eps in enumerate(budgets):
+            points = X0b.copy()
+            for r in range(n):
+                points[r, order[r, :min(counts[r], eps)]] = True
+            want = m.decision_batch(points.astype(np.float64))
+            assert np.array_equal(got[:, col], want)
 
 
 # Scores of attack_scores_over_grid recorded from the per-budget descent (a
@@ -642,20 +668,19 @@ class TestGridEngine:
         # scored again, and the golden scores stay bitwise
         model, malware, threshold = criterion8_rbf_cell()
         scored, active = [], []
-        prefix_flip = KernelModel._prefix_flip_decisions
+        nested_scores = attack_mod._nested_scores
         movable_eta = attack_mod._movable_eta
 
-        def record_scored(self, sq0, *args):
+        def record_scored(model, deltas, sq0, *args):
             scored.append(len(sq0))
-            return prefix_flip(self, sq0, *args)
+            return nested_scores(model, deltas, sq0, *args)
 
         def record_active(g, cur, lb, scale):
             if scale == 0.1:  # the shadow pass's step: one per iteration
                 active.append(len(g))
             return movable_eta(g, cur, lb, scale)
 
-        monkeypatch.setattr(KernelModel, "_prefix_flip_decisions",
-                            record_scored)
+        monkeypatch.setattr(attack_mod, "_nested_scores", record_scored)
         monkeypatch.setattr(attack_mod, "_movable_eta", record_active)
         scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
                                          threshold,
@@ -781,6 +806,40 @@ class TestKernelBudgetOneOracle:
         assert np.allclose(scores[:, 0], oracle, rtol=0, atol=1e-12)
 
 
+def best_first_addition_scores(model, X0b, eps_max):
+    """(n, eps_max + 1) running-minimum scores of the best-first addition
+    attack on an RBF model: each step adds the absent feature whose
+    one-addition score, in the closed form of best_single_addition_scores,
+    is lowest, and re-scores the new point with decision_batch."""
+    X = X0b.copy()
+    g = model.gamma
+    scores = [model.decision_batch(X.astype(np.float64))]
+    for _ in range(eps_max):
+        w = model._kernel_weights(X.astype(np.float64))
+        added = (math.exp(-g) * w.sum(axis=1)[:, None]
+                 + (math.exp(g) - math.exp(-g)) * (w @ model.support_vectors))
+        added[X] = np.inf
+        X[np.arange(len(X)), added.argmin(axis=1)] = True
+        scores.append(model.decision_batch(X.astype(np.float64)))
+    return np.minimum.accumulate(np.column_stack(scores), axis=1)
+
+
+class TestKernelBestFirstOracle:
+    def test_pgd_evades_at_least_as_many_rows_as_best_first(self):
+        # criterion-8 svm-rbf, every malware row, budgets 1..50.  Only rows
+        # the oracle evades can raise its count, so PGD runs on those: its
+        # count there bounds its count over all rows from below.
+        model, malware, threshold = criterion8_rbf_cell()
+        budgets = list(range(1, 51))
+        oracle = best_first_addition_scores(model, malware, budgets[-1])[:, 1:]
+        evaded = np.flatnonzero((oracle < threshold).any(axis=1))
+        assert evaded.size > 0  # the check is not vacuous on this cell
+        pgd = attack_scores_over_grid(model, malware[evaded], budgets,
+                                      threshold, 150, "pgd")
+        assert np.all((pgd < threshold).sum(axis=0)
+                      >= (oracle < threshold).sum(axis=0))
+
+
 class TestFeasibilityChecks:
     def test_engine_rejects_infeasible_projection(self, monkeypatch):
         # the all-ones point scores lowest, so the forged point is kept
@@ -795,11 +854,12 @@ class TestFeasibilityChecks:
                                     5, "pgd")
 
     def test_shadow_pass_rejects_removed_feature(self, monkeypatch):
-        # the support vector is the empty point, so dropping feature 2 would
-        # lower the score; the forged ranking offers exactly that removal
-        m = KernelModel((vec([], 5),), np.array([-1.0]), 0.0, 0.5)
+        # the forged ranking offers the present feature 2 as an addition;
+        # with the support vector at the sample, its delta of -1 scores
+        # lower, so the forged point is recorded and must be refused
+        m = KernelModel((vec([2], 5),), np.array([-1.0]), 0.0, 0.5)
 
-        def removal(V, X0b):
+        def removal(V, X0b, width):
             return np.full((len(X0b), 1), 2), np.ones(len(X0b), dtype=int)
 
         monkeypatch.setattr(attack_mod, "_ranked_changes", removal)

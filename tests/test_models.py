@@ -350,6 +350,23 @@ class TestDetectionRate:
                  for f in (0.0, 0.05, 0.1, 0.25, 0.5, 1.0)]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
 
+    def test_threshold_is_first_fitting_benign_score_with_ties(self):
+        # brute force over the candidates: the benign scores in ascending
+        # order, then max(benign) + 1
+        rng = np.random.default_rng(9)
+        for i in range(300):
+            n = int(rng.integers(1, 25))
+            scores = rng.integers(0, 6, size=n + 2) / 2.0
+            labels = np.array([-1] * n + [1, 1])
+            fpr = (0.0, 1.0, float(rng.random()))[i % 3]
+            benign = scores[:n]
+            candidates = sorted(benign.tolist()) + [benign.max() + 1.0]
+            want = next(t for t in candidates
+                        if np.sum(benign >= t) <= math.floor(fpr * n))
+            rate, threshold = models_mod._rate_at_fpr(scores, labels, fpr)
+            assert threshold == want
+            assert rate == np.mean(scores[n:] >= want)
+
     def test_needs_both_classes(self):
         m = LinearModel(np.ones(3), 0.0)
         with pytest.raises(ValueError):
@@ -514,24 +531,3 @@ class TestKernelModel:
             KernelModel(svs, np.array([1.0, bad]), 0.0, 0.5)
         with pytest.raises(ValueError, match="finite"):
             KernelModel(svs, np.array([1.0, -1.0]), bad, 0.5)
-
-    def test_prefix_flip_decisions_equal_materialised_points(self):
-        rng = np.random.default_rng(4)
-        d, n = 15, 40
-        m = random_kernel_model(rng, d, 30, gamma=0.3)
-        X0b = rng.random((n, d)) < 0.3
-        order = np.argsort(rng.random((n, d)), axis=1)
-        counts = rng.integers(0, d + 1, size=n)
-        budgets = [1, 2, 3, 5, 8, 15]
-        X0 = X0b.astype(np.float64)
-        got = m._prefix_flip_decisions(m._sq_distances(X0),
-                                       m.decision_batch(X0), X0b, order,
-                                       counts, budgets)
-        for col, eps in enumerate(budgets):
-            taken = np.arange(d) < np.minimum(counts, eps)[:, None]
-            points = X0b.copy()
-            for r in range(n):
-                cols = order[r][taken[r]]
-                points[r, cols] = ~points[r, cols]
-            want = m.decision_batch(points.astype(np.float64))
-            assert np.array_equal(got[:, col], want)
