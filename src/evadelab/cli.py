@@ -127,6 +127,8 @@ def cmd_attack(args) -> int:
             after = float(scores[row, col])
             rows_out.append([sid, eps, float(clean[row]), after,
                              int(after < threshold), emin_txt])
+    # csv.writer is fast enough here: a grid is a few budgets per sample,
+    # not the 50 of a study's score table (pipeline._write_score_table)
     _write_csv(args.out, ["sample_id", "eps", "score_before", "score_after",
                           "evaded", "eps_min"], rows_out)
     print(json.dumps({"out": str(args.out), "threshold": threshold,
@@ -155,14 +157,28 @@ def cmd_explain(args) -> int:
     return 0
 
 
+def _csv_records(path, columns: list[tuple[str, str]]):
+    """The rows of the CSV file ``path`` as dicts, once its header row is
+    known to hold each ``(what, column)`` of ``columns``; a missing column
+    is named with ``what`` (the flag that names it, or "column")."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for what, column in columns:
+            if column not in header:
+                raise ValueError(f"{what} {column!r} is not in the header "
+                                 f"row {header} of {path}")
+        yield from reader
+
+
 def cmd_evenness(args) -> int:
     by_sample: dict[str, list[float]] = {}
-    with open(args.relevances, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            by_sample.setdefault(rec["sample_id"], [])
-            if int(rec["feature"]) >= 0:
-                by_sample[rec["sample_id"]].append(float(rec["relevance"]))
+    columns = [("column", name) for name in ("sample_id", "feature",
+                                             "relevance")]
+    for rec in _csv_records(args.relevances, columns):
+        by_sample.setdefault(rec["sample_id"], [])
+        if int(rec["feature"]) >= 0:
+            by_sample[rec["sample_id"]].append(float(rec["relevance"]))
 
     header = ["sample_id", "e1", "e2", "defined"]
     # zero-padded: a zero never enters a top-m window ahead of a non-zero
@@ -209,16 +225,14 @@ def cmd_robustness(args) -> int:
 
 def cmd_correlate(args) -> int:
     xs, ys = [], []
-    with open(args.data, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            try:
-                x = float(rec[args.x])
-                y = float(rec[args.y])
-            except (ValueError, TypeError):
-                continue  # footer / undefined rows
-            xs.append(x)
-            ys.append(y)
+    for rec in _csv_records(args.data, [("--x", args.x), ("--y", args.y)]):
+        try:
+            x = float(rec[args.x])
+            y = float(rec[args.y])
+        except (ValueError, TypeError):
+            continue  # footer / undefined rows
+        xs.append(x)
+        ys.append(y)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     rows_out = []
     for name in methods:

@@ -8,6 +8,13 @@ table from that single attack pass.  Evenness is computed on the attacked
 malware only, so the summary and scatter averages cover the same samples
 that the correlations pair with robustness.  Everything is seeded, so a
 rerun with the same config reproduces every output file byte for byte.
+
+Every table goes through csv.writer except the largest, each cell's
+``adv_scores_<slug>.csv`` with one row per (sample, budget), which is
+rendered straight from the cell's score matrix a sample at a time.  Its
+bytes are csv.writer's: its fields are ints and floats, written by str (the
+shortest repr for a float) and never quoted, lines end in ``\r\n``, and a
+run of bit-equal scores shares one repr, so ``-0.0`` keeps its sign.
 """
 
 from __future__ import annotations
@@ -16,6 +23,8 @@ import csv
 import json
 import math
 import re
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -232,6 +241,9 @@ class ClassifierCell:
     spec: ClassifierSpec
     status: str = "ok"
     error: str | None = None
+    # the full traceback of a failed cell; not in manifest.json, which
+    # stays deterministic
+    traceback: str | None = None
     model: TrainedModel | None = None
     roc: list[tuple[float, float]] | None = None
     auc: float | None = None
@@ -373,7 +385,8 @@ def run_experiment(cfg: ExperimentConfig,
             except Exception as exc:  # cell isolation by design
                 cells.append(ClassifierCell(
                     rep=rep, spec=spec, status="failed",
-                    error=f"{type(exc).__name__}: {exc}"))
+                    error=f"{type(exc).__name__}: {exc}",
+                    traceback=traceback.format_exc()))
 
     pooled = _pool_correlations(cfg, cells)
     report = ExperimentReport(cfg, cells, pooled)
@@ -396,15 +409,49 @@ def _pool_correlations(cfg: ExperimentConfig,
     return pooled
 
 
-def _write_csv(path: str | Path, header: list[str], rows) -> None:
-    """The one CSV writer.  csv.writer writes None as empty and every other
-    value by str, which for float and np.float64 is the shortest repr."""
+@contextmanager
+def _csv_file(path: str | Path, header: list[str]):
+    """The one place that creates a CSV file: its directory, the file and
+    its header row; yields the open file for the body."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        yield fh
+
+
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write a table through csv.writer, which writes None as empty and
+    every other value by str, which for float and np.float64 is the
+    shortest repr.  The score table is the one table not written here: see
+    _write_score_table, whose bytes are the ones this would write."""
+    with _csv_file(path, header) as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _write_score_table(path: str | Path, sample_ids, eps_grid,
+                       scores: np.ndarray) -> None:
+    """``adv_scores_<slug>.csv``: the row ``sid,eps,score`` of each sample
+    and budget of the (n, k) float64 ``scores``, byte for byte what
+    _write_csv writes for the rows ``[sid, eps, float(score)]``.
+
+    A greedy attack stops adding features once it has crossed the threshold,
+    so most rows end in a run of equal scores: each run of bit-equal values
+    (equal int64 views, so -0.0 and 0.0 stay apart) is formatted once.  One
+    sample's lines are built at a time, so memory does not grow with n.
+    """
+    eps_leads = [str(eps) + "," for eps in eps_grid]
+    with _csv_file(path, ["sample_id", "eps", "score_after"]) as fh:
+        for sid, row in zip(sample_ids, scores):
+            values = row.tolist()
+            bits = row.view(np.int64)
+            starts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+            texts = []
+            for start, stop in zip([0, *starts], [*starts, len(values)]):
+                texts += [repr(values[start])] * (stop - start)
+            lead = str(sid) + ","
+            fh.write(lead + ("\r\n" + lead).join(
+                map(str.__add__, eps_leads, texts)) + "\r\n")
 
 
 def _correlation_rows(entries: list[dict], lead: list) -> list[list]:
@@ -442,12 +489,8 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
         _write_csv(rep_dir / f"security_curve_{slug}.csv",
                    ["eps", "detection_rate"], curve_rows)
 
-        _write_csv(rep_dir / f"adv_scores_{slug}.csv",
-                   ["sample_id", "eps", "score_after"],
-                   [[sid, eps, s]
-                    for sid, scores in zip(cell.sample_ids,
-                                           cell.adv_scores.tolist())
-                    for eps, s in zip(cfg.eps_grid, scores)])
+        _write_score_table(rep_dir / f"adv_scores_{slug}.csv",
+                           cell.sample_ids, cfg.eps_grid, cell.adv_scores)
 
         header = ["sample_id", "score_clean", "robustness"]
         for method in ATTRIBUTION_METHODS:

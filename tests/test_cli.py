@@ -264,6 +264,19 @@ class TestEvenness:
         assert all(r["e1"] == "" for r in rows)
         assert all(r["e2"] != "" for r in rows if r["defined"] != "0")
 
+    def test_missing_column_named_with_the_header(self, tmp_path, capsys):
+        rel = tmp_path / "no_id.csv"
+        rel.write_text("id,feature,relevance\n0,1,0.5\n")
+        out = tmp_path / "even_no_id.csv"
+        assert main(["evenness", "--relevances", str(rel),
+                     "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"] == (
+            "column 'sample_id' is not in the header row "
+            f"['id', 'feature', 'relevance'] of {rel}")
+        assert not out.exists()
+
     def test_every_sample_undefined(self, tmp_path):
         rel = tmp_path / "zeros.csv"
         rel.write_text("sample_id,feature,relevance\n0,-1,0.0\n1,-1,0.0\n")
@@ -358,6 +371,19 @@ class TestCorrelate:
         rows = read_csv(out)
         assert [r["method"] for r in rows] == ["pearson", "spearman", "kendall"]
         assert all(float(r["coefficient"]) > 0.9 for r in rows)
+
+    def test_missing_column_names_its_flag(self, tmp_path, capsys):
+        data = tmp_path / "xy5.csv"
+        data.write_text("a,b\n1,2\n2,1\n3,3\n")
+        out = tmp_path / "corr5.csv"
+        rc = main(["correlate", "--data", str(data), "--x", "a", "--y", "nope",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert err["message"] == (
+            f"--y 'nope' is not in the header row ['a', 'b'] of {data}")
+        assert not out.exists()
 
     def test_non_finite_value_fails_fast(self, workdir, tmp_path, capsys):
         data = tmp_path / "xy_nan.csv"

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -246,6 +248,14 @@ class TestRunExperiment:
             c.error for c in report.cells]
         assert all(c.error for c in report.cells)
         assert not (tmp_path / "scatter").exists()
+        # each cell keeps its full traceback, which the manifest leaves out
+        for cell in report.cells:
+            assert cell.traceback.startswith(
+                "Traceback (most recent call last):\n")
+            assert "in _run_cell" in cell.traceback
+            assert cell.traceback.endswith(cell.error + "\n")
+        assert all("traceback" not in c for c in manifest["cells"])
+        assert "Traceback" not in (tmp_path / "manifest.json").read_text()
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = small_config()
@@ -274,6 +284,62 @@ class TestCsvFormat:
         assert lines == ["h1,h2", ",".join(expected), ""]
         assert "1e+16" in expected and "1e-05" in expected
         assert "0.30000000000000004" in expected
+
+
+def csv_writer_score_table(sample_ids, eps_grid, scores) -> bytes:
+    """The score table as csv.writer writes the rows [sid, eps, score]."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["sample_id", "eps", "score_after"])
+    writer.writerows([sid, eps, s]
+                     for sid, row in zip(sample_ids, scores.tolist())
+                     for eps, s in zip(eps_grid, row))
+    return buf.getvalue().encode("utf-8")
+
+
+class TestScoreTable:
+    @pytest.mark.parametrize("scores,eps_grid", [
+        # -0.0 beside 0.0, the smallest subnormal, floats whose repr goes
+        # scientific, 0.1 + 0.2, and a row constant from its first column
+        ([[0.0, -0.0, -0.0, 0.0, 5e-324, 5e-324],
+          [1e16, 1e16, 1e-05, 0.1 + 0.2, 0.30000000000000004, -2.5e-7],
+          [-1.5] * 6], (1, 2, 5, 9, 10, 50)),
+        ([[0.5], [-0.0], [0.0], [1e16]], (7,)),   # a 1-column grid
+        ([[1 / 3, 1 / 3, -1e-05, 0.1 + 0.2]], (1, 2, 3, 4)),  # one row
+    ], ids=["edge-values", "one-column", "one-row"])
+    def test_bytes_equal_csv_writer(self, tmp_path, scores, eps_grid):
+        scores = np.array(scores, dtype=np.float64)
+        sample_ids = [3 * i + 11 for i in range(len(scores))]
+        path = tmp_path / "sub" / "adv.csv"
+        pipeline._write_score_table(path, sample_ids, eps_grid, scores)
+        assert path.read_bytes() == csv_writer_score_table(
+            sample_ids, eps_grid, scores)
+
+    def test_study_tables_equal_csv_writer(self, small_report):
+        report, out = small_report
+        eps_grid = report.config.eps_grid
+        for cell in report.cells:
+            path = out / f"rep{cell.rep}" / f"adv_scores_{cell.spec.slug}.csv"
+            assert path.read_bytes() == csv_writer_score_table(
+                cell.sample_ids, eps_grid, cell.adv_scores)
+
+    def test_streams_one_sample_at_a_time(self, tmp_path):
+        # a whole-table row list holds about 23 MiB for this matrix
+        rng = np.random.default_rng(5)
+        scores = rng.normal(size=(4000, 50))
+        scores[:, 20:] = scores[:, 19:20]
+        sample_ids = list(range(4000))
+        eps_grid = tuple(range(1, 51))
+        tracemalloc.start()
+        try:
+            pipeline._write_score_table(tmp_path / "adv.csv", sample_ids,
+                                        eps_grid, scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert (tmp_path / "adv.csv").read_bytes() == csv_writer_score_table(
+            sample_ids, eps_grid, scores)
 
 
 class TestScatter:
