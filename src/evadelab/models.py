@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .featurespace import _MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows
 
@@ -218,7 +219,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     labels = y.tolist()
     sqnorms = (X * X).sum(axis=1).tolist()
     bounded = cfg.weight_lb is not None
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     w = np.zeros(d)
     buf = np.empty(d)
     tmp = np.empty(d)
@@ -341,7 +342,7 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     rows = list(K)
     labels = train.labels.astype(np.float64).tolist()
     lam = 1.0 / (n * C)
-    rng = np.random.default_rng(cfg.seed)
+    rng = default_rng(cfg.seed)
     beta = np.zeros(n)
     b = 0.0
     t = 0
@@ -430,7 +431,9 @@ def _roc_points(scores: np.ndarray,
     malware = scores[labels == 1]
     if benign.size == 0 or malware.size == 0:
         raise ValueError("ROC needs both classes present")
-    thresholds = np.unique(scores)[::-1]
+    # the distinct scores, highest first (np.unique would load numpy.ma)
+    ordered = np.sort(scores)
+    thresholds = ordered[np.r_[True, ordered[1:] != ordered[:-1]]][::-1]
     points = [(0.0, 0.0)]
     points += zip(_share_at_or_above(benign, thresholds),
                   _share_at_or_above(malware, thresholds))

@@ -6,6 +6,18 @@ approximation of the concordant-minus-discordant statistic.  Inputs with
 zero variance produce a degenerate report (undefined coefficient, no
 p-value) instead of NaNs; non-finite inputs are rejected.
 
+Both tails come from ``math`` alone.  The two-sided normal tail is
+erfc(|z| / sqrt(2)).  The two-sided Student-t tail on nu = n - 2 degrees of
+freedom is the regularized incomplete beta function I_x(nu/2, 1/2) at
+x = nu / (nu + t^2), evaluated by its continued fraction with the modified
+Lentz method and the prefactor taken in logs (Numerical Recipes, 3rd ed.,
+section 6.4).  Against scipy.special's stdtr, the t tail stays within
+2e-11 relative for 4 <= n <= 5000 wherever it exceeds 1e-290; the error
+grows about linearly in n, from lgamma's rounding at nu/2.  At nu = 1 and
+nu = 2 it matches the closed forms to 4e-15 (stdtr itself is off by up to
+3e-9 at nu = 1 and |t| near 1e-8).  The normal tail is within 3e-13 of
+scipy.special's ndtr for |z| <= 40.
+
 Ranks and pair counts come from sorts and counting sweeps in O(n) memory,
 not from n x n pair tables: tie groups are the runs of equal adjacent values
 of a sorted column, and the discordant pairs of Kendall's tau are the strict
@@ -22,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, stdtr
+from numpy.random import default_rng
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,59 @@ def _pearson_r(x: np.ndarray, y: np.ndarray) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
+# The continued fraction takes at most 80 terms for 3 <= n <= 1e9 (most near
+# |t| = sqrt(3), where the two branches of _t_pvalue meet).
+_CF_MAX_TERMS = 1000
+_CF_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """I_x(a, b) * a * B(a, b) / (x^a (1-x)^b) for x < (a+1) / (a+b+2), by
+    the modified Lentz method; ArithmeticError if it does not converge."""
+    def nonzero(v):
+        return v if abs(v) > _CF_TINY else _CF_TINY
+    c = 1.0
+    d = h = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    for m in range(1, _CF_MAX_TERMS + 1):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coeff in (even, odd):
+            d = 1.0 / nonzero(1.0 + coeff * d)
+            c = nonzero(1.0 + coeff / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"the incomplete beta continued fraction did not "
+                          f"converge in {_CF_MAX_TERMS} terms at a={a}, "
+                          f"b={b}, x={x}")
+
+
 def _t_pvalue(r: float, n: int) -> float:
+    """Two-sided Student-t tail of r's t statistic on n - 2 degrees of
+    freedom: I_x(nu/2, 1/2) with x = nu / (nu + t^2)."""
     if abs(r) >= 1.0:
         return 0.0
-    t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return 2.0 * float(stdtr(n - 2, -abs(t)))
+    nu = n - 2
+    t = r * math.sqrt(nu / (1.0 - r * r))
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    x = nu / (nu + t2)
+    if x == 0.0:
+        return 0.0
+    a, b = nu / 2.0, 0.5
+    # log(x) = -log1p(t2/nu) and log(1-x) = -log1p(nu/t2), without the
+    # cancellation of forming 1 - x
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     - a * math.log1p(t2 / nu) - b * math.log1p(nu / t2))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cf(a, b, x) / a
+    return 1.0 - front * _beta_cf(b, a, t2 / (nu + t2)) / b
+
+
+def _normal_pvalue(z: float) -> float:
+    """Two-sided standard normal tail of z."""
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def pearson(xs, ys) -> CorrelationReport:
@@ -199,7 +259,7 @@ def kendall(xs, ys) -> CorrelationReport:
         p = 1.0 if s == 0 else 0.0
     else:
         z = s / math.sqrt(var_s)
-        p = 2.0 * float(ndtr(-abs(z)))
+        p = _normal_pvalue(z)
     return CorrelationReport("kendall", tau, min(1.0, p), n, False)
 
 
@@ -234,7 +294,7 @@ def permutation_pvalue(xs, ys, method: str = "spearman", n_perm: int = 1000,
         raise ValueError("permutation test is undefined for degenerate inputs")
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     hits = 0
     for _ in range(n_perm):
         rep = fn(x, rng.permutation(y))

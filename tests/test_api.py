@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -102,6 +103,63 @@ def test_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _python_last_line(code, *args):
+    """The last stdout line of ``code`` run in a fresh interpreter that
+    imports evadelab from this checkout."""
+    src = str(Path(evadelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=300)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_loads_no_scipy():
+    # scipy.special alone costs about 0.2 s and 18 MiB per process
+    code = ("import json, sys, evadelab, evadelab.cli; print(json.dumps("
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert json.loads(_python_last_line(code)) == []
+
+
+_STUDY_AND_ATTACK = """
+import json, sys
+from pathlib import Path
+import evadelab, evadelab.cli
+imported = set(sys.modules)
+out = Path(sys.argv[1])
+synthetic = dict(d=30, n_benign=60, n_malware=60, n_strong=6,
+                 strong_rate_gap=0.6, weak_rate_gap=0.05, base_density=0.1,
+                 seed=5)
+report = evadelab.run_experiment(evadelab.ExperimentConfig.from_dict({
+    "dataset": {"synthetic": synthetic}, "classifiers": ["svm", "svm-rbf"],
+    "eps_grid": {"start": 1, "stop": 3}, "seed": 1, "n_attack_samples": 10,
+    "evenness_m": 10, "ig_p": 10, "attack": {"max_iters": 20}}),
+    out / "study")
+assert [cell.status for cell in report.cells] == ["ok", "ok"]
+train, test = evadelab.split(
+    evadelab.generate_synthetic(evadelab.SyntheticConfig(**synthetic)), 0.6, 0)
+evadelab.save_dataset(train, out / "train.txt")
+evadelab.save_dataset(test, out / "test.txt")
+assert evadelab.cli.main([
+    "train", "--data", str(out / "train.txt"), "--preset", "svm-rbf",
+    "--epochs", "2", "--d-hint", "30", "--out", str(out / "model.json")]) == 0
+assert evadelab.cli.main([
+    "attack", "--model", str(out / "model.json"),
+    "--data", str(out / "test.txt"), "--epsilon-grid", "1:2",
+    "--max-iters", "20", "--out", str(out / "attack.csv")]) == 0
+print(json.dumps(sorted(set(sys.modules) - imported)))
+"""
+
+
+def test_study_and_cli_attack_load_no_module_after_import(tmp_path):
+    # a module loaded lazily inside a study or a CLI call (numpy.ma behind
+    # np.unique of floats, numpy.random behind np.random) is paid inside
+    # every timed call instead of once at import.  argparse's first parser
+    # imports the standard library's locale through gettext, once per process.
+    loaded = json.loads(_python_last_line(_STUDY_AND_ATTACK, tmp_path))
+    assert set(loaded) <= {"locale", "_locale"}
 
 
 def _private_definitions(tree):

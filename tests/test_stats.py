@@ -1,7 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from evadelab import stats
@@ -208,6 +210,80 @@ class TestKendall:
             ref = scipy.stats.kendalltau(x, y, method="asymptotic")
             assert ours.coefficient == pytest.approx(ref.statistic, abs=1e-12)
             assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6)
+
+
+# The sweep of the tails against scipy.special: every n up to 59, the
+# pooled study sizes and beyond, and 205 correlations per n, from 1e-15 to
+# within 1e-15 of +-1.  n = 3 is checked against its closed form instead:
+# stdtr itself is off by up to 3e-9 at one degree of freedom and |t| near
+# 1e-8 (measured against 1 - (2/pi) atan|t|).
+SWEEP_N = list(range(4, 60)) + [100, 200, 499, 500, 501, 1000, 2000, 5000]
+_EDGE = np.geomspace(1e-15, 1e-2, 14)
+SWEEP_R = np.concatenate([-_EDGE, _EDGE, np.linspace(-0.99, 0.99, 149),
+                          _EDGE - 1.0, 1.0 - _EDGE]).tolist()
+
+
+def t_of(r, n):
+    """_t_pvalue's t statistic of r on n - 2 degrees of freedom."""
+    return r * math.sqrt((n - 2) / (1.0 - r * r))
+
+
+def worst_relative_error(pairs):
+    """Largest |ours - ref| / ref over (ours, ref) pairs with ref > 1e-290,
+    the range where a double still holds a p-value's leading digits."""
+    return max(abs(ours - ref) / ref for ours, ref in pairs if ref > 1e-290)
+
+
+class TestTails:
+    def test_t_tail_matches_scipy_stdtr(self):
+        assert len(SWEEP_R) == 205
+        assert worst_relative_error(
+            (stats._t_pvalue(r, n),
+             2.0 * float(scipy.special.stdtr(n - 2, -abs(t_of(r, n)))))
+            for n in SWEEP_N for r in SWEEP_R) < 1e-10
+
+    def test_normal_tail_matches_scipy_ndtr(self):
+        zs = np.linspace(-40.0, 40.0, 8001).tolist()
+        assert worst_relative_error(
+            (stats._normal_pvalue(z), 2.0 * float(scipy.special.ndtr(-abs(z))))
+            for z in zs) < 1e-10
+
+    @pytest.mark.parametrize("nu,closed_form", [
+        # 1 - (2/pi) atan|t| and 1 - |t| / sqrt(2 + t^2), in forms that do
+        # not cancel at large |t|
+        (1, lambda t: 2.0 / math.pi * math.atan2(1.0, abs(t))),
+        (2, lambda t: 2.0 / (math.sqrt(2.0 + t * t)
+                             * (math.sqrt(2.0 + t * t) + abs(t)))),
+    ])
+    def test_t_tail_closed_forms(self, nu, closed_form):
+        n = nu + 2
+        assert worst_relative_error(
+            (stats._t_pvalue(r, n), closed_form(t_of(r, n)))
+            for r in SWEEP_R) < 1e-14
+
+    def test_no_correlation_gives_p_exactly_one(self):
+        x = [1.0, 2.0, 3.0, 4.0, 5.0]
+        y = [2.0, -2.0, 0.0, -2.0, 2.0]
+        report = pearson(x, y)
+        assert report.coefficient == 0.0 and report.p_value == 1.0
+        assert all(stats._t_pvalue(0.0, n) == 1.0 for n in (3, 4, 500))
+        assert stats._normal_pvalue(0.0) == 1.0
+
+    def test_t_tail_non_increasing_in_t(self):
+        # across the meeting point of the two branches, near |t| = sqrt(3)
+        ps = [stats._t_pvalue(r, 500) for r in np.linspace(0.0, 0.5, 20001)]
+        assert ps[0] == 1.0
+        assert all(b <= a for a, b in zip(ps, ps[1:]))
+
+    def test_perfect_alignment_gives_p_zero(self):
+        for fn in (pearson, spearman):
+            assert fn([1, 2, 3, 4], [10, 20, 30, 40]).p_value == 0.0
+            assert fn([1, 2, 3, 4], [40, 30, 20, 10]).p_value == 0.0
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "_CF_MAX_TERMS", 3)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            stats._t_pvalue(0.055, 1000)
 
 
 class TestSuiteAndProperties:
