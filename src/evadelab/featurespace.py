@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 
 # The largest sample matrix a dataset may hold, counted as the float64 copy
@@ -130,7 +129,7 @@ class SyntheticConfig:
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     """Draw a seeded dataset of independent Bernoulli features, benign rows first."""
     _check_size(cfg.n_benign + cfg.n_malware, cfg.d)
-    rng = default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     p_benign = np.full(cfg.d, cfg.base_density)
     p_malware = np.full(cfg.d, cfg.base_density)
     p_malware[: cfg.n_strong] = min(1.0, cfg.base_density + cfg.strong_rate_gap)
@@ -211,7 +210,7 @@ def split(ds: LabeledDataset, train_fraction: float, seed: int
         raise ValueError("train_fraction must lie in (0, 1)")
     if ds.n == 0:
         raise ValueError("cannot split an empty dataset")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     train_rows: list[int] = []
     test_rows: list[int] = []
     for label in (-1, 1):

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.random import default_rng
 
 from .featurespace import _MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows
 
@@ -219,7 +218,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     labels = y.tolist()
     sqnorms = (X * X).sum(axis=1).tolist()
     bounded = cfg.weight_lb is not None
-    rng = default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
     buf = np.empty(d)
     tmp = np.empty(d)
@@ -342,7 +341,7 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     rows = list(K)
     labels = train.labels.astype(np.float64).tolist()
     lam = 1.0 / (n * C)
-    rng = default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     beta = np.zeros(n)
     b = 0.0
     t = 0

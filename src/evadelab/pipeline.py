@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import __version__
 from .attack import _MAX_ITERS, SecurityCurve, attack_scores_over_grid
@@ -310,7 +309,7 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     # the attacked malware: all of it, or a seeded sorted draw of that many
     rows = np.flatnonzero(test_ds.labels == 1)
     if rows.size > cfg.n_attack_samples:
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
         rows = rows[np.sort(rng.choice(rows.size, size=cfg.n_attack_samples,
                                        replace=False))]
     cell.sample_ids = rows.tolist()
@@ -639,7 +638,7 @@ def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,
     reg_grid = [float(v) for v in reg_grid]
     if not reg_grid:
         raise ValueError("reg_grid must be non-empty")
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     fold_of = np.zeros(ds.n, dtype=int)
     for label in (-1, 1):
         rows = np.flatnonzero(ds.labels == label)

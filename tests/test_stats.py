@@ -242,11 +242,30 @@ class TestTails:
              2.0 * float(scipy.special.stdtr(n - 2, -abs(t_of(r, n)))))
             for n in SWEEP_N for r in SWEEP_R) < 1e-10
 
-    def test_normal_tail_matches_scipy_ndtr(self):
-        zs = np.linspace(-40.0, 40.0, 8001).tolist()
-        assert worst_relative_error(
-            (stats._normal_pvalue(z), 2.0 * float(scipy.special.ndtr(-abs(z))))
-            for z in zs) < 1e-10
+    def test_kendall_normal_tail_matches_scipy_ndtr(self):
+        # without ties, var(S) = n(n-1)(2n+5)/18 and z = S / sqrt(var(S));
+        # sorted and reversed y reach |z| of about 1.5 sqrt(n), up to 39 at
+        # n = 700, and partly shuffled y fill in the small |z|
+        rng = np.random.default_rng(19)
+        cases = []
+        for n in range(3, 701, 3):
+            y = np.arange(n)
+            cases += [y, y[::-1]]
+        for n in (10, 50, 200, 600):
+            for swaps in (1, 3, 10, 30, 100, 300):
+                y = np.arange(n)
+                for i, j in rng.integers(0, n, size=(swaps, 2)):
+                    y[[i, j]] = y[[j, i]]
+                cases.append(y)
+        pairs = []
+        for y in cases:
+            n = y.size
+            s = sum(int(np.sign(y[i + 1:] - y[i]).sum()) for i in range(n))
+            z = s / math.sqrt(n * (n - 1) * (2 * n + 5) / 18.0)
+            pairs.append((kendall(np.arange(n), y).p_value,
+                          2.0 * float(scipy.special.ndtr(-abs(z)))))
+        assert max(abs(math.log(p)) for p, _ in pairs if p > 0.0) > 600.0
+        assert worst_relative_error(pairs) < 1e-10
 
     @pytest.mark.parametrize("nu,closed_form", [
         # 1 - (2/pi) atan|t| and 1 - |t| / sqrt(2 + t^2), in forms that do
@@ -267,7 +286,8 @@ class TestTails:
         report = pearson(x, y)
         assert report.coefficient == 0.0 and report.p_value == 1.0
         assert all(stats._t_pvalue(0.0, n) == 1.0 for n in (3, 4, 500))
-        assert stats._normal_pvalue(0.0) == 1.0
+        # 3 concordant and 3 discordant pairs: S = 0, so z = 0
+        assert kendall([1, 2, 3, 4], [2, 4, 1, 3]).p_value == 1.0
 
     def test_t_tail_non_increasing_in_t(self):
         # across the meeting point of the two branches, near |t| = sqrt(3)
