@@ -117,20 +117,19 @@ def _ranked_changes(V: np.ndarray, X0b: np.ndarray, width: int):
     Ties go to the lower feature index.  Returns (order, counts): the first
     counts[r] <= width entries of the (rows, width) order[r] are row r's
     first additions in rank order and the rest are -1.
-    Only the additions are sorted, so the cost follows their number rather
-    than the dimension.
+    One stable sort per row ranks every feature by -V, the non-additions
+    keyed +inf so that they sort last; being stable, it keeps equal moves
+    in index order.
     """
-    rows, cols = np.nonzero((V >= 0.5) & ~X0b)
-    counts = np.bincount(rows, minlength=V.shape[0])
-    # lexsort is stable and np.nonzero lists columns in ascending order, so
-    # equal moves keep the lower index first.
-    key = np.lexsort((-V[rows, cols], rows))
-    rows, cols = rows[key], cols[key]
-    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
-    kept = rank < width
+    additions = (V >= 0.5) & ~X0b
+    counts = np.minimum(additions.sum(axis=1), width)
+    ranked = np.argsort(np.where(additions, -V, np.inf), axis=1,
+                        kind="stable")[:, :width]
+    # width may exceed d: the columns past d stay -1
     order = np.full((V.shape[0], width), -1, dtype=np.intp)
-    order[rows[kept], rank[kept]] = cols[kept]
-    return order, np.minimum(counts, width)
+    order[:, :ranked.shape[1]] = np.where(
+        np.arange(ranked.shape[1]) < counts[:, None], ranked, -1)
+    return order, counts
 
 
 def _prefix_changes(order: np.ndarray, counts: np.ndarray, epsilon):

@@ -13,6 +13,7 @@ matrix whose float64 copy would exceed 1 GiB.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,11 @@ import numpy as np
 # The largest sample matrix a dataset may hold, counted as the float64 copy
 # that scoring and training take of it: 1 GiB.
 _MAX_FLOAT64_BYTES = 2 ** 30
+
+# One data line, stripped: its label, then " <idx>:1" pairs whose indices
+# are ASCII digits (int() would also take "1_0", "+3" and other scripts'
+# digits).  \s is the whitespace str.split() splits on.
+_DATA_LINE = re.compile(r"([+-]?1)((?:\s+[0-9]+:1)*)")
 
 
 class DatasetFormatError(ValueError):
@@ -33,12 +39,13 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def _check_size(n: int, d: int, error=ValueError) -> None:
-    """Raise ``error`` before an (n, d) sample matrix whose float64 copy
-    would exceed _MAX_FLOAT64_BYTES is built."""
+def _check_size(n: int, d: int, error=ValueError,
+                what: str = "sample matrix") -> None:
+    """Raise ``error`` before an (n, d) ``what`` whose float64 copy would
+    exceed _MAX_FLOAT64_BYTES is built."""
     nbytes = 8 * n * d
     if nbytes > _MAX_FLOAT64_BYTES:
-        raise error(f"an (n={n}, d={d}) sample matrix takes {nbytes} bytes "
+        raise error(f"an (n={n}, d={d}) {what} takes {nbytes} bytes "
                     f"as float64, over the {_MAX_FLOAT64_BYTES}-byte limit")
 
 
@@ -141,56 +148,86 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
                                                       cfg.n_malware]))
 
 
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _fits_intp(digits: str) -> bool:
+    try:
+        return int(digits) <= np.iinfo(np.intp).max
+    except ValueError:  # more digits than int() converts
+        return False
+
+
+def _bad_data_line(line: str, line_number: int):
+    """Raise the DatasetFormatError that names the first bad token of a
+    stripped data line that _DATA_LINE does not match."""
+    tokens = line.split()
+    if tokens[0] not in ("+1", "1", "-1"):
+        raise DatasetFormatError(
+            f"label must be +1 or -1, got {tokens[0]!r}", line_number)
+    for tok in tokens[1:]:
+        idx_s, sep, val_s = tok.partition(":")
+        if not sep:
+            raise DatasetFormatError(
+                f"expected index:value pair, got {tok!r}", line_number)
+        if not _ascii_digits(idx_s):
+            message = (f"negative feature index {idx_s}"
+                       if idx_s[:1] == "-" and _ascii_digits(idx_s[1:])
+                       else f"non-integer feature index {idx_s!r}")
+            raise DatasetFormatError(message, line_number)
+        if val_s != "1":
+            raise DatasetFormatError(
+                f"feature value must be 1, got {val_s!r}", line_number)
+    raise DatasetFormatError(f"malformed line {line!r}", line_number)
+
+
 def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
     """Parse the sparse text format: ``<label> <idx>:1 ...`` with ``#`` comments.
 
+    A label is ``+1``, ``1`` or ``-1`` and an index is ASCII digits.
     Repeated indices set one feature; the dimensionality is
-    max(d_hint, 1 + highest index seen).
+    max(d_hint, 1 + highest index seen).  Each line is matched whole by one
+    regex and its indices are kept as text; all of them are converted in
+    one numpy call at the end.  Only a line that does not match is split
+    into tokens, to name its first bad one.
     """
     labels: list[int] = []
-    rows: list[int] = []
-    cols: list[int] = []
+    line_numbers: list[int] = []
+    counts: list[int] = []
+    pairs: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            tokens = line.split()
-            label_tok = tokens[0]
-            if label_tok in ("+1", "1"):
-                label = 1
-            elif label_tok == "-1":
-                label = -1
-            else:
-                raise DatasetFormatError(
-                    f"label must be +1 or -1, got {label_tok!r}", line_no)
-            for tok in tokens[1:]:
-                idx_s, sep, val_s = tok.partition(":")
-                if not sep:
-                    raise DatasetFormatError(
-                        f"expected index:value pair, got {tok!r}", line_no)
-                try:
-                    idx = int(idx_s)
-                except ValueError:
-                    raise DatasetFormatError(
-                        f"non-integer feature index {idx_s!r}", line_no) from None
-                if idx < 0:
-                    raise DatasetFormatError(
-                        f"negative feature index {idx}", line_no)
-                if val_s != "1":
-                    raise DatasetFormatError(
-                        f"feature value must be 1, got {val_s!r}", line_no)
-                rows.append(len(labels))
-                cols.append(idx)
-            labels.append(label)
+            match = _DATA_LINE.fullmatch(line)
+            if match is None:
+                _bad_data_line(line, line_no)
+            labels.append(-1 if match[1] == "-1" else 1)
+            line_numbers.append(line_no)
+            counts.append(match[2].count(":"))
+            pairs.append(match[2])
 
-    d = max(d_hint or 0, max(cols, default=-1) + 1)
+    # every pair is "<idx>:1", so dropping ":1" leaves the indices
+    tokens = "".join(pairs).replace(":1", "").split()
+    try:
+        cols = np.array(tokens, dtype=np.intp)
+    except (OverflowError, ValueError):
+        # numpy converts each index with int(): name the first one that is
+        # past the intp range or past int()'s limit on digits
+        bad = next(k for k, tok in enumerate(tokens) if not _fits_intp(tok))
+        row = np.searchsorted(np.cumsum(counts), bad, side="right")
+        raise DatasetFormatError(
+            f"feature index {tokens[bad]} does not fit in an intp",
+            line_numbers[row]) from None
+    d = max(d_hint or 0, int(cols.max()) + 1 if cols.size else 0)
     if d < 1:
         raise DatasetFormatError(
             "empty dataset and no d_hint given; dimensionality is undefined")
     _check_size(len(labels), d, DatasetFormatError)
     samples = np.zeros((len(labels), d), dtype=bool)
-    samples[rows, cols] = True
+    samples[np.repeat(np.arange(len(labels)), counts), cols] = True
     return LabeledDataset(samples, labels)
 
 

@@ -8,6 +8,7 @@ path-integral attribution both rely on.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,10 +16,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .featurespace import _MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows
+from .featurespace import (_MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows,
+                           _check_size)
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
+# Values per (rows, n_sv) float64 temporary when a kernel model scores a
+# dataset: 512 KiB.
+_SCORE_BLOCK_VALUES = 2 ** 16
 
 
 class ModelFormatError(ValueError):
@@ -375,7 +380,27 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
 
 
 def _dataset_scores(model: TrainedModel, ds: LabeledDataset) -> np.ndarray:
-    return model.decision_batch(_binary_rows(ds.samples, model.d))
+    """decision_batch over a dataset's rows, a block of rows at a time on a
+    kernel model.
+
+    A block's (rows, n_sv) float64 temporaries hold at most
+    _SCORE_BLOCK_VALUES values, whatever n.  The scores are bitwise one
+    decision_batch call's: with 0/1 rows and support vectors every squared
+    distance is a small integer, which the matrix product and the row sums
+    give exactly whatever rows share a call, and the exp, the weighting and
+    each row's sum read that row alone.  A linear model is scored in one
+    call, because its matrix-vector product need not round a row the same
+    in every batch.
+    """
+    X = _binary_rows(ds.samples, model.d, bool)
+    if isinstance(model, LinearModel):
+        return model.decision_batch(X.astype(np.float64))
+    block = max(1, _SCORE_BLOCK_VALUES // model.support_vectors.shape[0])
+    scores = np.empty(len(X))
+    for first in range(0, len(X), block):
+        scores[first:first + block] = model.decision_batch(
+            X[first:first + block].astype(np.float64))
+    return scores
 
 
 def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
@@ -480,17 +505,47 @@ def save_model(model: TrainedModel, path) -> None:
         fh.write("\n")
 
 
-def _index_list(indices, d: int, what: str) -> np.ndarray:
-    """A stored index list, checked strictly increasing and inside [0, d):
-    numpy would wrap a negative index onto a column from the end."""
-    ix = np.asarray(indices, dtype=np.intp)
-    if ix.ndim != 1 or np.any(np.diff(ix) <= 0) or np.any((ix < 0) | (ix >= d)):
-        raise ModelFormatError(f"{what}: indices must be strictly increasing "
-                               f"and lie in [0, {d})")
-    return ix
+def _index_list_ok(ix, d: int) -> bool:
+    """Whether a stored index list is a list of ints (not bools), strictly
+    increasing and inside [0, d)."""
+    return (type(ix) is list and all(type(i) is int for i in ix)
+            and all(a < b for a, b in zip([-1, *ix], [*ix, d])))
+
+
+def _index_lists(lists: list, d: int, what: str):
+    """(rows, cols) of every entry of the stored index lists: lists[r] holds
+    the columns of row r.  Each list must be a JSON array of integers,
+    strictly increasing and inside [0, d): numpy would wrap a negative index
+    onto a column from the end, and would take a float, a bool or a string
+    as an index.  The lists are flattened once and checked as one array;
+    only when a check fails are they checked one by one, to name the first
+    bad one as ``what.format(r)``.
+    """
+    if {list}.issuperset(map(type, lists)):
+        flat = list(itertools.chain.from_iterable(lists))
+        # bool is a subclass of int, so the types are compared exactly
+        if {int}.issuperset(map(type, flat)):
+            rows = np.repeat(np.arange(len(lists)), list(map(len, lists)))
+            try:
+                cols = np.array(flat, dtype=np.intp)
+            except OverflowError:  # past the intp range, so past d
+                pass
+            else:
+                if (((np.diff(cols) > 0) | (np.diff(rows) > 0)).all()
+                        and (cols >= 0).all() and (cols < d).all()):
+                    return rows, cols
+    bad = next(r for r, ix in enumerate(lists) if not _index_list_ok(ix, d))
+    raise ModelFormatError(f"{what.format(bad)}: indices must be integers, "
+                           f"strictly increasing and in [0, {d})")
 
 
 def load_model(path) -> TrainedModel:
+    """Read a model file that save_model wrote.
+
+    ``d`` and every feature index must be JSON integers (a bool is not
+    one), and the weights or support vectors are refused, before they are
+    allocated, when their float64 array would exceed _MAX_FLOAT64_BYTES.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -505,18 +560,24 @@ def load_model(path) -> TrainedModel:
             f"(expected {MODEL_FORMAT_VERSION})")
     try:
         kind = doc["kind"]
-        d = int(doc["d"])
+        d = doc["d"]
+        if type(d) is not int or d < 1:
+            raise ModelFormatError(f"d must be an integer >= 1, got {d!r}")
         bias = float(doc["bias"])
         if kind == "linear":
-            w = np.zeros(d)
+            _check_size(1, d, ModelFormatError, "weight vector")
             pairs = doc["weights"]
-            w[_index_list([i for i, _ in pairs], d, "weights")] = [
-                float(v) for _, v in pairs]
+            _, cols = _index_lists([[i for i, _ in pairs]], d, "weights")
+            w = np.zeros(d)
+            w[cols] = [float(v) for _, v in pairs]
             return LinearModel(w, bias, doc.get("training", {}))
         if kind == "rbf":
-            svs = np.zeros((len(doc["support_vectors"]), d))
-            for row, ix in enumerate(doc["support_vectors"]):
-                svs[row, _index_list(ix, d, f"support vector {row}")] = 1.0
+            lists = doc["support_vectors"]
+            _check_size(len(lists), d, ModelFormatError,
+                        "support-vector matrix")
+            rows, cols = _index_lists(lists, d, "support vector {}")
+            svs = np.zeros((len(lists), d))
+            svs[rows, cols] = 1.0
             coeffs = np.asarray(doc["dual_coeffs"], dtype=np.float64)
             return KernelModel(svs, coeffs, bias, float(doc["gamma"]),
                                doc.get("training", {}))

@@ -560,6 +560,55 @@ class TestRankedProjection:
             prev = cur
 
 
+def lexsort_ranked_changes(V, X0b, width):
+    """The ranking as first written, kept as the oracle of the engine's:
+    the additions' (row, col) by np.nonzero, ordered by a stable lexsort on
+    (row, -V) (np.nonzero lists columns ascending, so ties keep the lower
+    index first), and scattered into a (rows, width) table padded with -1."""
+    rows, cols = np.nonzero((V >= 0.5) & ~X0b)
+    counts = np.bincount(rows, minlength=V.shape[0])
+    key = np.lexsort((-V[rows, cols], rows))
+    rows, cols = rows[key], cols[key]
+    rank = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]
+    kept = rank < width
+    order = np.full((V.shape[0], width), -1, dtype=np.intp)
+    order[rows[kept], rank[kept]] = cols[kept]
+    return order, np.minimum(counts, width)
+
+
+class TestRankedChanges:
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    def test_matches_lexsort_oracle(self, d):
+        rng = np.random.default_rng(d)
+        n = 40
+        X0b = rng.random((n, d)) < 0.3
+        X0b[0] = True    # every feature present: no addition possible
+        X0b[1] = False
+        # a coarse lattice of moves gives exact ties; row 1 has no addition
+        V = np.maximum(rng.integers(0, 5, size=(n, d)) / 4.0, X0b)
+        V[1] = 0.25
+        V[2] = np.maximum(0.75, X0b[2])  # every addition of row 2 ties
+        for width in sorted({1, 2, max(1, d // 2), d, d + 1, 2 * d + 3}):
+            got = attack_mod._ranked_changes(V, X0b, width)
+            want = lexsort_ranked_changes(V, X0b, width)
+            assert got[0].dtype == want[0].dtype
+            assert got[0].shape == (n, width)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert (got[1][:2] == 0).all() and (got[0][:2] == -1).all()
+
+    def test_real_valued_moves_match_oracle(self):
+        # shadow-pass iterates: clipped real values, ties only by accident
+        rng = np.random.default_rng(5)
+        X0b = rng.random((60, 150)) < 0.2
+        V = np.clip(rng.normal(0.45, 0.2, size=X0b.shape), X0b, 1.0)
+        for width in (1, 3, 8, 50, 150, 160):
+            got = attack_mod._ranked_changes(V, X0b, width)
+            want = lexsort_ranked_changes(V, X0b, width)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
 class TestNestedScores:
     def test_nested_scores_equal_materialised_points(self):
         rng = np.random.default_rng(4)

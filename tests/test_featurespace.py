@@ -88,6 +88,53 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError):
             load_dataset(_write(tmp_path, "+1 x:1\n"))
 
+    @pytest.mark.parametrize("line,message", [
+        ("+2 1:1", "label must be +1 or -1, got '+2'"),
+        ("1 4:1 7", "expected index:value pair, got '7'"),
+        ("-1 x:1", "non-integer feature index 'x'"),
+        ("-1 -3:1", "negative feature index -3"),
+        ("+1 2:1 5:0.5", "feature value must be 1, got '0.5'"),
+        # Python literal syntax and other scripts' digits, which int()
+        # takes, are no ASCII-digit index
+        ("+1 1_0:1", "non-integer feature index '1_0'"),
+        ("+1 +3:1", "non-integer feature index '+3'"),
+        ("+1 \u0661:1", "non-integer feature index '\u0661'"),
+        ("+1 3:1:1", "feature value must be 1, got '1:1'"),
+        ("-1 99999999999999999999:1",
+         "feature index 99999999999999999999 does not fit in an intp"),
+        pytest.param("-1 " + "9" * 5000 + ":1", "does not fit in an intp",
+                     id="5000-digits"),
+    ])
+    def test_bad_token_named_with_its_line(self, tmp_path, line, message):
+        path = _write(tmp_path, f"# header\n+1 1:1\n\n{line}\n-1 2:1\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(path)
+        assert err.value.line_number == 4
+        assert str(err.value).startswith("line 4: ")
+        assert message in str(err.value)
+
+    def test_whitespace_runs_separate_tokens(self, tmp_path):
+        # the separators str.split() takes: tabs, runs, other spaces
+        ds = load_dataset(_write(tmp_path,
+                                 " +1\t3:1  7:1\u00a00:1 \n-1\n1 0002:1\n"))
+        assert [active(x) for x in ds.samples] == [[0, 3, 7], [], [2]]
+        assert ds.labels.tolist() == [1, -1, 1]
+
+    def test_grammar_and_token_check_agree(self):
+        # every line the line pattern refuses has a bad token to name
+        rng = np.random.default_rng(0)
+        alphabet = ["1", "-1", "+1", "+2", "3", "12", ":", ":1", "1:1",
+                    "07:1", " ", "\t", "\u00a0", "-", "x", "_", "\u0661"]
+        for _ in range(3000):
+            line = "".join(rng.choice(alphabet, size=rng.integers(1, 8)))
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if featurespace._DATA_LINE.fullmatch(line) is None:
+                with pytest.raises(DatasetFormatError) as err:
+                    featurespace._bad_data_line(line, 1)
+                assert "malformed line" not in str(err.value)
+
     def test_d_hint_expands_dimension(self, tmp_path):
         ds = load_dataset(_write(tmp_path, "+1 2:1\n"), d_hint=10)
         assert ds.d == 10

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from evadelab import featurespace
 from evadelab import models as models_mod
 from evadelab.explain import attribution_gradient
 from evadelab.featurespace import (LabeledDataset, SyntheticConfig,
@@ -309,6 +310,43 @@ class TestPresetTrainersPinned:
         assert tuple(model.meta.get("epoch_objective", ())) == objective
 
 
+class TestDatasetScores:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_blocks_score_as_one_call(self, monkeypatch, n):
+        # two rows a block: the scores are one decision_batch call's bits
+        rng = np.random.default_rng(n)
+        model = random_kernel_model(rng, 12, 7)
+        monkeypatch.setattr(models_mod, "_SCORE_BLOCK_VALUES", 2 * 7)
+        ds = LabeledDataset(rng.random((n, 12)) < 0.5, np.ones(n, dtype=int))
+        whole = model.decision_batch(ds.samples.astype(np.float64))
+        assert np.array_equal(models_mod._dataset_scores(model, ds), whole)
+
+    def test_criterion8_blocks_score_as_one_call(self):
+        train = criterion8_train()
+        spec = PRESETS["svm-rbf"]
+        model = train_rbf_svm(train, spec.reg, spec.gamma,
+                              spec._train_config(0))
+        assert train.n > models_mod._SCORE_BLOCK_VALUES // len(
+            model.support_vectors)  # more than one block
+        whole = model.decision_batch(train.samples.astype(np.float64))
+        assert np.array_equal(models_mod._dataset_scores(model, train), whole)
+
+    def test_memory_follows_the_block_not_n(self):
+        # n = 4,000 rows against 500 support vectors: one (n, n_sv) float64
+        # array is 16 MB, a block's 512 KiB
+        rng = np.random.default_rng(0)
+        model = random_kernel_model(rng, 20, 500)
+        ds = LabeledDataset(rng.random((4000, 20)) < 0.5,
+                            np.ones(4000, dtype=int))
+        tracemalloc.start()
+        try:
+            models_mod._dataset_scores(model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * models_mod._SCORE_BLOCK_VALUES
+
+
 class TestDetectionRate:
     def _model_for_scores(self):
         # identity scoring: feature i present -> score = i (one-hot samples)
@@ -482,10 +520,16 @@ class TestPersistence:
         assert loaded.support_vectors.dtype == np.float64
         assert np.array_equal(loaded.support_vectors, m.support_vectors)
 
-    @pytest.mark.parametrize("indices", [[-1], [5], [3, 1], [2, 2]])
+    # JSON values that are no integer index (a bool is no integer here, and
+    # 10**20 is past the intp range)
+    NON_INDICES = [0.5, True, "1", 10 ** 20, [1]]
+
+    @pytest.mark.parametrize("indices", [[-1], [5], [3, 1], [2, 2]]
+                             + [[bad] for bad in NON_INDICES] + [3, None])
     def test_bad_support_vector_indices_rejected(self, tmp_path, indices):
-        # negative, >= d, decreasing, repeated: a negative index would
-        # otherwise land silently on column d - 1
+        # negative, >= d, decreasing, repeated, not an integer, not a list:
+        # a negative index would otherwise land silently on column d - 1,
+        # and 0.5 on column 0
         path = tmp_path / "rbf.json"
         save_model(random_kernel_model(np.random.default_rng(3), 5, 2), path)
         doc = json.loads(path.read_text())
@@ -494,8 +538,20 @@ class TestPersistence:
         with pytest.raises(ModelFormatError, match="support vector 1"):
             load_model(path)
 
+    def test_first_bad_support_vector_named(self, tmp_path):
+        path = tmp_path / "rbf.json"
+        save_model(random_kernel_model(np.random.default_rng(3), 5, 5), path)
+        doc = json.loads(path.read_text())
+        doc["support_vectors"][1] = [4, 2]
+        doc["support_vectors"][3] = [-1]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError,
+                           match=r"^support vector 1: .* \[0, 5\)$"):
+            load_model(path)
+
     @pytest.mark.parametrize("pairs", [[[-1, 0.5]], [[3, 0.5]],
-                                       [[2, 0.5], [0, 1.0]]])
+                                       [[2, 0.5], [0, 1.0]]]
+                             + [[[bad, 0.5]] for bad in NON_INDICES])
     def test_bad_weight_indices_rejected(self, tmp_path, pairs):
         path = tmp_path / "linear.json"
         save_model(LinearModel(np.array([0.5, 0.0, -1.0]), 0.0), path)
@@ -503,6 +559,58 @@ class TestPersistence:
         doc["weights"] = pairs
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="weights"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    @pytest.mark.parametrize("d", [4.9, 4.0, True, "4", None, 0, -1])
+    def test_non_integer_or_small_d_rejected(self, tmp_path, kind, d):
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.array([0.5, 0.0, -1.0, 0.0]), 0.0)
+                   if kind == "linear"
+                   else random_kernel_model(np.random.default_rng(3), 4, 2),
+                   path)
+        doc = json.loads(path.read_text())
+        doc["d"] = d
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="d must be an integer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind,d,what,nbytes", [
+        ("linear", 2 ** 27 + 1, r"\(n=1, d=134217729\) weight vector",
+         2 ** 30 + 8),
+        ("rbf", 10 ** 10, r"\(n=2, d=10000000000\) support-vector matrix",
+         16 * 10 ** 10)])
+    def test_oversized_model_fails_fast(self, tmp_path, kind, d, what, nbytes):
+        # refused before the weights or support vectors are allocated
+        path = tmp_path / "model.json"
+        save_model(LinearModel(np.array([0.5, 0.0, -1.0]), 0.0)
+                   if kind == "linear"
+                   else random_kernel_model(np.random.default_rng(3), 3, 2),
+                   path)
+        doc = json.loads(path.read_text())
+        doc["d"] = d
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError,
+                               match=f"{what} takes {nbytes} bytes"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_size_limit_is_inclusive(self, tmp_path, monkeypatch):
+        # (2, 5) support vectors are 80 bytes as float64: at the limit the
+        # model loads, one more feature does not
+        monkeypatch.setattr(featurespace, "_MAX_FLOAT64_BYTES", 80)
+        path = tmp_path / "rbf.json"
+        save_model(random_kernel_model(np.random.default_rng(3), 5, 2), path)
+        assert load_model(path).d == 5
+        doc = json.loads(path.read_text())
+        doc["d"] = 6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="96 bytes"):
             load_model(path)
 
     @pytest.mark.parametrize("field,value", [("dual_coeffs", float("nan")),
