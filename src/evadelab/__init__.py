@@ -18,5 +18,4 @@ from .robustness import RobustnessScore, robustness_from_scores
 from .stats import (CorrelationReport, correlation_suite, kendall, pearson,
                     spearman)
 from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig,
-                       ExperimentReport, emit_scatter_data, grid_cv,
-                       run_experiment)
+                       ExperimentReport, grid_cv, run_experiment)

@@ -467,7 +467,8 @@ def _roc_points(scores: np.ndarray,
 
 
 def auc(points: list[tuple[float, float]]) -> float:
-    """Trapezoidal area under an ROC point list sorted by fpr."""
+    """Trapezoidal area under a list of ROC (fpr, tpr) points, in any
+    order: the points are sorted by fpr, then tpr, first."""
     arr = np.asarray(points, dtype=np.float64)
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     arr = arr[order]
@@ -539,12 +540,22 @@ def _index_lists(lists: list, d: int, what: str):
                            f"strictly increasing and in [0, {d})")
 
 
+def _json_floats(values, what: str) -> list[float]:
+    """The stored numbers ``values`` as floats.  Each must be a JSON int or
+    float: float() would also take a numeric string or a bool."""
+    bad = [v for v in values if type(v) not in (int, float)]
+    if bad:
+        raise ModelFormatError(f"{what}: {bad[0]!r} is not a JSON number")
+    return [float(v) for v in values]
+
+
 def load_model(path) -> TrainedModel:
     """Read a model file that save_model wrote.
 
-    ``d`` and every feature index must be JSON integers (a bool is not
-    one), and the weights or support vectors are refused, before they are
-    allocated, when their float64 array would exceed _MAX_FLOAT64_BYTES.
+    ``d`` and every feature index must be JSON integers, every other number
+    a JSON int or float (a bool or a string is neither), and the weights or
+    support vectors are refused, before they are allocated, when their
+    float64 array would exceed _MAX_FLOAT64_BYTES.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -554,7 +565,7 @@ def load_model(path) -> TrainedModel:
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported model format version {version!r} "
             f"(expected {MODEL_FORMAT_VERSION})")
@@ -563,13 +574,13 @@ def load_model(path) -> TrainedModel:
         d = doc["d"]
         if type(d) is not int or d < 1:
             raise ModelFormatError(f"d must be an integer >= 1, got {d!r}")
-        bias = float(doc["bias"])
+        (bias,) = _json_floats([doc["bias"]], "bias")
         if kind == "linear":
             _check_size(1, d, ModelFormatError, "weight vector")
             pairs = doc["weights"]
             _, cols = _index_lists([[i for i, _ in pairs]], d, "weights")
             w = np.zeros(d)
-            w[cols] = [float(v) for _, v in pairs]
+            w[cols] = _json_floats([v for _, v in pairs], "weights")
             return LinearModel(w, bias, doc.get("training", {}))
         if kind == "rbf":
             lists = doc["support_vectors"]
@@ -578,11 +589,14 @@ def load_model(path) -> TrainedModel:
             rows, cols = _index_lists(lists, d, "support vector {}")
             svs = np.zeros((len(lists), d))
             svs[rows, cols] = 1.0
-            coeffs = np.asarray(doc["dual_coeffs"], dtype=np.float64)
-            return KernelModel(svs, coeffs, bias, float(doc["gamma"]),
+            coeffs = np.asarray(_json_floats(doc["dual_coeffs"],
+                                             "dual_coeffs"))
+            (gamma,) = _json_floats([doc["gamma"]], "gamma")
+            return KernelModel(svs, coeffs, bias, gamma,
                                doc.get("training", {}))
         raise ModelFormatError(f"unknown model kind {kind!r}")
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError,
+            OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc

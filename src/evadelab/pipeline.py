@@ -5,8 +5,8 @@ decision threshold at the configured false-positive budget, attacks the
 malicious test samples over the budget grid, and derives the security curve,
 the robustness score, per-sample attribution evenness, and the correlation
 table from that single attack pass.  Evenness is computed on the attacked
-malware only, so the summary and scatter averages cover the same samples
-that the correlations pair with robustness.  Everything is seeded, so a
+malware only, so the summary averages cover the same samples that the
+correlations pair with robustness.  Everything is seeded, so a
 rerun with the same config reproduces every output file byte for byte.
 
 Every table goes through csv.writer except the largest, each cell's
@@ -114,6 +114,13 @@ PRESETS: dict[str, ClassifierSpec] = {
 }
 
 
+def _check_int(name: str, value) -> None:
+    """Refuse a config value that is not an int: a bool, a float or a str
+    is not one, so none is cast or truncated into one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     classifiers: tuple[ClassifierSpec, ...]
@@ -131,6 +138,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.classifiers:
             raise ValueError("classifier roster must be non-empty")
+        for name in ("seed", "repetitions", "ig_p", "evenness_m",
+                     "n_attack_samples", "attack_max_iters"):
+            _check_int(name, getattr(self, name))
+        for eps in self.eps_grid:
+            _check_int("eps_grid budget", eps)
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if (self.dataset_path is None) == (self.synthetic is None):
@@ -197,12 +209,12 @@ class ExperimentConfig:
                 raise ValueError(f"unknown preset {entry['preset']!r}; "
                                  f"expected one of {tuple(PRESETS)}")
         kwargs = dict(doc)
-        if grid is not None:
-            if isinstance(grid, dict):
-                kwargs["eps_grid"] = tuple(range(int(grid["start"]),
-                                                 int(grid["stop"]) + 1))
-            else:
-                kwargs["eps_grid"] = tuple(int(e) for e in grid)
+        if isinstance(grid, dict):
+            for key in _GRID_KEYS:
+                _check_int(f"eps_grid {key}", grid[key])
+            kwargs["eps_grid"] = tuple(range(grid["start"], grid["stop"] + 1))
+        elif grid is not None:
+            kwargs["eps_grid"] = tuple(grid)
         return cls(
             classifiers=tuple(specs),
             dataset_path=dataset_path,
@@ -341,26 +353,22 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     return cell
 
 
-def _evenness_robustness_pairs(cell: ClassifierCell, method: str,
-                               metric: str) -> list[tuple[int, float, float]]:
-    """(row, evenness, robustness) of each attacked sample of a cell whose
-    evenness is defined."""
-    rpt = cell.evenness[method]
-    per_sample = rpt.per_sample_e1 if metric == "e1" else rpt.per_sample_e2
-    return [(row, e, float(r)) for row, (e, r)
-            in enumerate(zip(per_sample, cell.robust.per_sample))
-            if e is not None]
-
-
 def _correlation_entries(cells: list[ClassifierCell], method: str,
                          metric: str, **lead) -> list[dict]:
     """The correlation suite over the cells' pooled (evenness, robustness)
-    pairs, one entry per coefficient carrying ``lead``; none below 3 pairs."""
-    pairs = [pair for cell in cells
-             for pair in _evenness_robustness_pairs(cell, method, metric)]
-    if len(pairs) < 3:
+    pairs, one per attacked sample whose evenness is defined, one entry per
+    coefficient carrying ``lead``; none below 3 pairs."""
+    xs, ys = [], []
+    for cell in cells:
+        even = cell.evenness[method]
+        per_sample = (even.per_sample_e1 if metric == "e1"
+                      else even.per_sample_e2)
+        for e, r in zip(per_sample, cell.robust.per_sample):
+            if e is not None:
+                xs.append(e)
+                ys.append(r)
+    if len(xs) < 3:
         return []
-    _, xs, ys = zip(*pairs)
     return [{**lead, "attribution": method, "metric": metric, "report": rpt}
             for rpt in correlation_suite(xs, ys)]
 
@@ -536,15 +544,6 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
                    ["eps", "mean_detection_rate"],
                    zip(cfg.eps_grid, rates.mean(axis=0)))
 
-    # no scatter without a successful cell; the manifest still gets written
-    scatter_dir = out / "scatter"
-    for method in ATTRIBUTION_METHODS if report.ok_cells() else ():
-        for metric in EVENNESS_METRICS:
-            emit_scatter_data(report, method, metric, "robustness",
-                              scatter_dir / f"samples_{method}_{metric}.csv")
-            emit_scatter_data(report, method, metric, "detection_rate",
-                              scatter_dir / f"classifiers_{method}_{metric}.csv")
-
     manifest = {
         "package_version": __version__,
         "config": cfg.to_dict(),
@@ -572,59 +571,6 @@ def _write_artifacts(report: ExperimentReport, out: Path) -> None:
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def emit_scatter_data(report: ExperimentReport, attribution: str, metric: str,
-                      y: str = "robustness", out_path: str | Path | None = None
-                      ) -> list[list]:
-    """Plot-ready rows pairing evenness with robustness or detection rate.
-
-    y="robustness" emits one row per attacked sample (classifier, rep,
-    sample_id, evenness, robustness); y="detection_rate" emits one row per
-    classifier (classifier, the attacked malware's averaged evenness, the
-    security curve's area), each averaged over repetitions.
-    """
-    if attribution not in ATTRIBUTION_METHODS:
-        raise ValueError(f"unknown attribution {attribution!r}; expected one "
-                         f"of {ATTRIBUTION_METHODS}")
-    if metric not in EVENNESS_METRICS:
-        raise ValueError(f"metric must be one of {EVENNESS_METRICS}")
-    cells = report.ok_cells()
-    if not cells:
-        raise ValueError("report has no successful cells")
-
-    if y == "robustness":
-        rows = []
-        for cell in cells:
-            for row, e, r in _evenness_robustness_pairs(cell, attribution,
-                                                        metric):
-                rows.append([cell.spec.name, cell.rep, cell.sample_ids[row],
-                             e, r])
-        header = ["classifier", "rep", "sample_id", f"evenness_{metric}",
-                  "robustness"]
-    elif y == "detection_rate":
-        rows = []
-        for spec in report.config.classifiers:
-            matching = report.ok_cells(spec.name)
-            if not matching:
-                continue
-            evens = []
-            drs = []
-            for cell in matching:
-                rpt = cell.evenness[attribution]
-                evens.append(rpt.averaged_e1 if metric == "e1"
-                             else rpt.averaged_e2)
-                drs.append(cell.curve.area())
-            rows.append([spec.name, math.fsum(evens) / len(evens),
-                         math.fsum(drs) / len(drs)])
-        header = ["classifier", f"avg_evenness_{metric}",
-                  "mean_detection_rate_under_attack"]
-    else:
-        raise ValueError("y must be 'robustness' or 'detection_rate'")
-
-    if out_path is not None:
-        _write_csv(out_path, header, rows)
-    return rows
 
 
 def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,

@@ -64,7 +64,7 @@ def robustness_from_scores(adv_scores: np.ndarray, eps_grid,
 
     Attacked samples keep their malicious label (+1) whether or not the
     attack succeeded.  The per-sample vector holds each sample's mean of
-    exp(-loss) over the grid, for scatter and correlation use.
+    exp(-loss) over the grid, for the per-sample table and the correlations.
     """
     eps_grid = tuple(int(e) for e in eps_grid)
     _check_grid(eps_grid)

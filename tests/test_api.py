@@ -24,7 +24,7 @@ EXPORTED = {
     "UndefinedEvennessError", "attack_scores_over_grid",
     "attribution_gradient", "attribution_gradient_input",
     "attribution_integrated_gradients", "auc", "correlation_suite",
-    "detection_rate_at_fpr", "emit_scatter_data",
+    "detection_rate_at_fpr",
     "epsilon_min", "epsilon_min_batch", "evenness_e1", "evenness_e2",
     "evenness_report", "generate_synthetic",
     "grid_cv", "kendall", "load_dataset", "load_model",

@@ -630,6 +630,46 @@ class TestPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def _saved(self, tmp_path, kind):
+        rng = np.random.default_rng(3)
+        model = (LinearModel(rng.normal(size=6), -0.3, {}) if kind == "linear"
+                 else random_kernel_model(rng, 8, 3))
+        path = tmp_path / f"{kind}.json"
+        save_model(model, path)
+        return model, path
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_round_trip_is_bitwise(self, tmp_path, kind):
+        model, path = self._saved(tmp_path, kind)
+        loaded = load_model(path)
+        assert loaded.bias == model.bias
+        if kind == "linear":
+            assert np.array_equal(loaded.weights, model.weights)
+        else:
+            assert loaded.gamma == model.gamma
+            assert np.array_equal(loaded.dual_coeffs, model.dual_coeffs)
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("linear", "bias", "0.25"), ("rbf", "bias", True),
+        ("rbf", "gamma", "0.5"), ("rbf", "gamma", True),
+        ("linear", "weights", "2.5"), ("linear", "weights", True),
+        ("rbf", "dual_coeffs", "1"), ("rbf", "dual_coeffs", True),
+        ("linear", "format_version", True), ("rbf", "format_version", 1.0),
+        pytest.param("linear", "bias", 10 ** 400, id="linear-bias-1e400")])
+    def test_non_number_values_rejected(self, tmp_path, kind, field, value):
+        # float() took a numeric string or a bool; 10**400 overflowed it
+        _, path = self._saved(tmp_path, kind)
+        doc = json.loads(path.read_text())
+        if field == "weights":
+            doc["weights"][0][1] = value
+        elif field == "dual_coeffs":
+            doc["dual_coeffs"][1] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
 
 class TestKernelModel:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -16,7 +16,7 @@ from evadelab.featurespace import SyntheticConfig, generate_synthetic, split
 from evadelab.models import detection_rate_at_fpr, roc_curve
 from evadelab.pipeline import (ATTRIBUTION_METHODS, PRESETS, ClassifierSpec,
                                ExperimentConfig, _attribution, _write_csv,
-                               emit_scatter_data, grid_cv, run_experiment)
+                               grid_cv, run_experiment)
 from evadelab.stats import correlation_suite
 
 SMALL_SYNTH = SyntheticConfig(d=80, n_benign=260, n_malware=260, n_strong=16,
@@ -47,6 +47,18 @@ def small_report(tmp_path_factory):
     return run_experiment(cfg, out_dir=out), out
 
 
+@pytest.fixture(scope="module")
+def two_rep_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("exp2")
+    return run_experiment(small_config(repetitions=2), out_dir=out), out
+
+
+def written(out) -> list[str]:
+    """Every file under ``out``, as sorted relative POSIX paths."""
+    return sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                  if p.is_file())
+
+
 class TestRunExperiment:
     def test_cells_complete(self, small_report):
         report, _ = small_report
@@ -71,23 +83,22 @@ class TestRunExperiment:
             assert (name, "gradient_input") in seen
             assert (name, "integrated_gradients") in seen
 
-    def test_artifact_files_written(self, small_report):
-        _, out = small_report
-        assert (out / "manifest.json").exists()
-        assert (out / "summary.csv").exists()
-        assert (out / "pooled_correlations.csv").exists()
-        for slug in ("svm", "sec_svm"):
-            for prefix in ("roc", "security_curve", "adv_scores", "samples",
-                           "correlations"):
-                assert (out / "rep0" / f"{prefix}_{slug}.csv").exists()
-            assert (out / f"security_curve_mean_{slug}.csv").exists()
-        assert (out / "scatter" / "samples_gradient_input_e1.csv").exists()
-        assert (out / "scatter" / "classifiers_integrated_gradients_e2.csv").exists()
+    def test_artifact_files_written(self, two_rep_report):
+        # every file a study writes: a table added or lost shows up here
+        _, out = two_rep_report
+        per_cell = [f"rep{rep}/{prefix}_{slug}.csv" for rep in (0, 1)
+                    for slug in ("svm", "sec_svm")
+                    for prefix in ("adv_scores", "correlations", "roc",
+                                   "samples", "security_curve")]
+        assert written(out) == sorted(
+            per_cell + ["manifest.json", "pooled_correlations.csv",
+                        "security_curve_mean_sec_svm.csv",
+                        "security_curve_mean_svm.csv", "summary.csv"])
 
-    def test_mean_curve_over_repetitions(self, tmp_path):
-        cfg = small_config(repetitions=2, classifiers=(PRESETS["svm"],))
-        report = run_experiment(cfg, out_dir=tmp_path / "mean")
-        with open(tmp_path / "mean" / "security_curve_mean_svm.csv") as fh:
+    def test_mean_curve_over_repetitions(self, two_rep_report):
+        report, out = two_rep_report
+        cfg = report.config
+        with open(out / "security_curve_mean_svm.csv") as fh:
             rows = list(csv.DictReader(fh))
         cells = report.ok_cells("svm")
         assert len(cells) == 2
@@ -154,10 +165,6 @@ class TestRunExperiment:
                     pass
             want = math.fsum(values) / len(values)
             assert float(summary[f"avg_e1_{method}"]) == want
-            scatter = emit_scatter_data(report, method, "e1",
-                                        "detection_rate")
-            assert scatter[0][1] == want
-            assert scatter[0][2] == cell.curve.area()
             assert float(summary["mean_dr_under_attack"]) == cell.curve.area()
 
     def test_one_attribution_call_per_cell_and_method(self, monkeypatch):
@@ -247,7 +254,8 @@ class TestRunExperiment:
         assert [c["error"] for c in manifest["cells"]] == [
             c.error for c in report.cells]
         assert all(c.error for c in report.cells)
-        assert not (tmp_path / "scatter").exists()
+        assert written(tmp_path) == ["manifest.json",
+                                     "pooled_correlations.csv", "summary.csv"]
         # each cell keeps its full traceback, which the manifest leaves out
         for cell in report.cells:
             assert cell.traceback.startswith(
@@ -342,32 +350,38 @@ class TestScoreTable:
             sample_ids, eps_grid, scores)
 
 
+def samples_tables(report, out) -> dict:
+    """Each cell's ``samples_<slug>.csv`` rows, keyed by sample id."""
+    tables = {}
+    for cell in report.cells:
+        path = out / f"rep{cell.rep}" / f"samples_{cell.spec.slug}.csv"
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables[cell.spec.name, cell.rep] = {
+                int(r["sample_id"]): r for r in csv.DictReader(fh)}
+    return tables
+
+
 class TestScatter:
+    """The pairs the paper plots, read from the tables that hold them:
+    per sample from ``samples_<slug>.csv``, per cell from ``summary.csv``."""
+
     def test_per_sample_mode(self, small_report):
-        report, _ = small_report
-        rows = emit_scatter_data(report, "gradient_input", "e1", "robustness")
-        assert rows
-        n_ok = sum(len(c.sample_ids) for c in report.cells)
-        assert len(rows) <= n_ok
-        for row in rows:
-            assert 0.0 <= row[3] <= 1.0  # evenness
-            assert 0.0 < row[4] <= 1.0   # robustness
+        report, out = small_report
+        tables = samples_tables(report, out)
+        for cell in report.cells:
+            rows = tables[cell.spec.name, cell.rep]
+            assert sorted(rows) == sorted(cell.sample_ids)
+            defined = [r for r in rows.values() if r["e1_gradient_input"]]
+            assert defined
+            for r in defined:
+                assert 0.0 <= float(r["e1_gradient_input"]) <= 1.0
+                assert 0.0 < float(r["robustness"]) <= 1.0
 
     def test_each_sample_keeps_its_own_values(self, small_report):
         # the samples CSV is written row by row, independently of the
-        # evenness/robustness pairing that scatter and correlations share
+        # evenness/robustness pairing that the correlations make
         report, out = small_report
-        samples = {}
-        for cell in report.cells:
-            path = out / f"rep{cell.rep}" / f"samples_{cell.spec.slug}.csv"
-            with open(path, newline="", encoding="utf-8") as fh:
-                samples[cell.spec.name, cell.rep] = {
-                    int(r["sample_id"]): r for r in csv.DictReader(fh)}
-        rows = emit_scatter_data(report, "gradient_input", "e1", "robustness")
-        for name, rep, sid, e, r in rows:
-            rec = samples[name, rep][sid]
-            assert (repr(e), repr(r)) == (rec["e1_gradient_input"],
-                                          rec["robustness"])
+        samples = samples_tables(report, out)
         for cell in report.cells:
             defined = [(float(r["e1_gradient_input"]), float(r["robustness"]))
                        for r in samples[cell.spec.name, cell.rep].values()
@@ -380,18 +394,24 @@ class TestScatter:
                         if e["attribution"] == "gradient_input"
                         and e["metric"] == "e1"] == want
 
-    def test_per_classifier_mode(self, small_report):
-        report, _ = small_report
-        rows = emit_scatter_data(report, "integrated_gradients", "e2",
-                                 "detection_rate")
-        assert [r[0] for r in rows] == ["svm", "sec-svm"]
-        for row in rows:
-            assert 0.0 <= row[2] <= 1.0
-
-    def test_missing_cell_rejected(self, small_report):
-        report, _ = small_report
-        with pytest.raises(ValueError):
-            emit_scatter_data(report, "gradient_input", "e3", "robustness")
+    def test_per_classifier_mode(self, two_rep_report):
+        # one summary row per repetition; a classifier's point is the mean
+        # of its rows' evenness average and security-curve area
+        report, out = two_rep_report
+        with open(out / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["rep"], r["classifier"]) for r in rows] == [
+            (str(c.rep), c.spec.name) for c in report.cells]
+        for name in ("svm", "sec-svm"):
+            cells = report.ok_cells(name)
+            pairs = [(float(r["avg_e2_integrated_gradients"]),
+                      float(r["mean_dr_under_attack"]))
+                     for r in rows if r["classifier"] == name]
+            assert pairs == [(c.evenness["integrated_gradients"].averaged_e2,
+                              c.curve.area()) for c in cells]
+            assert len(pairs) == 2
+            for e, area in pairs:
+                assert 0.0 <= e <= 1.0 and 0.0 <= area <= 1.0
 
 
 class TestConfigParsing:
@@ -520,11 +540,36 @@ class TestConfigParsing:
                                          {"n_attack_samples": 0},
                                          {"fpr": 1.5}, {"fpr": -0.5},
                                          {"attack_max_iters": 0},
-                                         {"eps_grid": (2, 2, 3)}])
+                                         {"eps_grid": (2, 2, 3)},
+                                         {"eps_grid": (1.0, 2.0)},
+                                         {"repetitions": True},
+                                         {"seed": np.int64(3)}])
     def test_study_settings_fail_fast(self, setting):
-        # each would otherwise fail every cell after training and attacking
+        # each would otherwise fail late, after training and attacking, or
+        # run another grid than the one asked for
         with pytest.raises(ValueError, match=next(iter(setting))):
             small_config(**setting)
+
+
+    @pytest.mark.parametrize("setting,field", [
+        ({"eps_grid": [1, 2.5]}, "eps_grid budget"),
+        ({"eps_grid": ["1", "3"]}, "eps_grid budget"),
+        ({"eps_grid": [True, 2]}, "eps_grid budget"),
+        ({"eps_grid": {"start": 1.9, "stop": 3.7}}, "eps_grid start"),
+        ({"eps_grid": {"start": "1", "stop": "3"}}, "eps_grid start"),
+        ({"eps_grid": {"start": 1, "stop": True}}, "eps_grid stop"),
+        ({"repetitions": 1.5}, "repetitions"),
+        ({"seed": 1.5}, "seed"),
+        ({"n_attack_samples": 2.5}, "n_attack_samples"),
+        ({"ig_p": "40"}, "ig_p"),
+        ({"evenness_m": True}, "evenness_m"),
+        ({"attack": {"max_iters": 80.0}}, "attack_max_iters")])
+    def test_non_integer_counts_and_budgets_rejected(self, setting, field):
+        # a budget used to be truncated ([1, 2.5] ran (1, 2)), a string cast,
+        # and a fractional count to fail deep in the run
+        doc = {**small_config().to_dict(), **setting}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig.from_dict(doc)
 
 
 class TestGridCV:
