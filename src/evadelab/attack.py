@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import _binary_rows
+from .featurespace import _binary_rows, _int_budgets
 from .models import KernelModel, LinearModel, TrainedModel
 
 NOT_EVADABLE: float = math.inf
@@ -90,9 +90,11 @@ class SecurityCurve:
     @classmethod
     def from_scores(cls, scores: np.ndarray, eps_grid,
                     threshold: float) -> "SecurityCurve":
-        """The curve of an (n, len(eps_grid)) post-attack score matrix."""
+        """The curve of an (n, len(eps_grid)) post-attack score matrix;
+        every budget must be an integer."""
+        epsilons = tuple(_int_budgets(eps_grid))
         rates = tuple(float(np.mean(col >= threshold)) for col in scores.T)
-        return cls(tuple(int(e) for e in eps_grid), rates)
+        return cls(epsilons, rates)
 
     def area(self) -> float:
         """Mean detection rate over the grid (higher = harder to evade)."""
@@ -373,6 +375,7 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
     those no budget up to eps_max evades.  One attack over budgets
     0..eps_max gives every value; column 0 is the clean score.
     """
+    (eps_max,) = _int_budgets([eps_max], "eps_max")
     if eps_max < 1:
         raise ValueError("eps_max must be >= 1")
     budgets = list(range(eps_max + 1))
@@ -397,17 +400,27 @@ def _greedy_addition_paths(model: LinearModel, X0b: np.ndarray,
     Returns (path_scores, path_counts): column 0 is the clean point (its
     score, 0 additions) and column j the score and number of additions after
     considering the j-th most negative weight, restricted to features absent
-    from each sample.
+    from each sample.  Both tables are filled in place, so one (n, j + 1)
+    array of each is live.
     """
     w = model.weights
     order = np.flatnonzero(w < 0.0)
     order = order[np.argsort(w[order], kind="stable")]
     absent = ~X0b[:, order]
-    contrib = np.where(absent, w[order][None, :], 0.0)
-    path_scores = np.hstack([scores0[:, None],
-                             scores0[:, None] + np.cumsum(contrib, axis=1)])
-    path_counts = np.hstack([np.zeros((len(X0b), 1), dtype=np.int64),
-                             np.cumsum(absent, axis=1)])
+    path_scores = np.empty((len(X0b), order.size + 1))
+    path_scores[:, 0] = scores0
+    # each step's change: its weight where the feature is absent, else
+    # +0.0 (not False * w, which is -0.0)
+    steps = path_scores[:, 1:]
+    steps.fill(0.0)
+    np.copyto(steps, w[order], where=absent)
+    np.cumsum(steps, axis=1, out=steps)
+    steps += scores0[:, None]
+    path_counts = np.empty((len(X0b), order.size + 1), dtype=np.int64)
+    path_counts[:, 0] = 0
+    # cast first: a bool-to-int64 cumsum would allocate its own copy
+    path_counts[:, 1:] = absent
+    np.cumsum(path_counts[:, 1:], axis=1, out=path_counts[:, 1:])
     return path_scores, path_counts
 
 
@@ -417,12 +430,13 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     """Score of every row of an (n, d) 0/1 sample matrix after attacking at
     each budget: (n, len(grid)).
 
-    A grid entry of 0 means no perturbation.  Greedy keeps its early-stop
-    semantics (it quits adding once the threshold is crossed); the descent
-    attack minimizes within the budget.  Each descent iteration's step is
-    adaptive, normalized by the largest gradient component that can still
-    move: big enough to flip the steepest coordinate on the binary-iterate
-    pass, 0.1 of that on the shadow pass.  A row leaves a pass once its
+    Every grid entry must be an integer, and 0 means no perturbation.
+    Greedy keeps its early-stop semantics (it quits adding once the
+    threshold is crossed); the descent attack minimizes within the budget.
+    Each descent iteration's step is adaptive, normalized by the largest
+    gradient component that can still move: big enough to flip the
+    steepest coordinate on the binary-iterate pass, 0.1 of that on the
+    shadow pass.  A row leaves a pass once its
     objective moves by at most 1e-6, or after max_iters iterations; every
     method refuses a max_iters below 1.
     """
@@ -431,7 +445,7 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     X0b = _binary_rows(samples, model.d, bool)
     if X0b.shape[0] == 0:
         raise ValueError("no samples to attack")
-    eps_grid = [int(e) for e in eps_grid]
+    eps_grid = _int_budgets(eps_grid)
     if any(e < 0 for e in eps_grid):
         raise ValueError("budgets must be non-negative")
     if method not in ATTACK_METHODS:

@@ -3,9 +3,10 @@
 Both metrics see only absolute values, so they are invariant to sign flips,
 rescaling, and permutation.  A row whose top-m window is entirely zero has
 no defined evenness; such samples are excluded from averages and counted.
-``_evenness`` is the one path: it sorts |R| once per row, keeps the m
-largest magnitudes (zero-padded when a row has fewer than m entries) and
-derives E1, E2 and the defined mask of every row from that window.
+``_evenness`` is the one path: it sorts |R| once per row, in place in its
+one (n, d) copy of the magnitudes, keeps the m largest (zero-padded when a
+row has fewer than m entries) and derives E1, E2 and the defined mask of
+every row from that window.
 ``evenness_report`` builds the per-sample metrics and their averages from
 it, and the scalar functions are one-row wrappers.
 """
@@ -33,8 +34,11 @@ def _top_window(R, m: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(R).all():
         raise ValueError("attributions must be finite")
     k = min(m, R.shape[1])
+    # one (n, d) copy: |R|, sorted in place
+    magnitudes = np.abs(R)
+    magnitudes.sort(axis=1)
     window = np.zeros((R.shape[0], m))
-    window[:, :k] = np.sort(np.abs(R), axis=1)[:, ::-1][:, :k]
+    window[:, :k] = magnitudes[:, ::-1][:, :k]
     return window, window[:, 0] > 0.0
 
 

@@ -39,8 +39,11 @@ def attribution_gradient(model: TrainedModel, samples) -> np.ndarray:
 
 def attribution_gradient_input(model: TrainedModel, samples) -> np.ndarray:
     """Row i is grad f(x_i) * x_i, so absent features get exactly zero."""
-    X = _binary_rows(samples, model.d)
-    return _finite(model.gradient_batch(X) * X)
+    # the Gradient matrix masked in place by the bool samples, as g * 1.0
+    # and g * 0.0, so no float64 copy of the samples is held beside it
+    R = attribution_gradient(model, samples)
+    R *= _binary_rows(samples, model.d, bool)
+    return R
 
 
 def attribution_integrated_gradients(model: TrainedModel, samples,
@@ -52,9 +55,14 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    X = _binary_rows(samples, model.d)
-    R = X * (_linear_path_sum(model, p) if isinstance(model, LinearModel)
-             else _kernel_path_sums(model, X, p))
+    # the bool samples, so that R is the one (n, d) float64 array a linear
+    # model allocates; True * g and False * g are 1.0 * g and 0.0 * g
+    X = _binary_rows(samples, model.d, bool)
+    if isinstance(model, LinearModel):
+        R = X * _linear_path_sum(model, p)
+    else:
+        R = _kernel_path_sums(model, X, p)
+        R *= X
     R /= p
     return _finite(R)
 

@@ -7,7 +7,9 @@ their rows as an (n, d) bool matrix, and every entry point that takes rows
 makes into an (n, d) 0/1 matrix; ``_binary_rows`` is the one place that
 checks it.  On disk a dataset is the sparse text format of ``load_dataset``.
 ``load_dataset`` and ``generate_synthetic`` refuse, before allocating it, a
-matrix whose float64 copy would exceed 1 GiB.
+matrix whose float64 copy would exceed 1 GiB.  ``generate_synthetic`` draws
+a fixed number of values at a time straight into the bool matrix, so it
+never holds a float64 copy; each study layer past it holds at most one.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ import numpy as np
 
 
 # The largest sample matrix a dataset may hold, counted as the float64 copy
-# that scoring and training take of it: 1 GiB.
+# that scoring and training take of it: 1 GiB.  Each study layer holds at
+# most one such copy at a time, so this also bounds what a layer allocates
+# for the samples.
 _MAX_FLOAT64_BYTES = 2 ** 30
+# Uniform draws per chunk of generate_synthetic: 512 KiB of float64.
+_DRAW_CHUNK_VALUES = 2 ** 16
 
 # One data line, stripped: its label, then " <idx>:1" pairs whose indices
 # are ASCII digits (int() would also take "1_0", "+3" and other scripts'
@@ -37,6 +43,24 @@ class DatasetFormatError(ValueError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a setting that is not an int: a bool, a float or a str is not
+    one, so none is cast or truncated into one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _int_budgets(budgets, name: str = "budget") -> list[int]:
+    """Addition budgets as Python ints.  Each must be a Python or numpy
+    integer: a float, a bool or a str is refused, not truncated into one."""
+    out = []
+    for e in budgets:
+        if type(e) is bool or not isinstance(e, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {e!r}")
+        out.append(int(e))
+    return out
 
 
 def _check_size(n: int, d: int, error=ValueError,
@@ -121,6 +145,8 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("d", "n_benign", "n_malware", "n_strong", "seed"):
+            _check_int(name, getattr(self, name))
         if self.d < 1:
             raise ValueError("d must be >= 1")
         if self.n_strong > self.d:
@@ -134,16 +160,29 @@ class SyntheticConfig:
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
-    """Draw a seeded dataset of independent Bernoulli features, benign rows first."""
-    _check_size(cfg.n_benign + cfg.n_malware, cfg.d)
+    """Draw a seeded dataset of independent Bernoulli features, benign rows first.
+
+    Row i, feature j is set when the (i d + j)-th uniform draw of the
+    seeded stream is below that feature's rate.  The draws are taken a
+    chunk of rows (_DRAW_CHUNK_VALUES values, at least one row) at a time
+    and compared straight into the bool matrix; the stream is the same
+    whatever the chunk.
+    """
+    n = cfg.n_benign + cfg.n_malware
+    _check_size(n, cfg.d)
     rng = np.random.default_rng(cfg.seed)
     p_benign = np.full(cfg.d, cfg.base_density)
     p_malware = np.full(cfg.d, cfg.base_density)
     p_malware[: cfg.n_strong] = min(1.0, cfg.base_density + cfg.strong_rate_gap)
     p_benign[cfg.n_strong :] = min(1.0, cfg.base_density + cfg.weak_rate_gap)
 
-    samples = np.vstack([rng.random((cfg.n_benign, cfg.d)) < p_benign,
-                         rng.random((cfg.n_malware, cfg.d)) < p_malware])
+    samples = np.empty((n, cfg.d), dtype=bool)
+    chunk = max(1, _DRAW_CHUNK_VALUES // cfg.d)
+    for first, stop, rates in ((0, cfg.n_benign, p_benign),
+                               (cfg.n_benign, n, p_malware)):
+        for lo in range(first, stop, chunk):
+            hi = min(lo + chunk, stop)
+            np.less(rng.random((hi - lo, cfg.d)), rates, out=samples[lo:hi])
     return LabeledDataset(samples, np.repeat([-1, 1], [cfg.n_benign,
                                                       cfg.n_malware]))
 

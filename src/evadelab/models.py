@@ -3,7 +3,10 @@
 All trainers share one seeded SGD loop so that the box-constrained variant is
 literally the unconstrained one plus a per-step clip.  Models score and
 differentiate at arbitrary real-valued points, which the attack and the
-path-integral attribution both rely on.
+path-integral attribution both rely on.  Each trainer holds one float64
+copy of its training rows and takes the rows' squared norms from the bool
+matrix's counts; the RBF trainer drops that copy once its kernel matrix is
+built.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .featurespace import (_MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows,
-                           _check_size)
+                           _check_int, _check_size)
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
@@ -173,6 +176,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
+        _check_int("epochs", self.epochs)
+        _check_int("seed", self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if not self.learning_rate > 0:  # NaN too
@@ -216,12 +221,13 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 
     # Each step writes its update into ``buf`` (and ``tmp``) in place: the
     # same operations in the same order as the expression in its comment,
-    # so the weights are bitwise those of that expression.  The labels are
-    # +-1 and the rows 0/1, so y_i * x_i and x_i . x_i are exact up front.
+    # so the weights are bitwise those of that expression.  X is the one
+    # float64 copy of the samples: the labels are +-1 and the rows 0/1, so
+    # y_i * x_i is an exact sign flip (-0.0 where x_ij = 0 and y_i = -1),
+    # formed when a step needs it, and x_i . x_i is the row's count.
     rows = list(X)
-    signed = list(y[:, None] * X)
     labels = y.tolist()
-    sqnorms = (X * X).sum(axis=1).tolist()
+    sqnorms = np.count_nonzero(train.samples, axis=1).tolist()
     bounded = cfg.weight_lb is not None
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
@@ -239,8 +245,9 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
             if cfg.loss == "hinge":
                 if yi * f < 1.0:
                     # w += eta * (y_i x_i - lam w)
+                    np.multiply(rows[i], yi, out=tmp)
                     np.multiply(w, lam, out=buf)
-                    np.subtract(signed[i], buf, out=buf)
+                    np.subtract(tmp, buf, out=buf)
                     buf *= eta
                     w += buf
                     b += eta * yi
@@ -250,8 +257,9 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
                     w -= buf
             elif cfg.loss == "logistic":
                 sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, yi * f))))
-                # w += eta * (sig * y_i * x_i - lam w)
-                np.multiply(signed[i], sig, out=tmp)
+                # w += eta * (sig * y_i * x_i - lam w); x_i (y_i sig) is
+                # (y_i x_i) sig bit for bit, as y_i = +-1 and sig > 0
+                np.multiply(rows[i], yi * sig, out=tmp)
                 np.multiply(w, lam, out=buf)
                 np.subtract(tmp, buf, out=buf)
                 buf *= eta
@@ -330,7 +338,7 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
                          f"{8 * n * n} bytes as float64, over the "
                          f"{_MAX_FLOAT64_BYTES}-byte limit")
     X = train.samples.astype(np.float64)
-    norms = (X * X).sum(axis=1)
+    norms = np.count_nonzero(train.samples, axis=1).astype(np.float64)
     # K = exp(-gamma * max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)), built in
     # place so that one n x n array is live.  With 0/1 rows every partial
     # sum is a small exact integer, so the order of the sums changes no bit.

@@ -36,8 +36,8 @@ from .evenness import EvennessReport, evenness_report
 from .explain import (_finite, attribution_gradient,
                       attribution_gradient_input,
                       attribution_integrated_gradients)
-from .featurespace import (LabeledDataset, SyntheticConfig, generate_synthetic,
-                           load_dataset, split)
+from .featurespace import (LabeledDataset, SyntheticConfig, _check_int,
+                           generate_synthetic, load_dataset, split)
 from .models import (TrainConfig, TrainedModel, _dataset_scores, _rate_at_fpr,
                      _roc_points, auc, detection_rate_at_fpr, train_linear,
                      train_rbf_svm, train_secsvm)
@@ -84,6 +84,7 @@ class ClassifierSpec:
             raise ValueError("gamma must be finite and positive")
         if not self.weight_bound >= 0:
             raise ValueError("weight_bound must be >= 0")
+        # TrainConfig checks reg, epochs (an int >= 1) and learning_rate
         self._train_config(0)
 
     def _train_config(self, seed: int) -> TrainConfig:
@@ -112,13 +113,6 @@ PRESETS: dict[str, ClassifierSpec] = {
     "logistic": ClassifierSpec("logistic", "linear", loss="logistic", reg=1.0),
     "ridge": ClassifierSpec("ridge", "linear", loss="squared", reg=10.0),
 }
-
-
-def _check_int(name: str, value) -> None:
-    """Refuse a config value that is not an int: a bool, a float or a str
-    is not one, so none is cast or truncated into one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

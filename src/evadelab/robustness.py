@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .featurespace import _int_budgets
+
 ROBUSTNESS_LOSSES = ("hinge", "logistic")
 
 
@@ -62,11 +64,12 @@ def robustness_from_scores(adv_scores: np.ndarray, eps_grid,
                            loss: str = "hinge") -> RobustnessScore:
     """Build the score from an (n_samples, n_budgets) post-attack score matrix.
 
-    Attacked samples keep their malicious label (+1) whether or not the
-    attack succeeded.  The per-sample vector holds each sample's mean of
-    exp(-loss) over the grid, for the per-sample table and the correlations.
+    Every budget must be an integer.  Attacked samples keep their malicious
+    label (+1) whether or not the attack succeeded.  The per-sample vector
+    holds each sample's mean of exp(-loss) over the grid, for the
+    per-sample table and the correlations.
     """
-    eps_grid = tuple(int(e) for e in eps_grid)
+    eps_grid = tuple(_int_budgets(eps_grid))
     _check_grid(eps_grid)
     scores = np.asarray(adv_scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != len(eps_grid):

@@ -1,7 +1,7 @@
 import functools
 import itertools
 import math
-import tracemalloc
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +96,15 @@ def greedy_linear_evasion(model, x, epsilon, threshold=0.0):
     return GreedyResult(tuple(sorted(added)), tuple(trace), evaded)
 
 
+# Budgets that are not integers: each used to be truncated (1.5 ran as
+# budget 1, True as 1) or to fail deep in the attack (a str).
+NON_INTEGER_BUDGETS = [1.5, 2.0, True, "2", np.float64(2.0), np.True_]
+
+
+def budget_error(name, value):
+    return f"^{name} must be an integer, got {re.escape(repr(value))}$"
+
+
 class TestAttackConfig:
     def test_validation(self):
         # every method refuses the cap, greedy too, which never reads it
@@ -115,6 +124,33 @@ class TestAttackConfig:
             epsilon_min(m, vec([1], 2), 0)
         with pytest.raises(ValueError, match="budgets must be non-negative"):
             attack_scores_over_grid(m, [vec([1], 2)], [-1], 0.0)
+
+    @pytest.mark.parametrize("method", ["greedy", "pgd"])
+    @pytest.mark.parametrize("budget", NON_INTEGER_BUDGETS)
+    def test_grid_refuses_non_integer_budget(self, method, budget):
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match=budget_error("budget", budget)):
+            attack_scores_over_grid(m, [vec([1], 2)], [1, budget], 0.0,
+                                    method=method)
+
+    @pytest.mark.parametrize("eps_max", NON_INTEGER_BUDGETS)
+    def test_eps_min_refuses_non_integer_cap(self, eps_max):
+        m = LinearModel(np.array([-1.0, 1.0]), 0.5)
+        with pytest.raises(ValueError, match=budget_error("eps_max", eps_max)):
+            epsilon_min_batch(m, [vec([1], 2)], eps_max)
+
+    def test_numpy_integer_budgets_accepted(self):
+        m = LinearModel(np.array([-1.0, -0.5, 1.0]), 0.9)
+        X = [vec([2], 3), vec([0, 2], 3)]
+        grid = np.arange(4, dtype=np.int32)
+        assert np.array_equal(
+            attack_scores_over_grid(m, X, grid, 0.0),
+            attack_scores_over_grid(m, X, [0, 1, 2, 3], 0.0))
+        assert np.array_equal(epsilon_min_batch(m, X, np.int64(3)),
+                              epsilon_min_batch(m, X, 3))
+        curve = SecurityCurve.from_scores(np.zeros((2, 2)), grid[1:3], 0.0)
+        assert curve.epsilons == (1, 2)
+        assert all(type(e) is int for e in curve.epsilons)
 
 
     @pytest.mark.parametrize("samples", [[], np.zeros((0, 2))])
@@ -414,6 +450,12 @@ class TestSecurityEvaluation:
         assert curve.epsilons == (2, 5)
         assert curve.detection_rates == (1.0, 1 / 3)
         assert curve.area() == (1.0 + 1 / 3) / 2
+
+    @pytest.mark.parametrize("budget", NON_INTEGER_BUDGETS)
+    def test_curve_refuses_non_integer_budget(self, budget):
+        # [1.5, 2.7] used to label the curve (1, 2)
+        with pytest.raises(ValueError, match=budget_error("budget", budget)):
+            SecurityCurve.from_scores(np.zeros((2, 2)), [1, budget], 0.0)
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -924,7 +966,15 @@ class TestFeasibilityChecks:
 
 
 class TestEngineMemory:
-    def test_grid_keeps_no_points(self):
+    def test_greedy_path_tables_filled_in_place(self, wide_set, wide_model,
+                                                traced_peak):
+        # one (n, 357) table each of scores and counts; their stacked
+        # copies took the greedy grid to 3.05 float64 copies of the samples
+        peak = traced_peak(attack_scores_over_grid, wide_model,
+                           wide_set.samples, range(51), 0.0)
+        assert peak <= 2.25 * 8 * wide_set.n * wide_set.d
+
+    def test_grid_keeps_no_points(self, traced_peak):
         # criterion-5 svm: n=200, eps_max=50, d=2000.  An (n, k, d) array of
         # best points peaked at 61 MiB here; the per-budget engine at 27 MiB.
         cfg = SyntheticConfig(d=2000, n_benign=1000, n_malware=1000,
@@ -936,11 +986,6 @@ class TestEngineMemory:
         model = train_linear(train, TrainConfig("hinge", 0.1, epochs=10,
                                                 seed=1))
         _, threshold = detection_rate_at_fpr(model, test, 0.01)
-        tracemalloc.start()
-        try:
-            epsilon_min_batch(model, malware[:200], 50, "pgd",
-                              200, threshold)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(epsilon_min_batch, model, malware[:200], 50,
+                           "pgd", 200, threshold)
         assert peak < 27 * 2 ** 20

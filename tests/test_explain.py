@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -120,7 +118,17 @@ class TestIntegratedGradients:
         b = attribution_integrated_gradients(m, [x], p=300)
         assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_kernel_path_memory_bounded_at_a_million_points(self):
+    @pytest.mark.parametrize("method", [attribution_gradient_input,
+                                        attribution_integrated_gradients])
+    def test_linear_attribution_allocates_only_the_result(
+            self, wide_set, wide_model, traced_peak, method):
+        # the result is the bool samples times the gradient or the path
+        # sum: a float64 copy of the samples beside it took 2.13 copies
+        peak = traced_peak(method, wide_model, wide_set.samples)
+        assert peak <= 1.25 * 8 * wide_set.n * wide_set.d
+
+    def test_kernel_path_memory_bounded_at_a_million_points(self,
+                                                             traced_peak):
         # the exponentials are taken a chunk of 2**19 values (4 MiB) at a
         # time, so the peak stays a few chunks whatever p is; per-row (p, d)
         # point batches peaked near 24 MiB on a model of this size
@@ -129,12 +137,7 @@ class TestIntegratedGradients:
         X = np.vstack([vec(np.flatnonzero(rng.random(8) < 0.4), 8)
                        for _ in range(3)])
         attribution_integrated_gradients(m, X, p=10)
-        tracemalloc.start()
-        try:
-            attribution_integrated_gradients(m, X, p=10 ** 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(attribution_integrated_gradients, m, X, p=10 ** 6)
         assert peak < 3 * 2 ** 22
 
     def test_validation(self):

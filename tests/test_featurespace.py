@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -35,16 +33,6 @@ def project(x_cont, x_orig, epsilon):
     x0 = featurespace._binary_rows([x_orig], v.size)
     return attack_mod._project_clipped_batch(np.clip(v[None], x0, 1.0),
                                              x0.astype(bool), epsilon)[0]
-
-
-def traced_peak(fn):
-    """Peak bytes traced while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestLoadDataset:
@@ -139,7 +127,7 @@ class TestLoadDataset:
         ds = load_dataset(_write(tmp_path, "+1 2:1\n"), d_hint=10)
         assert ds.d == 10
 
-    def test_oversized_matrix_fails_fast(self, tmp_path):
+    def test_oversized_matrix_fails_fast(self, tmp_path, traced_peak):
         # one index of 10**8 makes d = 100,000,001: two rows of that are a
         # 1.6 GB float64 copy, refused before the sample matrix is built
         path = _write(tmp_path, "+1 100000000:1\n-1 0:1\n")
@@ -196,7 +184,41 @@ class TestGenerateSynthetic:
                             strong_rate_gap=1.5, weak_rate_gap=0.1,
                             base_density=0.1, seed=0)
 
-    def test_oversized_matrix_fails_fast(self):
+    @pytest.mark.parametrize("field", ["d", "n_benign", "n_malware",
+                                       "n_strong", "seed"])
+    @pytest.mark.parametrize("value", [40.5, 30.0, True, "30"])
+    def test_non_integer_counts_rejected(self, field, value):
+        # d=40.5 used to fail only inside generate_synthetic, with numpy's
+        # TypeError, and a bool was taken as 0 or 1
+        settings = dict(self.CFG, seed=1)
+        settings[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be an integer, got"):
+            SyntheticConfig(**settings)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 40, 2 ** 16])
+    def test_chunked_draw_is_the_whole_block_draw(self, monkeypatch, chunk):
+        # a chunk of rows at a time reads the same PCG64 stream as one draw
+        # of each whole class block; a chunk below d takes one row
+        monkeypatch.setattr(featurespace, "_DRAW_CHUNK_VALUES", chunk)
+        ds = generate_synthetic(SyntheticConfig(seed=4, **self.CFG))
+        rng = np.random.default_rng(4)
+        strong = np.arange(40) < 6
+        p_benign = np.where(strong, 0.05, min(1.0, 0.05 + 0.1))
+        p_malware = np.where(strong, min(1.0, 0.05 + 0.6), 0.05)
+        whole = np.vstack([rng.random((30, 40)) < p_benign,
+                           rng.random((30, 40)) < p_malware])
+        assert np.array_equal(ds.samples, whole)
+
+    def test_draws_straight_into_the_bool_matrix(self, wide_synth,
+                                                 traced_peak):
+        # the bool matrix is 1/8 of a float64 copy; a float64 draw of each
+        # whole class block peaked at 0.68 copies
+        n = wide_synth.n_benign + wide_synth.n_malware
+        peak = traced_peak(generate_synthetic, wide_synth)
+        assert peak <= 0.25 * 8 * n * wide_synth.d
+
+    def test_oversized_matrix_fails_fast(self, traced_peak):
         cfg = SyntheticConfig(d=10 ** 6, n_benign=100, n_malware=100,
                               n_strong=0, strong_rate_gap=0.5,
                               weak_rate_gap=0.1, base_density=0.1, seed=0)

@@ -2,7 +2,6 @@ import functools
 import hashlib
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +128,30 @@ class TestTrainLinear:
         with pytest.raises(ValueError):
             train_linear(ds, TrainConfig())
 
+    @pytest.mark.parametrize("setting", [
+        {"epochs": 2.5}, {"epochs": 3.0}, {"epochs": True}, {"epochs": "3"},
+        {"seed": 1.5}, {"seed": False}])
+    def test_non_integer_epochs_or_seed_rejected(self, setting):
+        # epochs=2.5 was accepted and failed in training; True trained one
+        # epoch
+        name = next(iter(setting))
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            TrainConfig(**setting)
+
+    @pytest.mark.parametrize("loss,bounded", [
+        ("hinge", False), ("logistic", False), ("squared", False),
+        ("hinge", True)])
+    def test_holds_one_float64_copy(self, wide_set, traced_peak, loss,
+                                    bounded):
+        # train_linear and train_secsvm: the float64 rows are the one copy;
+        # the y * X matrix and the X * X temporary took it to 3.07 copies
+        cfg = TrainConfig(loss, 1.0, epochs=1,
+                          weight_lb=-0.25 if bounded else None,
+                          weight_ub=0.25 if bounded else None)
+        trainer = train_secsvm if bounded else train_linear
+        peak = traced_peak(trainer, wide_set, cfg)
+        assert peak <= 1.25 * 8 * wide_set.n * wide_set.d
+
     def test_hinge_objective_mostly_decreasing(self):
         cfg = SyntheticConfig(d=20, n_benign=30, n_malware=30, n_strong=4,
                               strong_rate_gap=0.5, weak_rate_gap=0.1,
@@ -221,33 +244,27 @@ class TestTrainRbfSvm:
         with pytest.raises(ValueError):
             train_rbf_svm(ds, 1.0, 1.0, TrainConfig())
 
-    def test_gram_matrix_over_limit_rejected_before_allocation(self):
+    def test_gram_matrix_over_limit_rejected_before_allocation(
+            self, traced_peak):
         # 12,000 rows of d = 10 pass the sample-matrix guard, but their
         # n x n Gram matrix would take 1.15 GB
         cfg = SyntheticConfig(d=10, n_benign=6000, n_malware=6000,
                               n_strong=3, strong_rate_gap=0.5,
                               weak_rate_gap=0.1, base_density=0.2, seed=0)
         ds = generate_synthetic(cfg)
-        tracemalloc.start()
-        try:
+
+        def train():
             with pytest.raises(ValueError, match="n=12000.*1152000000 bytes"):
                 train_rbf_svm(ds, 1.0, 0.1, TrainConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert traced_peak(train) < 2 ** 20
 
-    def test_holds_one_gram_matrix(self):
+    def test_holds_one_gram_matrix(self, traced_peak):
         # the n x n float64 Gram matrix is built in place; three such arrays
         # were live at once (3.10 x 8 n^2 here) under a guard that budgets one
         train = criterion8_train()
         spec = PRESETS["svm-rbf"]
-        tracemalloc.start()
-        try:
-            train_rbf_svm(train, spec.reg, spec.gamma, spec._train_config(0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(train_rbf_svm, train, spec.reg, spec.gamma,
+                           spec._train_config(0))
         assert peak <= 1.5 * 8 * train.n ** 2
 
     @pytest.mark.parametrize("C,gamma,name", [
@@ -331,19 +348,14 @@ class TestDatasetScores:
         whole = model.decision_batch(train.samples.astype(np.float64))
         assert np.array_equal(models_mod._dataset_scores(model, train), whole)
 
-    def test_memory_follows_the_block_not_n(self):
+    def test_memory_follows_the_block_not_n(self, traced_peak):
         # n = 4,000 rows against 500 support vectors: one (n, n_sv) float64
         # array is 16 MB, a block's 512 KiB
         rng = np.random.default_rng(0)
         model = random_kernel_model(rng, 20, 500)
         ds = LabeledDataset(rng.random((4000, 20)) < 0.5,
                             np.ones(4000, dtype=int))
-        tracemalloc.start()
-        try:
-            models_mod._dataset_scores(model, ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(models_mod._dataset_scores, model, ds)
         assert peak < 3 * 8 * models_mod._SCORE_BLOCK_VALUES
 
 
@@ -580,7 +592,8 @@ class TestPersistence:
          2 ** 30 + 8),
         ("rbf", 10 ** 10, r"\(n=2, d=10000000000\) support-vector matrix",
          16 * 10 ** 10)])
-    def test_oversized_model_fails_fast(self, tmp_path, kind, d, what, nbytes):
+    def test_oversized_model_fails_fast(self, tmp_path, kind, d, what, nbytes,
+                                        traced_peak):
         # refused before the weights or support vectors are allocated
         path = tmp_path / "model.json"
         save_model(LinearModel(np.array([0.5, 0.0, -1.0]), 0.0)
@@ -590,15 +603,12 @@ class TestPersistence:
         doc = json.loads(path.read_text())
         doc["d"] = d
         path.write_text(json.dumps(doc))
-        tracemalloc.start()
-        try:
+
+        def load():
             with pytest.raises(ModelFormatError,
                                match=f"{what} takes {nbytes} bytes"):
                 load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert traced_peak(load) < 2 ** 20
 
     def test_size_limit_is_inclusive(self, tmp_path, monkeypatch):
         # (2, 5) support vectors are 80 bytes as float64: at the limit the

@@ -2,7 +2,6 @@ import csv
 import io
 import json
 import math
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -331,20 +330,15 @@ class TestScoreTable:
             assert path.read_bytes() == csv_writer_score_table(
                 cell.sample_ids, eps_grid, cell.adv_scores)
 
-    def test_streams_one_sample_at_a_time(self, tmp_path):
+    def test_streams_one_sample_at_a_time(self, tmp_path, traced_peak):
         # a whole-table row list holds about 23 MiB for this matrix
         rng = np.random.default_rng(5)
         scores = rng.normal(size=(4000, 50))
         scores[:, 20:] = scores[:, 19:20]
         sample_ids = list(range(4000))
         eps_grid = tuple(range(1, 51))
-        tracemalloc.start()
-        try:
-            pipeline._write_score_table(tmp_path / "adv.csv", sample_ids,
-                                        eps_grid, scores)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(pipeline._write_score_table, tmp_path / "adv.csv",
+                           sample_ids, eps_grid, scores)
         assert peak < 2 * 2**20
         assert (tmp_path / "adv.csv").read_bytes() == csv_writer_score_table(
             sample_ids, eps_grid, scores)
@@ -563,10 +557,20 @@ class TestConfigParsing:
         ({"n_attack_samples": 2.5}, "n_attack_samples"),
         ({"ig_p": "40"}, "ig_p"),
         ({"evenness_m": True}, "evenness_m"),
-        ({"attack": {"max_iters": 80.0}}, "attack_max_iters")])
+        ({"attack": {"max_iters": 80.0}}, "attack_max_iters"),
+        ({"classifiers": [{"preset": "svm", "epochs": 2.5}]}, "epochs"),
+        ({"classifiers": [{"preset": "svm", "epochs": True}]}, "epochs"),
+        ({"classifiers": [{"name": "c", "kind": "linear", "epochs": "3"}]},
+         "epochs"),
+        ({"dataset": {"synthetic": {**vars(SMALL_SYNTH), "d": 40.5}}}, "d"),
+        ({"dataset": {"synthetic": {**vars(SMALL_SYNTH), "seed": 1.5}}},
+         "seed"),
+        ({"dataset": {"synthetic": {**vars(SMALL_SYNTH), "n_benign": "30"}}},
+         "n_benign")])
     def test_non_integer_counts_and_budgets_rejected(self, setting, field):
         # a budget used to be truncated ([1, 2.5] ran (1, 2)), a string cast,
-        # and a fractional count to fail deep in the run
+        # and a fractional count to fail deep in the run: epochs=2.5 in
+        # every cell's training, d=40.5 inside generate_synthetic
         doc = {**small_config().to_dict(), **setting}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             ExperimentConfig.from_dict(doc)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -81,6 +82,18 @@ class TestRobustnessFromScores:
             with pytest.raises(ValueError,
                                match="eps_grid must be non-empty positive"):
                 robustness_from_scores(np.zeros((2, len(grid))), grid)
+
+    @pytest.mark.parametrize("budget", [1.5, 2.0, True, "2",
+                                        np.float64(2.0), np.True_])
+    def test_non_integer_budget_rejected(self, budget):
+        # (1.5, 2.7) used to give per_eps keyed {1, 2}; numpy integers
+        # stay budgets
+        with pytest.raises(ValueError,
+                           match=f"^budget must be an integer, got "
+                                 f"{re.escape(repr(budget))}$"):
+            robustness_from_scores(np.zeros((2, 2)), [1, budget])
+        r = robustness_from_scores(np.zeros((2, 2)), np.array([1, 3]))
+        assert list(r.per_eps) == [1, 3] and r.eps_grid == (1, 3)
 
     def test_repeated_budget_rejected_by_name(self):
         # [1, 1] kept one per_eps entry but averaged it over two budgets

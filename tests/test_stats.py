@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,18 +155,12 @@ class TestSortedCounts:
         assert ours.coefficient == pytest.approx(ref.statistic, abs=1e-12)
         assert ours.p_value == pytest.approx(ref.pvalue, rel=1e-6)
 
-    def test_suite_memory_is_linear_at_n_5000(self):
+    def test_suite_memory_is_linear_at_n_5000(self, traced_peak):
         # the pairwise count held three n x n arrays: 870 MiB at this size
         rng = np.random.default_rng(14)
         x = rng.integers(0, 50, size=5000).astype(float)
         y = x + rng.normal(size=5000)
-        tracemalloc.start()
-        try:
-            correlation_suite(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert traced_peak(correlation_suite, x, y) < 8 * 2 ** 20
 
 
 class TestNonFiniteInput:
