@@ -30,14 +30,23 @@ v, largest first, ties to the lower index, and cut the ranking at the
 largest budget; the budget-e point is x0 plus the first e additions.  For an
 RBF model the nested points are scored incrementally: points and support
 vectors are 0/1, so ||x - s_i||^2 is a small integer and adding x_j moves it
-by exactly +(1 - 2 s_ij); integer sums are exact in any order, so the scores
-equal those of the materialised points bit for bit.  A row whose ranked
-prefix of budgets[-1] additions is the previous iteration's is not scored
-again: its point at every budget is unchanged, so its scores are the ones
-already compared with the best scores, and none can be strictly lower.  The
-first iteration scores every row.  A linear model gets no shadow pass: its
-gradient is constant, so the binary pass already adds features in the
-optimal order.
+by exactly +(1 - 2 s_ij); integer sums are exact in any order and in any
+integer type that holds them (int16 up to d = 32,767, int32 above, with int8
+deltas), so the scores equal those of the materialised points bit for bit.
+Each iteration scores only points it has not scored before.  A row whose
+ranked prefix of budgets[-1] additions is the previous iteration's is not
+scored again: its point at every budget is unchanged, so its scores are the
+ones already compared with the best scores, and none can be strictly lower.
+Within the other rows, a (row, budget) cell whose addition set equals the
+previous iteration's at that budget, or whose point is the previous
+budget's, is skipped with +inf: an equal score was already compared at the
+same or a smaller budget, so the running minimum along the budgets that
+``_pgd_core`` takes ends every row where it would have.  The first
+iteration compares every row with its clean point, where the best scores
+start.  The shadow pass holds its live rows' state compact and in sample
+order, so each kernel call sees the row batch a gather from (n, d) arrays
+would give it.  A linear model gets no shadow pass: its gradient is
+constant, so the binary pass already adds features in the optimal order.
 
 For linear models an exact greedy oracle exists: additions are independent,
 so adding absent features in ascending weight order is optimal.  It stops
@@ -57,6 +66,7 @@ curve rises.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -69,6 +79,13 @@ NOT_EVADABLE: float = math.inf
 ATTACK_METHODS = ("auto", "pgd", "greedy")
 # Values per (group rows, d) array of a binary-pass chunk: 4 MiB of float64.
 _BINARY_CHUNK_VALUES = 2 ** 19
+# Values per block of shadow-pass cells scored together: 2 MiB of float64.
+_NESTED_BLOCK_VALUES = 2 ** 18
+# Kernel values (rows x budgets x n_sv) from which a shadow-pass call
+# skips the cells whose addition set is unchanged.
+_SKIP_MIN_VALUES = 2 ** 14
+# The sort key of a feature that is not an addition.
+_LAST_KEY = np.iinfo(np.int64).max
 # The iteration cap of each descent pass when the caller gives none.
 _MAX_ITERS = 1000
 
@@ -119,18 +136,20 @@ def _ranked_changes(V: np.ndarray, X0b: np.ndarray, width: int):
     Ties go to the lower feature index.  Returns (order, counts): the first
     counts[r] <= width entries of the (rows, width) order[r] are row r's
     first additions in rank order and the rest are -1.
-    One stable sort per row ranks every feature by -V, the non-additions
-    keyed +inf so that they sort last; being stable, it keeps equal moves
-    in index order.
+    One stable sort per row ranks every feature.  An addition's V is at
+    least 0.5, and a positive float64's bits, read as an int64, order as
+    the float does, so the key is minus those bits, and the non-additions
+    are keyed the largest int64 so that they sort last; integer keys sort
+    faster than float ones, and equal moves stay in index order.
     """
     additions = (V >= 0.5) & ~X0b
     counts = np.minimum(additions.sum(axis=1), width)
-    ranked = np.argsort(np.where(additions, -V, np.inf), axis=1,
-                        kind="stable")[:, :width]
+    key = np.where(additions, -V.view(np.int64), _LAST_KEY)
+    ranked = np.argsort(key, axis=1, kind="stable")[:, :width]
     # width may exceed d: the columns past d stay -1
     order = np.full((V.shape[0], width), -1, dtype=np.intp)
-    order[:, :ranked.shape[1]] = np.where(
-        np.arange(ranked.shape[1]) < counts[:, None], ranked, -1)
+    np.copyto(order[:, :ranked.shape[1]], ranked,
+              where=np.arange(ranked.shape[1]) < counts[:, None])
     return order, counts
 
 
@@ -240,9 +259,15 @@ def _binary_pass(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray,
             cur, g, prev_obj = cur[go], g[go], obj[go]
 
 
+def _distance_dtype(d: int):
+    """The integer type of the shadow pass's running squared distances: a
+    0/1 point is at most d from a 0/1 support vector."""
+    return np.int16 if d <= np.iinfo(np.int16).max else np.int32
+
+
 def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
                    scores0: np.ndarray, order: np.ndarray, counts: np.ndarray,
-                   budgets) -> np.ndarray:
+                   budgets, prev=None) -> np.ndarray:
     """Decision values at x0 plus its first min(e, count) ranked additions,
     for each e of the ascending budgets: (rows, len(budgets)).
 
@@ -251,26 +276,73 @@ def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
     order, and ``deltas[j]`` is the change 1 - 2 s_ij of every
     ||x - s_i||^2 when feature j is added.  With 0/1 points and support
     vectors every squared distance is a small integer, so the running sums
-    are exact in any order and each value equals ``decision_batch`` on the
-    materialised point bit for bit.  Memory stays O(rows x n_sv) whatever
-    the number of budgets.
+    are exact in any order and in any integer type that holds them, and each
+    value equals ``decision_batch`` on the materialised point bit for bit.
+    The rows are taken by descending count, so the rows still adding at a
+    position are a leading slice of the running sums.  Each cell's sums are
+    copied out when its budget is reached, and the cells are scored
+    together in blocks of about _NESTED_BLOCK_VALUES values, each cast to
+    float64 once.  Memory stays O(rows x n_sv) plus one block.
+
+    ``prev``, when given, is the (order, counts) of the same rows at the
+    previous iteration, and then only the new points are scored; every
+    other cell gets +inf.  A cell is new if its row adds a feature past the
+    previous budget (else its point is the previous budget's) and its
+    addition set differs from prev's at the same budget (else it is the
+    point scored there).  Every +inf cell thus has an equal score already
+    compared at the same or a smaller budget, so the running minimum along
+    the budgets that the caller takes is unchanged.  A (rows, d + 1) table
+    gives each entry's rank in prev's order (width where absent); the two
+    budget-e sets are equal iff both prefixes hold m entries and the
+    running max of the first m ranks is below m.
     """
-    sq = sq0.copy()
-    score = scores0.copy()
-    out = np.empty((sq.shape[0], len(budgets)))
-    done = 0
+    n, width = order.shape
+    if n == 0:
+        return np.empty((0, len(budgets)))
+    by_count = np.argsort(-counts, kind="stable")
+    counts, order, sq = counts[by_count], order[by_count], sq0[by_count]
+    out = np.empty((n, len(budgets)))
+    if prev is None:
+        # a row that adds nothing stays at its clean point
+        out[:] = scores0[:, None]
+        new = np.repeat((counts > 0)[:, None], len(budgets), axis=1)
+    else:
+        out.fill(np.inf)
+        budget_arr = np.asarray(budgets)
+        prev_order, prev_counts = prev[0][by_count], prev[1][by_count]
+        at = np.arange(n)[:, None]
+        rank = np.full((n, deltas.shape[0] + 1), width)
+        rank[at, prev_order] = np.arange(width)
+        seen = np.maximum.accumulate(rank[at, order], axis=1)
+        taken = np.minimum(counts[:, None], budget_arr)
+        new = ((counts[:, None] > np.array([0, *budgets[:-1]]))
+               & ((taken != np.minimum(prev_counts[:, None], budget_arr))
+                  | (seen[at, taken - 1] >= taken)))
+    # the new cells budget by budget, rows ascending within a budget
+    cols, rows = np.nonzero(new.T)
+    per_budget = np.count_nonzero(new, axis=0).tolist()
+    descending = (-counts).tolist()
+    block = max(1, _NESTED_BLOCK_VALUES // sq.shape[1])
+    values, pending, held, first, done = [], [], 0, 0, 0
     for col, eps in enumerate(budgets):
-        moved = np.flatnonzero(counts > done)
         for pos in range(done, eps):
-            live = np.flatnonzero(counts > pos)
-            if live.size == 0:
+            live = bisect.bisect_left(descending, -pos)
+            if live == 0:
                 break
-            sq[live] += deltas[order[live, pos]]
-        if moved.size:
-            score[moved] = (model._weights_from_sq(sq[moved]).sum(axis=1)
-                            + model.bias)
-        out[:, col] = score
+            sq[:live] += deltas[order[:live, pos]]
         done = eps
+        if per_budget[col]:
+            pending.append(sq[rows[first:first + per_budget[col]]])
+            first += per_budget[col]
+            held += per_budget[col]
+        if held >= block or (held and col == len(budgets) - 1):
+            cells = (pending[0] if len(pending) == 1
+                     else np.concatenate(pending))
+            values.append(model._weights_from_sq(cells).sum(axis=1)
+                          + model.bias)
+            pending, held = [], 0
+    if values:
+        out[by_count[rows], cols] = np.concatenate(values)
     return out
 
 
@@ -281,49 +353,80 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     best_scores in place, checking each point's feasibility as its score is
     recorded.
 
-    Each iterate's nested projections are scored incrementally, and only
+    The live rows' state (iterate, lower bound, clean rows, gradient,
+    previous objective, ranked prefix, clean squared distances and scores)
+    is held row-aligned in ascending sample order, and is compacted only
+    when rows converge, so each kernel call sees the row batch that
+    gathering the live rows from (n, .) arrays would give it.  The clean
+    squared distances are integers, held as ``_distance_dtype(d)`` beside
+    an int8 delta table.  Each iterate's nested projections are scored only
     for the rows whose ranked prefix of budgets[-1] additions differs from
-    the previous iteration's.  One fused kernel call per iteration evaluates
-    the new iterate and gives the gradient that the still-active rows step
-    with next.  A row leaves the pass when its objective converges.
+    the previous iteration's; within those, a cell whose addition set is
+    unchanged is skipped (``_nested_scores`` with ``prev``) once the rows
+    and budgets scored hold _SKIP_MIN_VALUES kernel values, below which
+    the set test costs more than the cells it saves; the first iteration
+    always takes it against the clean point, the rows' start.  Skipped
+    cells score +inf, so best_scores is exact only after the caller's
+    running minimum along the budgets.  One fused kernel call per iteration
+    evaluates the new iterate and gives the gradient that the still-active
+    rows step with next.  A row leaves the pass when its objective
+    converges.
     """
     scores0, grad0 = start
-    cur = X0b.astype(np.float64)
-    prev_obj = scores0.copy()
     # already-benign samples are left alone
     rows = np.flatnonzero(scores0 >= threshold)
-    g = grad0[rows]
-    if rows.size:
-        sq0 = model._sq_distances(cur)
-        # row j: the change of every ||x - s_i||^2 when x_j goes from 0 to 1
-        deltas = np.ascontiguousarray((1.0 - 2.0 * model.support_vectors).T)
-        # each row's ranked prefix; -2 matches none, so the first iteration
-        # scores every row
-        prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
+    if rows.size == 0:
+        return
+    X0, low = X0b[rows], lb[rows]
+    cur, g, prev_obj, clean = low, grad0[rows], scores0[rows], scores0[rows]
+    sq0 = model._sq_distances(low).astype(_distance_dtype(model.d))
+    # row j: the change of every ||x - s_i||^2 when x_j goes from 0 to 1
+    deltas = (1 - 2 * model.support_vectors.T).astype(np.int8, order="C")
+    skip_rows = _SKIP_MIN_VALUES / (len(budgets) * deltas.shape[1])
     budget_arr = np.asarray(budgets)
-    for _ in range(max_iters):
-        if rows.size == 0:
-            break
-        eta = _movable_eta(g, cur[rows], lb[rows], 0.1)
-        stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
-        order, counts = _ranked_changes(stepped, X0b[rows], budgets[-1])
-        # an unchanged prefix scores bit for bit what it scored before
-        changed = np.flatnonzero((order != prefixes[rows]).any(axis=1))
-        live, order, counts = rows[changed], order[changed], counts[changed]
-        prefixes[live] = order
-        bin_scores = _nested_scores(model, deltas, sq0[live], scores0[live],
-                                    order, counts, budgets)
-        ri, ci = np.nonzero(bin_scores < best_scores[live])
-        if ri.size:
-            _check_feasible(X0b[live[ri]], *_prefix_changes(
-                order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
-            best_scores[live[ri], ci] = bin_scores[ri, ci]
-        cur[rows] = stepped
+    # before the first iteration each row is at its clean point: no
+    # additions, and best_scores starts at its score
+    prefix = (np.full((rows.size, budgets[-1]), -1, dtype=np.intp),
+              np.zeros(rows.size, dtype=np.intp))
+    for it in range(max_iters):
+        eta = _movable_eta(g, cur, low, 0.1)
+        stepped = eta[:, None] * g
+        np.subtract(cur, stepped, out=stepped)
+        np.maximum(stepped, low, out=stepped)
+        np.minimum(stepped, 1.0, out=stepped)
+        order, counts = _ranked_changes(stepped, X0, budgets[-1])
+        if it == 0:
+            # the first iteration passes every row, and its points are new
+            # only past the clean point
+            changed = np.arange(rows.size)
+        else:
+            # an unchanged prefix scores bit for bit what it scored before
+            changed = np.flatnonzero((order != prefix[0]).any(axis=1))
+        prev = ((prefix[0][changed], prefix[1][changed])
+                if it == 0 or changed.size >= skip_rows else None)
+        bin_scores = _nested_scores(model, deltas, sq0[changed],
+                                    clean[changed], order[changed],
+                                    counts[changed], budgets, prev)
+        if changed.size:
+            ri, ci = np.nonzero(bin_scores < best_scores[rows[changed]])
+            if ri.size:
+                hit = changed[ri]
+                _check_feasible(X0[hit], *_prefix_changes(
+                    order[hit], counts[hit], budget_arr[ci]), budget_arr[ci])
+                best_scores[rows[hit], ci] = bin_scores[ri, ci]
+        prefix = order, counts
         obj, g = model.decision_and_gradient_batch(stepped)
+        cur = stepped
 
-        done = np.abs(obj - prev_obj[rows]) <= 1e-6
-        prev_obj[rows] = obj
-        rows, g = rows[~done], g[~done]
+        done = np.abs(obj - prev_obj) <= 1e-6
+        prev_obj = obj
+        if done.any():
+            if done.all():
+                break
+            go = ~done
+            rows, X0, low, cur, g, prev_obj, clean, sq0 = (
+                a[go] for a in (rows, X0, low, cur, g, prev_obj, clean, sq0))
+            prefix = prefix[0][go], prefix[1][go]
 
 
 def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,

@@ -33,8 +33,14 @@ def _finite(R: np.ndarray) -> np.ndarray:
 
 def attribution_gradient(model: TrainedModel, samples) -> np.ndarray:
     """Row i is grad f(x_i)."""
-    # copied: a linear model's gradient is a read-only broadcast of its weights
-    return _finite(np.array(model.gradient_batch(_binary_rows(samples, model.d))))
+    # the bool samples: a kernel model's sums of 0/1 products are the same
+    # integers, and True * t and False * t are 1.0 * t and 0.0 * t, so no
+    # float64 copy of the samples is held beside the gradient
+    R = model.gradient_batch(_binary_rows(samples, model.d, bool))
+    if isinstance(model, LinearModel):
+        # a read-only broadcast of the weights; a kernel model's is fresh
+        R = np.array(R)
+    return _finite(R)
 
 
 def attribution_gradient_input(model: TrainedModel, samples) -> np.ndarray:

@@ -116,15 +116,16 @@ class KernelModel:
         np.maximum(sq, 0.0, out=sq)
         return sq
 
-    def _weights_from_sq(self, sq: np.ndarray) -> np.ndarray:
-        """exp(-gamma sq) * c, leaving sq unchanged."""
-        w = np.multiply(sq, -self.gamma)
+    def _weights_from_sq(self, sq: np.ndarray, out=None) -> np.ndarray:
+        """exp(-gamma sq) * c as float64, into ``out`` (which may be sq)."""
+        w = np.multiply(sq, -self.gamma, out=out)
         np.exp(w, out=w)
         w *= self.dual_coeffs[None, :]
         return w
 
     def _kernel_weights(self, points: np.ndarray) -> np.ndarray:
-        return self._weights_from_sq(self._sq_distances(points))
+        sq = self._sq_distances(points)
+        return self._weights_from_sq(sq, out=sq)
 
     def decision_batch(self, points: np.ndarray) -> np.ndarray:
         return self._kernel_weights(points).sum(axis=1) + self.bias
@@ -339,15 +340,15 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
                          f"{_MAX_FLOAT64_BYTES}-byte limit")
     X = train.samples.astype(np.float64)
     norms = np.count_nonzero(train.samples, axis=1).astype(np.float64)
-    # K = exp(-gamma * max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0)), built in
-    # place so that one n x n array is live.  With 0/1 rows every partial
-    # sum is a small exact integer, so the order of the sums changes no bit.
+    # K = exp(-gamma * (|x_i|^2 + |x_j|^2 - 2 x_i.x_j)), built in place so
+    # that one n x n array is live.  With 0/1 rows every partial sum is a
+    # small exact integer, so the order of the sums changes no bit, and the
+    # squared distances are exact non-negative integers: no clamp at 0.
     K = X @ X.T
     del X
     K *= -2.0
     K += norms[:, None]
     K += norms[None, :]
-    np.maximum(K, 0.0, out=K)
     K *= -gamma
     np.exp(K, out=K)
 

@@ -989,3 +989,232 @@ class TestEngineMemory:
         peak = traced_peak(epsilon_min_batch, model, malware[:200], 50,
                            "pgd", 200, threshold)
         assert peak < 27 * 2 ** 20
+
+
+def gather_nested_scores(model, deltas, sq0, scores0, order, counts, budgets):
+    """The nested scorer as it was before the shadow pass held compact
+    state: float64 running sums over the live rows of each position, and
+    one score per row that moved past the previous budget."""
+    sq = sq0.copy()
+    score = scores0.copy()
+    out = np.empty((sq.shape[0], len(budgets)))
+    done = 0
+    for col, eps in enumerate(budgets):
+        moved = np.flatnonzero(counts > done)
+        for pos in range(done, eps):
+            live = np.flatnonzero(counts > pos)
+            if live.size == 0:
+                break
+            sq[live] += deltas[order[live, pos]]
+        if moved.size:
+            score[moved] = (model._weights_from_sq(sq[moved]).sum(axis=1)
+                            + model.bias)
+        out[:, col] = score
+        done = eps
+    return out
+
+
+def gather_shadow_pass(model, X0b, lb, start, budgets, max_iters, threshold,
+                       best_scores):
+    """The shadow pass as it was before its state was compacted: every
+    iteration gathers the live rows out of (n, .) arrays and scatters them
+    back, and rescores each row whose ordered prefix changed."""
+    scores0, grad0 = start
+    cur = X0b.astype(np.float64)
+    prev_obj = scores0.copy()
+    rows = np.flatnonzero(scores0 >= threshold)
+    g = grad0[rows]
+    if rows.size:
+        sq0 = model._sq_distances(cur)
+        deltas = np.ascontiguousarray((1.0 - 2.0 * model.support_vectors).T)
+        prefixes = np.full((len(X0b), budgets[-1]), -2, dtype=np.intp)
+    budget_arr = np.asarray(budgets)
+    for _ in range(max_iters):
+        if rows.size == 0:
+            break
+        eta = attack_mod._movable_eta(g, cur[rows], lb[rows], 0.1)
+        stepped = np.clip(cur[rows] - eta[:, None] * g, lb[rows], 1.0)
+        order, counts = lexsort_ranked_changes(stepped, X0b[rows], budgets[-1])
+        changed = np.flatnonzero((order != prefixes[rows]).any(axis=1))
+        live, order, counts = rows[changed], order[changed], counts[changed]
+        prefixes[live] = order
+        bin_scores = gather_nested_scores(model, deltas, sq0[live],
+                                          scores0[live], order, counts,
+                                          budgets)
+        ri, ci = np.nonzero(bin_scores < best_scores[live])
+        if ri.size:
+            attack_mod._check_feasible(
+                X0b[live[ri]], *attack_mod._prefix_changes(
+                    order[ri], counts[ri], budget_arr[ci]), budget_arr[ci])
+            best_scores[live[ri], ci] = bin_scores[ri, ci]
+        cur[rows] = stepped
+        obj, g = model.decision_and_gradient_batch(stepped)
+        done = np.abs(obj - prev_obj[rows]) <= 1e-6
+        prev_obj[rows] = obj
+        rows, g = rows[~done], g[~done]
+
+
+def recorded_shadow_pass(monkeypatch, shadow, model, X0b, budgets,
+                         max_iters, threshold):
+    """(best scores after the running minimum, the row batches that reached
+    decision_and_gradient_batch) of one shadow pass from the clean rows."""
+    start = model.decision_and_gradient_batch(X0b.astype(np.float64))
+    batches = []
+    fused = KernelModel.decision_and_gradient_batch
+
+    def record(self, points):
+        batches.append(points.copy())
+        return fused(self, points)
+
+    monkeypatch.setattr(KernelModel, "decision_and_gradient_batch", record)
+    best = np.repeat(start[0][:, None], len(budgets), axis=1)
+    shadow(model, X0b, X0b.astype(np.float64), start, budgets, max_iters,
+           threshold, best)
+    monkeypatch.setattr(KernelModel, "decision_and_gradient_batch", fused)
+    return np.minimum.accumulate(best, axis=1), batches
+
+
+class TestCompactShadowPass:
+    @pytest.mark.parametrize("budgets", [[1, 2, 3], list(range(1, 9)),
+                                         [19, 20], list(range(1, 51))])
+    @pytest.mark.parametrize("seed", [2, 10, 13])
+    @pytest.mark.parametrize("skip_min", [0, attack_mod._SKIP_MIN_VALUES])
+    def test_matches_gather_based_pass_bitwise(self, monkeypatch, budgets,
+                                               seed, skip_min):
+        # random models (seeds picked so) where rows converge at different
+        # iterations down to a one-row tail, with already-benign rows left
+        # out; skip_min 0 takes the set test on every call after the first
+        rng = np.random.default_rng(seed)
+        d, n_sv, n = 60, 6, 14
+        svs = rng.random((n_sv, d)) < 0.3
+        model = KernelModel(svs, rng.normal(size=n_sv), 0.1, 0.05)
+        X0b = rng.random((n, d)) < 0.2
+        clean = model.decision_batch(X0b.astype(np.float64))
+        threshold = float(np.sort(clean)[3])
+        want, want_batches = recorded_shadow_pass(
+            monkeypatch, gather_shadow_pass, model, X0b, budgets, 1000,
+            threshold)
+        monkeypatch.setattr(attack_mod, "_SKIP_MIN_VALUES", skip_min)
+        got, got_batches = recorded_shadow_pass(
+            monkeypatch, attack_mod._shadow_pass, model, X0b, budgets, 1000,
+            threshold)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert len(got_batches) == len(want_batches)
+        for a, b in zip(got_batches, want_batches):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        sizes = [len(b) for b in got_batches]
+        assert sizes[0] == np.sum(clean >= threshold) < n
+        assert sizes[-1] == 1 and len(set(sizes)) > 3
+        assert len(sizes) < 1000  # every row converged
+
+    def test_criterion8_rows_reach_the_kernel_as_before(self, monkeypatch):
+        model, malware, threshold = criterion8_rbf_cell()
+        X0b = _binary_rows(malware[:30], model.d, bool)
+        for budgets in ([1, 2, 3], list(range(1, 9))):
+            want, want_batches = recorded_shadow_pass(
+                monkeypatch, gather_shadow_pass, model, X0b, budgets, 150,
+                threshold)
+            got, got_batches = recorded_shadow_pass(
+                monkeypatch, attack_mod._shadow_pass, model, X0b, budgets,
+                150, threshold)
+            assert np.array_equal(got, want)
+            assert [len(b) for b in got_batches] == [
+                len(b) for b in want_batches]
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(got_batches, want_batches))
+
+    def test_set_skip_scores_fewer_cells_than_prefix_rule(self, monkeypatch):
+        # the prefix rule scores, at each budget, every rescored row that
+        # moved past the previous budget; the set test drops the cells
+        # whose addition set is the previous iteration's
+        model, malware, threshold = criterion8_rbf_cell()
+        nested_scores = attack_mod._nested_scores
+        weights_from_sq = KernelModel._weights_from_sq
+        cells = {"prefix": 0, "scored": 0, "inside": False}
+
+        def record_nested(model, deltas, sq0, scores0, order, counts,
+                          budgets, *prev):
+            lower = np.array([0, *budgets[:-1]])
+            cells["prefix"] += int(np.sum(counts[:, None] > lower))
+            cells["inside"] = True
+            try:
+                return nested_scores(model, deltas, sq0, scores0, order,
+                                     counts, budgets, *prev)
+            finally:
+                cells["inside"] = False
+
+        def record_weights(self, sq, out=None):
+            if cells["inside"]:
+                cells["scored"] += len(sq)
+            return weights_from_sq(self, sq, out)
+
+        monkeypatch.setattr(attack_mod, "_nested_scores", record_nested)
+        monkeypatch.setattr(KernelModel, "_weights_from_sq", record_weights)
+        scores = attack_scores_over_grid(model, malware[:10], range(1, 9),
+                                         threshold, 150, "pgd")
+        assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
+        assert 0 < cells["scored"] < cells["prefix"]
+
+    def test_nested_scores_skip_only_cells_scored_before(self):
+        # with prev, a cell is +inf only where its addition set is prev's
+        # at that budget or its point is the previous budget's
+        rng = np.random.default_rng(6)
+        d, n, n_sv = 12, 300, 20
+        m = KernelModel(rng.random((n_sv, d)) < 0.5, rng.normal(size=n_sv),
+                        0.2, 0.3)
+        X0 = np.zeros((n, d))
+        deltas = (1 - 2 * m.support_vectors.T).astype(np.int8, order="C")
+        sq0 = m._sq_distances(X0).astype(np.int16)
+        budgets = [1, 2, 3, 5, 8, 12]
+        orders = []
+        for _ in range(2):
+            # a few features each, so that sets repeat across the two
+            order = np.full((n, 12), -1)
+            counts = rng.integers(0, 7, size=n)
+            for r in range(n):
+                order[r, :counts[r]] = rng.permutation(6)[:counts[r]]
+            orders.append((order, counts))
+        (prev_order, prev_counts), (order, counts) = orders
+        full = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
+                                         order, counts, budgets)
+        got = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
+                                        order, counts, budgets,
+                                        (prev_order, prev_counts))
+        for r in range(n):
+            for col, eps in enumerate(budgets):
+                point = set(order[r, :min(eps, counts[r])].tolist())
+                before = set(prev_order[r, :min(eps, prev_counts[r])].tolist())
+                lower = budgets[col - 1] if col else 0
+                skip = point == before or counts[r] <= lower
+                assert got[r, col] == (np.inf if skip else full[r, col])
+        assert np.isinf(got).any() and np.isfinite(got).any()
+
+
+class TestDistanceType:
+    def test_int16_up_to_its_maximum_then_int32(self):
+        assert attack_mod._distance_dtype(32767) is np.int16
+        assert attack_mod._distance_dtype(32768) is np.int32
+
+    def test_nested_scores_exact_past_the_int16_range(self):
+        # a point 32,760 from one support vector and 8 additions away:
+        # its squared distances reach 32,768, past what int16 holds
+        d = 32768
+        svs = np.zeros((2, d), dtype=bool)
+        svs[1, :4] = True
+        m = KernelModel(svs, np.array([1.0, -0.5]), 0.25, 1e-4)
+        X0b = np.zeros((1, d), dtype=bool)
+        X0b[0, 8:] = True
+        X0 = X0b.astype(np.float64)
+        deltas = (1 - 2 * m.support_vectors.T).astype(np.int8, order="C")
+        sq0 = m._sq_distances(X0).astype(attack_mod._distance_dtype(d))
+        order = np.arange(8)[None, :]
+        budgets = list(range(1, 9))
+        got = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
+                                        order, np.array([8]), budgets)
+        for col, eps in enumerate(budgets):
+            point = X0b.copy()
+            point[0, :eps] = True
+            want = m.decision_batch(point.astype(np.float64))
+            assert got[0, col] == want[0]
+        assert m._sq_distances(point.astype(np.float64))[0, 0] == 32768

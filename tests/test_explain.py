@@ -47,6 +47,32 @@ class TestGradient:
                   - m.decision_batch(dn[None])[0]) / (2 * h)
             assert abs(r[i] - fd) / max(abs(fd), 1e-12) < 1e-5
 
+    @pytest.mark.parametrize("method", [attribution_gradient,
+                                        attribution_gradient_input])
+    def test_kernel_gradient_peak(self, wide_set, traced_peak, method):
+        # a 200-support-vector RBF model of the bool samples holds the
+        # result, the w @ S product and the (n, 200) weights; a float64 copy
+        # of the samples and a second copy of the result took 3.40 copies
+        rng = np.random.default_rng(11)
+        m = KernelModel(wide_set.samples[rng.choice(wide_set.n, 200,
+                                                    replace=False)],
+                        rng.normal(size=200), 0.1, 0.01)
+        peak = traced_peak(method, m, wide_set.samples)
+        assert peak <= 2.5 * 8 * wide_set.n * wide_set.d
+
+    def test_kernel_gradient_of_bool_samples_is_bitwise(self):
+        # signed zeros included: the bits equal gradient_batch on floats
+        rng = np.random.default_rng(12)
+        m = random_kernel_model(rng, 40, 30, 0.1)
+        X = rng.random((50, 40)) < 0.3
+        want = m.gradient_batch(X.astype(np.float64))
+        got = attribution_gradient(m, X)
+        assert got.flags.writeable
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        masked = attribution_gradient_input(m, X)
+        assert np.array_equal(masked.view(np.int64),
+                              (want * X).view(np.int64))
+
 
 class TestGradientInput:
     def test_masked_product(self):
