@@ -1,10 +1,13 @@
 """Differentiable decision functions and their stochastic subgradient trainers.
 
 All trainers share one seeded SGD loop so that the box-constrained variant is
-literally the unconstrained one plus a per-step clip.  Models score and
-differentiate at arbitrary real-valued points, which the attack and the
-path-integral attribution both rely on.  Each trainer holds one float64
-copy of its training rows and takes the rows' squared norms from the bool
+literally the unconstrained one plus a clip after every step that can leave
+the box: every step but a hinge shrink step w <- w - w (eta lam) with
+eta lam <= 1 inside a box with lb < 0 < ub, which keeps each weight between
+0 and itself.  Models score and differentiate at arbitrary real-valued
+points, which the attack and the path-integral attribution both rely on.
+Each trainer holds one float64 copy of its training rows (the linear one
+signs them by their labels) and takes the rows' squared norms from the bool
 matrix's counts; the RBF trainer drops that copy once its kernel matrix is
 built.
 """
@@ -181,10 +184,12 @@ class TrainConfig:
         _check_int("seed", self.seed)
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not self.learning_rate > 0:  # NaN too
-            raise ValueError("learning_rate must be positive")
-        if not self.reg > 0:
-            raise ValueError("reg must be positive")
+        # NaN fails these too; inf would train every epoch to non-finite
+        # weights or objectives
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if not 0.0 < self.reg < math.inf:
+            raise ValueError("reg must be finite and positive")
         if (self.weight_lb is None) != (self.weight_ub is None):
             raise ValueError("weight_lb and weight_ub must be given together")
         if self.weight_lb is not None and not (
@@ -197,10 +202,10 @@ def _require_both_classes(ds: LabeledDataset) -> None:
         raise ValueError("training data must contain both classes")
 
 
-def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
+def _objective(S: np.ndarray, y: np.ndarray, w: np.ndarray, b: float,
                loss: str, reg: float) -> float:
-    f = X @ w + b
-    margins = y * f
+    """The training objective at (w, b), from the signed rows y_i x_i."""
+    margins = S @ w + y * b
     if loss == "hinge":
         return 0.5 * float(w @ w) + reg * float(np.maximum(0.0, 1.0 - margins).sum())
     if loss == "logistic":
@@ -223,13 +228,33 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     # Each step writes its update into ``buf`` (and ``tmp``) in place: the
     # same operations in the same order as the expression in its comment,
     # so the weights are bitwise those of that expression.  X is the one
-    # float64 copy of the samples: the labels are +-1 and the rows 0/1, so
-    # y_i * x_i is an exact sign flip (-0.0 where x_ij = 0 and y_i = -1),
-    # formed when a step needs it, and x_i . x_i is the row's count.
+    # float64 copy of the samples, signed in place: the labels are +-1 and
+    # the rows 0/1, so s_i = y_i x_i is an exact sign flip (-0.0 where
+    # x_ij = 0 and y_i = -1), s_i . w is y_i (x_i . w) bit for bit, and
+    # x_i . x_i is the row's count.  The margin y_i f is then s_i . w + y_i b
+    # (a zero's sign aside, which no use of it can see).
+    X *= y[:, None]
     rows = list(X)
     labels = y.tolist()
     sqnorms = np.count_nonzero(train.samples, axis=1).tolist()
+    # At d ~ 100s a step costs its numpy calls, not its arithmetic, and a
+    # Python float operand costs a call more than an array does.  So lam
+    # is a (d,) array, each step's scalar factor is written into the 0-d
+    # ``fac``, and an epoch's step sizes come from one vectorised
+    # expression: the same IEEE divisions and sums as eta0 / (1 + t / n).
+    lam_w = np.full(d, lam)
+    fac = np.empty(())
     bounded = cfg.weight_lb is not None
+    if bounded:
+        lb = np.full(d, float(cfg.weight_lb))
+        ub = np.full(d, float(cfg.weight_ub))
+    # A shrink step w - w (eta lam) with 0 <= eta lam <= 1 moves each weight
+    # to a value between 0 and itself (a zero comes out +0.0), so inside a
+    # box with lb < 0 < ub it cannot leave the box, and its clip would
+    # change no bit.  A 0 bound (where the clip picks a zero's sign) or
+    # eta lam > 1 (which flips signs) clips as every other step does.
+    zero_inside = bounded and cfg.weight_lb < 0.0 < cfg.weight_ub
+    loss = cfg.loss
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
     buf = np.empty(d)
@@ -238,52 +263,61 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     t = 0
     epoch_objective = []
     for _ in range(cfg.epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = cfg.learning_rate / (1.0 + t / n)
+        steps = np.arange(t + 1, t + n + 1)
+        etas = (cfg.learning_rate / (1.0 + steps / n)).tolist()
+        t += n
+        for i, eta in zip(rng.permutation(n).tolist(), etas):
             yi = labels[i]
-            f = float(rows[i].dot(w)) + b
-            if cfg.loss == "hinge":
-                if yi * f < 1.0:
-                    # w += eta * (y_i x_i - lam w)
-                    np.multiply(rows[i], yi, out=tmp)
-                    np.multiply(w, lam, out=buf)
-                    np.subtract(tmp, buf, out=buf)
-                    buf *= eta
+            m = float(rows[i].dot(w)) + yi * b  # y_i f
+            clip = bounded
+            if loss == "hinge":
+                if m < 1.0:
+                    # w += eta * (s_i - lam w)
+                    np.multiply(w, lam_w, out=buf)
+                    np.subtract(rows[i], buf, out=buf)
+                    fac[()] = eta
+                    buf *= fac
                     w += buf
                     b += eta * yi
                 else:
                     # w -= eta * lam * w
-                    np.multiply(w, eta * lam, out=buf)
+                    shrink = eta * lam
+                    fac[()] = shrink
+                    np.multiply(w, fac, out=buf)
                     w -= buf
-            elif cfg.loss == "logistic":
-                sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, yi * f))))
-                # w += eta * (sig * y_i * x_i - lam w); x_i (y_i sig) is
-                # (y_i x_i) sig bit for bit, as y_i = +-1 and sig > 0
-                np.multiply(rows[i], yi * sig, out=tmp)
-                np.multiply(w, lam, out=buf)
+                    clip = bounded and not (zero_inside and shrink <= 1.0)
+            elif loss == "logistic":
+                sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, m))))
+                # w += eta * (sig * s_i - lam w); s_i sig is x_i (y_i sig)
+                # bit for bit, as y_i = +-1 and sig > 0
+                fac[()] = sig
+                np.multiply(rows[i], fac, out=tmp)
+                np.multiply(w, lam_w, out=buf)
                 np.subtract(tmp, buf, out=buf)
-                buf *= eta
+                fac[()] = eta
+                buf *= fac
                 w += buf
                 b += eta * sig * yi
             else:  # squared
                 # Normalized step (NLMS): plain least-squares SGD diverges
                 # once eta * ||x_i||^2 exceeds 1, which dense samples hit at
                 # any usable base rate.
-                resid = f - yi
+                resid = yi * m - yi
                 step = eta / max(1.0, sqnorms[i])
-                # w -= step * (2 resid x_i + lam w)
-                np.multiply(rows[i], 2.0 * resid, out=tmp)
-                np.multiply(w, lam, out=buf)
+                # w -= step * (2 resid x_i + lam w); 2 resid x_i is
+                # s_i (y_i 2 resid) bit for bit, as y_i = +-1
+                fac[()] = yi * 2.0 * resid
+                np.multiply(rows[i], fac, out=tmp)
+                np.multiply(w, lam_w, out=buf)
                 np.add(tmp, buf, out=buf)
-                buf *= step
+                fac[()] = step
+                buf *= fac
                 w -= buf
                 b -= step * 2.0 * resid
-            if bounded:
-                # np.clip, without its Python wrapper's per-call cost
-                np.maximum(w, cfg.weight_lb, out=w)
-                np.minimum(w, cfg.weight_ub, out=w)
-        epoch_objective.append(_objective(X, y, w, b, cfg.loss, cfg.reg))
+            if clip:
+                np.maximum(w, lb, out=w)
+                np.minimum(w, ub, out=w)
+        epoch_objective.append(_objective(X, y, w, b, loss, cfg.reg))
 
     meta = {
         "kind": "linear",
@@ -311,7 +345,7 @@ def train_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 
 def train_secsvm(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     """Hinge SGD with every weight clipped into [weight_lb, weight_ub] after
-    each update."""
+    each update that can leave the box."""
     if cfg.weight_lb is None:
         raise ValueError("train_secsvm requires weight_lb and weight_ub")
     if cfg.loss != "hinge":
@@ -329,8 +363,8 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     one n x n float64 kernel matrix, which the guard below bounds.
     """
     _require_both_classes(train)
-    if not C > 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError("C must be finite and positive")
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be finite and positive")
     n = train.n

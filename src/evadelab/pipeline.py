@@ -402,7 +402,10 @@ def _pool_correlations(cfg: ExperimentConfig,
     pooled = []
     for spec in cfg.classifiers:
         ok = [c for c in cells if c.spec.name == spec.name and c.status == "ok"]
-        if not ok:
+        if len(ok) == 1:
+            # one cell's pairs, in its order: the suites it already took
+            pooled += [{"classifier": spec.name, **entry}
+                       for entry in ok[0].correlations]
             continue
         for method in ATTRIBUTION_METHODS:
             for metric in EVENNESS_METRICS:

@@ -71,10 +71,15 @@ def _validated(xs, ys) -> tuple[np.ndarray, np.ndarray, int]:
     return x, y, x.shape[0]
 
 
+def _either_constant(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether either series is constant, which makes every coefficient
+    undefined.  The check is exact: mean subtraction alone can leave ~1e-16
+    noise on a constant series, which must still count as zero variance."""
+    return bool((x == x[0]).all() or (y == y[0]).all())
+
+
 def _pearson_r(x: np.ndarray, y: np.ndarray) -> float | None:
-    # Exact constancy check: mean subtraction alone can leave ~1e-16 noise
-    # on a constant series, which must still count as zero variance.
-    if np.all(x == x[0]) or np.all(y == y[0]):
+    if _either_constant(x, y):
         return None
     xc = x - x.mean()
     yc = y - y.mean()
@@ -169,7 +174,9 @@ def midranks(values) -> np.ndarray:
 def spearman(xs, ys) -> CorrelationReport:
     """Pearson correlation of midranks, with the same t-transform p-value."""
     x, y, n = _validated(xs, ys)
-    r = _pearson_r(midranks(x), midranks(y))
+    # a constant series is degenerate before it is ranked
+    r = (None if _either_constant(x, y)
+         else _pearson_r(midranks(x), midranks(y)))
     if r is None:
         return CorrelationReport("spearman", None, None, n, True)
     return CorrelationReport("spearman", r, _t_pvalue(r, n), n, False)
@@ -222,6 +229,10 @@ def _kendall_counts(x: np.ndarray, y: np.ndarray):
 def kendall(xs, ys) -> CorrelationReport:
     """Tie-corrected tau-b with a normal approximation for the p-value."""
     x, y, n = _validated(xs, ys)
+    # before counting; a series that is not constant has more than one tie
+    # group, so neither denominator below can be 0
+    if _either_constant(x, y):
+        return CorrelationReport("kendall", None, None, n, True)
     concordant, discordant, _, tx, ty = _kendall_counts(x, y)
     s = concordant - discordant
     n0 = n * (n - 1) / 2.0
@@ -229,11 +240,7 @@ def kendall(xs, ys) -> CorrelationReport:
     ty = ty[ty > 1].astype(np.float64)
     t_x = float((tx * (tx - 1) / 2.0).sum())
     t_y = float((ty * (ty - 1) / 2.0).sum())
-    denom_x = n0 - t_x
-    denom_y = n0 - t_y
-    if denom_x == 0.0 or denom_y == 0.0:
-        return CorrelationReport("kendall", None, None, n, True)
-    tau = s / math.sqrt(denom_x * denom_y)
+    tau = s / math.sqrt((n0 - t_x) * (n0 - t_y))
     tau = min(1.0, max(-1.0, tau))
 
     v0 = n * (n - 1) * (2 * n + 5)

@@ -268,7 +268,7 @@ class TestTrainRbfSvm:
         assert peak <= 1.5 * 8 * train.n ** 2
 
     @pytest.mark.parametrize("C,gamma,name", [
-        (math.nan, 1.0, "C"), (1.0, math.nan, "gamma"),
+        (math.nan, 1.0, "C"), (math.inf, 1.0, "C"), (1.0, math.nan, "gamma"),
         (1.0, math.inf, "gamma")])
     def test_bad_parameter_named_before_the_gram_matrix(self, monkeypatch,
                                                         C, gamma, name):
@@ -325,6 +325,96 @@ class TestPresetTrainersPinned:
         assert model.bias == bias
         assert parameter_digest(model) == digest
         assert tuple(model.meta.get("epoch_objective", ())) == objective
+
+
+def reference_sgd_linear(train, cfg):
+    """(weights, bias, epoch_objective) of the linear SGD trainer as one
+    plain loop: unsigned rows, Python-float operands and a clip after every
+    step of a bounded run.  The trainer must match it bit for bit."""
+    X = train.samples.astype(np.float64)
+    y = train.labels.astype(np.float64)
+    n, d = X.shape
+    lam = 2.0 * cfg.reg / n if cfg.loss == "squared" else 1.0 / (n * cfg.reg)
+    rows = list(X)
+    labels = y.tolist()
+    sqnorms = np.count_nonzero(train.samples, axis=1).tolist()
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    objective = []
+    for _ in range(cfg.epochs):
+        for i in rng.permutation(n).tolist():
+            t += 1
+            eta = cfg.learning_rate / (1.0 + t / n)
+            yi = labels[i]
+            f = float(rows[i].dot(w)) + b
+            if cfg.loss == "hinge":
+                if yi * f < 1.0:
+                    w += (rows[i] * yi - w * lam) * eta
+                    b += eta * yi
+                else:
+                    w -= w * (eta * lam)
+            elif cfg.loss == "logistic":
+                sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, yi * f))))
+                w += (rows[i] * (yi * sig) - w * lam) * eta
+                b += eta * sig * yi
+            else:
+                resid = f - yi
+                step = eta / max(1.0, sqnorms[i])
+                w -= (rows[i] * (2.0 * resid) + w * lam) * step
+                b -= step * 2.0 * resid
+            if cfg.weight_lb is not None:
+                w = np.minimum(np.maximum(w, cfg.weight_lb), cfg.weight_ub)
+        margins = y * (X @ w + b)
+        if cfg.loss == "hinge":
+            obj = 0.5 * float(w @ w) + cfg.reg * float(
+                np.maximum(0.0, 1.0 - margins).sum())
+        elif cfg.loss == "logistic":
+            obj = 0.5 * float(w @ w) + cfg.reg * float(
+                np.logaddexp(0.0, -margins).sum())
+        else:
+            obj = cfg.reg * float(w @ w) + float(((1.0 - margins) ** 2).sum())
+        objective.append(obj)
+    return w, b, objective
+
+
+def oracle_set():
+    """24 rows of d = 8 with both classes and an all-zero row of each."""
+    rng = np.random.default_rng(5)
+    samples = rng.random((24, 8)) < 0.3
+    samples[[0, 1]] = False
+    return LabeledDataset(samples, np.where(np.arange(24) % 2 == 0, 1, -1))
+
+
+class TestSgdOracle:
+    # Signed rows, array operands and the skipped clip must leave every bit
+    # of the plain loop.  A clip after a shrink step changes bits at a
+    # bound of zero (the box with ub = -0.0 catches a skip that ignores
+    # it) and where eta * lam > 1 (a skip after every shrink step fails
+    # the three finite boxes of nonzero bounds).
+    @pytest.mark.parametrize("box", [
+        None, (-0.25, 0.25), (0.0, 0.25), (-0.25, 0.0), (-0.25, -0.0),
+        (-0.0, 0.0), (-math.inf, math.inf)])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic", "squared"])
+    def test_bitwise_equal_to_the_plain_loop(self, loss, box):
+        train = oracle_set()
+        lb, ub = box if box is not None else (None, None)
+        for reg in (0.01, 1.0, 100.0):
+            for rate in (0.1, 5.0, 300.0):
+                for seed in (0, 1, 2):
+                    cfg = TrainConfig(loss, reg, epochs=3, learning_rate=rate,
+                                      seed=seed, weight_lb=lb, weight_ub=ub)
+                    case = f"reg={reg} rate={rate} seed={seed}"
+                    # unbounded runs at rate 300 diverge to weights whose
+                    # squared norm overflows in the objective
+                    with np.errstate(over="ignore"):
+                        w, b, objective = reference_sgd_linear(train, cfg)
+                        model = models_mod._sgd_linear(train, cfg)
+                    assert model.weights.tobytes() == w.tobytes(), case
+                    assert model.bias == b, case
+                    assert (np.array(model.meta["epoch_objective"]).tobytes()
+                            == np.array(objective).tobytes()), case
 
 
 class TestDatasetScores:

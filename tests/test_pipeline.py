@@ -82,6 +82,33 @@ class TestRunExperiment:
             assert (name, "gradient_input") in seen
             assert (name, "integrated_gradients") in seen
 
+    def test_one_cell_pools_to_its_own_table(self, small_report,
+                                             monkeypatch):
+        # a classifier with one ok cell pools that cell's pairs in its order,
+        # so its pooled table is the cell's, taken without a suite more
+        report, _ = small_report
+        monkeypatch.setattr(pipeline, "correlation_suite", None)
+        assert pipeline._pool_correlations(report.config, report.cells) == [
+            {"classifier": cell.spec.name, **entry}
+            for cell in report.cells for entry in cell.correlations]
+
+    def test_cells_pool_their_pairs(self, two_rep_report):
+        report, _ = two_rep_report
+        pooled = {(e["classifier"], e["attribution"], e["metric"]): []
+                  for e in report.pooled_correlations}
+        for e in report.pooled_correlations:
+            pooled[e["classifier"], e["attribution"], e["metric"]].append(
+                e["report"])
+        assert len(pooled) == 2 * 3 * 2  # classifiers x methods x metrics
+        for (name, method, metric), reports in pooled.items():
+            pairs = [(e, r) for cell in report.ok_cells(name)
+                     for e, r in zip(getattr(cell.evenness[method],
+                                             f"per_sample_{metric}"),
+                                     cell.robust.per_sample)
+                     if e is not None]
+            assert len(pairs) > len(report.ok_cells(name)[0].sample_ids)
+            assert reports == correlation_suite(*zip(*pairs))
+
     def test_artifact_files_written(self, two_rep_report):
         # every file a study writes: a table added or lost shows up here
         _, out = two_rep_report
@@ -471,7 +498,10 @@ class TestConfigParsing:
         (dict(kind="rbf", loss="squared"), "loss"),
         (dict(kind="rbf", gamma=0.0), "gamma"),
         (dict(kind="rbf", gamma=math.nan), "gamma"),
-        (dict(kind="rbf", gamma=math.inf), "gamma")])
+        (dict(kind="rbf", gamma=math.inf), "gamma"),
+        (dict(kind="linear", reg=math.inf), "reg"),
+        (dict(kind="linear", learning_rate=math.inf), "learning_rate"),
+        (dict(kind="rbf", reg=math.inf), "reg")])
     def test_bad_spec_fails_at_construction(self, spec, field):
         # each used to pass here and fail inside its cell or be ignored
         with pytest.raises(ValueError, match=field):

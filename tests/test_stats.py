@@ -308,6 +308,21 @@ class TestSuiteAndProperties:
         reports = correlation_suite([2, 2, 2], [1, 2, 3])
         assert all(r.degenerate for r in reports)
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([7.0, 7.0, 7.0, 7.0], [0.3, 0.1, 0.2, 0.4]),
+        ([0.3, 0.1, 0.2, 0.4], [-0.0, 0.0, 0.0, -0.0])])
+    def test_constant_input_neither_ranked_nor_counted(self, monkeypatch,
+                                                       xs, ys):
+        # every Gradient row of a linear model is w, so its evenness series
+        # is constant; ranking and merge-counting it decided nothing
+        def fail(*args):
+            raise AssertionError("a constant series was ranked or counted")
+        monkeypatch.setattr(stats, "midranks", fail)
+        monkeypatch.setattr(stats, "_kendall_counts", fail)
+        reports = correlation_suite(xs, ys)
+        assert [r.degenerate for r in reports] == [True] * 3
+        assert [r.n for r in reports] == [4] * 3
+
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=25)
