@@ -37,16 +37,17 @@ Each iteration scores only points it has not scored before.  A row whose
 ranked prefix of budgets[-1] additions is the previous iteration's is not
 scored again: its point at every budget is unchanged, so its scores are the
 ones already compared with the best scores, and none can be strictly lower.
-Within the other rows, a (row, budget) cell whose addition set equals the
-previous iteration's at that budget, or whose point is the previous
-budget's, is skipped with +inf: an equal score was already compared at the
-same or a smaller budget, so the running minimum along the budgets that
-``_pgd_core`` takes ends every row where it would have.  The first
-iteration compares every row with its clean point, where the best scores
-start.  The shadow pass holds its live rows' state compact and in sample
-order, so each kernel call sees the row batch a gather from (n, d) arrays
-would give it.  A linear model gets no shadow pass: its gradient is
-constant, so the binary pass already adds features in the optimal order.
+Every prefix starts empty, at the clean point, where the best scores start.
+Within the other rows, a (row, budget) cell whose point is the previous
+budget's (the clean point at the first budget) is skipped with +inf, and so,
+on calls large enough to pay for the set test, is a cell whose addition set
+equals the previous iteration's at that budget: an equal score was already
+compared at the same or a smaller budget, so the running minimum along the
+budgets that ``_pgd_core`` takes ends every row where it would have.  The
+shadow pass holds its live rows' state compact and in sample order, so each
+kernel call sees the row batch a gather from (n, d) arrays would give it.
+A linear model gets no shadow pass: its gradient is constant, so the binary
+pass already adds features in the optimal order.
 
 For linear models an exact greedy oracle exists: additions are independent,
 so adding absent features in ascending weight order is optimal.  It stops
@@ -266,34 +267,35 @@ def _distance_dtype(d: int):
 
 
 def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
-                   scores0: np.ndarray, order: np.ndarray, counts: np.ndarray,
-                   budgets, prev=None) -> np.ndarray:
+                   order: np.ndarray, counts: np.ndarray, budgets,
+                   prev=None) -> np.ndarray:
     """Decision values at x0 plus its first min(e, count) ranked additions,
-    for each e of the ascending budgets: (rows, len(budgets)).
+    for each e of the ascending budgets, at the new cells only: (rows,
+    len(budgets)), +inf at every other cell.
 
-    ``sq0`` and ``scores0`` are the squared distances and decisions of the
-    clean rows, ``order[r, :counts[r]]`` lists row r's additions in rank
-    order, and ``deltas[j]`` is the change 1 - 2 s_ij of every
-    ||x - s_i||^2 when feature j is added.  With 0/1 points and support
-    vectors every squared distance is a small integer, so the running sums
-    are exact in any order and in any integer type that holds them, and each
-    value equals ``decision_batch`` on the materialised point bit for bit.
-    The rows are taken by descending count, so the rows still adding at a
-    position are a leading slice of the running sums.  Each cell's sums are
-    copied out when its budget is reached, and the cells are scored
-    together in blocks of about _NESTED_BLOCK_VALUES values, each cast to
-    float64 once.  Memory stays O(rows x n_sv) plus one block.
+    ``sq0`` is the squared distances of the clean rows,
+    ``order[r, :counts[r]]`` lists row r's additions in rank order, and
+    ``deltas[j]`` is the change 1 - 2 s_ij of every ||x - s_i||^2 when
+    feature j is added.  With 0/1 points and support vectors every squared
+    distance is a small integer, so the running sums are exact in any order
+    and in any integer type that holds them, and each value equals
+    ``decision_batch`` on the materialised point bit for bit.  The rows are
+    taken by descending count, so the rows still adding at a position are a
+    leading slice of the running sums.  Each cell's sums are copied out when
+    its budget is reached, and the cells are scored together in blocks of
+    about _NESTED_BLOCK_VALUES values, each cast to float64 once.  Memory
+    stays O(rows x n_sv) plus one block.
 
-    ``prev``, when given, is the (order, counts) of the same rows at the
-    previous iteration, and then only the new points are scored; every
-    other cell gets +inf.  A cell is new if its row adds a feature past the
-    previous budget (else its point is the previous budget's) and its
-    addition set differs from prev's at the same budget (else it is the
-    point scored there).  Every +inf cell thus has an equal score already
-    compared at the same or a smaller budget, so the running minimum along
-    the budgets that the caller takes is unchanged.  A (rows, d + 1) table
-    gives each entry's rank in prev's order (width where absent); the two
-    budget-e sets are equal iff both prefixes hold m entries and the
+    A cell is new if its row adds a feature past the previous budget (else
+    its point is the previous budget's, or the clean point at the first)
+    and, when ``prev`` gives the (order, counts) of the same rows at the
+    previous iteration, its addition set differs from prev's at the same
+    budget (else it is the point scored there).  Every +inf cell thus has
+    an equal score already compared at the same or a smaller budget, or is
+    the clean point, where the best scores start, so the running minimum
+    along the budgets that the caller takes is unchanged.  A (rows, d + 1)
+    table gives each entry's rank in prev's order (width where absent); the
+    two budget-e sets are equal iff both prefixes hold m entries and the
     running max of the first m ranks is below m.
     """
     n, width = order.shape
@@ -301,13 +303,9 @@ def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
         return np.empty((0, len(budgets)))
     by_count = np.argsort(-counts, kind="stable")
     counts, order, sq = counts[by_count], order[by_count], sq0[by_count]
-    out = np.empty((n, len(budgets)))
-    if prev is None:
-        # a row that adds nothing stays at its clean point
-        out[:] = scores0[:, None]
-        new = np.repeat((counts > 0)[:, None], len(budgets), axis=1)
-    else:
-        out.fill(np.inf)
+    out = np.full((n, len(budgets)), np.inf)
+    new = counts[:, None] > np.array([0, *budgets[:-1]])
+    if prev is not None:
         budget_arr = np.asarray(budgets)
         prev_order, prev_counts = prev[0][by_count], prev[1][by_count]
         at = np.arange(n)[:, None]
@@ -315,9 +313,8 @@ def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
         rank[at, prev_order] = np.arange(width)
         seen = np.maximum.accumulate(rank[at, order], axis=1)
         taken = np.minimum(counts[:, None], budget_arr)
-        new = ((counts[:, None] > np.array([0, *budgets[:-1]]))
-               & ((taken != np.minimum(prev_counts[:, None], budget_arr))
-                  | (seen[at, taken - 1] >= taken)))
+        new &= ((taken != np.minimum(prev_counts[:, None], budget_arr))
+                | (seen[at, taken - 1] >= taken))
     # the new cells budget by budget, rows ascending within a budget
     cols, rows = np.nonzero(new.T)
     per_budget = np.count_nonzero(new, axis=0).tolist()
@@ -354,19 +351,19 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     recorded.
 
     The live rows' state (iterate, lower bound, clean rows, gradient,
-    previous objective, ranked prefix, clean squared distances and scores)
-    is held row-aligned in ascending sample order, and is compacted only
-    when rows converge, so each kernel call sees the row batch that
-    gathering the live rows from (n, .) arrays would give it.  The clean
-    squared distances are integers, held as ``_distance_dtype(d)`` beside
-    an int8 delta table.  Each iterate's nested projections are scored only
+    previous objective, ranked prefix and clean squared distances) is held
+    row-aligned in ascending sample order, and is compacted only when rows
+    converge, so each kernel call sees the row batch that gathering the
+    live rows from (n, .) arrays would give it.  The clean squared
+    distances are integers, held as ``_distance_dtype(d)`` beside an int8
+    delta table.  The prefixes start empty, at the clean point, where
+    best_scores starts.  Each iterate's nested projections are scored only
     for the rows whose ranked prefix of budgets[-1] additions differs from
     the previous iteration's; within those, a cell whose addition set is
     unchanged is skipped (``_nested_scores`` with ``prev``) once the rows
     and budgets scored hold _SKIP_MIN_VALUES kernel values, below which
-    the set test costs more than the cells it saves; the first iteration
-    always takes it against the clean point, the rows' start.  Skipped
-    cells score +inf, so best_scores is exact only after the caller's
+    the set test costs more than the cells it saves.  Cells that are not
+    new score +inf, so best_scores is exact only after the caller's
     running minimum along the budgets.  One fused kernel call per iteration
     evaluates the new iterate and gives the gradient that the still-active
     rows step with next.  A row leaves the pass when its objective
@@ -378,7 +375,7 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     if rows.size == 0:
         return
     X0, low = X0b[rows], lb[rows]
-    cur, g, prev_obj, clean = low, grad0[rows], scores0[rows], scores0[rows]
+    cur, g, prev_obj = low, grad0[rows], scores0[rows]
     sq0 = model._sq_distances(low).astype(_distance_dtype(model.d))
     # row j: the change of every ||x - s_i||^2 when x_j goes from 0 to 1
     deltas = (1 - 2 * model.support_vectors.T).astype(np.int8, order="C")
@@ -388,32 +385,26 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     # additions, and best_scores starts at its score
     prefix = (np.full((rows.size, budgets[-1]), -1, dtype=np.intp),
               np.zeros(rows.size, dtype=np.intp))
-    for it in range(max_iters):
+    for _ in range(max_iters):
         eta = _movable_eta(g, cur, low, 0.1)
         stepped = eta[:, None] * g
         np.subtract(cur, stepped, out=stepped)
         np.maximum(stepped, low, out=stepped)
         np.minimum(stepped, 1.0, out=stepped)
         order, counts = _ranked_changes(stepped, X0, budgets[-1])
-        if it == 0:
-            # the first iteration passes every row, and its points are new
-            # only past the clean point
-            changed = np.arange(rows.size)
-        else:
-            # an unchanged prefix scores bit for bit what it scored before
-            changed = np.flatnonzero((order != prefix[0]).any(axis=1))
+        # an unchanged prefix scores bit for bit what it scored before
+        changed = np.flatnonzero((order != prefix[0]).any(axis=1))
         prev = ((prefix[0][changed], prefix[1][changed])
-                if it == 0 or changed.size >= skip_rows else None)
+                if changed.size >= skip_rows else None)
         bin_scores = _nested_scores(model, deltas, sq0[changed],
-                                    clean[changed], order[changed],
-                                    counts[changed], budgets, prev)
-        if changed.size:
-            ri, ci = np.nonzero(bin_scores < best_scores[rows[changed]])
-            if ri.size:
-                hit = changed[ri]
-                _check_feasible(X0[hit], *_prefix_changes(
-                    order[hit], counts[hit], budget_arr[ci]), budget_arr[ci])
-                best_scores[rows[hit], ci] = bin_scores[ri, ci]
+                                    order[changed], counts[changed], budgets,
+                                    prev)
+        ri, ci = np.nonzero(bin_scores < best_scores[rows[changed]])
+        if ri.size:
+            hit = changed[ri]
+            _check_feasible(X0[hit], *_prefix_changes(
+                order[hit], counts[hit], budget_arr[ci]), budget_arr[ci])
+            best_scores[rows[hit], ci] = bin_scores[ri, ci]
         prefix = order, counts
         obj, g = model.decision_and_gradient_batch(stepped)
         cur = stepped
@@ -424,15 +415,16 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
             if done.all():
                 break
             go = ~done
-            rows, X0, low, cur, g, prev_obj, clean, sq0 = (
-                a[go] for a in (rows, X0, low, cur, g, prev_obj, clean, sq0))
+            rows, X0, low, cur, g, prev_obj, sq0 = (
+                a[go] for a in (rows, X0, low, cur, g, prev_obj, sq0))
             prefix = prefix[0][go], prefix[1][go]
 
 
-def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
-              max_iters: int, threshold: float) -> np.ndarray:
+def _pgd_core(model: TrainedModel, X0b: np.ndarray, lb: np.ndarray, start,
+              budgets, max_iters: int, threshold: float) -> np.ndarray:
     """(n, k) best scores of the batched attack at each budget of an
-    ascending list, from ``start``, the (scores, gradients) of the rows X0b.
+    ascending list, from ``start``, the (scores, gradients) of the rows X0b,
+    whose float64 copy ``lb`` is the box's lower bound.
 
     One binary pass over the whole list, then on a kernel model one shadow
     pass shared by all budgets; both lower the same score matrix, so each
@@ -444,7 +436,6 @@ def _pgd_core(model: TrainedModel, X0b: np.ndarray, start, budgets,
     along the budgets keeps every score valid and makes each row
     non-increasing in the budget.
     """
-    lb = X0b.astype(np.float64)
     best_scores = np.repeat(start[0][:, None], len(budgets), axis=1)
     _binary_pass(model, X0b, lb, start, budgets, max_iters, threshold,
                  best_scores)
@@ -576,12 +567,14 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
             out[:, col] = path_scores[rows, np.minimum(first_cross, last)]
         return out
 
-    # one fused call scores the rows and gives the descent's first gradient
-    start = model.decision_and_gradient_batch(X0b.astype(np.float64))
+    # one fused call scores the rows and gives the descent's first
+    # gradient; the rows' float64 copy is the box's lower bound
+    lb = X0b.astype(np.float64)
+    start = model.decision_and_gradient_batch(lb)
     scores0 = start[0]
     budgets = sorted({e for e in eps_grid if e > 0})
     if budgets:
-        best_scores = _pgd_core(model, X0b, start, budgets, max_iters,
+        best_scores = _pgd_core(model, X0b, lb, start, budgets, max_iters,
                                 threshold)
     for col, eps in enumerate(eps_grid):
         out[:, col] = scores0 if eps == 0 else best_scores[:, budgets.index(eps)]

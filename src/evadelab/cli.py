@@ -23,10 +23,19 @@ from .attack import (_MAX_ITERS, ATTACK_METHODS, NOT_EVADABLE,
 # Re-exported: studybench's traced run wraps cli.epsilon_min.
 from .attack import epsilon_min  # noqa: F401
 from .explain import top_features
-from .featurespace import SyntheticConfig, generate_synthetic, load_dataset
-from .pipeline import (PRESETS, ClassifierSpec, ExperimentConfig, _write_csv,
-                       run_experiment)
+from .featurespace import (SyntheticConfig, _ascii_digits, generate_synthetic,
+                           load_dataset)
+from .pipeline import PRESETS, ExperimentConfig, _write_csv, run_experiment
 from .robustness import _check_grid, _repeated, robustness_from_scores
+
+
+def _budget(token: str, flag: str) -> int:
+    """One budget of ``flag``: ASCII digits, with surrounding whitespace
+    (int() would also take "1_0", "+3" and other scripts' digits)."""
+    digits = token.strip()
+    if not _ascii_digits(digits):
+        raise ValueError(f"{flag} budget {token!r} is not ASCII digits")
+    return int(digits)
 
 
 def _parse_grid(text: str, flag: str) -> list[int]:
@@ -34,9 +43,9 @@ def _parse_grid(text: str, flag: str) -> list[int]:
     ``flag``, which must hold at least one budget and none twice."""
     if ":" in text:
         lo, hi = text.split(":", 1)
-        grid = list(range(int(lo), int(hi) + 1))
+        grid = list(range(_budget(lo, flag), _budget(hi, flag) + 1))
     else:
-        grid = [int(tok) for tok in text.split(",") if tok]
+        grid = [_budget(tok, flag) for tok in text.split(",") if tok.strip()]
     if not grid:
         raise ValueError(f"{flag} {text!r} holds no budget")
     repeated = _repeated(grid)
@@ -61,12 +70,17 @@ def _threshold_for(model, ds, args) -> float:
 
 def cmd_train(args) -> int:
     ds = _load_data(args)
+    # the spec flags that are given override the preset, or ClassifierSpec's
+    # defaults without one
+    flags = {"kind": args.kind, "loss": args.loss, "reg": args.reg,
+             "gamma": args.gamma, "weight_bound": args.bound,
+             "epochs": args.epochs, "learning_rate": args.learning_rate}
+    entry = {key: value for key, value in flags.items() if value is not None}
     if args.preset:
-        spec = PRESETS[args.preset]
+        entry["preset"] = args.preset
     else:
-        spec = ClassifierSpec("custom", args.kind, loss=args.loss, reg=args.reg,
-                              gamma=args.gamma, weight_bound=args.bound)
-    spec = replace(spec, epochs=args.epochs, learning_rate=args.learning_rate)
+        entry = {"name": "custom", "kind": "linear", **entry}
+    spec = pipeline._roster_entry(entry)
     if args.cv_reg:
         best, table = pipeline.grid_cv(ds, spec, _parse_floats(args.cv_reg),
                                        fpr=args.fpr, seed=args.seed)
@@ -288,15 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synthetic", help="JSON file with synthetic generator config")
     p.add_argument("--d-hint", type=int, default=None)
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--kind", default="linear",
-                   choices=["linear", "secsvm", "rbf"])
-    p.add_argument("--loss", default="hinge",
-                   choices=["hinge", "logistic", "squared"])
-    p.add_argument("--reg", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--bound", type=float, default=0.25)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--kind", choices=["linear", "secsvm", "rbf"],
+                   help="default: the preset's, else linear")
+    p.add_argument("--loss", choices=["hinge", "logistic", "squared"])
+    p.add_argument("--reg", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--bound", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cv-reg", help="comma list of reg values for 5-fold CV")
     p.add_argument("--fpr", type=float, default=0.01)

@@ -318,6 +318,11 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
                 np.maximum(w, lb, out=w)
                 np.minimum(w, ub, out=w)
         epoch_objective.append(_objective(X, y, w, b, loss, cfg.reg))
+        if not math.isfinite(epoch_objective[-1]):
+            raise ValueError(
+                f"SGD diverged: epoch {len(epoch_objective)} objective is "
+                f"{epoch_objective[-1]} (loss={loss!r}, reg={cfg.reg}, "
+                f"learning_rate={cfg.learning_rate})")
 
     meta = {
         "kind": "linear",
@@ -336,7 +341,11 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
 
 
 def train_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """Regularized hinge / logistic / squared loss via seeded SGD."""
+    """Regularized hinge / logistic / squared loss via seeded SGD.
+
+    Raises ValueError after the first epoch whose objective is not finite:
+    the steps diverged, and the weights are no model to save.
+    """
     if cfg.weight_lb is not None:
         raise ValueError("train_linear takes no weight bounds; train_secsvm "
                          "trains the box-constrained model")
@@ -360,13 +369,22 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     Every training point owns a coefficient; regularization shrinks them all
     each step and a margin violation bumps the sampled one.  Points whose
     coefficient is still exactly zero on exit are pruned.  The trainer holds
-    one n x n float64 kernel matrix, which the guard below bounds.
+    one n x n float64 kernel matrix, which the guard below bounds.  ``cfg``
+    gives the epochs, the learning rate and the seed; its ``reg`` is not
+    read, since C is the regulariser, and a non-hinge ``loss`` or a weight
+    box is refused.
     """
     _require_both_classes(train)
     if not 0 < C < math.inf:
         raise ValueError("C must be finite and positive")
     if not 0 < gamma < math.inf:
         raise ValueError("gamma must be finite and positive")
+    if cfg.loss != "hinge":
+        raise ValueError(f"train_rbf_svm trains the hinge loss; got loss "
+                         f"{cfg.loss!r}")
+    if cfg.weight_lb is not None:
+        raise ValueError("train_rbf_svm takes no weight bounds; got "
+                         f"weight_lb={cfg.weight_lb}, weight_ub={cfg.weight_ub}")
     n = train.n
     if 8 * n * n > _MAX_FLOAT64_BYTES:
         raise ValueError(f"the Gram matrix of n={n} training rows takes "

@@ -33,8 +33,7 @@ import numpy as np
 from . import __version__
 from .attack import _MAX_ITERS, SecurityCurve, attack_scores_over_grid
 from .evenness import EvennessReport, evenness_report
-from .explain import (_finite, attribution_gradient,
-                      attribution_gradient_input,
+from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
 from .featurespace import (LabeledDataset, SyntheticConfig, _check_int,
                            generate_synthetic, load_dataset, split)
@@ -115,6 +114,21 @@ PRESETS: dict[str, ClassifierSpec] = {
 }
 
 
+def _roster_entry(entry) -> ClassifierSpec:
+    """The spec of one roster entry: a preset name, or a dict of
+    ClassifierSpec fields whose "preset", if given, names the spec that the
+    other fields override."""
+    if isinstance(entry, str):
+        entry = {"preset": entry}
+    entry = dict(entry)
+    if "preset" not in entry:
+        return ClassifierSpec(**entry)
+    if entry["preset"] not in PRESETS:
+        raise ValueError(f"unknown preset {entry['preset']!r}; "
+                         f"expected one of {tuple(PRESETS)}")
+    return replace(PRESETS[entry.pop("preset")], **entry)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     classifiers: tuple[ClassifierSpec, ...]
@@ -190,18 +204,8 @@ class ExperimentConfig:
         synthetic = None
         if "synthetic" in dataset:
             synthetic = SyntheticConfig(**dataset["synthetic"])
-        specs = []
-        for entry in doc.pop("classifiers", []):
-            if isinstance(entry, str):
-                entry = {"preset": entry}
-            entry = dict(entry)
-            if "preset" not in entry:
-                specs.append(ClassifierSpec(**entry))
-            elif entry["preset"] in PRESETS:
-                specs.append(replace(PRESETS[entry.pop("preset")], **entry))
-            else:
-                raise ValueError(f"unknown preset {entry['preset']!r}; "
-                                 f"expected one of {tuple(PRESETS)}")
+        specs = [_roster_entry(entry)
+                 for entry in doc.pop("classifiers", [])]
         kwargs = dict(doc)
         if isinstance(grid, dict):
             for key in _GRID_KEYS:
@@ -335,8 +339,7 @@ def _run_cell(cfg: ExperimentConfig, spec: ClassifierSpec, rep: int,
     R = attribution_gradient(model, samples)
     cell.evenness["gradient"] = evenness_report(R, cfg.evenness_m)
     R *= samples
-    cell.evenness["gradient_input"] = evenness_report(_finite(R),
-                                                      cfg.evenness_m)
+    cell.evenness["gradient_input"] = evenness_report(R, cfg.evenness_m)
     del R
     cell.evenness["integrated_gradients"] = evenness_report(
         attribution_integrated_gradients(model, samples, p=cfg.ig_p),

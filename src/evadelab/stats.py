@@ -248,11 +248,9 @@ def kendall(xs, ys) -> CorrelationReport:
     vu = float((ty * (ty - 1) * (2 * ty + 5)).sum())
     v1 = float((tx * (tx - 1)).sum()) * float((ty * (ty - 1)).sum()) \
         / (2.0 * n * (n - 1))
-    v2 = 0.0
-    if n > 2:
-        v2 = float((tx * (tx - 1) * (tx - 2)).sum()) \
-            * float((ty * (ty - 1) * (ty - 2)).sum()) \
-            / (9.0 * n * (n - 1) * (n - 2))
+    v2 = float((tx * (tx - 1) * (tx - 2)).sum()) \
+        * float((ty * (ty - 1) * (ty - 2)).sum()) \
+        / (9.0 * n * (n - 1) * (n - 2))
     var_s = (v0 - vt - vu) / 18.0 + v1 + v2
     if var_s <= 0.0:
         p = 1.0 if s == 0 else 0.0

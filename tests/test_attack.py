@@ -670,14 +670,20 @@ class TestNestedScores:
         X0 = X0b.astype(np.float64)
         deltas = np.ascontiguousarray((1.0 - 2.0 * m.support_vectors).T)
         got = attack_mod._nested_scores(m, deltas, m._sq_distances(X0),
-                                        m.decision_batch(X0), order, counts,
-                                        budgets)
+                                        order, counts, budgets)
+        # a cell is scored iff its row adds a feature past the previous
+        # budget; every other cell is +inf
+        lower = np.array([0, *budgets[:-1]])
+        scored = counts[:, None] > lower
+        assert np.array_equal(np.isinf(got), ~scored)
+        assert scored.any() and not scored.all()
         for col, eps in enumerate(budgets):
             points = X0b.copy()
             for r in range(n):
                 points[r, order[r, :min(counts[r], eps)]] = True
             want = m.decision_batch(points.astype(np.float64))
-            assert np.array_equal(got[:, col], want)
+            rows = scored[:, col]
+            assert np.array_equal(got[rows, col], want[rows])
 
 
 # Scores of attack_scores_over_grid recorded from the per-budget descent (a
@@ -778,7 +784,7 @@ class TestGridEngine:
                                          150, "pgd")
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
         assert len(scored) == len(active) > 1
-        assert scored[0] == active[0]  # the first iteration scores every row
+        assert scored[0] == 0  # the first iteration holds no addition
         assert sum(scored) < sum(active)
 
     def test_grid_columns_equal_single_budget_attacks(self):
@@ -1133,14 +1139,14 @@ class TestCompactShadowPass:
         weights_from_sq = KernelModel._weights_from_sq
         cells = {"prefix": 0, "scored": 0, "inside": False}
 
-        def record_nested(model, deltas, sq0, scores0, order, counts,
-                          budgets, *prev):
+        def record_nested(model, deltas, sq0, order, counts, budgets,
+                          *prev):
             lower = np.array([0, *budgets[:-1]])
             cells["prefix"] += int(np.sum(counts[:, None] > lower))
             cells["inside"] = True
             try:
-                return nested_scores(model, deltas, sq0, scores0, order,
-                                     counts, budgets, *prev)
+                return nested_scores(model, deltas, sq0, order, counts,
+                                     budgets, *prev)
             finally:
                 cells["inside"] = False
 
@@ -1176,11 +1182,10 @@ class TestCompactShadowPass:
                 order[r, :counts[r]] = rng.permutation(6)[:counts[r]]
             orders.append((order, counts))
         (prev_order, prev_counts), (order, counts) = orders
-        full = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
-                                         order, counts, budgets)
-        got = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
-                                        order, counts, budgets,
-                                        (prev_order, prev_counts))
+        full = attack_mod._nested_scores(m, deltas, sq0, order, counts,
+                                         budgets)
+        got = attack_mod._nested_scores(m, deltas, sq0, order, counts,
+                                        budgets, (prev_order, prev_counts))
         for r in range(n):
             for col, eps in enumerate(budgets):
                 point = set(order[r, :min(eps, counts[r])].tolist())
@@ -1210,8 +1215,8 @@ class TestDistanceType:
         sq0 = m._sq_distances(X0).astype(attack_mod._distance_dtype(d))
         order = np.arange(8)[None, :]
         budgets = list(range(1, 9))
-        got = attack_mod._nested_scores(m, deltas, sq0, m.decision_batch(X0),
-                                        order, np.array([8]), budgets)
+        got = attack_mod._nested_scores(m, deltas, sq0, order, np.array([8]),
+                                        budgets)
         for col, eps in enumerate(budgets):
             point = X0b.copy()
             point[0, :eps] = True

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from evadelab.attack import NOT_EVADABLE, epsilon_min
@@ -70,6 +72,49 @@ class TestTrain:
         err = json.loads(capsys.readouterr().err.strip())
         assert "loss 'logistic'" in err["message"]
         assert not (workdir / "ignored.json").exists()
+
+
+    def test_spec_flags_override_the_preset(self, workdir):
+        out = workdir / "svm_reg50.json"
+        rc = main(["train", "--data", str(workdir / "train.txt"),
+                   "--preset", "svm", "--reg", "50", "--out", str(out)])
+        assert rc == 0
+        training = json.loads(out.read_text())["training"]
+        assert (training["reg"], training["loss"]) == (50.0, "hinge")
+
+    def test_preset_refuses_a_loss_its_trainer_ignores(self, workdir,
+                                                       capsys):
+        out = workdir / "sec_logistic.json"
+        rc = main(["train", "--data", str(workdir / "train.txt"),
+                   "--preset", "sec-svm", "--loss", "logistic",
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert "loss 'logistic'" in err["message"]
+        assert not out.exists()
+
+    def test_preset_alone_trains_as_before(self, workdir):
+        out = workdir / "svm_preset.json"
+        rc = main(["train", "--data", str(workdir / "train.txt"),
+                   "--preset", "svm", "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a552d44ec0a4c90f4760b6724db4a1001489c642b64259da9733f0f25f3cdb6b")
+
+    def test_divergent_training_writes_no_model(self, tmp_path, capsys):
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(dict(
+            d=30, n_benign=60, n_malware=60, n_strong=5, strong_rate_gap=0.5,
+            weak_rate_gap=0.1, base_density=0.2, seed=1)))
+        out = tmp_path / "diverged.json"
+        with np.errstate(over="ignore"):
+            rc = main(["train", "--synthetic", str(synth), "--loss", "hinge",
+                       "--reg", "0.01", "--epochs", "1",
+                       "--learning-rate", "300", "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "epoch 1 " in err["message"]
+        assert not out.exists()
 
 
 class TestAttack:
@@ -340,6 +385,26 @@ class TestRobustness:
         got = [r["sample_id"]
                for r in read_csv(workdir / "ids_rob_per_sample.csv")]
         assert got == want and want[0] != "0"
+
+
+@pytest.mark.parametrize("command,grid_flag", [("attack", "--epsilon-grid"),
+                                               ("robustness", "--eps-grid")])
+@pytest.mark.parametrize("grid,token", [("1_0", "1_0"), ("+3", "+3"),
+                                        ("\u0663", "\u0663"),
+                                        ("1:1_0", "1_0"), ("-1", "-1")])
+def test_grid_takes_ascii_digits_only(workdir, capsys, command, grid_flag,
+                                      grid, token):
+    # int() took each of these: "1_0" as 10, "+3" and the Arabic-Indic
+    # digit three as 3
+    out = workdir / f"{command}_digits.csv"
+    rc = main([command, "--model", str(workdir / "model.json"),
+               "--data", str(workdir / "test.txt"), f"{grid_flag}={grid}",
+               "--method", "greedy", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == (f"{grid_flag} budget {token!r} is not ASCII "
+                              "digits")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,grid_flag", [("attack", "--epsilon-grid"),

@@ -152,6 +152,21 @@ class TestTrainLinear:
         peak = traced_peak(trainer, wide_set, cfg)
         assert peak <= 1.25 * 8 * wide_set.n * wide_set.d
 
+    def test_divergent_run_fails_after_its_first_non_finite_epoch(self):
+        # rate 300 on these rows overflows the weights (|w| ~ 1e267) and
+        # the objective to inf within the first epoch
+        cfg = SyntheticConfig(d=30, n_benign=60, n_malware=60, n_strong=5,
+                              strong_rate_gap=0.5, weak_rate_gap=0.1,
+                              base_density=0.2, seed=1)
+        ds = generate_synthetic(cfg)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError) as err:
+                train_linear(ds, TrainConfig("hinge", 0.01, epochs=1,
+                                             learning_rate=300))
+        message = str(err.value)
+        assert "epoch 1 " in message and "loss='hinge'" in message
+        assert "reg=0.01" in message and "learning_rate=300" in message
+
     def test_hinge_objective_mostly_decreasing(self):
         cfg = SyntheticConfig(d=20, n_benign=30, n_malware=30, n_strong=4,
                               strong_rate_gap=0.5, weak_rate_gap=0.1,
@@ -266,6 +281,18 @@ class TestTrainRbfSvm:
         peak = traced_peak(train_rbf_svm, train, spec.reg, spec.gamma,
                            spec._train_config(0))
         assert peak <= 1.5 * 8 * train.n ** 2
+
+    @pytest.mark.parametrize("cfg,field", [
+        (TrainConfig("logistic", 0.001), "loss 'logistic'"),
+        (TrainConfig("squared"), "loss 'squared'"),
+        (TrainConfig(weight_lb=-0.1, weight_ub=0.1), "weight_lb=-0.1"),
+        (TrainConfig("logistic", 0.001, weight_lb=-0.1, weight_ub=0.1),
+         "loss 'logistic'")])
+    def test_fields_it_does_not_train_refused(self, cfg, field):
+        # these trained the hinge machine, and its meta said hinge
+        ds = dataset([[], [0, 1], [0], [1]], [-1, -1, 1, 1], 2)
+        with pytest.raises(ValueError, match=field):
+            train_rbf_svm(ds, 10.0, 0.05, cfg)
 
     @pytest.mark.parametrize("C,gamma,name", [
         (math.nan, 1.0, "C"), (math.inf, 1.0, "C"), (1.0, math.nan, "gamma"),
@@ -407,9 +434,16 @@ class TestSgdOracle:
                                       seed=seed, weight_lb=lb, weight_ub=ub)
                     case = f"reg={reg} rate={rate} seed={seed}"
                     # unbounded runs at rate 300 diverge to weights whose
-                    # squared norm overflows in the objective
+                    # squared norm overflows in the objective: the trainer
+                    # refuses them after the first such epoch
                     with np.errstate(over="ignore"):
                         w, b, objective = reference_sgd_linear(train, cfg)
+                        if not np.isfinite(objective).all():
+                            assert rate == 300.0, case
+                            assert box in (None, (-math.inf, math.inf)), case
+                            with pytest.raises(ValueError, match="diverged"):
+                                models_mod._sgd_linear(train, cfg)
+                            continue
                         model = models_mod._sgd_linear(train, cfg)
                     assert model.weights.tobytes() == w.tobytes(), case
                     assert model.bias == b, case
