@@ -240,11 +240,15 @@ def cmd_robustness(args) -> int:
 def cmd_correlate(args) -> int:
     xs, ys = [], []
     for rec in _csv_records(args.data, [("--x", args.x), ("--y", args.y)]):
+        # a sample_id that is not an integer, such as the "average" of an
+        # evenness file's footer, marks no sample
+        if "sample_id" in rec and not _ascii_digits(rec["sample_id"] or ""):
+            continue
         try:
             x = float(rec[args.x])
             y = float(rec[args.y])
         except (ValueError, TypeError):
-            continue  # footer / undefined rows
+            continue  # undefined rows
         xs.append(x)
         ys.append(y)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -306,8 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: the preset's, else linear")
     p.add_argument("--loss", choices=["hinge", "logistic", "squared"])
     p.add_argument("--reg", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--bound", type=float)
+    p.add_argument("--gamma", type=float,
+                   help="RBF kernel width, rbf kind only (default 0.01)")
+    p.add_argument("--bound", type=float,
+                   help="weight box [-bound, bound], secsvm kind only "
+                        "(default 0.25)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int, default=0)

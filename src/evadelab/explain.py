@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .featurespace import _binary_rows
+from .featurespace import _binary_rows, _int_budgets
 from .models import KernelModel, LinearModel, TrainedModel
 
 # Values per chunk of integrated-gradients path terms: 4 MiB of float64.
@@ -59,6 +59,7 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
 
     r_i = x_i * (1/p) * sum_{k=1..p} grad_i f(t_k x) with t_k = k/p.
     """
+    (p,) = _int_budgets([p], "p")
     if p < 1:
         raise ValueError("p must be >= 1")
     # the bool samples, so that R is the one (n, d) float64 array a linear

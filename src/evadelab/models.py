@@ -2,10 +2,10 @@
 
 All trainers share one seeded SGD loop so that the box-constrained variant is
 literally the unconstrained one plus a clip after every step that can leave
-the box: every step but a hinge shrink step w <- w - w (eta lam) with
-eta lam <= 1 inside a box with lb < 0 < ub, which keeps each weight between
-0 and itself.  Models score and differentiate at arbitrary real-valued
-points, which the attack and the path-integral attribution both rely on.
+the box [-b, b]: every step but a hinge shrink step w <- w - w (eta lam) with
+eta lam <= 1, which keeps each weight between 0 and itself.  Models score and
+differentiate at arbitrary real-valued points, which the attack and the
+path-integral attribution both rely on.
 Each trainer holds one float64 copy of its training rows (the linear one
 signs them by their labels) and takes the rows' squared norms from the bool
 matrix's counts; the RBF trainer drops that copy once its kernel matrix is
@@ -165,8 +165,8 @@ class TrainConfig:
 
     ``reg`` is the C of the hinge/logistic objectives and the alpha of the
     squared (ridge) one.  The step decays as eta0 / (1 + t / n) over the n
-    training samples.  ``weight_lb``/``weight_ub`` are the box of the
-    box-constrained trainer: both or neither, with lb <= 0 <= ub.
+    training samples.  ``weight_bound`` b gives the box-constrained trainer
+    its box [-b, b].
     """
 
     loss: str = "hinge"
@@ -174,8 +174,7 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 0.1
     seed: int = 0
-    weight_lb: float | None = None
-    weight_ub: float | None = None
+    weight_bound: float | None = None
 
     def __post_init__(self):
         if self.loss not in LOSSES:
@@ -190,11 +189,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if not 0.0 < self.reg < math.inf:
             raise ValueError("reg must be finite and positive")
-        if (self.weight_lb is None) != (self.weight_ub is None):
-            raise ValueError("weight_lb and weight_ub must be given together")
-        if self.weight_lb is not None and not (
-                self.weight_lb <= 0.0 <= self.weight_ub):
-            raise ValueError("weight bounds must satisfy lb <= 0 <= ub")
+        if self.weight_bound is not None and not self.weight_bound >= 0.0:
+            raise ValueError("weight_bound must be >= 0")
 
 
 def _require_both_classes(ds: LabeledDataset) -> None:
@@ -244,16 +240,15 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     # expression: the same IEEE divisions and sums as eta0 / (1 + t / n).
     lam_w = np.full(d, lam)
     fac = np.empty(())
-    bounded = cfg.weight_lb is not None
+    bounded = cfg.weight_bound is not None
     if bounded:
-        lb = np.full(d, float(cfg.weight_lb))
-        ub = np.full(d, float(cfg.weight_ub))
+        ub = np.full(d, float(cfg.weight_bound))
+        lb = -ub
     # A shrink step w - w (eta lam) with 0 <= eta lam <= 1 moves each weight
-    # to a value between 0 and itself (a zero comes out +0.0), so inside a
-    # box with lb < 0 < ub it cannot leave the box, and its clip would
-    # change no bit.  A 0 bound (where the clip picks a zero's sign) or
-    # eta lam > 1 (which flips signs) clips as every other step does.
-    zero_inside = bounded and cfg.weight_lb < 0.0 < cfg.weight_ub
+    # to a value between 0 and itself, so it cannot leave [-b, b], and its
+    # clip would change no bit: at b = 0 every weight is +-0.0, the step
+    # gives +0.0, and the clip to [-0.0, 0.0] keeps it.  eta lam > 1 (which
+    # flips signs) clips as every other step does.
     loss = cfg.loss
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
@@ -285,7 +280,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
                     fac[()] = shrink
                     np.multiply(w, fac, out=buf)
                     w -= buf
-                    clip = bounded and not (zero_inside and shrink <= 1.0)
+                    clip = bounded and shrink > 1.0
             elif loss == "logistic":
                 sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, m))))
                 # w += eta * (sig * s_i - lam w); s_i sig is x_i (y_i sig)
@@ -335,8 +330,7 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
         "epoch_objective": epoch_objective,
     }
     if bounded:
-        meta["weight_lb"] = float(cfg.weight_lb)
-        meta["weight_ub"] = float(cfg.weight_ub)
+        meta["weight_bound"] = float(cfg.weight_bound)
     return LinearModel(w, b, meta)
 
 
@@ -346,17 +340,17 @@ def train_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     Raises ValueError after the first epoch whose objective is not finite:
     the steps diverged, and the weights are no model to save.
     """
-    if cfg.weight_lb is not None:
-        raise ValueError("train_linear takes no weight bounds; train_secsvm "
+    if cfg.weight_bound is not None:
+        raise ValueError("train_linear takes no weight_bound; train_secsvm "
                          "trains the box-constrained model")
     return _sgd_linear(train, cfg)
 
 
 def train_secsvm(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
-    """Hinge SGD with every weight clipped into [weight_lb, weight_ub] after
-    each update that can leave the box."""
-    if cfg.weight_lb is None:
-        raise ValueError("train_secsvm requires weight_lb and weight_ub")
+    """Hinge SGD with every weight clipped into [-weight_bound, weight_bound]
+    after each update that can leave the box."""
+    if cfg.weight_bound is None:
+        raise ValueError("train_secsvm requires weight_bound")
     if cfg.loss != "hinge":
         raise ValueError("the box-constrained trainer uses the hinge loss")
     return _sgd_linear(train, cfg)
@@ -382,9 +376,9 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     if cfg.loss != "hinge":
         raise ValueError(f"train_rbf_svm trains the hinge loss; got loss "
                          f"{cfg.loss!r}")
-    if cfg.weight_lb is not None:
-        raise ValueError("train_rbf_svm takes no weight bounds; got "
-                         f"weight_lb={cfg.weight_lb}, weight_ub={cfg.weight_ub}")
+    if cfg.weight_bound is not None:
+        raise ValueError("train_rbf_svm takes no weight box; got "
+                         f"weight_bound={cfg.weight_bound}")
     n = train.n
     if 8 * n * n > _MAX_FLOAT64_BYTES:
         raise ValueError(f"the Gram matrix of n={n} training rows takes "
@@ -531,6 +525,8 @@ def auc(points: list[tuple[float, float]]) -> float:
     """Trapezoidal area under a list of ROC (fpr, tpr) points, in any
     order: the points are sorted by fpr, then tpr, first."""
     arr = np.asarray(points, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("auc needs at least one ROC point")
     order = np.lexsort((arr[:, 1], arr[:, 0]))
     arr = arr[order]
     return float(np.trapezoid(arr[:, 1], arr[:, 0]))

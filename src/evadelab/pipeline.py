@@ -66,8 +66,8 @@ class ClassifierSpec:
     kind: str                  # linear | secsvm | rbf
     loss: str = "hinge"        # training loss for the linear kinds
     reg: float = 1.0           # C (hinge/logistic) or alpha (squared)
-    gamma: float = 0.01        # rbf only
-    weight_bound: float = 0.25  # secsvm only; box is [-bound, +bound]
+    gamma: float | None = None         # rbf only; default 0.01
+    weight_bound: float | None = None  # secsvm only: box [-b, b]; default 0.25
     epochs: int = 10
     learning_rate: float = 0.1
 
@@ -79,20 +79,27 @@ class ClassifierSpec:
         if self.kind != "linear" and self.loss != "hinge":
             raise ValueError(f"loss {self.loss!r}: the {self.kind} trainer "
                              "uses the hinge loss")
+        # a field is given only on the kind that reads it, which fills its
+        # default when it is not given
+        for name, kind, default in (("gamma", "rbf", 0.01),
+                                    ("weight_bound", "secsvm", 0.25)):
+            value = getattr(self, name)
+            if self.kind == kind and value is None:
+                object.__setattr__(self, name, default)
+            elif self.kind != kind and value is not None:
+                raise ValueError(f"{name}={value} is read only by the {kind} "
+                                 f"kind, not by {self.kind}")
         if self.kind == "rbf" and not 0.0 < self.gamma < math.inf:
             raise ValueError("gamma must be finite and positive")
-        if not self.weight_bound >= 0:
-            raise ValueError("weight_bound must be >= 0")
-        # TrainConfig checks reg, epochs (an int >= 1) and learning_rate
+        # TrainConfig checks reg, epochs (an int >= 1), learning_rate and
+        # weight_bound
         self._train_config(0)
 
     def _train_config(self, seed: int) -> TrainConfig:
         """The SGD settings of this spec; only secsvm trains in a box."""
-        bound = self.weight_bound if self.kind == "secsvm" else None
         return TrainConfig(loss=self.loss, reg=self.reg, epochs=self.epochs,
                            learning_rate=self.learning_rate, seed=seed,
-                           weight_lb=None if bound is None else -bound,
-                           weight_ub=bound)
+                           weight_bound=self.weight_bound)
 
     def effective_robust_loss(self) -> str:
         return "logistic" if self.loss == "logistic" else "hinge"

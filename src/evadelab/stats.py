@@ -35,6 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .featurespace import _int_budgets
+
 
 @dataclass(frozen=True)
 class CorrelationReport:
@@ -283,6 +285,7 @@ def correlation_suite(evenness_values, robustness_values) -> list[CorrelationRep
 def permutation_pvalue(xs, ys, method: str = "spearman", n_perm: int = 1000,
                        seed: int = 0) -> float:
     """Two-sided permutation p-value for tiny samples where asymptotics are rough."""
+    (n_perm,) = _int_budgets([n_perm], "n_perm")
     if n_perm < 1:
         raise ValueError(f"n_perm must be >= 1, got {n_perm}")
     fn = _by_name(method)

@@ -173,7 +173,7 @@ def test_criterion_05_attack_oracle_equivalence_at_scale():
     presets = {
         "svm": TrainConfig("hinge", 0.1, epochs=10, seed=1),
         "sec-svm": TrainConfig("hinge", 1.0, epochs=10, seed=1,
-                               weight_lb=-0.25, weight_ub=0.25),
+                               weight_bound=0.25),
         "logistic": TrainConfig("logistic", 1.0, epochs=10, seed=1),
         "ridge": TrainConfig("squared", 10.0, epochs=10, seed=1),
     }
@@ -228,8 +228,7 @@ def test_criterion_07_secsvm_bounds_evenness_and_curve_area():
         svm = train_linear(train, TrainConfig("hinge", 1.0, epochs=8,
                                               seed=seed))
         sec = train_secsvm(train, TrainConfig("hinge", 1.0, epochs=8,
-                                              seed=seed, weight_lb=-0.25,
-                                              weight_ub=0.25))
+                                              seed=seed, weight_bound=0.25))
         if float(np.max(np.abs(sec.weights))) <= 0.25:
             bounds_ok += 1
         _, t1 = detection_rate_at_fpr(svm, test, 0.01)

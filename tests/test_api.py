@@ -82,8 +82,7 @@ def test_kernel_model_fields():
 def test_train_config_fields():
     # the step always decays over the number of training samples
     assert fields(TrainConfig) == [
-        "loss", "reg", "epochs", "learning_rate", "seed", "weight_lb",
-        "weight_ub"]
+        "loss", "reg", "epochs", "learning_rate", "seed", "weight_bound"]
 
 
 def test_readme_library_sketch_runs():

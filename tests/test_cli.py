@@ -74,6 +74,21 @@ class TestTrain:
         assert not (workdir / "ignored.json").exists()
 
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--kind", "linear", "--gamma", "5", "--bound", "0.01"], "gamma"),
+        (["--preset", "svm-rbf", "--bound", "0.01"], "weight_bound"),
+        (["--preset", "sec-svm", "--gamma", "3"], "gamma")])
+    def test_flag_the_kind_does_not_read_rejected(self, workdir, capsys,
+                                                  flags, field):
+        # each wrote a model that the flag did not change
+        out = workdir / "unread_flag.json"
+        rc = main(["train", "--data", str(workdir / "train.txt"), *flags,
+                   "--out", str(out)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"].startswith(f"{field}=")
+        assert not out.exists()
+
     def test_spec_flags_override_the_preset(self, workdir):
         out = workdir / "svm_reg50.json"
         rc = main(["train", "--data", str(workdir / "train.txt"),
@@ -421,6 +436,24 @@ def test_max_iters_below_one_rejected(workdir, capsys, command, grid_flag):
 
 
 class TestCorrelate:
+    def test_evenness_footer_is_no_sample(self, tmp_path):
+        # the "average" row of an evenness file has numeric e1 and e2, and
+        # was counted as a seventh sample
+        rel = tmp_path / "rel6.csv"
+        rows = [[sid, f, (sid + 1) * (f + 1) % 5 + 0.5]
+                for sid in range(6) for f in range(sid + 2)]
+        with open(rel, "w", newline="") as fh:
+            csv.writer(fh).writerows([["sample_id", "feature", "relevance"],
+                                      *rows])
+        even = tmp_path / "even6.csv"
+        assert main(["evenness", "--relevances", str(rel), "--m", "4",
+                     "--out", str(even)]) == 0
+        assert read_csv(even)[-1]["sample_id"] == "average"
+        out = tmp_path / "corr6.csv"
+        assert main(["correlate", "--data", str(even), "--x", "e1",
+                     "--y", "e2", "--out", str(out)]) == 0
+        assert [r["n"] for r in read_csv(out)] == ["6", "6", "6"]
+
     def test_correlation_csv(self, workdir, tmp_path):
         data = tmp_path / "xy.csv"
         with open(data, "w", newline="") as fh:

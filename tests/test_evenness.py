@@ -182,6 +182,19 @@ class TestMatrixReport:
         with pytest.raises(ValueError):
             evenness_report(np.ones(3), 2)
 
+    @pytest.mark.parametrize("fn", [evenness_report, evenness_e1,
+                                    evenness_e2])
+    def test_window_must_be_an_integer(self, fn):
+        # a numpy integer stays accepted; a float m failed inside numpy with
+        # a TypeError naming no parameter, and m=True ran as 1
+        R = np.random.default_rng(3).normal(size=(4, 6))
+        if fn is not evenness_report:
+            R = R[0]
+        assert fn(R, np.int64(3)) == fn(R, 3)
+        for m in (True, 2.0, 2.5):
+            with pytest.raises(ValueError, match="^m must be an integer"):
+                fn(R, m)
+
     def test_sorts_its_one_copy_in_place(self, wide_set, wide_model,
                                          traced_peak):
         # |R| is sorted in place; a sorted copy of it took 2.10 copies

@@ -104,6 +104,18 @@ class TestIntegratedGradients:
             ig = attribution_integrated_gradients(m, [x], p=p)
             assert np.max(np.abs(gi - ig)) < 1e-12
 
+    def test_path_count_must_be_an_integer(self):
+        # a numpy integer stays accepted; p=True ran one path point, and a
+        # float failed inside numpy with a TypeError naming no parameter
+        m = LinearModel(np.array([1.0, -2.0, 0.5]), 0.0)
+        x = vec([0, 1], 3)
+        assert np.array_equal(
+            attribution_integrated_gradients(m, [x], p=np.int64(7)),
+            attribution_integrated_gradients(m, [x], p=7))
+        for p in (True, 2.0, 1.5, "3"):
+            with pytest.raises(ValueError, match="^p must be an integer"):
+                attribution_integrated_gradients(m, [x], p=p)
+
     def test_completeness_on_trained_kernel(self):
         # a trained machine keeps f(x) - f(0) away from the cancellation
         # regime where the relative tolerance loses meaning

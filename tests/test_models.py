@@ -146,8 +146,7 @@ class TestTrainLinear:
         # train_linear and train_secsvm: the float64 rows are the one copy;
         # the y * X matrix and the X * X temporary took it to 3.07 copies
         cfg = TrainConfig(loss, 1.0, epochs=1,
-                          weight_lb=-0.25 if bounded else None,
-                          weight_ub=0.25 if bounded else None)
+                          weight_bound=0.25 if bounded else None)
         trainer = train_secsvm if bounded else train_linear
         peak = traced_peak(trainer, wide_set, cfg)
         assert peak <= 1.25 * 8 * wide_set.n * wide_set.d
@@ -188,17 +187,17 @@ class TestTrainSecSVM:
     def test_bounds_hold_exactly(self):
         ds = generate_synthetic(self.CFG)
         m = train_secsvm(ds, TrainConfig("hinge", 1.0, epochs=5, seed=0,
-                                         weight_lb=-0.25, weight_ub=0.25))
+                                         weight_bound=0.25))
         assert np.all(m.weights <= 0.25)
         assert np.all(m.weights >= -0.25)
         assert np.max(np.abs(m.weights)) <= 0.25
-        assert (m.meta["weight_lb"], m.meta["weight_ub"]) == (-0.25, 0.25)
+        assert m.meta["weight_bound"] == 0.25
 
     def test_infinite_bounds_match_plain_hinge(self):
         ds = generate_synthetic(self.CFG)
         m1 = train_linear(ds, TrainConfig("hinge", 1.0, epochs=5, seed=3))
         m2 = train_secsvm(ds, TrainConfig("hinge", 1.0, epochs=5, seed=3,
-                                          weight_lb=-np.inf, weight_ub=np.inf))
+                                          weight_bound=np.inf))
         assert np.array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -210,23 +209,19 @@ class TestTrainSecSVM:
         train, _ = split(generate_synthetic(cfg), 0.6, 0)
         svm = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         sec = train_secsvm(train, TrainConfig("hinge", 1.0, epochs=8, seed=0,
-                                              weight_lb=-0.25, weight_ub=0.25))
+                                              weight_bound=0.25))
         assert evenness_e2(sec.weights, 150) > evenness_e2(svm.weights, 150)
 
     def test_bounds_required_and_validated(self):
         ds = generate_synthetic(self.CFG)
-        with pytest.raises(ValueError, match="requires weight_lb"):
+        with pytest.raises(ValueError, match="requires weight_bound"):
             train_secsvm(ds, TrainConfig("hinge", 1.0))
-        with pytest.raises(ValueError, match="lb <= 0 <= ub"):
-            TrainConfig("hinge", 1.0, weight_lb=0.1, weight_ub=0.25)
-        with pytest.raises(ValueError, match="lb <= 0 <= ub"):
-            TrainConfig("hinge", 1.0, weight_lb=-0.25, weight_ub=np.nan)
-        with pytest.raises(ValueError, match="given together"):
-            TrainConfig("hinge", 1.0, weight_lb=-0.25)
+        for bound in (-0.25, np.nan):
+            with pytest.raises(ValueError, match="weight_bound must be >= 0"):
+                TrainConfig("hinge", 1.0, weight_bound=bound)
         # the unconstrained trainer would return the unbounded model
         with pytest.raises(ValueError, match="train_secsvm"):
-            train_linear(ds, TrainConfig("hinge", 1.0, weight_lb=-0.01,
-                                         weight_ub=0.01))
+            train_linear(ds, TrainConfig("hinge", 1.0, weight_bound=0.01))
 
 
 class TestTrainRbfSvm:
@@ -285,9 +280,8 @@ class TestTrainRbfSvm:
     @pytest.mark.parametrize("cfg,field", [
         (TrainConfig("logistic", 0.001), "loss 'logistic'"),
         (TrainConfig("squared"), "loss 'squared'"),
-        (TrainConfig(weight_lb=-0.1, weight_ub=0.1), "weight_lb=-0.1"),
-        (TrainConfig("logistic", 0.001, weight_lb=-0.1, weight_ub=0.1),
-         "loss 'logistic'")])
+        (TrainConfig(weight_bound=0.1), "weight_bound=0.1"),
+        (TrainConfig("logistic", 0.001, weight_bound=0.1), "loss 'logistic'")])
     def test_fields_it_does_not_train_refused(self, cfg, field):
         # these trained the hinge machine, and its meta said hinge
         ds = dataset([[], [0, 1], [0], [1]], [-1, -1, 1, 1], 2)
@@ -356,8 +350,9 @@ class TestPresetTrainersPinned:
 
 def reference_sgd_linear(train, cfg):
     """(weights, bias, epoch_objective) of the linear SGD trainer as one
-    plain loop: unsigned rows, Python-float operands and a clip after every
-    step of a bounded run.  The trainer must match it bit for bit."""
+    plain loop: unsigned rows, Python-float operands and a clip to
+    [-weight_bound, weight_bound] after every step of a bounded run.  The
+    trainer must match it bit for bit."""
     X = train.samples.astype(np.float64)
     y = train.labels.astype(np.float64)
     n, d = X.shape
@@ -391,8 +386,9 @@ def reference_sgd_linear(train, cfg):
                 step = eta / max(1.0, sqnorms[i])
                 w -= (rows[i] * (2.0 * resid) + w * lam) * step
                 b -= step * 2.0 * resid
-            if cfg.weight_lb is not None:
-                w = np.minimum(np.maximum(w, cfg.weight_lb), cfg.weight_ub)
+            if cfg.weight_bound is not None:
+                w = np.minimum(np.maximum(w, -cfg.weight_bound),
+                               cfg.weight_bound)
         margins = y * (X @ w + b)
         if cfg.loss == "hinge":
             obj = 0.5 * float(w @ w) + cfg.reg * float(
@@ -416,22 +412,22 @@ def oracle_set():
 
 class TestSgdOracle:
     # Signed rows, array operands and the skipped clip must leave every bit
-    # of the plain loop.  A clip after a shrink step changes bits at a
-    # bound of zero (the box with ub = -0.0 catches a skip that ignores
-    # it) and where eta * lam > 1 (a skip after every shrink step fails
-    # the three finite boxes of nonzero bounds).
-    @pytest.mark.parametrize("box", [
-        None, (-0.25, 0.25), (0.0, 0.25), (-0.25, 0.0), (-0.25, -0.0),
-        (-0.0, 0.0), (-math.inf, math.inf)])
+    # of the plain loop.  The 0.0 box pins the zero sign: a shrink step
+    # gives +0.0 there, a value its clip leaves unchanged, so the skip must
+    # keep it.  The 0.25 box catches a clip skipped where eta * lam > 1,
+    # which flips signs.  The ids are the names these cases carry in test
+    # reports (box2 to box4 were boxes of unequal bounds, which TrainConfig
+    # no longer takes).
+    @pytest.mark.parametrize("bound", [None, 0.25, 0.0, math.inf],
+                             ids=["None", "box1", "box5", "box6"])
     @pytest.mark.parametrize("loss", ["hinge", "logistic", "squared"])
-    def test_bitwise_equal_to_the_plain_loop(self, loss, box):
+    def test_bitwise_equal_to_the_plain_loop(self, loss, bound):
         train = oracle_set()
-        lb, ub = box if box is not None else (None, None)
         for reg in (0.01, 1.0, 100.0):
             for rate in (0.1, 5.0, 300.0):
                 for seed in (0, 1, 2):
                     cfg = TrainConfig(loss, reg, epochs=3, learning_rate=rate,
-                                      seed=seed, weight_lb=lb, weight_ub=ub)
+                                      seed=seed, weight_bound=bound)
                     case = f"reg={reg} rate={rate} seed={seed}"
                     # unbounded runs at rate 300 diverge to weights whose
                     # squared norm overflows in the objective: the trainer
@@ -440,7 +436,7 @@ class TestSgdOracle:
                         w, b, objective = reference_sgd_linear(train, cfg)
                         if not np.isfinite(objective).all():
                             assert rate == 300.0, case
-                            assert box in (None, (-math.inf, math.inf)), case
+                            assert bound in (None, math.inf), case
                             with pytest.raises(ValueError, match="diverged"):
                                 models_mod._sgd_linear(train, cfg)
                             continue
@@ -593,6 +589,11 @@ class TestRocCurve:
         points = roc_curve(LinearModel(w, 0.0), ds)
         assert points == expected
         assert all(type(v) is float for point in points for v in point)
+
+    def test_auc_of_no_points_refused(self):
+        # it raised IndexError
+        with pytest.raises(ValueError, match="at least one ROC point"):
+            auc([])
 
     def test_tpr_monotone(self):
         rng = np.random.default_rng(4)

@@ -507,6 +507,41 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=field):
             ClassifierSpec("bad", **spec)
 
+    @pytest.mark.parametrize("spec,field,reader", [
+        (dict(kind="linear", gamma=5.0), "gamma", "rbf"),
+        (dict(kind="secsvm", gamma=3.0), "gamma", "rbf"),
+        (dict(kind="linear", weight_bound=0.01), "weight_bound", "secsvm"),
+        (dict(kind="rbf", weight_bound=0.01), "weight_bound", "secsvm")])
+    def test_field_its_kind_does_not_read_refused(self, spec, field, reader):
+        # each trained a model that the field did not change
+        with pytest.raises(ValueError, match=f"^{field}=.* the {reader} kind"):
+            ClassifierSpec("bad", **spec)
+
+    def test_kind_fills_the_default_of_its_field(self):
+        assert ClassifierSpec("r", "rbf").gamma == 0.01
+        assert ClassifierSpec("s", "secsvm").weight_bound == 0.25
+        for kind in ("linear", "secsvm", "rbf"):
+            spec = ClassifierSpec("k", kind)
+            assert (spec.gamma is None) == (kind != "rbf")
+            assert (spec.weight_bound is None) == (kind != "secsvm")
+
+    def test_preset_keeps_its_settings_when_its_kind_is_overridden(self):
+        with pytest.raises(ValueError, match="^weight_bound=0.25 .* secsvm"):
+            pipeline._roster_entry({"preset": "sec-svm", "kind": "linear"})
+        spec = pipeline._roster_entry({"preset": "svm", "kind": "rbf"})
+        assert (spec.gamma, spec.weight_bound, spec.reg) == (0.01, None, 0.1)
+        train, _ = split(generate_synthetic(SMALL_SYNTH), 0.6, 0)
+        model = pipeline._train_spec(spec, train, 0)
+        assert model.gamma == 0.01
+
+    def test_config_holds_null_for_fields_the_kind_does_not_read(self):
+        cfg = small_config(classifiers=(PRESETS["svm"], PRESETS["sec-svm"],
+                                        PRESETS["svm-rbf"]))
+        doc = json.loads(json.dumps(cfg.to_dict()))
+        assert [(c["gamma"], c["weight_bound"]) for c in doc["classifiers"]] \
+            == [(None, None), (None, 0.25), (0.01, None)]
+        assert ExperimentConfig.from_dict(doc) == cfg
+
     @pytest.mark.parametrize("section,extra", [
         ("attack", {"max_iter": 5}), ("attack", {"eta": 0.05}),
         ("dataset", {"pth": "data.jsonl"})])

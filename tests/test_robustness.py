@@ -134,7 +134,7 @@ class TestAggregateRobustness:
         train, test = split(generate_synthetic(cfg), 0.6, 0)
         svm = train_linear(train, TrainConfig("hinge", 1.0, epochs=8, seed=0))
         sec = train_secsvm(train, TrainConfig("hinge", 1.0, epochs=8, seed=0,
-                                              weight_lb=-0.25, weight_ub=0.25))
+                                              weight_bound=0.25))
         malware = test.samples[test.labels == 1][:120]
         _, t1 = detection_rate_at_fpr(svm, test, 0.01)
         _, t2 = detection_rate_at_fpr(sec, test, 0.01)

@@ -383,6 +383,16 @@ class TestPermutation:
         with pytest.raises(ValueError):
             permutation_pvalue([1, 1, 1], [1, 2, 3], "pearson")
 
+    def test_shuffle_count_must_be_an_integer(self):
+        # a numpy integer stays accepted; n_perm=True ran one shuffle, and a
+        # float failed inside numpy with a TypeError naming no parameter
+        x, y = [1, 2, 3, 4, 5], [1, 3, 2, 5, 4]
+        assert (permutation_pvalue(x, y, "spearman", np.int64(20), seed=2)
+                == permutation_pvalue(x, y, "spearman", 20, seed=2))
+        for n_perm in (True, 3.0, 2.5):
+            with pytest.raises(ValueError, match="^n_perm must be an integer"):
+                permutation_pvalue(x, y, "spearman", n_perm)
+
     @pytest.mark.parametrize("n_perm", [0, -5])
     def test_no_shuffle_rejected(self, n_perm):
         # (hits + 1) / (n_perm + 1) is a p-value only for n_perm >= 1
