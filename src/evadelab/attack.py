@@ -73,7 +73,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import _binary_rows, _int_budgets
+from .featurespace import _binary_rows, _integer, _real
 from .models import KernelModel, LinearModel, TrainedModel
 
 NOT_EVADABLE: float = math.inf
@@ -109,8 +109,9 @@ class SecurityCurve:
     def from_scores(cls, scores: np.ndarray, eps_grid,
                     threshold: float) -> "SecurityCurve":
         """The curve of an (n, len(eps_grid)) post-attack score matrix;
-        every budget must be an integer."""
-        epsilons = tuple(_int_budgets(eps_grid))
+        every budget must be an integer and the threshold a number."""
+        _real("threshold", threshold, "[-inf, inf]")
+        epsilons = tuple(_integer("budget", e) for e in eps_grid)
         rates = tuple(float(np.mean(col >= threshold)) for col in scores.T)
         return cls(epsilons, rates)
 
@@ -469,9 +470,7 @@ def epsilon_min_batch(model: TrainedModel, samples, eps_max: int,
     those no budget up to eps_max evades.  One attack over budgets
     0..eps_max gives every value; column 0 is the clean score.
     """
-    (eps_max,) = _int_budgets([eps_max], "eps_max")
-    if eps_max < 1:
-        raise ValueError("eps_max must be >= 1")
+    eps_max = _integer("eps_max", eps_max, 1)
     budgets = list(range(eps_max + 1))
     scores = attack_scores_over_grid(model, samples, budgets, threshold,
                                      max_iters, method)
@@ -524,8 +523,8 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     """Score of every row of an (n, d) 0/1 sample matrix after attacking at
     each budget: (n, len(grid)).
 
-    Every grid entry must be an integer, and 0 means no perturbation.
-    Greedy keeps its early-stop semantics (it quits adding once the
+    Every grid entry must be an integer, and 0 means no perturbation; the
+    threshold is a number (-inf lets no score evade).  Greedy keeps its early-stop semantics (it quits adding once the
     threshold is crossed); the descent attack minimizes within the budget.
     Each descent iteration's step is adaptive, normalized by the largest
     gradient component that can still move: big enough to flip the
@@ -534,14 +533,12 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     objective moves by at most 1e-6, or after max_iters iterations; every
     method refuses a max_iters below 1.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    max_iters = _integer("max_iters", max_iters, 1)
+    _real("threshold", threshold, "[-inf, inf]")
     X0b = _binary_rows(samples, model.d, bool)
     if X0b.shape[0] == 0:
         raise ValueError("no samples to attack")
-    eps_grid = _int_budgets(eps_grid)
-    if any(e < 0 for e in eps_grid):
-        raise ValueError("budgets must be non-negative")
+    eps_grid = [_integer("budget", e, 0) for e in eps_grid]
     if method not in ATTACK_METHODS:
         raise ValueError(f"unknown attack method {method!r}; expected one of "
                          f"{ATTACK_METHODS}")

@@ -23,8 +23,8 @@ from .attack import (_MAX_ITERS, ATTACK_METHODS, NOT_EVADABLE,
 # Re-exported: studybench's traced run wraps cli.epsilon_min.
 from .attack import epsilon_min  # noqa: F401
 from .explain import top_features
-from .featurespace import (SyntheticConfig, _ascii_digits, generate_synthetic,
-                           load_dataset)
+from .featurespace import (SyntheticConfig, _ascii_digits, _integer,
+                           generate_synthetic, load_dataset)
 from .pipeline import PRESETS, ExperimentConfig, _write_csv, run_experiment
 from .robustness import _check_grid, _repeated, robustness_from_scores
 
@@ -122,9 +122,8 @@ def _attack_malware(args, budgets) -> tuple[list[int], float, np.ndarray]:
 
 def cmd_attack(args) -> int:
     grid = _parse_grid(args.epsilon_grid, "--epsilon-grid")
-    eps_max = max(grid) if args.eps_max is None else args.eps_max
-    if eps_max < 1:
-        raise ValueError("eps_max must be >= 1")
+    eps_max = _integer("eps_max", max(grid) if args.eps_max is None
+                       else args.eps_max, 1)
     # One attack over the grid and budgets 0..eps_max gives the grid scores,
     # the clean scores (budget 0, the first column) and eps_min.
     budgets = sorted(set(grid) | set(range(eps_max + 1)))

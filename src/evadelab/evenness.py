@@ -18,25 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import _int_budgets
+from .featurespace import _integer
 
 
 class UndefinedEvennessError(ValueError):
     """All-zero top-m attribution window; the metrics divide by zero there."""
 
 
-def _check_m(m, least: int) -> None:
-    """Refuse a window size m that is not an integer (a bool is not one)
-    or is below ``least``."""
-    _int_budgets([m], "m")
-    if m < least:
-        raise ValueError(f"m must be >= {least}")
-
-
 def _top_window(R, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, m) window of each row's m largest |values|, descending and
     zero-padded, and the mask of rows whose window is not all zero."""
-    _check_m(m, 1)
+    m = _integer("m", m, 1)
     R = np.asarray(R, dtype=np.float64)
     if R.ndim != 2:
         raise ValueError("attributions must be an (n, d) matrix")
@@ -78,8 +70,7 @@ def evenness_e1(r, m: int) -> float:
 
     2/(m-1) * (m - sum_k F(r,k)); 1 for a uniform window, 0 for a one-hot one.
     """
-    _check_m(m, 2)
-    return _one_row(r, m)[0]
+    return _one_row(r, _integer("m", m, 2))[0]
 
 
 def evenness_e2(r, m: int) -> float:
@@ -101,8 +92,7 @@ class EvennessReport:
 def evenness_report(R, m: int) -> EvennessReport:
     """Both metrics for every row of the (n, d) attributions R plus their
     averages over the defined rows."""
-    _check_m(m, 2)
-    e1, e2, defined = _evenness(R, m)
+    e1, e2, defined = _evenness(R, _integer("m", m, 2))
     if not defined.any():
         raise UndefinedEvennessError(
             "every sample has an undefined evenness; nothing to average")

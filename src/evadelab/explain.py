@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .featurespace import _binary_rows, _int_budgets
+from .featurespace import _binary_rows, _integer
 from .models import KernelModel, LinearModel, TrainedModel
 
 # Values per chunk of integrated-gradients path terms: 4 MiB of float64.
@@ -59,9 +59,7 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
 
     r_i = x_i * (1/p) * sum_{k=1..p} grad_i f(t_k x) with t_k = k/p.
     """
-    (p,) = _int_budgets([p], "p")
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    p = _integer("p", p, 1)
     # the bool samples, so that R is the one (n, d) float64 array a linear
     # model allocates; True * g and False * g are 1.0 * g and 0.0 * g
     X = _binary_rows(samples, model.d, bool)
@@ -138,8 +136,7 @@ def top_features(r: np.ndarray, k: int) -> list[tuple[int, float, float]]:
     """The k most relevant features of one attribution row as (index, value,
     percent), by |value|; percent is the signed share of the row's total
     absolute relevance (0 for an all-zero row)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _integer("k", k, 0)
     order = np.argsort(-np.abs(r), kind="stable")[:k]
     total = np.abs(r).sum()
     pct = np.zeros_like(r) if total == 0.0 else r / total * 100.0

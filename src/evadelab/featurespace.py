@@ -10,10 +10,18 @@ checks it.  On disk a dataset is the sparse text format of ``load_dataset``.
 matrix whose float64 copy would exceed 1 GiB.  ``generate_synthetic`` draws
 a fixed number of values at a time straight into the bool matrix, so it
 never holds a float64 copy; each study layer past it holds at most one.
+
+``_integer`` and ``_real`` are the one place that knows what a numeric
+setting may be: every config field, trainer argument, attack, attribution,
+evenness and statistics setting and model-file number is checked by one of
+them, which names the setting in the error.  An integer setting is a Python
+int (an API argument may also be a numpy integer), a real-valued one an int
+or a float; a bool or a str is neither, so none is cast or truncated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -45,22 +53,42 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def _check_int(name: str, value) -> None:
-    """Refuse a setting that is not an int: a bool, a float or a str is not
-    one, so none is cast or truncated into one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, least: int | None = None, *,
+             numpy: bool = True, error=ValueError) -> int:
+    """``value`` as an int: a Python integer, or a numpy one when ``numpy``
+    is true (a config field is written back to JSON, so it takes Python ints
+    only), of at least ``least``; anything else raises ``error``."""
+    if type(value) is not int and not (numpy and isinstance(value, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}")
+    return int(value)
 
 
-def _int_budgets(budgets, name: str = "budget") -> list[int]:
-    """Addition budgets as Python ints.  Each must be a Python or numpy
-    integer: a float, a bool or a str is refused, not truncated into one."""
-    out = []
-    for e in budgets:
-        if type(e) is bool or not isinstance(e, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {e!r}")
-        out.append(int(e))
-    return out
+# The words that name an interval in an error, where they read better than
+# the interval itself.
+_INTERVAL_WORDS = {"(0, inf)": "be finite and positive", "[0, inf]": "be >= 0",
+                   "(-inf, inf)": "be finite"}
+
+
+@functools.cache
+def _ends(interval: str) -> tuple[float, float]:
+    """The two ends of an interval written as "(0, inf)"."""
+    low, high = interval[1:-1].split(", ")
+    return float(low), float(high)
+
+
+def _real(name: str, value, interval: str = "(0, inf)", error=ValueError):
+    """``value`` unchanged if it is an int or a float inside ``interval``,
+    written as "(0, inf)" or "[0, 1]" (a bracket includes its end, and NaN
+    is inside none); anything else raises ``error``."""
+    low, high = _ends(interval)
+    if (type(value) is bool or not isinstance(value, (int, float))
+            or not (low <= value if interval[0] == "[" else low < value)
+            or not (value <= high if interval[-1] == "]" else value < high)):
+        words = _INTERVAL_WORDS.get(interval, f"lie in {interval}")
+        raise error(f"{name} must {words}, got {value!r}")
+    return value
 
 
 def _check_size(n: int, d: int, error=ValueError,
@@ -145,18 +173,13 @@ class SyntheticConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("d", "n_benign", "n_malware", "n_strong", "seed"):
-            _check_int(name, getattr(self, name))
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        for name, least in (("d", 1), ("n_benign", 0), ("n_malware", 0),
+                            ("n_strong", 0), ("seed", 0)):
+            _integer(name, getattr(self, name), least, numpy=False)
         if self.n_strong > self.d:
             raise ValueError("n_strong must be <= d")
-        if self.n_strong < 0 or self.n_benign < 0 or self.n_malware < 0:
-            raise ValueError("counts must be non-negative")
         for name in ("strong_rate_gap", "weak_rate_gap", "base_density"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _real(name, getattr(self, name), "[0, 1]")
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
@@ -282,11 +305,10 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 def split(ds: LabeledDataset, train_fraction: float, seed: int
           ) -> tuple[LabeledDataset, LabeledDataset]:
     """Stratified, seeded partition into (train, test)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie in (0, 1)")
+    _real("train_fraction", train_fraction, "(0, 1)")
     if ds.n == 0:
         raise ValueError("cannot split an empty dataset")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     train_rows: list[int] = []
     test_rows: list[int] = []
     for label in (-1, 1):

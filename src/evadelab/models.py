@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .featurespace import (_MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows,
-                           _check_int, _check_size)
+                           _check_size, _integer, _real)
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
@@ -89,15 +89,13 @@ class KernelModel:
         object.__setattr__(self, "support_vectors", svs)
         object.__setattr__(self, "dual_coeffs", coeffs)
         object.__setattr__(self, "bias", float(self.bias))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "gamma", float(_real("gamma", self.gamma)))
         if coeffs.ndim != 1:
             raise ValueError("dual_coeffs must be a 1-d vector")
         if svs.shape[0] != coeffs.shape[0]:
             raise ValueError("support_vectors and dual_coeffs lengths differ")
         if not np.all(np.isfinite(coeffs)) or not math.isfinite(self.bias):
             raise ValueError("model parameters must be finite")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError("gamma must be finite and positive")
         if svs.shape[0] == 0:
             raise ValueError("kernel model needs at least one support vector")
 
@@ -179,18 +177,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        _check_int("epochs", self.epochs)
-        _check_int("seed", self.seed)
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        # NaN fails these too; inf would train every epoch to non-finite
-        # weights or objectives
-        if not 0.0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and positive")
-        if not 0.0 < self.reg < math.inf:
-            raise ValueError("reg must be finite and positive")
-        if self.weight_bound is not None and not self.weight_bound >= 0.0:
-            raise ValueError("weight_bound must be >= 0")
+        _integer("epochs", self.epochs, 1, numpy=False)
+        _integer("seed", self.seed, 0, numpy=False)
+        # inf would train every epoch to non-finite weights or objectives
+        _real("learning_rate", self.learning_rate)
+        _real("reg", self.reg)
+        if self.weight_bound is not None:
+            _real("weight_bound", self.weight_bound, "[0, inf]")
 
 
 def _require_both_classes(ds: LabeledDataset) -> None:
@@ -369,10 +362,8 @@ def train_rbf_svm(train: LabeledDataset, C: float, gamma: float,
     box is refused.
     """
     _require_both_classes(train)
-    if not 0 < C < math.inf:
-        raise ValueError("C must be finite and positive")
-    if not 0 < gamma < math.inf:
-        raise ValueError("gamma must be finite and positive")
+    _real("C", C)
+    _real("gamma", gamma)
     if cfg.loss != "hinge":
         raise ValueError(f"train_rbf_svm trains the hinge loss; got loss "
                          f"{cfg.loss!r}")
@@ -473,8 +464,7 @@ def detection_rate_at_fpr(model: TrainedModel, ds: LabeledDataset,
 def _rate_at_fpr(scores: np.ndarray, labels: np.ndarray,
                  fpr_target: float) -> tuple[float, float]:
     """detection_rate_at_fpr of a dataset's scores and labels."""
-    if not 0.0 <= fpr_target <= 1.0:
-        raise ValueError("fpr_target must lie in [0, 1]")
+    _real("fpr_target", fpr_target, "[0, 1]")
     benign = np.sort(scores[labels == -1])
     malware = scores[labels == 1]
     if benign.size == 0:
@@ -598,21 +588,20 @@ def _index_lists(lists: list, d: int, what: str):
 
 
 def _json_floats(values, what: str) -> list[float]:
-    """The stored numbers ``values`` as floats.  Each must be a JSON int or
-    float: float() would also take a numeric string or a bool."""
-    bad = [v for v in values if type(v) not in (int, float)]
-    if bad:
-        raise ModelFormatError(f"{what}: {bad[0]!r} is not a JSON number")
-    return [float(v) for v in values]
+    """The stored numbers ``values`` as floats.  Each must be a finite JSON
+    int or float: float() would also take a numeric string or a bool."""
+    return [float(_real(what, v, "(-inf, inf)", ModelFormatError))
+            for v in values]
 
 
 def load_model(path) -> TrainedModel:
     """Read a model file that save_model wrote.
 
     ``d`` and every feature index must be JSON integers, every other number
-    a JSON int or float (a bool or a string is neither), and the weights or
-    support vectors are refused, before they are allocated, when their
-    float64 array would exceed _MAX_FLOAT64_BYTES.
+    a finite JSON int or float (a bool or a string is neither; ``gamma`` is
+    also positive), and the weights or support vectors are refused, before
+    they are allocated, when their float64 array would exceed
+    _MAX_FLOAT64_BYTES.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -628,9 +617,7 @@ def load_model(path) -> TrainedModel:
             f"(expected {MODEL_FORMAT_VERSION})")
     try:
         kind = doc["kind"]
-        d = doc["d"]
-        if type(d) is not int or d < 1:
-            raise ModelFormatError(f"d must be an integer >= 1, got {d!r}")
+        d = _integer("d", doc["d"], 1, error=ModelFormatError)
         (bias,) = _json_floats([doc["bias"]], "bias")
         if kind == "linear":
             _check_size(1, d, ModelFormatError, "weight vector")
@@ -648,7 +635,7 @@ def load_model(path) -> TrainedModel:
             svs[rows, cols] = 1.0
             coeffs = np.asarray(_json_floats(doc["dual_coeffs"],
                                              "dual_coeffs"))
-            (gamma,) = _json_floats([doc["gamma"]], "gamma")
+            gamma = _real("gamma", doc["gamma"], error=ModelFormatError)
             return KernelModel(svs, coeffs, bias, gamma,
                                doc.get("training", {}))
         raise ModelFormatError(f"unknown model kind {kind!r}")

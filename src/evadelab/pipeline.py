@@ -35,7 +35,7 @@ from .attack import _MAX_ITERS, SecurityCurve, attack_scores_over_grid
 from .evenness import EvennessReport, evenness_report
 from .explain import (attribution_gradient, attribution_gradient_input,
                       attribution_integrated_gradients)
-from .featurespace import (LabeledDataset, SyntheticConfig, _check_int,
+from .featurespace import (LabeledDataset, SyntheticConfig, _integer, _real,
                            generate_synthetic, load_dataset, split)
 from .models import (TrainConfig, TrainedModel, _dataset_scores, _rate_at_fpr,
                      _roc_points, auc, detection_rate_at_fpr, train_linear,
@@ -89,8 +89,8 @@ class ClassifierSpec:
             elif self.kind != kind and value is not None:
                 raise ValueError(f"{name}={value} is read only by the {kind} "
                                  f"kind, not by {self.kind}")
-        if self.kind == "rbf" and not 0.0 < self.gamma < math.inf:
-            raise ValueError("gamma must be finite and positive")
+        if self.kind == "rbf":
+            _real("gamma", self.gamma)
         # TrainConfig checks reg, epochs (an int >= 1), learning_rate and
         # weight_bound
         self._train_config(0)
@@ -153,26 +153,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.classifiers:
             raise ValueError("classifier roster must be non-empty")
-        for name in ("seed", "repetitions", "ig_p", "evenness_m",
-                     "n_attack_samples", "attack_max_iters"):
-            _check_int(name, getattr(self, name))
+        for name, least in (("seed", 0), ("repetitions", 1), ("ig_p", 1),
+                            ("evenness_m", 2), ("n_attack_samples", 1),
+                            ("attack_max_iters", 1)):
+            _integer(name, getattr(self, name), least, numpy=False)
         for eps in self.eps_grid:
-            _check_int("eps_grid budget", eps)
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            _integer("eps_grid budget", eps, numpy=False)
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ValueError("give exactly one of dataset_path or synthetic")
         _check_grid(self.eps_grid)
-        if self.evenness_m < 2:
-            raise ValueError("evenness_m must be >= 2")
-        if self.ig_p < 1:
-            raise ValueError("ig_p must be >= 1")
-        if self.n_attack_samples < 1:
-            raise ValueError("n_attack_samples must be >= 1")
-        if not 0.0 <= self.fpr <= 1.0:
-            raise ValueError("fpr must lie in [0, 1]")
-        if self.attack_max_iters < 1:
-            raise ValueError("attack_max_iters must be >= 1")
+        _real("fpr", self.fpr, "[0, 1]")
         # equal slugs would write the same per-cell files
         slugs = [spec.slug for spec in self.classifiers]
         if len(set(slugs)) != len(slugs):
@@ -216,7 +206,7 @@ class ExperimentConfig:
         kwargs = dict(doc)
         if isinstance(grid, dict):
             for key in _GRID_KEYS:
-                _check_int(f"eps_grid {key}", grid[key])
+                _integer(f"eps_grid {key}", grid[key], numpy=False)
             kwargs["eps_grid"] = tuple(range(grid["start"], grid["stop"] + 1))
         elif grid is not None:
             kwargs["eps_grid"] = tuple(grid)
@@ -588,10 +578,10 @@ def grid_cv(ds: LabeledDataset, spec: ClassifierSpec, reg_grid,
     regularized setting (larger alpha for the squared loss, smaller C
     otherwise).
     """
-    reg_grid = [float(v) for v in reg_grid]
+    reg_grid = [float(_real("reg", v)) for v in reg_grid]
     if not reg_grid:
         raise ValueError("reg_grid must be non-empty")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     fold_of = np.zeros(ds.n, dtype=int)
     for label in (-1, 1):
         rows = np.flatnonzero(ds.labels == label)

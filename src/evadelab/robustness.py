@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featurespace import _int_budgets
+from .featurespace import _integer
 
 ROBUSTNESS_LOSSES = ("hinge", "logistic")
 
@@ -69,7 +69,7 @@ def robustness_from_scores(adv_scores: np.ndarray, eps_grid,
     holds each sample's mean of exp(-loss) over the grid, for the
     per-sample table and the correlations.
     """
-    eps_grid = tuple(_int_budgets(eps_grid))
+    eps_grid = tuple(_integer("budget", e) for e in eps_grid)
     _check_grid(eps_grid)
     scores = np.asarray(adv_scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] != len(eps_grid):

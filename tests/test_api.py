@@ -194,3 +194,43 @@ def test_every_private_name_is_used():
             if not used:
                 unused.append(name)
     assert unused == []
+
+
+def _number_rule_sites(tree):
+    """Each string outside a docstring that words the rule for a number,
+    and each isinstance test against (int, np.integer), in a module tree,
+    as (line, source)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)}
+    sites = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and id(node) not in docstrings
+                and any(words in node.value for words in (
+                    "must be an integer", "must be finite and positive"))):
+            sites.append((node.lineno, node.value))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and isinstance(node.args[1], ast.Tuple)
+              and {"int", "np.integer"} <= set(map(ast.unparse,
+                                                   node.args[1].elts))):
+            sites.append((node.lineno, ast.unparse(node)))
+    return sites
+
+
+def test_one_module_words_the_number_rule():
+    # featurespace._integer and _real are the one rule for what a numeric
+    # setting may be; a check written out again in another module would
+    # drift from it one module at a time
+    package = Path(evadelab.__file__).resolve().parent
+    found = {path.name: _number_rule_sites(ast.parse(
+                 path.read_text(encoding="utf-8")))
+             for path in sorted(package.glob("*.py"))
+             if path.name != "featurespace.py"}
+    assert {name: sites for name, sites in found.items() if sites} == {}
+    # the walk sees each form it looks for
+    assert len(_number_rule_sites(ast.parse(
+        '"""d must be an integer."""\n'
+        'isinstance(v, (int, np.integer))\n'
+        'raise ValueError(f"{n} must be an integer, got {v!r}")\n'
+        'raise ValueError("gamma must be finite and positive")'))) == 3

@@ -122,7 +122,7 @@ class TestAttackConfig:
         m = LinearModel(np.array([-1.0, 1.0]), 0.5)
         with pytest.raises(ValueError, match="eps_max must be >= 1"):
             epsilon_min(m, vec([1], 2), 0)
-        with pytest.raises(ValueError, match="budgets must be non-negative"):
+        with pytest.raises(ValueError, match="^budget must be >= 0$"):
             attack_scores_over_grid(m, [vec([1], 2)], [-1], 0.0)
 
     @pytest.mark.parametrize("method", ["greedy", "pgd"])

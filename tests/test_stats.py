@@ -209,8 +209,11 @@ class TestKendall:
 # pooled study sizes and beyond, and 205 correlations per n, from 1e-15 to
 # within 1e-15 of +-1.  n = 3 is checked against its closed form instead:
 # stdtr itself is off by up to 3e-9 at one degree of freedom and |t| near
-# 1e-8 (measured against 1 - (2/pi) atan|t|).
-SWEEP_N = list(range(4, 60)) + [100, 200, 499, 500, 501, 1000, 2000, 5000]
+# 1e-8 (measured against 1 - (2/pi) atan|t|).  From n = 102 up the
+# prefactor takes _log_gamma_ratio's Stirling series; the difference of two
+# lgamma values it replaced was off by 2e-11 at n = 1e4 and 3e-10 at 1e6.
+SWEEP_N = list(range(4, 60)) + [100, 101, 102, 103, 200, 499, 500, 501,
+                                1000, 2000, 5000, 10 ** 4, 10 ** 5, 10 ** 6]
 _EDGE = np.geomspace(1e-15, 1e-2, 14)
 SWEEP_R = np.concatenate([-_EDGE, _EDGE, np.linspace(-0.99, 0.99, 149),
                           _EDGE - 1.0, 1.0 - _EDGE]).tolist()
@@ -233,7 +236,7 @@ class TestTails:
         assert worst_relative_error(
             (stats._t_pvalue(r, n),
              2.0 * float(scipy.special.stdtr(n - 2, -abs(t_of(r, n)))))
-            for n in SWEEP_N for r in SWEEP_R) < 1e-10
+            for n in SWEEP_N for r in SWEEP_R) < 1e-11
 
     def test_kendall_normal_tail_matches_scipy_ndtr(self):
         # without ties, var(S) = n(n-1)(2n+5)/18 and z = S / sqrt(var(S));
