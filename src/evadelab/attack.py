@@ -39,13 +39,13 @@ scored again: its point at every budget is unchanged, so its scores are the
 ones already compared with the best scores, and none can be strictly lower.
 Every prefix starts empty, at the clean point, where the best scores start.
 Within the other rows, a (row, budget) cell whose point is the previous
-budget's (the clean point at the first budget) is skipped with +inf, and so,
-on calls large enough to pay for the set test, is a cell whose addition set
-equals the previous iteration's at that budget: an equal score was already
-compared at the same or a smaller budget, so the running minimum along the
-budgets that ``_pgd_core`` takes ends every row where it would have.  The
-shadow pass holds its live rows' state compact and in sample order, so each
-kernel call sees the row batch a gather from (n, d) arrays would give it.
+budget's (the clean point at the first budget) is skipped with +inf, and so
+is a cell whose addition set equals the previous iteration's at that budget:
+an equal score was already compared at the same or a smaller budget, so the
+running minimum along the budgets that ``_pgd_core`` takes ends every row
+where it would have.  The shadow pass holds its live rows' state compact and
+in sample order, so each kernel call sees the row batch a gather from (n, d)
+arrays would give it.
 A linear model gets no shadow pass: its gradient is constant, so the binary
 pass already adds features in the optimal order.
 
@@ -82,9 +82,6 @@ ATTACK_METHODS = ("auto", "pgd", "greedy")
 _BINARY_CHUNK_VALUES = 2 ** 19
 # Values per block of shadow-pass cells scored together: 2 MiB of float64.
 _NESTED_BLOCK_VALUES = 2 ** 18
-# Kernel values (rows x budgets x n_sv) from which a shadow-pass call
-# skips the cells whose addition set is unchanged.
-_SKIP_MIN_VALUES = 2 ** 14
 # The sort key of a feature that is not an addition.
 _LAST_KEY = np.iinfo(np.int64).max
 # The iteration cap of each descent pass when the caller gives none.
@@ -269,7 +266,7 @@ def _distance_dtype(d: int):
 
 def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
                    order: np.ndarray, counts: np.ndarray, budgets,
-                   prev=None) -> np.ndarray:
+                   prev) -> np.ndarray:
     """Decision values at x0 plus its first min(e, count) ranked additions,
     for each e of the ascending budgets, at the new cells only: (rows,
     len(budgets)), +inf at every other cell.
@@ -289,13 +286,15 @@ def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
 
     A cell is new if its row adds a feature past the previous budget (else
     its point is the previous budget's, or the clean point at the first)
-    and, when ``prev`` gives the (order, counts) of the same rows at the
-    previous iteration, its addition set differs from prev's at the same
-    budget (else it is the point scored there).  Every +inf cell thus has
-    an equal score already compared at the same or a smaller budget, or is
-    the clean point, where the best scores start, so the running minimum
-    along the budgets that the caller takes is unchanged.  A (rows, d + 1)
-    table gives each entry's rank in prev's order (width where absent); the
+    and its addition set differs at the same budget from that of ``prev``,
+    the (order, counts) of the same rows at the previous iteration (else it
+    is the point scored there).  Under the empty prefix (every order entry
+    -1, every count 0) every cell that the first rule keeps is new.  Every
+    +inf cell thus has an equal score already compared at the same or a
+    smaller budget, or is the clean point, where the best scores start, so
+    the running minimum along the budgets that the caller takes is
+    unchanged.  A (rows, d + 1) table gives each feature's rank in prev's
+    order (width where absent; prev's -1 entries land in column d); the
     two budget-e sets are equal iff both prefixes hold m entries and the
     running max of the first m ranks is below m.
     """
@@ -305,17 +304,16 @@ def _nested_scores(model: KernelModel, deltas: np.ndarray, sq0: np.ndarray,
     by_count = np.argsort(-counts, kind="stable")
     counts, order, sq = counts[by_count], order[by_count], sq0[by_count]
     out = np.full((n, len(budgets)), np.inf)
-    new = counts[:, None] > np.array([0, *budgets[:-1]])
-    if prev is not None:
-        budget_arr = np.asarray(budgets)
-        prev_order, prev_counts = prev[0][by_count], prev[1][by_count]
-        at = np.arange(n)[:, None]
-        rank = np.full((n, deltas.shape[0] + 1), width)
-        rank[at, prev_order] = np.arange(width)
-        seen = np.maximum.accumulate(rank[at, order], axis=1)
-        taken = np.minimum(counts[:, None], budget_arr)
-        new &= ((taken != np.minimum(prev_counts[:, None], budget_arr))
-                | (seen[at, taken - 1] >= taken))
+    budget_arr = np.asarray(budgets)
+    prev_order, prev_counts = prev[0][by_count], prev[1][by_count]
+    at = np.arange(n)[:, None]
+    rank = np.full((n, deltas.shape[0] + 1), width)
+    rank[at, prev_order] = np.arange(width)
+    seen = np.maximum.accumulate(rank[at, order], axis=1)
+    taken = np.minimum(counts[:, None], budget_arr)
+    new = ((counts[:, None] > np.array([0, *budgets[:-1]]))
+           & ((taken != np.minimum(prev_counts[:, None], budget_arr))
+              | (seen[at, taken - 1] >= taken)))
     # the new cells budget by budget, rows ascending within a budget
     cols, rows = np.nonzero(new.T)
     per_budget = np.count_nonzero(new, axis=0).tolist()
@@ -360,15 +358,13 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     delta table.  The prefixes start empty, at the clean point, where
     best_scores starts.  Each iterate's nested projections are scored only
     for the rows whose ranked prefix of budgets[-1] additions differs from
-    the previous iteration's; within those, a cell whose addition set is
-    unchanged is skipped (``_nested_scores`` with ``prev``) once the rows
-    and budgets scored hold _SKIP_MIN_VALUES kernel values, below which
-    the set test costs more than the cells it saves.  Cells that are not
-    new score +inf, so best_scores is exact only after the caller's
-    running minimum along the budgets.  One fused kernel call per iteration
-    evaluates the new iterate and gives the gradient that the still-active
-    rows step with next.  A row leaves the pass when its objective
-    converges.
+    the previous iteration's, and ``_nested_scores``, given those rows'
+    previous prefixes, skips each cell whose addition set is unchanged.
+    Cells that are not new score +inf, so best_scores is exact only after
+    the caller's running minimum along the budgets.  One fused kernel call
+    per iteration evaluates the new iterate and gives the gradient that the
+    still-active rows step with next.  A row leaves the pass when its
+    objective converges.
     """
     scores0, grad0 = start
     # already-benign samples are left alone
@@ -380,7 +376,6 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
     sq0 = model._sq_distances(low).astype(_distance_dtype(model.d))
     # row j: the change of every ||x - s_i||^2 when x_j goes from 0 to 1
     deltas = (1 - 2 * model.support_vectors.T).astype(np.int8, order="C")
-    skip_rows = _SKIP_MIN_VALUES / (len(budgets) * deltas.shape[1])
     budget_arr = np.asarray(budgets)
     # before the first iteration each row is at its clean point: no
     # additions, and best_scores starts at its score
@@ -395,11 +390,9 @@ def _shadow_pass(model: KernelModel, X0b: np.ndarray, lb: np.ndarray, start,
         order, counts = _ranked_changes(stepped, X0, budgets[-1])
         # an unchanged prefix scores bit for bit what it scored before
         changed = np.flatnonzero((order != prefix[0]).any(axis=1))
-        prev = ((prefix[0][changed], prefix[1][changed])
-                if changed.size >= skip_rows else None)
         bin_scores = _nested_scores(model, deltas, sq0[changed],
                                     order[changed], counts[changed], budgets,
-                                    prev)
+                                    (prefix[0][changed], prefix[1][changed]))
         ri, ci = np.nonzero(bin_scores < best_scores[rows[changed]])
         if ri.size:
             hit = changed[ri]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,6 +29,15 @@ from .featurespace import (SyntheticConfig, _ascii_digits, _integer,
 from .pipeline import PRESETS, ExperimentConfig, _write_csv, run_experiment
 from .robustness import _check_grid, _repeated, robustness_from_scores
 
+# One real-valued flag value: an optional sign, then ASCII digits with an
+# optional fraction and exponent, or inf.
+_DECIMAL = re.compile(
+    r"[+-]?(?:inf|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+# The real-valued flags: argparse keeps their text, and main parses it with
+# _decimal, so that a bad value gets the JSON error.
+_REAL_FLAGS = ("--reg", "--gamma", "--bound", "--learning-rate", "--fpr",
+               "--threshold")
+
 
 def _budget(token: str, flag: str) -> int:
     """One budget of ``flag``: ASCII digits, with surrounding whitespace
@@ -36,6 +46,14 @@ def _budget(token: str, flag: str) -> int:
     if not _ascii_digits(digits):
         raise ValueError(f"{flag} budget {token!r} is not ASCII digits")
     return int(digits)
+
+
+def _decimal(token: str, flag: str) -> float:
+    """One real value of ``flag`` (float() would also take "1_0",
+    surrounding whitespace, "infinity", "nan" and other scripts' digits)."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"{flag} value {token!r} is not a decimal number")
+    return float(token)
 
 
 def _parse_grid(text: str, flag: str) -> list[int]:
@@ -82,7 +100,8 @@ def cmd_train(args) -> int:
         entry = {"name": "custom", "kind": "linear", **entry}
     spec = pipeline._roster_entry(entry)
     if args.cv_reg:
-        best, table = pipeline.grid_cv(ds, spec, _parse_floats(args.cv_reg),
+        best, table = pipeline.grid_cv(ds, spec,
+                                       _parse_floats(args.cv_reg, "--cv-reg"),
                                        fpr=args.fpr, seed=args.seed)
         spec = replace(spec, reg=best)
         print(json.dumps({"cv_selected_reg": best,
@@ -103,8 +122,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok]
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """'0.1,1,10' -> [0.1, 1.0, 10.0]: the comma list of ``flag``."""
+    return [_decimal(tok, flag) for tok in text.split(",") if tok]
 
 
 def _attack_malware(args, budgets) -> tuple[list[int], float, np.ndarray]:
@@ -285,8 +305,8 @@ def _add_attack_flags(p: argparse.ArgumentParser) -> None:
     """The flags that ``attack`` and ``robustness`` share."""
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--fpr", type=float, default=0.01)
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--fpr", default="0.01")
+    p.add_argument("--threshold", default=None,
                    help="use a fixed threshold instead of --fpr")
     p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
     p.add_argument("--max-iters", type=int, default=_MAX_ITERS)
@@ -308,17 +328,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["linear", "secsvm", "rbf"],
                    help="default: the preset's, else linear")
     p.add_argument("--loss", choices=["hinge", "logistic", "squared"])
-    p.add_argument("--reg", type=float)
-    p.add_argument("--gamma", type=float,
+    p.add_argument("--reg")
+    p.add_argument("--gamma",
                    help="RBF kernel width, rbf kind only (default 0.01)")
-    p.add_argument("--bound", type=float,
+    p.add_argument("--bound",
                    help="weight box [-bound, bound], secsvm kind only "
                         "(default 0.25)")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--learning-rate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cv-reg", help="comma list of reg values for 5-fold CV")
-    p.add_argument("--fpr", type=float, default=0.01)
+    p.add_argument("--fpr", default="0.01")
     p.add_argument("--test", help="held-out data to report metrics on")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -378,6 +398,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in _REAL_FLAGS:
+            dest = flag[2:].replace("-", "_")
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, _decimal(getattr(args, dest), flag))
         return args.func(args)
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -74,14 +74,10 @@ def attribution_integrated_gradients(model: TrainedModel, samples,
 
 def _linear_path_sum(model: LinearModel, p: int) -> np.ndarray:
     """sum_{k=1..p} w: the gradient is the same at every path point, so
-    the sum is built once, over chunks of max(1, 2**19 // d) points."""
-    chunk = max(1, _IG_CHUNK_VALUES // model.d)
-    grad_sum = np.zeros(model.d)
-    for start in range(1, p + 1, chunk):
-        points = min(chunk, p + 1 - start)
-        grad_sum += np.broadcast_to(model.weights,
-                                    (points, model.d)).sum(axis=0)
-    return grad_sum
+    the sum is one reduction over a (p, d) broadcast view of w, which
+    allocates no path points.  It is added to +0.0 so that a -0.0 weight
+    sums to +0.0."""
+    return 0.0 + np.broadcast_to(model.weights, (p, model.d)).sum(axis=0)
 
 
 def _kernel_path_sums(model: KernelModel, X: np.ndarray, p: int) -> np.ndarray:

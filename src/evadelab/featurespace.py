@@ -13,8 +13,9 @@ never holds a float64 copy; each study layer past it holds at most one.
 
 ``_integer`` and ``_real`` are the one place that knows what a numeric
 setting may be: every config field, trainer argument, attack, attribution,
-evenness and statistics setting and model-file number is checked by one of
-them, which names the setting in the error.  An integer setting is a Python
+evenness and statistics setting and model number is checked by one of
+them, or by ``_real_array`` for a model's weight or coefficient vector,
+which names the setting in the error.  An integer setting is a Python
 int (an API argument may also be a numpy integer), a real-valued one an int
 or a float; a bool or a str is neither, so none is cast or truncated.
 """
@@ -89,6 +90,20 @@ def _real(name: str, value, interval: str = "(0, inf)", error=ValueError):
         words = _INTERVAL_WORDS.get(interval, f"lie in {interval}")
         raise error(f"{name} must {words}, got {value!r}")
     return value
+
+
+def _real_array(name: str, values, error=ValueError) -> np.ndarray:
+    """``values`` as a float64 array if it is an integer or float array
+    (or makes one) of finite entries; a bool, str or object array is
+    neither, so none is cast, and anything else raises ``error``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":
+        raise error(f"{name} must hold integers or floats, got dtype "
+                    f"{array.dtype}")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite")
+    return array
 
 
 def _check_size(n: int, d: int, error=ValueError,

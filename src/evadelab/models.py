@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .featurespace import (_MAX_FLOAT64_BYTES, LabeledDataset, _binary_rows,
-                           _check_size, _integer, _real)
+                           _check_size, _integer, _real, _real_array)
 
 MODEL_FORMAT_VERSION = 1
 LOSSES = ("hinge", "logistic", "squared")
@@ -45,13 +45,12 @@ class LinearModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _real_array("weights", self.weights)
         if w.ndim != 1:
             raise ValueError("weights must be a 1-d vector")
-        if not np.all(np.isfinite(w)) or not math.isfinite(self.bias):
-            raise ValueError("model parameters must be finite")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias",
+                           float(_real("bias", self.bias, "(-inf, inf)")))
 
     @property
     def d(self) -> int:
@@ -85,17 +84,16 @@ class KernelModel:
         # a private read-only copy, so the cached norms stay true
         svs = np.array(_binary_rows(self.support_vectors, None))
         svs.flags.writeable = False
-        coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
+        coeffs = _real_array("dual_coeffs", self.dual_coeffs)
         object.__setattr__(self, "support_vectors", svs)
         object.__setattr__(self, "dual_coeffs", coeffs)
-        object.__setattr__(self, "bias", float(self.bias))
+        object.__setattr__(self, "bias",
+                           float(_real("bias", self.bias, "(-inf, inf)")))
         object.__setattr__(self, "gamma", float(_real("gamma", self.gamma)))
         if coeffs.ndim != 1:
             raise ValueError("dual_coeffs must be a 1-d vector")
         if svs.shape[0] != coeffs.shape[0]:
             raise ValueError("support_vectors and dual_coeffs lengths differ")
-        if not np.all(np.isfinite(coeffs)) or not math.isfinite(self.bias):
-            raise ValueError("model parameters must be finite")
         if svs.shape[0] == 0:
             raise ValueError("kernel model needs at least one support vector")
 

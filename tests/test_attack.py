@@ -651,6 +651,12 @@ class TestRankedChanges:
             assert np.array_equal(got[1], want[1])
 
 
+def empty_prefix(order):
+    """The (order, counts) prefix of rows at their clean points, as the
+    shadow pass holds it before its first iteration: no addition."""
+    return np.full_like(order, -1), np.zeros(len(order), dtype=np.intp)
+
+
 class TestNestedScores:
     def test_nested_scores_equal_materialised_points(self):
         rng = np.random.default_rng(4)
@@ -670,9 +676,10 @@ class TestNestedScores:
         X0 = X0b.astype(np.float64)
         deltas = np.ascontiguousarray((1.0 - 2.0 * m.support_vectors).T)
         got = attack_mod._nested_scores(m, deltas, m._sq_distances(X0),
-                                        order, counts, budgets)
-        # a cell is scored iff its row adds a feature past the previous
-        # budget; every other cell is +inf
+                                        order, counts, budgets,
+                                        empty_prefix(order))
+        # after the empty prefix, a cell is scored iff its row adds a
+        # feature past the previous budget; every other cell is +inf
         lower = np.array([0, *budgets[:-1]])
         scored = counts[:, None] > lower
         assert np.array_equal(np.isinf(got), ~scored)
@@ -1084,12 +1091,11 @@ class TestCompactShadowPass:
     @pytest.mark.parametrize("budgets", [[1, 2, 3], list(range(1, 9)),
                                          [19, 20], list(range(1, 51))])
     @pytest.mark.parametrize("seed", [2, 10, 13])
-    @pytest.mark.parametrize("skip_min", [0, attack_mod._SKIP_MIN_VALUES])
     def test_matches_gather_based_pass_bitwise(self, monkeypatch, budgets,
-                                               seed, skip_min):
+                                               seed):
         # random models (seeds picked so) where rows converge at different
         # iterations down to a one-row tail, with already-benign rows left
-        # out; skip_min 0 takes the set test on every call after the first
+        # out
         rng = np.random.default_rng(seed)
         d, n_sv, n = 60, 6, 14
         svs = rng.random((n_sv, d)) < 0.3
@@ -1100,7 +1106,6 @@ class TestCompactShadowPass:
         want, want_batches = recorded_shadow_pass(
             monkeypatch, gather_shadow_pass, model, X0b, budgets, 1000,
             threshold)
-        monkeypatch.setattr(attack_mod, "_SKIP_MIN_VALUES", skip_min)
         got, got_batches = recorded_shadow_pass(
             monkeypatch, attack_mod._shadow_pass, model, X0b, budgets, 1000,
             threshold)
@@ -1139,14 +1144,13 @@ class TestCompactShadowPass:
         weights_from_sq = KernelModel._weights_from_sq
         cells = {"prefix": 0, "scored": 0, "inside": False}
 
-        def record_nested(model, deltas, sq0, order, counts, budgets,
-                          *prev):
+        def record_nested(model, deltas, sq0, order, counts, budgets, prev):
             lower = np.array([0, *budgets[:-1]])
             cells["prefix"] += int(np.sum(counts[:, None] > lower))
             cells["inside"] = True
             try:
                 return nested_scores(model, deltas, sq0, order, counts,
-                                     budgets, *prev)
+                                     budgets, prev)
             finally:
                 cells["inside"] = False
 
@@ -1162,9 +1166,71 @@ class TestCompactShadowPass:
         assert np.array_equal(scores, np.array(GOLDEN_C8_GRID))
         assert 0 < cells["scored"] < cells["prefix"]
 
+    def test_scores_exactly_the_new_cells_at_every_call_size(self,
+                                                             monkeypatch):
+        # the cli-attack-rbf shape (30 rows, budgets 1..3): every call,
+        # down to the ones with a few changed rows, scores exactly the
+        # cells whose addition set is neither the previous iteration's at
+        # that budget nor the previous budget's (the clean point at the
+        # first), counted here from the ranked prefixes alone
+        model, malware, threshold = criterion8_rbf_cell()
+        X0b = _binary_rows(malware[:30], model.d, bool)
+        sample_of = {row.tobytes(): i for i, row in enumerate(X0b)}
+        assert len(sample_of) == len(X0b)
+        budgets = [1, 2, 3]
+        ranked, nested = [], []
+        ranked_changes = attack_mod._ranked_changes
+        nested_scores = attack_mod._nested_scores
+
+        def record_ranked(V, X0, width):
+            order, counts = ranked_changes(V, X0, width)
+            samples = [sample_of[row.tobytes()] for row in X0]
+            ranked.append((samples, order, counts))
+            return order, counts
+
+        def record_nested(model, deltas, sq0, order, counts, budgets, prev):
+            out = nested_scores(model, deltas, sq0, order, counts, budgets,
+                                prev)
+            nested.append((order, np.isfinite(out)))
+            return out
+
+        monkeypatch.setattr(attack_mod, "_ranked_changes", record_ranked)
+        monkeypatch.setattr(attack_mod, "_nested_scores", record_nested)
+        recorded_shadow_pass(monkeypatch, attack_mod._shadow_pass, model,
+                             X0b, budgets, 150, threshold)
+        assert len(ranked) == len(nested) > 1
+        # every sample starts at its clean point: no addition
+        empty, clean = np.full(budgets[-1], -1), [frozenset()] * len(budgets)
+        prefix, sets = {}, {}
+        small = 0
+        for (samples, order, counts), (got_order, scored) in zip(ranked,
+                                                                  nested):
+            changed, want = [], []
+            for r, sample in enumerate(samples):
+                if np.array_equal(order[r], prefix.get(sample, empty)):
+                    continue
+                now = [frozenset(order[r, :min(e, counts[r])].tolist())
+                       for e in budgets]
+                before = sets.get(sample, clean)
+                changed.append(r)
+                want.append([point != last and point != lower for
+                             point, last, lower in zip(now, before,
+                                                       [frozenset(), *now])])
+                prefix[sample], sets[sample] = order[r], now
+            assert np.array_equal(got_order, order[changed])
+            want = np.array(want, dtype=bool).reshape(scored.shape)
+            assert np.array_equal(scored, want)
+            lower = np.array([0, *budgets[:-1]])
+            if len(changed) < 7 and want.sum() < np.sum(
+                    counts[changed][:, None] > lower):
+                small += 1
+        # on calls of fewer than 7 changed rows too, the set test drops
+        # cells that the count rule alone would score
+        assert small > 0
+
     def test_nested_scores_skip_only_cells_scored_before(self):
-        # with prev, a cell is +inf only where its addition set is prev's
-        # at that budget or its point is the previous budget's
+        # a cell is +inf only where its addition set is prev's at that
+        # budget or its point is the previous budget's
         rng = np.random.default_rng(6)
         d, n, n_sv = 12, 300, 20
         m = KernelModel(rng.random((n_sv, d)) < 0.5, rng.normal(size=n_sv),
@@ -1183,7 +1249,7 @@ class TestCompactShadowPass:
             orders.append((order, counts))
         (prev_order, prev_counts), (order, counts) = orders
         full = attack_mod._nested_scores(m, deltas, sq0, order, counts,
-                                         budgets)
+                                         budgets, empty_prefix(order))
         got = attack_mod._nested_scores(m, deltas, sq0, order, counts,
                                         budgets, (prev_order, prev_counts))
         for r in range(n):
@@ -1216,7 +1282,7 @@ class TestDistanceType:
         order = np.arange(8)[None, :]
         budgets = list(range(1, 9))
         got = attack_mod._nested_scores(m, deltas, sq0, order, np.array([8]),
-                                        budgets)
+                                        budgets, empty_prefix(order))
         for col, eps in enumerate(budgets):
             point = X0b.copy()
             point[0, :eps] = True

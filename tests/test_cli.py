@@ -435,6 +435,38 @@ def test_max_iters_below_one_rejected(workdir, capsys, command, grid_flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--reg"), ("train", "--gamma"), ("train", "--bound"),
+    ("train", "--learning-rate"), ("train", "--fpr"), ("train", "--cv-reg"),
+    ("attack", "--fpr"), ("attack", "--threshold")])
+@pytest.mark.parametrize("value", ["1_0", " 5e-1 ", "infinity", "nan",
+                                   "\u0665"])
+def test_real_flags_take_ascii_decimals_only(workdir, capsys, command, flag,
+                                             value):
+    # float() took each of these: "1_0" as 10, " 5e-1 " as 0.5, the
+    # Arabic-Indic digit five as 5
+    out = workdir / f"{command}_decimal.out"
+    common = (["--data", str(workdir / "train.txt"), "--preset", "svm"]
+              if command == "train" else
+              ["--model", str(workdir / "model.json"),
+               "--data", str(workdir / "test.txt"), "--method", "greedy"])
+    rc = main([command, *common, f"{flag}={value}", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == f"{flag} value {value!r} is not a decimal number"
+    assert not out.exists()
+
+
+def test_real_flags_take_sign_fraction_and_exponent(workdir):
+    out = workdir / "decimal.json"
+    rc = main(["train", "--data", str(workdir / "train.txt"),
+               "--preset", "svm", "--epochs", "1", "--reg=+1E1",
+               "--learning-rate=.25", "--out", str(out)])
+    assert rc == 0
+    training = json.loads(out.read_text())["training"]
+    assert (training["reg"], training["eta0"]) == (10.0, 0.25)
+
+
 class TestCorrelate:
     def test_evenness_footer_is_no_sample(self, tmp_path):
         # the "average" row of an evenness file has numeric e1 and e2, and

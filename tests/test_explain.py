@@ -165,6 +165,15 @@ class TestIntegratedGradients:
         peak = traced_peak(method, wide_model, wide_set.samples)
         assert peak <= 1.25 * 8 * wide_set.n * wide_set.d
 
+    def test_linear_path_sum_holds_no_path_points(self, traced_peak):
+        # one reduction over a broadcast view of w: the (p, d) array of
+        # path gradients would take 1.1 GiB here
+        m = LinearModel(np.array([-0.0, *np.linspace(-1.0, 1.0, 149)]), 0.0)
+        peak = traced_peak(explain._linear_path_sum, m, 10 ** 6)
+        assert peak < 2 ** 16
+        # the sum starts at +0.0, so the -0.0 weight sums to +0.0
+        assert not np.signbit(explain._linear_path_sum(m, 3)[0])
+
     def test_kernel_path_memory_bounded_at_a_million_points(self,
                                                              traced_peak):
         # the exponentials are taken a chunk of 2**19 values (4 MiB) at a

@@ -1,11 +1,14 @@
 """Every numeric setting refuses what is not a number of its kind, by name.
 
 One walk over the config fields, trainer arguments, attack, attribution,
-evenness and statistics entry points and model-file numbers: each is given
-True, a numeric string, NaN, a value outside its range and, for an integer
-setting, 2.5, and must raise ValueError (ModelFormatError for a model file)
-whose message starts with the setting's name.  A bool was once taken as 1 and
-a numeric string failed with a TypeError that named nothing.
+evenness and statistics entry points, model constructor arguments and
+model-file numbers: each is given True, a numeric string, NaN, a value
+outside its range and, for an integer setting, 2.5 (a model's weight or
+coefficient vector gets a bool vector, a vector holding a numeric string,
+and one holding NaN or an infinity), and must raise ValueError
+(ModelFormatError for a model file) whose message starts with the setting's
+name.  A bool was once taken as 1 and a numeric string failed with a
+TypeError that named nothing.
 """
 
 import json
@@ -67,6 +70,15 @@ SETTINGS = [
      lambda v: train_rbf_svm(DATA, 1.0, v, TrainConfig())),
     ("kernel-model-gamma", "gamma", "real", 2, -1.0,
      lambda v: KernelModel(np.eye(2, 3), np.ones(2), 0.0, v)),
+    ("linear-model-bias", "bias", "real", -2, math.inf,
+     lambda v: LinearModel(np.ones(2), v)),
+    ("kernel-model-bias", "bias", "real", 0.5, -math.inf,
+     lambda v: KernelModel(np.eye(2, 3), np.ones(2), v, 0.5)),
+    # a model's parameter vectors: each bad value is a whole vector
+    ("linear-model-weights", "weights", "array", [3, -0.5], math.inf,
+     lambda v: LinearModel(v, 0.0)),
+    ("kernel-model-dual_coeffs", "dual_coeffs", "array", np.ones(2), math.inf,
+     lambda v: KernelModel(np.eye(2, 3), v, 0.0, 0.5)),
     ("fpr_target", "fpr_target", "real", 0.5, 1.5,
      lambda v: detection_rate_at_fpr(LINEAR, DATA, v)),
     *[(f"spec-{name}", name, "real", 0.25, 0.0,
@@ -151,7 +163,13 @@ def load_edited(tmp_path, number, value):
 
 
 def bad_values(kind, out_of_range):
-    """(id, value) of each value a setting of ``kind`` refuses."""
+    """(id, value) of each value a setting of ``kind`` refuses; an "array"
+    setting gets two-entry vectors, each holding one bad entry."""
+    if kind == "array":
+        return [("true", np.array([True, False])),
+                ("string", ["0.5", True]),
+                ("nan", np.array([math.nan, 1.0])),
+                ("out-of-range", [1, out_of_range])]
     values = [("true", True), ("string", "3" if kind == "int" else "0.25"),
               ("nan", math.nan), ("out-of-range", out_of_range)]
     return values + ([("fraction", 2.5)] if kind == "int" else [])
