@@ -1091,11 +1091,13 @@ class TestCompactShadowPass:
     @pytest.mark.parametrize("budgets", [[1, 2, 3], list(range(1, 9)),
                                          [19, 20], list(range(1, 51))])
     @pytest.mark.parametrize("seed", [2, 10, 13])
+    @pytest.mark.parametrize("block_values", [0, 2 ** 14])
     def test_matches_gather_based_pass_bitwise(self, monkeypatch, budgets,
-                                               seed):
+                                               seed, block_values):
         # random models (seeds picked so) where rows converge at different
         # iterations down to a one-row tail, with already-benign rows left
-        # out
+        # out; block_values 0 scores each budget's new cells in a block of
+        # its own, 2**14 all of a call's cells in one block
         rng = np.random.default_rng(seed)
         d, n_sv, n = 60, 6, 14
         svs = rng.random((n_sv, d)) < 0.3
@@ -1106,6 +1108,7 @@ class TestCompactShadowPass:
         want, want_batches = recorded_shadow_pass(
             monkeypatch, gather_shadow_pass, model, X0b, budgets, 1000,
             threshold)
+        monkeypatch.setattr(attack_mod, "_NESTED_BLOCK_VALUES", block_values)
         got, got_batches = recorded_shadow_pass(
             monkeypatch, attack_mod._shadow_pass, model, X0b, budgets, 1000,
             threshold)
