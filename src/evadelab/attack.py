@@ -540,6 +540,8 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
     if method == "greedy" and not isinstance(model, LinearModel):
         raise TypeError("greedy attack requires a linear model")
 
+    # allocated first, as it outlives every array the attack builds (made
+    # after the greedy path tables, it raised the linear study's peak RSS)
     out = np.empty((X0b.shape[0], len(eps_grid)))
     if method == "greedy":
         scores0 = model.decision_batch(X0b.astype(np.float64))
@@ -547,15 +549,25 @@ def attack_scores_over_grid(model: TrainedModel, samples, eps_grid,
         # addition count fits, whichever comes first; an already-benign row
         # crosses at its clean point (step 0).
         path_scores, path_counts = _greedy_addition_paths(model, X0b, scores0)
+        n, width = path_scores.shape
         crossing = path_scores < threshold
         first_cross = np.where(crossing.any(axis=1),
-                               np.argmax(crossing, axis=1),
-                               path_scores.shape[1] - 1)
-        rows = np.arange(X0b.shape[0])
-        for col, eps in enumerate(eps_grid):
-            last = np.sum(path_counts <= eps, axis=1) - 1
-            out[:, col] = path_scores[rows, np.minimum(first_cross, last)]
-        return out
+                               np.argmax(crossing, axis=1), width - 1)
+        # A budget's last affordable step is the last count of its row that
+        # is <= the budget, and a budget past the row's last count (< width)
+        # affords every step.  Each row of counts is non-decreasing from 0,
+        # so offsetting row r by r * width makes the flat table
+        # non-decreasing, and one search with each budget capped at
+        # width - 1 finds that step inside its own row for every (row,
+        # budget), as a flat index into the (n, width) tables.
+        offsets = np.arange(n) * width
+        path_counts += offsets[:, None]
+        queries = offsets[:, None] + [min(eps, width - 1) for eps in eps_grid]
+        last = np.searchsorted(path_counts.ravel(), queries, side="right")
+        last -= 1
+        first_cross += offsets
+        np.minimum(last, first_cross[:, None], out=last)
+        return np.take(path_scores, last, out=out)
 
     # one fused call scores the rows and gives the descent's first
     # gradient; the rows' float64 copy is the box's lower bound

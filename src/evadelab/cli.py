@@ -33,10 +33,13 @@ from .robustness import _check_grid, _repeated, robustness_from_scores
 # optional fraction and exponent, or inf.
 _DECIMAL = re.compile(
     r"[+-]?(?:inf|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
-# The real-valued flags: argparse keeps their text, and main parses it with
-# _decimal, so that a bad value gets the JSON error.
+# The real-valued flags and the integer flags: argparse keeps their text,
+# and main parses it with _decimal or _whole, so that a bad value gets the
+# JSON error.
 _REAL_FLAGS = ("--reg", "--gamma", "--bound", "--learning-rate", "--fpr",
                "--threshold")
+_INT_FLAGS = ("--max-iters", "--eps-max", "--p", "--m", "--top", "--epochs",
+              "--seed", "--d-hint", "--permutation")
 
 
 def _budget(token: str, flag: str) -> int:
@@ -46,6 +49,16 @@ def _budget(token: str, flag: str) -> int:
     if not _ascii_digits(digits):
         raise ValueError(f"{flag} budget {token!r} is not ASCII digits")
     return int(digits)
+
+
+def _whole(token: str, flag: str) -> int:
+    """One integer value of ``flag``: an optional sign, then ASCII digits
+    (int() would also take "1_0", surrounding whitespace and other scripts'
+    digits).  The setting that reads it checks its range."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not _ascii_digits(digits):
+        raise ValueError(f"{flag} value {token!r} is not an integer")
+    return int(token)
 
 
 def _decimal(token: str, flag: str) -> float:
@@ -161,7 +174,8 @@ def cmd_attack(args) -> int:
             rows_out.append([sid, eps, float(clean[row]), after,
                              int(after < threshold), emin_txt])
     # csv.writer is fast enough here: a grid is a few budgets per sample,
-    # not the 50 of a study's score table (pipeline._write_score_table)
+    # not the 50 of a study's score table, which pipeline._write_score_table
+    # renders a block at a time, each run of equal scores formatted once
     _write_csv(args.out, ["sample_id", "eps", "score_before", "score_after",
                           "evaded", "eps_min"], rows_out)
     print(json.dumps({"out": str(args.out), "threshold": threshold,
@@ -309,7 +323,7 @@ def _add_attack_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threshold", default=None,
                    help="use a fixed threshold instead of --fpr")
     p.add_argument("--method", default="auto", choices=ATTACK_METHODS)
-    p.add_argument("--max-iters", type=int, default=_MAX_ITERS)
+    p.add_argument("--max-iters", default=str(_MAX_ITERS))
     p.add_argument("--out", required=True)
 
 
@@ -323,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier and save it")
     p.add_argument("--data", help="sparse text dataset")
     p.add_argument("--synthetic", help="JSON file with synthetic generator config")
-    p.add_argument("--d-hint", type=int, default=None)
+    p.add_argument("--d-hint")
     p.add_argument("--preset", choices=sorted(PRESETS))
     p.add_argument("--kind", choices=["linear", "secsvm", "rbf"],
                    help="default: the preset's, else linear")
@@ -334,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound",
                    help="weight box [-bound, bound], secsvm kind only "
                         "(default 0.25)")
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs")
     p.add_argument("--learning-rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--cv-reg", help="comma list of reg values for 5-fold CV")
     p.add_argument("--fpr", default="0.01")
     p.add_argument("--test", help="held-out data to report metrics on")
@@ -347,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_attack_flags(p)
     p.add_argument("--epsilon-grid", default="10",
                    help="'1:50', a comma list, or one budget")
-    p.add_argument("--eps-max", type=int, default=None,
+    p.add_argument("--eps-max",
                    help="search cap for eps_min (defaults to the grid max)")
     p.set_defaults(func=cmd_attack)
 
@@ -356,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--method", default="gradient_input",
                    choices=list(pipeline.ATTRIBUTION_METHODS))
-    p.add_argument("--p", type=int, default=100)
-    p.add_argument("--top", type=int, default=0,
+    p.add_argument("--p", default="100")
+    p.add_argument("--top", default="0",
                    help="also print the top-K features per sample")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_explain)
@@ -365,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evenness", help="evenness metrics over a relevance CSV")
     p.add_argument("--relevances", required=True)
     p.add_argument("--metric", default="both", choices=["e1", "e2", "both"])
-    p.add_argument("--m", type=int, default=1000)
+    p.add_argument("--m", default="1000")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evenness)
 
@@ -380,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--methods", default="pearson,spearman,kendall")
-    p.add_argument("--permutation", type=int, default=0,
+    p.add_argument("--permutation", default="0",
                    help="use a permutation p-value with N shuffles")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_correlate)
 
@@ -398,10 +412,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in _REAL_FLAGS:
-            dest = flag[2:].replace("-", "_")
-            if getattr(args, dest, None) is not None:
-                setattr(args, dest, _decimal(getattr(args, dest), flag))
+        for flags, parse in ((_REAL_FLAGS, _decimal), (_INT_FLAGS, _whole)):
+            for flag in flags:
+                dest = flag[2:].replace("-", "_")
+                if getattr(args, dest, None) is not None:
+                    setattr(args, dest, parse(getattr(args, dest), flag))
         return args.func(args)
     except Exception as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

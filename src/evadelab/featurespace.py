@@ -94,12 +94,18 @@ def _real(name: str, value, interval: str = "(0, inf)", error=ValueError):
 
 def _real_array(name: str, values, error=ValueError) -> np.ndarray:
     """``values`` as a float64 array if it is an integer or float array
-    (or makes one) of finite entries; a bool, str or object array is
-    neither, so none is cast, and anything else raises ``error``."""
+    (or a sequence of ints and floats) of finite entries; a bool, str or
+    object array is neither, nor is a sequence holding a bool, so none is
+    cast, and anything else raises ``error``."""
     array = np.asarray(values)
     if array.dtype.kind not in "iuf":
         raise error(f"{name} must hold integers or floats, got dtype "
                     f"{array.dtype}")
+    # a sequence's bools are cast to the dtype of its numbers
+    if not isinstance(values, np.ndarray) and any(
+            isinstance(v, (bool, np.bool_))
+            for v in np.asarray(values, dtype=object).flat):
+        raise error(f"{name} must hold integers or floats, got a bool")
     array = array.astype(np.float64, copy=False)
     if not np.isfinite(array).all():
         raise error(f"{name} must be finite")
@@ -269,6 +275,8 @@ def load_dataset(path, d_hint: int | None = None) -> LabeledDataset:
     one numpy call at the end.  Only a line that does not match is split
     into tokens, to name its first bad one.
     """
+    if d_hint is not None:
+        _integer("d_hint", d_hint, 0)
     labels: list[int] = []
     line_numbers: list[int] = []
     counts: list[int] = []

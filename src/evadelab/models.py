@@ -229,6 +229,11 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
     # is a (d,) array, each step's scalar factor is written into the 0-d
     # ``fac``, and an epoch's step sizes come from one vectorised
     # expression: the same IEEE divisions and sums as eta0 / (1 + t / n).
+    # The ufuncs are bound once and take their output positionally, which
+    # is the same call as out= (and as an in-place operator) with less
+    # argument parsing; np.maximum and np.minimum keep out=, as their
+    # three-positional form is deprecated.
+    mul, sub, add = np.multiply, np.subtract, np.add
     lam_w = np.full(d, lam)
     fac = np.empty(())
     bounded = cfg.weight_bound is not None
@@ -259,30 +264,30 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
             if loss == "hinge":
                 if m < 1.0:
                     # w += eta * (s_i - lam w)
-                    np.multiply(w, lam_w, out=buf)
-                    np.subtract(rows[i], buf, out=buf)
+                    mul(w, lam_w, buf)
+                    sub(rows[i], buf, buf)
                     fac[()] = eta
-                    buf *= fac
-                    w += buf
+                    mul(buf, fac, buf)
+                    add(w, buf, w)
                     b += eta * yi
                 else:
                     # w -= eta * lam * w
                     shrink = eta * lam
                     fac[()] = shrink
-                    np.multiply(w, fac, out=buf)
-                    w -= buf
+                    mul(w, fac, buf)
+                    sub(w, buf, w)
                     clip = bounded and shrink > 1.0
             elif loss == "logistic":
                 sig = 1.0 / (1.0 + math.exp(min(50.0, max(-50.0, m))))
                 # w += eta * (sig * s_i - lam w); s_i sig is x_i (y_i sig)
                 # bit for bit, as y_i = +-1 and sig > 0
                 fac[()] = sig
-                np.multiply(rows[i], fac, out=tmp)
-                np.multiply(w, lam_w, out=buf)
-                np.subtract(tmp, buf, out=buf)
+                mul(rows[i], fac, tmp)
+                mul(w, lam_w, buf)
+                sub(tmp, buf, buf)
                 fac[()] = eta
-                buf *= fac
-                w += buf
+                mul(buf, fac, buf)
+                add(w, buf, w)
                 b += eta * sig * yi
             else:  # squared
                 # Normalized step (NLMS): plain least-squares SGD diverges
@@ -293,12 +298,12 @@ def _sgd_linear(train: LabeledDataset, cfg: TrainConfig) -> LinearModel:
                 # w -= step * (2 resid x_i + lam w); 2 resid x_i is
                 # s_i (y_i 2 resid) bit for bit, as y_i = +-1
                 fac[()] = yi * 2.0 * resid
-                np.multiply(rows[i], fac, out=tmp)
-                np.multiply(w, lam_w, out=buf)
-                np.add(tmp, buf, out=buf)
+                mul(rows[i], fac, tmp)
+                mul(w, lam_w, buf)
+                add(tmp, buf, buf)
                 fac[()] = step
-                buf *= fac
-                w -= buf
+                mul(buf, fac, buf)
+                sub(w, buf, w)
                 b -= step * 2.0 * resid
             if clip:
                 np.maximum(w, lb, out=w)

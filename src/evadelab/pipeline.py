@@ -11,10 +11,11 @@ rerun with the same config reproduces every output file byte for byte.
 
 Every table goes through csv.writer except the largest, each cell's
 ``adv_scores_<slug>.csv`` with one row per (sample, budget), which is
-rendered straight from the cell's score matrix a sample at a time.  Its
-bytes are csv.writer's: its fields are ints and floats, written by str (the
-shortest repr for a float) and never quoted, lines end in ``\r\n``, and a
-run of bit-equal scores shares one repr, so ``-0.0`` keeps its sign.
+rendered straight from the cell's score matrix a block of whole samples at a
+time.  Its bytes are csv.writer's: its fields are ints and floats, written
+by str (the shortest repr for a float) and never quoted, lines end in
+``\r\n``, and a run of bit-equal scores shares one repr, so ``-0.0`` keeps
+its sign.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ _GRID_KEYS = ("start", "stop")
 _CV_FOLDS = 5
 # the share of each class that a repetition's split puts in training
 _SPLIT_FRACTION = 0.6
+# the most scores _write_score_table renders at a time: a 2**10 block's
+# text is about the size of the file's write buffer, and a 2**12 block
+# renders no faster while holding three times the memory
+_SCORE_BLOCK_VALUES = 2 ** 10
 
 
 @dataclass(frozen=True)
@@ -440,23 +445,34 @@ def _write_score_table(path: str | Path, sample_ids, eps_grid,
     and budget of the (n, k) float64 ``scores``, byte for byte what
     _write_csv writes for the rows ``[sid, eps, float(score)]``.
 
-    A greedy attack stops adding features once it has crossed the threshold,
-    so most rows end in a run of equal scores: each run of bit-equal values
-    (equal int64 views, so -0.0 and 0.0 stay apart) is formatted once.  One
-    sample's lines are built at a time, so memory does not grow with n.
+    The table is rendered a block of whole samples, at most
+    _SCORE_BLOCK_VALUES scores (or one sample), at a time, so memory does
+    not grow with n.  A greedy attack stops adding features once it has
+    crossed the threshold, so most rows end in a run of equal scores: one
+    compare over the block marks where each run of bit-equal values starts
+    (equal int64 views, so -0.0 and 0.0 stay apart), and each run is
+    formatted once, by repr.  Each sample's k lines are then one str.format
+    call on a template built once from the grid.
     """
-    eps_leads = [str(eps) + "," for eps in eps_grid]
+    k = len(eps_grid)
+    # "{0}" is the sample id and "{j}" the score at the j-th budget
+    template = "".join(f"{{0}},{eps},{{{j}}}\r\n"
+                       for j, eps in enumerate(eps_grid, 1))
+    block_rows = max(1, _SCORE_BLOCK_VALUES // k)
+    ids = iter(sample_ids)
     with _csv_file(path, ["sample_id", "eps", "score_after"]) as fh:
-        for sid, row in zip(sample_ids, scores):
-            values = row.tolist()
-            bits = row.view(np.int64)
-            starts = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-            texts = []
-            for start, stop in zip([0, *starts], [*starts, len(values)]):
-                texts += [repr(values[start])] * (stop - start)
-            lead = str(sid) + ","
-            fh.write(lead + ("\r\n" + lead).join(
-                map(str.__add__, eps_leads, texts)) + "\r\n")
+        for lo in range(0, len(scores), block_rows):
+            block = scores[lo:lo + block_rows].ravel()
+            bits = block.view(np.int64)
+            starts = np.empty(block.size, dtype=bool)
+            starts[0] = True
+            np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+            runs = np.array([repr(v) for v in block[starts].tolist()],
+                            dtype=object)
+            texts = runs[np.cumsum(starts) - 1].tolist()
+            fh.write("".join(
+                template.format(sid, *texts[at:at + k])
+                for at, sid in zip(range(0, len(texts), k), ids)))
 
 
 def _correlation_rows(entries: list[dict], lead: list) -> list[list]:

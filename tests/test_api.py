@@ -199,7 +199,8 @@ def test_every_private_name_is_used():
 def _number_rule_sites(tree):
     """Each string outside a docstring that words the rule for a number,
     each isinstance test against (int, np.integer), and each argparse flag
-    parsed with type=float, in a module tree, as (line, source)."""
+    parsed with type=float or type=int, in a module tree, as (line,
+    source)."""
     docstrings = {id(node.value) for node in ast.walk(tree)
                   if isinstance(node, ast.Expr)}
     sites = []
@@ -218,7 +219,8 @@ def _number_rule_sites(tree):
         elif (isinstance(node, ast.Call)
               and isinstance(node.func, ast.Attribute)
               and node.func.attr == "add_argument"
-              and any(k.arg == "type" and ast.unparse(k.value) == "float"
+              and any(k.arg == "type"
+                      and ast.unparse(k.value) in ("float", "int")
                       for k in node.keywords)):
             sites.append((node.lineno, ast.unparse(node)))
     return sites
@@ -226,9 +228,9 @@ def _number_rule_sites(tree):
 
 def test_one_module_words_the_number_rule():
     # featurespace._integer and _real are the one rule for what a numeric
-    # setting may be, and cli._decimal for what a real-valued flag may be;
-    # a check written out again in another module would drift from it one
-    # module at a time
+    # setting may be, and cli._decimal and cli._whole for what a real or an
+    # integer flag may be; a check written out again in another module
+    # would drift from it one module at a time
     package = Path(evadelab.__file__).resolve().parent
     found = {path.name: _number_rule_sites(ast.parse(
                  path.read_text(encoding="utf-8")))
@@ -241,4 +243,5 @@ def test_one_module_words_the_number_rule():
         'isinstance(v, (int, np.integer))\n'
         'raise ValueError(f"{n} must be an integer, got {v!r}")\n'
         'raise ValueError("gamma must be finite and positive")\n'
-        'p.add_argument("--reg", type=float)'))) == 4
+        'p.add_argument("--reg", type=float)\n'
+        'p.add_argument("--seed", type=int)'))) == 5

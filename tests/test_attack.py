@@ -521,6 +521,64 @@ class TestGreedyGrid:
         assert np.array_equal(got, [[0.2] * 3, [1.2] * 3])
 
 
+def per_budget_greedy(model, samples, eps_grid, threshold):
+    """The greedy grid read off the path tables one budget at a time: each
+    budget's last affordable step is the number of its row's counts that
+    are <= the budget, less one."""
+    X0b = _binary_rows(samples, model.d, bool)
+    scores0 = model.decision_batch(X0b.astype(np.float64))
+    path_scores, path_counts = attack_mod._greedy_addition_paths(model, X0b,
+                                                                 scores0)
+    crossing = path_scores < threshold
+    first_cross = np.where(crossing.any(axis=1), np.argmax(crossing, axis=1),
+                           path_scores.shape[1] - 1)
+    rows = np.arange(len(X0b))
+    out = np.empty((len(X0b), len(eps_grid)))
+    for col, eps in enumerate(eps_grid):
+        last = np.sum(path_counts <= eps, axis=1) - 1
+        out[:, col] = path_scores[rows, np.minimum(first_cross, last)]
+    return out
+
+
+class TestGreedyLookup:
+    """The one search over the offset count table against the per-budget
+    rule, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_budget_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(4, 40))
+        model = LinearModel(rng.normal(size=d), float(rng.normal()))
+        samples = rng.random((int(rng.integers(1, 30)), d)) < rng.random()
+        n_neg = int(np.sum(model.weights < 0.0))
+        grids = [[0], [int(rng.integers(1, d + 1))], list(range(d + 3)),
+                 # budgets past the number of negative weights, unsorted
+                 [n_neg + 5, 0, n_neg + 1, n_neg, 2, 3 * d],
+                 [n_neg + 1]]
+        scores = samples @ model.weights + model.bias
+        for threshold in (-np.inf, np.inf, *np.quantile(scores, [0.2, 0.8])):
+            for grid in grids:
+                got = attack_scores_over_grid(model, samples, grid, threshold,
+                                              method="greedy")
+                want = per_budget_greedy(model, samples, grid, threshold)
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64)), (grid, threshold)
+
+    def test_budgets_past_every_count(self):
+        # two negative weights make the count table (n, 3): budgets from 3
+        # up afford every step of every row, past int64 too
+        model = LinearModel(np.array([-1.0, -2.0, 0.5]), 1.0)
+        samples = [vec([], 3), vec([0], 3), vec([0, 1], 3), vec([], 3)]
+        grid = [3, 0, 7, 2**62, 10**30]
+        got = attack_scores_over_grid(model, samples, grid, -np.inf,
+                                      method="greedy")
+        assert np.array_equal(got, [[-2.0, 1.0] + [-2.0] * 3,
+                                    [-2.0, 0.0] + [-2.0] * 3,
+                                    [-2.0] * 5, [-2.0, 1.0] + [-2.0] * 3])
+        assert np.array_equal(got, per_budget_greedy(model, samples, grid,
+                                                     -np.inf))
+
+
 class TestKernelCurveMonotonicity:
     def test_pgd_curve_non_increasing(self):
         model, malware, threshold = d12_cell()

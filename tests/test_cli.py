@@ -467,6 +467,60 @@ def test_real_flags_take_sign_fraction_and_exponent(workdir):
     assert (training["reg"], training["eta0"]) == (10.0, 0.25)
 
 
+def int_flag_argv(workdir, command, out):
+    """An ``evadelab <command>`` call that reads each integer flag of
+    INT_FLAGS it is given (the last of a repeated flag counts)."""
+    (workdir / "relevances.csv").write_text(
+        "sample_id,feature,relevance\r\n0,0,0.5\r\n0,1,0.25\r\n")
+    (workdir / "xy.csv").write_text(
+        "a,b\r\n" + "".join(f"{i},{i * i % 7}\r\n" for i in range(8)))
+    common = {
+        "train": ["--data", str(workdir / "train.txt"), "--preset", "svm"],
+        "attack": ["--model", str(workdir / "model.json"),
+                   "--data", str(workdir / "test.txt"), "--method", "greedy"],
+        "explain": ["--model", str(workdir / "model.json"),
+                    "--data", str(workdir / "test.txt"),
+                    "--method", "integrated_gradients"],
+        "evenness": ["--relevances", str(workdir / "relevances.csv")],
+        "correlate": ["--data", str(workdir / "xy.csv"), "--x", "a",
+                      "--y", "b", "--permutation", "5"]}[command]
+    return [command, *common, "--out", str(out)]
+
+
+INT_FLAGS = [("train", "--epochs"), ("train", "--seed"),
+             ("train", "--d-hint"), ("attack", "--max-iters"),
+             ("attack", "--eps-max"), ("explain", "--p"), ("explain", "--top"),
+             ("evenness", "--m"), ("correlate", "--permutation"),
+             ("correlate", "--seed")]
+
+
+@pytest.mark.parametrize("command,flag", INT_FLAGS)
+@pytest.mark.parametrize("value", ["1_0", " 3 ", "3.0", "\u0665", "--4"])
+def test_int_flags_take_ascii_digits_only(workdir, capsys, command, flag,
+                                          value):
+    # int() took "1_0" as 10, " 3 " as 3 and the Arabic-Indic digit five as
+    # 5, and a value it refused exited with argparse's usage text
+    out = workdir / f"{command}_int.out"
+    rc = main([*int_flag_argv(workdir, command, out), f"{flag}={value}"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == f"{flag} value {value!r} is not an integer"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", INT_FLAGS)
+def test_int_flags_take_a_sign(workdir, capsys, command, flag):
+    # "+3" parses as 3; a negative value reaches the setting's own range
+    # check, which names it
+    out = workdir / f"{command}_sign.out"
+    argv = int_flag_argv(workdir, command, out)
+    assert main([*argv, f"{flag}=+3"]) == 0
+    capsys.readouterr()
+    assert main([*argv, f"{flag}=-3"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert "is not an integer" not in err["message"]
+
+
 class TestCorrelate:
     def test_evenness_footer_is_no_sample(self, tmp_path):
         # the "average" row of an evenness file has numeric e1 and e2, and

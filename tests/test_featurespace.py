@@ -127,6 +127,12 @@ class TestLoadDataset:
         ds = load_dataset(_write(tmp_path, "+1 2:1\n"), d_hint=10)
         assert ds.d == 10
 
+    @pytest.mark.parametrize("d_hint", [-3, 2.5, True, "10"])
+    def test_d_hint_is_an_integer_of_at_least_zero(self, tmp_path, d_hint):
+        # -3 and True were taken as no hint, and 2.5 made d a float
+        with pytest.raises(ValueError, match="^d_hint must be"):
+            load_dataset(_write(tmp_path, "+1 2:1\n"), d_hint=d_hint)
+
     def test_oversized_matrix_fails_fast(self, tmp_path, traced_peak):
         # one index of 10**8 makes d = 100,000,001: two rows of that are a
         # 1.6 GB float64 copy, refused before the sample matrix is built

@@ -349,6 +349,27 @@ class TestScoreTable:
         assert path.read_bytes() == csv_writer_score_table(
             sample_ids, eps_grid, scores)
 
+    @pytest.mark.parametrize("k", [1, 3, 50])
+    def test_blocks_split_runs_of_signed_zeros(self, tmp_path, k):
+        # two whole blocks and part of a third; every value is 0.0 or -0.0
+        # in runs that cross samples and blocks, with a sign flip right at
+        # each block boundary and a run spanning the next
+        block_rows = max(1, pipeline._SCORE_BLOCK_VALUES // k)
+        n = 2 * block_rows + 5
+        rng = np.random.default_rng(k)
+        flat = np.repeat(rng.choice([0.0, -0.0, 1 / 3], size=n * k),
+                         rng.integers(1, 2 * k + 2, size=n * k))[:n * k]
+        for edge in (block_rows * k, 2 * block_rows * k):
+            flat[edge - 1], flat[edge:edge + 2 * k + 1] = -0.0, 0.0
+        scores = flat.reshape(n, k)
+        assert np.signbit(scores).any() and not np.signbit(scores).all()
+        eps_grid = tuple(range(2, 2 + k))
+        sample_ids = [7 * i for i in range(n)]
+        path = tmp_path / "adv.csv"
+        pipeline._write_score_table(path, sample_ids, eps_grid, scores)
+        assert path.read_bytes() == csv_writer_score_table(
+            sample_ids, eps_grid, scores)
+
     def test_study_tables_equal_csv_writer(self, small_report):
         report, out = small_report
         eps_grid = report.config.eps_grid

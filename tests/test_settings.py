@@ -5,9 +5,9 @@ evenness and statistics entry points, model constructor arguments and
 model-file numbers: each is given True, a numeric string, NaN, a value
 outside its range and, for an integer setting, 2.5 (a model's weight or
 coefficient vector gets a bool vector, a vector holding a numeric string,
-and one holding NaN or an infinity), and must raise ValueError
-(ModelFormatError for a model file) whose message starts with the setting's
-name.  A bool was once taken as 1 and a numeric string failed with a
+a list of a bool and a float, and one holding NaN or an infinity), and
+must raise ValueError (ModelFormatError for a model file) whose message
+starts with the setting's name.  A bool was once taken as 1 and a numeric string failed with a
 TypeError that named nothing.
 """
 
@@ -168,6 +168,7 @@ def bad_values(kind, out_of_range):
     if kind == "array":
         return [("true", np.array([True, False])),
                 ("string", ["0.5", True]),
+                ("bool-entry", [True, 0.5]),
                 ("nan", np.array([math.nan, 1.0])),
                 ("out-of-range", [1, out_of_range])]
     values = [("true", True), ("string", "3" if kind == "int" else "0.25"),
